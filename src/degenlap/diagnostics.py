@@ -16,7 +16,7 @@ import numpy as np
 from .geometry import Ball, Box, MetricSpace, euclidean, metric_distance
 from .grids import GridFunction
 from .weights import MaximalValue, Weight, maximal_function, _subseed
-from .energy import MatrixField, eval_weight_shifted, horizontal_gradient
+from .energy import eval_shifted, horizontal_gradient
 
 __all__ = [
     "RadiusTooSmallError",
@@ -145,7 +145,6 @@ class MeanValueResult:
 
 def mean_value_check(
     u: GridFunction,
-    a_field: MatrixField,
     p: float,
     w: Weight,
     v: Weight,
@@ -163,7 +162,6 @@ def mean_value_check(
         raise ValueError("alpha must lie in [1/2, 1)")
     if not sigma > 1.0:
         raise ValueError("sigma must exceed 1")
-    del a_field  # the quadrature needs only u and the weight pair
     vals = u.values.ravel()
     sel_in = _live_nodes_in_ball(u, space, ball.center, alpha * ball.radius)
     sel_out = _live_nodes_in_ball(u, space, ball.center, ball.radius)
@@ -173,8 +171,8 @@ def mean_value_check(
     lhs = float(uplus_in.max() ** p)
     coords = u.domain.node_coords().reshape(-1, u.domain.n)
     interior_point = u.domain.bounds.mean(axis=1)
-    vv = eval_weight_shifted(v, coords[sel_out], u.domain.h, interior_point)
-    ww = eval_weight_shifted(w, coords[sel_out], u.domain.h, interior_point)
+    vv, _ = eval_shifted(v, coords[sel_out], u.domain.h, interior_point)
+    ww, _ = eval_shifted(w, coords[sel_out], u.domain.h, interior_point)
     mu = float((np.sum(vv) / np.sum(ww)) ** (1.0 / p))
     uplus = np.maximum(vals[sel_out], 0.0)
     rhs_core = float(mu ** (p * sigma / (sigma - 1.0)) * np.sum(uplus ** p * vv) / np.sum(vv))

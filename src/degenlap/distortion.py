@@ -18,7 +18,7 @@ import numpy as np
 from ._rand import child_rng
 from .geometry import MetricSpace, euclidean
 from .grids import BOUNDARY, GridDomain, GridFunction
-from .energy import InvalidTestFunctionError, MatrixField, horizontal_gradient, weak_form
+from .energy import InvalidTestFunctionError, _weak_form_cells, horizontal_gradient
 
 __all__ = [
     "MappingSpec",
@@ -96,44 +96,19 @@ def jacobian(mapping: MappingSpec, x: np.ndarray, h_fd: float = 1e-6,
 
 
 def adjugate(mats: np.ndarray) -> np.ndarray:
-    """Cofactor-wise adjugate: A adj(A) = det(A) I, valid also when det = 0."""
+    """Cofactor-wise adjugate of one matrix or a stack of them:
+    A adj(A) = det(A) I, valid also when det = 0."""
     m = np.asarray(mats, dtype=float)
-    single = m.ndim == 2
-    m = np.atleast_3d(m) if m.ndim == 2 else m
-    if m.ndim == 2:
-        m = m[None]
-    if single:
-        m = m.reshape(1, *mats.shape)
-    k, n, n2 = m.shape
-    if n != n2:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("adjugate needs square matrices")
-    if n == 1:
-        out = np.ones((k, 1, 1))
-    elif n == 2:
-        out = np.empty((k, 2, 2))
-        out[:, 0, 0] = m[:, 1, 1]
-        out[:, 0, 1] = -m[:, 0, 1]
-        out[:, 1, 0] = -m[:, 1, 0]
-        out[:, 1, 1] = m[:, 0, 0]
-    elif n == 3:
-        out = np.empty((k, 3, 3))
-        for i in range(3):
-            for j in range(3):
-                r = [a for a in range(3) if a != j]
-                c = [b for b in range(3) if b != i]
-                minor = m[:, r][:, :, c]
-                cof = minor[:, 0, 0] * minor[:, 1, 1] - minor[:, 0, 1] * minor[:, 1, 0]
-                out[:, i, j] = (-1.0) ** (i + j) * cof
-    else:
-        out = np.empty((k, n, n))
-        rows = np.arange(n)
-        for i in range(n):
-            for j in range(n):
-                r = rows[rows != j]
-                c = rows[rows != i]
-                minor = m[np.ix_(np.arange(k), r, c)]
-                out[:, i, j] = (-1.0) ** (i + j) * np.linalg.det(minor)
-    return out[0] if single else out
+    n = m.shape[-1]
+    keep = ~np.eye(n, dtype=bool)
+    out = np.empty(m.shape)
+    for i in range(n):
+        for j in range(n):
+            minor = m[..., keep[j], :][..., keep[i]]
+            out[..., i, j] = (-1.0) ** (i + j) * np.linalg.det(minor)
+    return out
 
 
 def _sym_eigenvalues(s: np.ndarray) -> np.ndarray:
@@ -321,15 +296,15 @@ def coordinate_weak_residual(
     centers = domain.cell_centers().reshape(-1, n)[included]
     dfc = jacobian(mapping, centers)
     jacs = np.linalg.det(dfc)
+    if not np.all(np.isfinite(jacs)):
+        raise SingularPointError("J_f is not finite at a quadrature cell: a cell center "
+                                 "sits on the mapping's singular point")
     if np.any(jacs <= 0):
         raise OrientationReversedError("J_f <= 0 at a quadrature cell")
     adjc = adjugate(dfc)
     ginv_c = np.linalg.inv(dfc.transpose(0, 2, 1) @ dfc) * (jacs ** (2.0 / n))[:, None, None]
-    ginv_field = MatrixField(
-        name=f"Ginv[{mapping.name}]",
-        fn=_InterpCellField(centers, ginv_c, n),
-        m=n,
-    )
+    grad_f = [horizontal_gradient(space, fg).values for fg in fgrids]
+    quad_f = [np.einsum("kij,ki,kj->k", ginv_c, g, g) for g in grad_f]
 
     sing = mapping.singular_point if mapping.singular_point is not None else np.zeros(n)
     dist_nodes = np.linalg.norm(coords - sing, axis=1)
@@ -351,16 +326,13 @@ def coordinate_weak_residual(
                     raise InvalidTestFunctionError(
                         "test function support touches the singular point; use a tube")
                 phi_eta = phi
-            gphi = horizontal_gradient(space, phi_eta)
+            gphi = horizontal_gradient(space, phi_eta).values
             for i in range(n):
-                r_adj = cell_volume * float(
-                    np.einsum("ki,ki->", adjc[:, :, i], gphi.values))
-                r_weak = weak_form(fgrids[i], phi_eta, ginv_field, float(n), 0.0, space)
-                gu = horizontal_gradient(space, fgrids[i])
-                qn = np.einsum("kij,ki,kj->k", ginv_c, gu.values, gu.values)
+                r_adj = cell_volume * float(np.einsum("ki,ki->", adjc[:, :, i], gphi))
+                # the p = n weak form with coefficients G^{-1}
+                r_weak = _weak_form_cells(grad_f[i], gphi, ginv_c, float(n), 0.0, cell_volume)
                 scale = cell_volume * float(
-                    np.sum(np.abs(qn) ** ((n - 1) / 2.0)
-                           * np.linalg.norm(gphi.values, axis=1)))
+                    np.sum(np.abs(quad_f[i]) ** ((n - 1) / 2.0) * np.linalg.norm(gphi, axis=1)))
                 rows.append({
                     "coordinate": i,
                     "phi": pidx,
@@ -384,27 +356,6 @@ def coordinate_weak_residual(
                     "scale": s1,
                 })
     return WeakResidualTable(rows=rows, extrapolated=extrapolated)
-
-
-class _InterpCellField:
-    """Exact per-cell coefficient lookup for fields precomputed at the same
-    cell centers (identity interpolation; assembly evaluates only there)."""
-
-    def __init__(self, centers, values, n):
-        self._centers = centers
-        self._values = values
-        self._n = n
-
-    def __call__(self, pts):
-        pts = np.atleast_2d(pts)
-        if len(pts) == len(self._centers) and np.array_equal(pts, self._centers):
-            return self._values
-        # fall back to nearest-center lookup
-        out = np.empty((len(pts), self._n, self._n))
-        for i, p in enumerate(pts):
-            j = int(np.argmin(np.linalg.norm(self._centers - p, axis=1)))
-            out[i] = self._values[j]
-        return out
 
 
 def radial_exp_map(epsilon: float, dim: int = 3) -> MappingSpec:

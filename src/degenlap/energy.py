@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -52,6 +53,23 @@ class InvalidCoefficientsError(ValueError):
     """Coefficient field violates its declared ellipticity envelope."""
 
 
+def eval_shifted(fn, pts: np.ndarray, h: float, interior_point: np.ndarray):
+    """Evaluate `fn` at `pts`, nudging every point where it is non-finite (a
+    point on its singular set) by h/100 toward `interior_point`.  Returns the
+    values and the number of nudged points."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.asarray(fn(pts), dtype=float)
+    bad = ~np.all(np.isfinite(out.reshape(len(out), -1)), axis=1)
+    if np.any(bad):
+        shift = interior_point - pts[bad]
+        norms = np.linalg.norm(shift, axis=1, keepdims=True)
+        shift = np.where(norms > 0, shift / np.maximum(norms, 1e-300), 0.0)
+        shift[np.all(shift == 0.0, axis=1)] = np.eye(pts.shape[1])[0]
+        out[bad] = fn(pts[bad] + (h / 100.0) * shift)
+    return out, int(np.count_nonzero(bad))
+
+
 @dataclass
 class MatrixField:
     """Symmetric coefficient field A(x) with its ellipticity envelope.
@@ -76,16 +94,10 @@ class MatrixField:
 
     def evaluate_shifted(self, pts: np.ndarray, h: float, interior_point: np.ndarray) -> np.ndarray:
         """Evaluate, nudging any point that hits a singularity of the
-        coefficients by h/100 toward the domain interior."""
-        out = self(pts)
-        bad = ~np.all(np.isfinite(out.reshape(len(out), -1)), axis=1)
-        if np.any(bad):
-            self.shifted_evaluations += int(np.count_nonzero(bad))
-            shift_dir = interior_point - pts[bad]
-            norms = np.linalg.norm(shift_dir, axis=1, keepdims=True)
-            shift_dir = np.where(norms > 0, shift_dir / np.maximum(norms, 1e-300), 0.0)
-            shift_dir[np.all(shift_dir == 0.0, axis=1)] = np.eye(pts.shape[1])[0]
-            out[bad] = self(pts[bad] + (h / 100.0) * shift_dir)
+        coefficients by h/100 toward the domain interior; counts the nudges
+        in `shifted_evaluations`."""
+        out, nudged = eval_shifted(self, pts, h, interior_point)
+        self.shifted_evaluations += nudged
         return out
 
     @classmethod
@@ -156,18 +168,6 @@ def _corner_signs(n: int) -> np.ndarray:
     return signs
 
 
-def _cell_corner_values(u: np.ndarray, n: int) -> np.ndarray:
-    """(K_all, 2^n) corner values for every cell (row order = raveled cells)."""
-    cells = []
-    import itertools
-
-    cell_shape = tuple(s - 1 for s in u.shape)
-    for bits in itertools.product((0, 1), repeat=n):
-        sl = tuple(slice(b, b + s) for b, s in zip(bits, cell_shape))
-        cells.append(u[sl].ravel())
-    return np.stack(cells, axis=-1)
-
-
 def _stencil_matrix(space: MetricSpace, domain: GridDomain, centers: np.ndarray) -> np.ndarray:
     """(K, m, 2^n) coefficients turning cell corner values into the
     horizontal gradient at the cell center."""
@@ -185,24 +185,13 @@ def _stencil_matrix(space: MetricSpace, domain: GridDomain, centers: np.ndarray)
 
 def horizontal_gradient(space: MetricSpace, u: GridFunction) -> CellField:
     """Cell-centered horizontal gradient Xu over the included cells."""
-    dom = u.domain
-    if space.kind == "heisenberg1" and dom.n != 3:
-        raise ValueError("heisenberg1 requires a 3-d grid")
-    included = dom.included_cells().ravel()
-    corners = _cell_corner_values(u.values, dom.n)[included]
-    centers = dom.cell_centers().reshape(-1, dom.n)[included]
-    b = _stencil_matrix(space, dom, centers)
-    grads = np.einsum("kmc,kc->km", b, corners)
-    return CellField(values=grads, centers=centers, cell_volume=dom.h ** dom.n, domain=dom)
+    disc = _Discretization(space, u.domain)
+    return CellField(values=disc.gradients(u.values), centers=disc.centers,
+                     cell_volume=disc.cell_volume, domain=u.domain)
 
 
 def default_delta(p: float) -> float:
     return 1e-8 if p >= 2 else 1e-6
-
-
-def _coefficients_at_cells(a_field: MatrixField, domain: GridDomain, centers: np.ndarray):
-    interior_point = domain.bounds.mean(axis=1)
-    return a_field.evaluate_shifted(centers, domain.h, interior_point)
 
 
 def p_energy(
@@ -213,11 +202,10 @@ def p_energy(
     space: MetricSpace | None = None,
 ) -> float:
     """Sum over cells of h^n (delta^2 + <A Xu, Xu>)^(p/2)."""
-    space = space or euclidean(u.domain.n)
-    g = horizontal_gradient(space, u)
-    a = _coefficients_at_cells(a_field, u.domain, g.centers)
-    q = np.einsum("kij,ki,kj->k", a, g.values, g.values)
-    return float(g.cell_volume * np.sum((delta * delta + q) ** (p / 2.0)))
+    disc = _Discretization(space or euclidean(u.domain.n), u.domain, a_field)
+    g = disc.gradients(u.values)
+    q = np.einsum("kij,ki,kj->k", disc.a, g, g)
+    return float(disc.cell_volume * np.sum((delta * delta + q) ** (p / 2.0)))
 
 
 def _weak_form_cells(gu: np.ndarray, gphi: np.ndarray, a: np.ndarray, p: float,
@@ -246,11 +234,9 @@ def weak_form(
     """
     if np.any(phi.values[phi.domain.mask == BOUNDARY] != 0.0):
         raise InvalidTestFunctionError("test function must vanish on boundary nodes")
-    space = space or euclidean(u.domain.n)
-    gu = horizontal_gradient(space, u)
-    gphi = horizontal_gradient(space, phi)
-    a = _coefficients_at_cells(a_field, u.domain, gu.centers)
-    return _weak_form_cells(gu.values, gphi.values, a, p, delta, gu.cell_volume)
+    disc = _Discretization(space or euclidean(u.domain.n), u.domain, a_field)
+    return _weak_form_cells(disc.gradients(u.values), disc.gradients(phi.values), disc.a,
+                            p, delta, disc.cell_volume)
 
 
 def monotonicity_gap(
@@ -264,13 +250,12 @@ def monotonicity_gap(
     """a0^p(u1, u1-u2) - a0^p(u2, u1-u2); nonnegative by monotonicity of the
     regularized operator (no boundary restriction on u1 - u2 is needed, the
     pointwise vector inequality holds cell by cell)."""
-    space = space or euclidean(u1.domain.n)
-    g1 = horizontal_gradient(space, u1)
-    g2 = horizontal_gradient(space, u2)
-    a = _coefficients_at_cells(a_field, u1.domain, g1.centers)
-    diff = g1.values - g2.values
-    t1 = _weak_form_cells(g1.values, diff, a, p, delta, g1.cell_volume)
-    t2 = _weak_form_cells(g2.values, diff, a, p, delta, g1.cell_volume)
+    disc = _Discretization(space or euclidean(u1.domain.n), u1.domain, a_field)
+    g1 = disc.gradients(u1.values)
+    g2 = disc.gradients(u2.values)
+    diff = g1 - g2
+    t1 = _weak_form_cells(g1, diff, disc.a, p, delta, disc.cell_volume)
+    t2 = _weak_form_cells(g2, diff, disc.a, p, delta, disc.cell_volume)
     return t1 - t2
 
 
@@ -384,7 +369,6 @@ class SolverConfig:
     newton_per_level: int = 40
     cg_rtol: float = 1e-10
     init: str = "psi"          # "psi" or "zero"
-    seed: int = 0
 
     def __post_init__(self):
         if not self.p > 1:
@@ -437,32 +421,38 @@ class SolveReport:
 
 
 class _Discretization:
-    """Cached assembly data for one (domain, space, coefficient) triple."""
+    """Cell data for one (space, domain) pair: corner node indices, cell
+    centers and the stencil B turning corner values into the horizontal
+    gradient, plus the cell coefficients A when a field is given.  The
+    products A B and B^T A B are built on first use, so callers that only
+    need gradients or energies never allocate the (K, 2^n, 2^n) Hessian
+    blocks."""
 
-    def __init__(self, space: MetricSpace, domain: GridDomain, a_field: MatrixField):
-        self.space = space
-        self.domain = domain
-        self.h = domain.h
-        self.n = domain.n
+    def __init__(self, space: MetricSpace, domain: GridDomain, a_field: MatrixField | None = None):
+        if space.kind == "heisenberg1" and domain.n != 3:
+            raise ValueError("heisenberg1 requires a 3-d grid")
         self.cell_volume = domain.h ** domain.n
         included = domain.included_cells().ravel()
         self.corner_idx = np.stack(
             [c[included] for c in domain.corner_index_arrays()], axis=-1
         )  # (K, 2^n)
-        centers = domain.cell_centers().reshape(-1, domain.n)[included]
-        self.b = np.ascontiguousarray(_stencil_matrix(space, domain, centers))
-        self.a = _coefficients_at_cells(a_field, domain, centers)
-        asym = np.abs(self.a - np.swapaxes(self.a, 1, 2)).max() if len(self.a) else 0.0
-        if asym > 0:
-            raise InvalidCoefficientsError(f"coefficient matrices not symmetric (max {asym})")
-        self.ab = np.einsum("kij,kjc->kic", self.a, self.b)     # A B
-        self.btab = np.einsum("kmc,kmd->kcd", self.b, self.ab)  # B^T A B
+        self.centers = domain.cell_centers().reshape(-1, domain.n)[included]
+        self.b = _stencil_matrix(space, domain, self.centers)
+        if a_field is not None:
+            self.a = a_field.evaluate_shifted(self.centers, domain.h, domain.bounds.mean(axis=1))
         mask_flat = domain.mask.ravel()
-        self.is_interior = mask_flat == INTERIOR
         self.n_nodes = mask_flat.size
-        self.free = np.flatnonzero(self.is_interior)
+        self.free = np.flatnonzero(mask_flat == INTERIOR)
         self.free_pos = -np.ones(self.n_nodes, dtype=np.int64)
         self.free_pos[self.free] = np.arange(len(self.free))
+
+    @cached_property
+    def ab(self) -> np.ndarray:
+        return np.einsum("kij,kjc->kic", self.a, self.b)  # A B
+
+    @cached_property
+    def btab(self) -> np.ndarray:
+        return np.einsum("kmc,kmd->kcd", self.b, self.ab)  # B^T A B
 
     def gradients(self, values: np.ndarray) -> np.ndarray:
         corners = values.ravel()[self.corner_idx]  # (K, 2^n)
@@ -531,6 +521,9 @@ def solve_dirichlet(
     space = space or euclidean(domain.n)
     shifted_before = a_field.shifted_evaluations
     disc = _Discretization(space, domain, a_field)
+    asym = np.abs(disc.a - np.swapaxes(disc.a, 1, 2)).max() if len(disc.a) else 0.0
+    if asym > 0:
+        raise InvalidCoefficientsError(f"coefficient matrices not symmetric (max {asym})")
 
     values = psi.values.copy()
     values[domain.mask == 0] = 0.0
@@ -608,22 +601,6 @@ def solve_dirichlet(
     return u, report
 
 
-def eval_weight_shifted(weight, pts: np.ndarray, h: float, interior_point: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar weight, nudging points where it is non-finite (nodes
-    lying exactly on its singular set) by h/100 toward the domain interior."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = np.asarray(weight(pts), dtype=float)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        shift = interior_point - pts[bad]
-        norms = np.linalg.norm(shift, axis=1, keepdims=True)
-        shift = np.where(norms > 0, shift / np.maximum(norms, 1e-300), 0.0)
-        shift[np.all(shift == 0.0, axis=1)] = np.eye(pts.shape[1])[0]
-        out[bad] = np.asarray(weight(pts[bad] + (h / 100.0) * shift), dtype=float)
-    return out
-
-
 def poincare_ratio(
     w: Weight,
     v: Weight,
@@ -645,7 +622,7 @@ def poincare_ratio(
         raise ValueError("ball contains fewer than 2 grid nodes")
     interior_point = dom.bounds.mean(axis=1)
     vals = f.values.ravel()[in_ball]
-    vw = eval_weight_shifted(v, coords[in_ball], dom.h, interior_point)
+    vw, _ = eval_shifted(v, coords[in_ball], dom.h, interior_point)
     f_mean = float(np.sum(vals * vw) / np.sum(vw))
     lhs = float((np.sum(np.abs(vals - f_mean) ** q * vw) / np.sum(vw)) ** (1.0 / q))
     scale = float(np.max(np.abs(vals - vals.mean()))) if len(vals) else 0.0
@@ -657,7 +634,7 @@ def poincare_ratio(
                                        np.broadcast_to(ball.center, centers.shape))) < ball.radius
     if not np.any(cball):
         raise ValueError("ball contains no quadrature cells")
-    gw = eval_weight_shifted(w, centers[cball], dom.h, interior_point)
+    gw, _ = eval_shifted(w, centers[cball], dom.h, interior_point)
     gn = np.linalg.norm(g.values[cball], axis=1)
     rhs = ball.radius * float((np.sum(gn ** p * gw) / np.sum(gw)) ** (1.0 / p))
     return lhs / rhs

@@ -1,10 +1,8 @@
 """Metric-space backends: Euclidean space and the first Heisenberg group.
 
 Both backends expose the same small surface: a metric, exactly homogeneous
-ball volumes |B(x,r)| = c0 * r**Q, uniform (Lebesgue) sampling of metric
-balls, and an empirical check of the nested-ball volume-growth bounds
-
-    d * (r1/r2)**Q  <=  |B1|/|B2|  <=  D * (r1/r2)**n.
+ball volumes |B(x,r)| = c0 * r**Q, and uniform (Lebesgue) sampling of metric
+balls.
 
 The Heisenberg backend uses the Koranyi-Cygan gauge
 
@@ -13,12 +11,14 @@ The Heisenberg backend uses the Koranyi-Cygan gauge
 with the group law (a,b,t)*(a',b',t') = (a+a', b+b', t+t'+(ab'-ba')/2).
 The gauge is a true metric, 1-homogeneous under the dilations
 delta_r(a,b,t) = (ra, rb, r^2 t), which makes gauge balls exactly
-homogeneous of degree Q = 4.
+homogeneous of degree Q = 4.  Polar reduction in (a, b) gives the unit
+gauge ball volume c0 = pi * int_0^1 r sqrt(1 - r^4) dr = pi^2 / 8 (Folland &
+Stein, Hardy Spaces on Homogeneous Groups, 1982).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -29,23 +29,16 @@ __all__ = [
     "MetricSpace",
     "Ball",
     "Box",
-    "GrowthReport",
     "euclidean",
     "heisenberg1",
     "metric_distance",
     "ball_volume",
     "sample_ball",
-    "volume_growth_report",
     "heisenberg_multiply",
     "heisenberg_inverse",
     "heisenberg_dilate",
     "gauge_norm",
 ]
-
-# Spacing between samples drawn for the cached Heisenberg unit-ball volume.
-_HEIS_C0_SAMPLES = 10_000_000
-_HEIS_C0_SEED = 1851
-
 
 class DimensionMismatchError(ValueError):
     """Point dimension does not match the space."""
@@ -55,16 +48,14 @@ class DimensionMismatchError(ValueError):
 class MetricSpace:
     """Geometry backend: topological dimension n, homogeneous dimension Q.
 
-    `unit_ball_volume` is the constant c0 in |B(x,r)| = c0 * r**Q.  For the
-    Heisenberg backend it is estimated once per process by Monte Carlo
-    (seed recorded in `c0_seed`) and cached.
+    `unit_ball_volume` is the exact constant c0 in |B(x,r)| = c0 * r**Q:
+    the Euclidean unit-ball volume, or pi^2 / 8 for the Heisenberg gauge ball.
     """
 
     kind: str
     n: int
     Q: int
     unit_ball_volume: float
-    c0_seed: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.Q < self.n:
@@ -133,30 +124,8 @@ def euclidean(n: int) -> MetricSpace:
     return MetricSpace(kind="euclidean", n=n, Q=n, unit_ball_volume=math.exp(log_c0))
 
 
-_heis_c0_cache: dict[tuple[int, int], float] = {}
-
-
-def _mc_unit_gauge_ball_volume(samples: int, seed: int) -> float:
-    """Monte-Carlo volume of {||u|| <= 1} from its bounding box [-1,1]^2 x [-1/4,1/4]."""
-    rng = child_rng(seed, "heis-c0")
-    hits = 0
-    done = 0
-    while done < samples:
-        m = min(1_000_000, samples - done)
-        pts = rng.uniform(-1.0, 1.0, (m, 3))
-        pts[:, 2] *= 0.25
-        hits += int(np.count_nonzero(gauge_norm(pts) <= 1.0))
-        done += m
-    return 2.0 * hits / samples  # box volume = 2 * 2 * 0.5
-
-
-def heisenberg1(c0_seed: int = _HEIS_C0_SEED, c0_samples: int = _HEIS_C0_SAMPLES) -> MetricSpace:
-    key = (c0_seed, c0_samples)
-    if key not in _heis_c0_cache:
-        _heis_c0_cache[key] = _mc_unit_gauge_ball_volume(c0_samples, c0_seed)
-    return MetricSpace(
-        kind="heisenberg1", n=3, Q=4, unit_ball_volume=_heis_c0_cache[key], c0_seed=c0_seed
-    )
+def heisenberg1() -> MetricSpace:
+    return MetricSpace(kind="heisenberg1", n=3, Q=4, unit_ball_volume=math.pi ** 2 / 8)
 
 
 # --- Heisenberg group operations -------------------------------------------
@@ -247,85 +216,3 @@ def sample_ball(space: MetricSpace, ball: Ball, count: int, seed: int) -> np.nda
         return ball.center + ball.radius * pts
     pts = heisenberg_dilate(pts, ball.radius)
     return heisenberg_multiply(ball.center, pts)
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Empirical nested-ball volume-growth exponents and two-sided bounds."""
-
-    kind: str
-    trials: int
-    seed: int
-    fitted_exponent: float
-    concentric_exponent: float
-    lower_constant: float  # fitted d in  d*(r1/r2)**Q <= ratio
-    upper_constant: float  # fitted D in  ratio <= D*(r1/r2)**n
-    radius_window: tuple[float, float]
-    all_within_bounds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "trials": self.trials,
-            "seed": self.seed,
-            "fitted_exponent": self.fitted_exponent,
-            "concentric_exponent": self.concentric_exponent,
-            "lower_constant": self.lower_constant,
-            "upper_constant": self.upper_constant,
-            "radius_window": list(self.radius_window),
-            "all_within_bounds": self.all_within_bounds,
-        }
-
-
-def volume_growth_report(
-    space: MetricSpace,
-    trials: int,
-    seed: int,
-    radius_window: tuple[float, float] = (1e-3, 1.0),
-) -> GrowthReport:
-    """Sample nested pairs B(x1,r1) subset B(x2,r2) and fit volume-growth law.
-
-    Radii are log-uniform over `radius_window`; outer centers uniform in the
-    unit box; inner centers uniform in B(x2, r2-r1) so nesting holds by the
-    triangle inequality.  Ball volumes are exact, so the fitted exponent
-    equals Q up to regression roundoff.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = child_rng(seed, "growth")
-    lo, hi = radius_window
-    r2 = np.exp(rng.uniform(np.log(lo), np.log(hi), trials))
-    r1 = np.exp(rng.uniform(np.log(lo), np.log(r2)))
-    centers2 = rng.uniform(0.0, 1.0, (trials, space.n))
-    ratios = np.empty(trials)
-    for i in range(trials):
-        gap = max(r2[i] - r1[i], 0.0)
-        if gap > 0:
-            c1 = sample_ball(space, Ball(centers2[i], gap), 1, seed=int(seed) + 7 * i + 1)[0]
-        else:
-            c1 = centers2[i]
-        b1 = Ball(c1, r1[i])
-        b2 = Ball(centers2[i], r2[i])
-        ratios[i] = ball_volume(space, b1) / ball_volume(space, b2)
-    logs = np.log(r1 / r2)
-    slope = float(np.dot(logs - logs.mean(), np.log(ratios) - np.log(ratios).mean())
-                  / np.dot(logs - logs.mean(), logs - logs.mean()))
-    # concentric pairs keep the same radii with a shared center
-    conc = (r1 / r2) ** space.Q
-    slope_conc = float(np.dot(logs - logs.mean(), np.log(conc) - np.log(conc).mean())
-                       / np.dot(logs - logs.mean(), logs - logs.mean()))
-    d_fit = float(np.min(ratios / (r1 / r2) ** space.Q))
-    big_d_fit = float(np.max(ratios / (r1 / r2) ** space.n))
-    ok = bool(np.all(ratios >= d_fit * (r1 / r2) ** space.Q - 1e-15)
-              and np.all(ratios <= big_d_fit * (r1 / r2) ** space.n + 1e-15))
-    return GrowthReport(
-        kind=space.kind,
-        trials=trials,
-        seed=seed,
-        fitted_exponent=slope,
-        concentric_exponent=slope_conc,
-        lower_constant=d_fit,
-        upper_constant=big_d_fit,
-        radius_window=(float(lo), float(hi)),
-        all_within_bounds=ok,
-    )

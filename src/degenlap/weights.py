@@ -134,7 +134,10 @@ class Weight:
 
 
 def power_weight(exponent: float, dim: int) -> Weight:
-    """|x|^a on R^dim (or gauge power on the Heisenberg group)."""
+    """|x|^a with the Euclidean norm |x| on R^dim, on either backend.
+
+    On the Heisenberg group this is not the gauge power ||x||^a, although
+    its `Singularity` measures distance to the origin with the gauge."""
     sing = Singularity("point", point=np.zeros(dim))
     return Weight(
         name=f"|x|^{exponent:g}",

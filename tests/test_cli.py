@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import degenlap
 from degenlap.cli import main
 
 
@@ -56,7 +58,8 @@ def test_weights_config_file_with_override(tmp_path):
     assert resolved["weight"] == "pow:0.5"
 
 
-def test_solve_and_diagnose_roundtrip(tmp_path):
+@pytest.mark.parametrize("mask", [[], ["--mask", "disc"]], ids=["fixture-mask", "disc"])
+def test_solve_and_diagnose_roundtrip(tmp_path, mask):
     sol = tmp_path / "s"
     rc = run_cli(["solve", "--fixture", "axis-degenerate-planar",
                   "--psi", "fixture-solution", "--resolution", "65",
@@ -67,7 +70,7 @@ def test_solve_and_diagnose_roundtrip(tmp_path):
     dia = tmp_path / "d"
     rc = run_cli(["diagnose", "--fixture", "axis-degenerate-planar",
                   "--solution", str(sol / "solution.csv"), "--resolution", "65",
-                  "--mask", "disc", "--probes", "3", "--budget", "256",
+                  *mask, "--probes", "3", "--budget", "256",
                   "--output-dir", str(dia)])
     assert rc == 0
     rows = (dia / "continuity.csv").read_text().splitlines()
@@ -108,6 +111,14 @@ def test_distortion_subcommand(tmp_path):
     assert len(lines) == 25
 
 
+def test_distortion_even_residual_resolution(tmp_path, capsys):
+    # an even node count puts a cell center on the map's singular point
+    rc = run_cli(["distortion", "--samples", "8", "--residual-resolution", "16",
+                  "--output-dir", str(tmp_path / "dist")])
+    assert rc == 2
+    assert "odd resolution" in capsys.readouterr().err
+
+
 def test_catalog_subcommand(tmp_path):
     out = tmp_path / "cat"
     rc = run_cli(["catalog", "--fixture", "constant", "--output-dir", str(out)])
@@ -146,8 +157,13 @@ def test_exit_code_grid_mismatch(tmp_path):
 
 
 def test_console_script_installed():
+    # the child imports the same package as this process, also when only
+    # pytest's `pythonpath` setting puts it on sys.path
+    src = str(Path(degenlap.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "degenlap.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "degenlap" in proc.stdout
 

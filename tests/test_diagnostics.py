@@ -143,7 +143,7 @@ def test_mean_value_nonpositive_solution(e2):
     dom = GridDomain.box([(-1, 1), (-1, 1)], (33, 33))
     u = GridFunction.from_callable(dom, lambda x: -1.0 - x[:, 0] ** 2)
     one = constant_weight(1.0, 2)
-    res = mean_value_check(u, I2, 2.0, one, one, e2, Ball([0.0, 0.0], 0.5))
+    res = mean_value_check(u, 2.0, one, one, e2, Ball([0.0, 0.0], 0.5))
     assert res.ratio == 0.0 and res.lhs == 0.0
 
 
@@ -151,7 +151,7 @@ def test_mean_value_constant_positive(e2):
     dom = GridDomain.box([(-1, 1), (-1, 1)], (33, 33))
     u = GridFunction.from_callable(dom, lambda x: np.full(len(x), 3.0))
     one = constant_weight(1.0, 2)
-    res = mean_value_check(u, I2, 2.0, one, one, e2, Ball([0.0, 0.0], 0.5))
+    res = mean_value_check(u, 2.0, one, one, e2, Ball([0.0, 0.0], 0.5))
     assert res.ratio == pytest.approx(1.0, rel=1e-12)
     assert res.mu_p == pytest.approx(1.0, rel=1e-12)
 
@@ -168,7 +168,7 @@ def test_mean_value_solutions_plateau(e2):
             psi = GridFunction.from_callable(
                 dom, lambda x, a=a, b=b: 3.0 + a * 0.3 * x[:, 0] + b * 0.3 * x[:, 1])
             u, _ = solve_dirichlet(I2, 2.0, psi, config=SolverConfig(p=2.0, init="zero"))
-            res = mean_value_check(u, I2, 2.0, one, one, e2, Ball([0.0, 0.0], 0.6))
+            res = mean_value_check(u, 2.0, one, one, e2, Ball([0.0, 0.0], 0.6))
             worst = max(worst, res.ratio)
         maxima[nn] = worst
     assert abs(maxima[65] / maxima[33] - 1.0) < 0.5
@@ -179,9 +179,9 @@ def test_mean_value_validation(e2):
     u = GridFunction(dom, np.zeros(dom.shape))
     one = constant_weight(1.0, 2)
     with pytest.raises(ValueError):
-        mean_value_check(u, I2, 2.0, one, one, e2, Ball([0.0, 0.0], 0.5), alpha=0.3)
+        mean_value_check(u, 2.0, one, one, e2, Ball([0.0, 0.0], 0.5), alpha=0.3)
     with pytest.raises(ValueError):
-        mean_value_check(u, I2, 2.0, one, one, e2, Ball([0.0, 0.0], 0.5), sigma=0.9)
+        mean_value_check(u, 2.0, one, one, e2, Ball([0.0, 0.0], 0.5), sigma=0.9)
 
 
 # --- Holder exponent ------------------------------------------------------------------

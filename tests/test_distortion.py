@@ -80,6 +80,8 @@ def test_adjugate_sizes(n):
     adj = adjugate(m)
     res = np.einsum("kij,kjl->kil", m, adj) - np.linalg.det(m)[:, None, None] * np.eye(n)
     assert np.abs(res).max() < 1e-10 * max(np.abs(m).max() ** n, 1.0)
+    # a single matrix given as nested lists
+    assert np.array_equal(adjugate(m[0].tolist()), adj[0])
 
 
 def test_operator_norm_matches_svd():
@@ -255,6 +257,15 @@ def test_weak_residual_tube_guard():
     phi = bump_function(dom, [0.0, 0.0, 0.0], 0.3)
     with pytest.raises(InvalidTestFunctionError):
         coordinate_weak_residual(f, dom, [phi], tube_widths=[0.0])
+
+
+def test_weak_residual_even_resolution_singular_cell():
+    # with an even node count a cell center sits on the singular point
+    f = radial_exp_map(0.1, 3)
+    dom = GridDomain.box([(-0.5, 0.5)] * 3, (16, 16, 16))
+    phi = bump_function(dom, [0.0, 0.0, 0.0], 0.3)
+    with pytest.raises(SingularPointError):
+        coordinate_weak_residual(f, dom, [phi], tube_widths=[0.1])
 
 
 def test_weak_residual_radial_map_extrapolation_light():
