@@ -11,7 +11,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["child_rng"]
+__all__ = ["child_rng", "subseed"]
 
 
 def _key_int(key) -> int:
@@ -29,3 +29,9 @@ def child_rng(seed: int, *keys) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(_key_int(k) for k in keys))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def subseed(seed: int, key: tuple) -> int:
+    """Integer seed in [0, 2**62) drawn from the sub-stream (seed, *key), for
+    functions that take a plain integer seed."""
+    return int(child_rng(seed, *key).integers(0, 2 ** 62))

@@ -59,7 +59,7 @@ _DEFAULTS = {
         "fixture": None,
         "p": 2.0,
         "resolution": 65,
-        "mask": "box",
+        "mask": None,
         "mask_params": {},
         "bounds": None,
         "psi": "poly:x2-y2",
@@ -74,7 +74,7 @@ _DEFAULTS = {
         "fixture": "axis-degenerate-planar",
         "solution": None,
         "resolution": 65,
-        "mask": "box",
+        "mask": None,
         "mask_params": {},
         "bounds": None,
         "probes": 5,
@@ -211,14 +211,18 @@ def _build_domain(cfg, dim: int) -> GridDomain:
     return dom
 
 
-def _use_fixture_domain(cfg, fixture) -> None:
-    """A fixture with a domain radius works on the disc of that radius,
-    unless the config gives explicit bounds."""
-    if cfg["bounds"] is None and fixture.domain_radius is not None:
+def _resolve_mask(cfg, fixture) -> None:
+    """A fixture with a domain radius works on [-r, r]^n unless the config
+    gives explicit bounds, masked by the disc of that radius unless the
+    config names another mask.  An unset mask is the box."""
+    if fixture is not None and cfg["bounds"] is None and fixture.domain_radius is not None:
         r = fixture.domain_radius
         cfg["bounds"] = [[-r, r]] * fixture.dim
-        cfg["mask"] = "disc"
-        cfg["mask_params"] = {"radius": r}
+        if cfg["mask"] in (None, "disc"):
+            cfg["mask"] = "disc"
+            cfg["mask_params"] = {"radius": r}
+    if cfg["mask"] is None:
+        cfg["mask"] = "box"
 
 
 def _outdir(cfg) -> Path:
@@ -255,6 +259,8 @@ def run_weights(cfg) -> int:
     t = float(cfg["t"])
     seed = int(cfg["seed"])
     balls, budget = int(cfg["balls"]), int(cfg["budget"])
+    if balls < 8 or int(cfg["points"]) < 8:
+        raise ConfigError("balls and points must be >= 8")
 
     out = _outdir(cfg)
     _write_resolved(cfg, out)
@@ -304,9 +310,9 @@ def run_solve(cfg) -> int:
         a_field = fixture.matrix
         if a_field is None:
             raise ConfigError(f"fixture {fixture.name!r} has no coefficient field")
-        _use_fixture_domain(cfg, fixture)
     else:
         a_field = E.MatrixField.identity(2 if space.kind == "heisenberg1" else dim)
+    _resolve_mask(cfg, fixture)
     domain = _build_domain(cfg, dim)
     if domain.downsampled_from:
         cfg["resolution"] = domain.shape[0]
@@ -349,7 +355,7 @@ def run_diagnose(cfg) -> int:
         raise ConfigError("diagnose needs a fixture for the degeneracy weight")
     dim = fixture.dim
     space = fixture.space
-    _use_fixture_domain(cfg, fixture)
+    _resolve_mask(cfg, fixture)
     domain = _build_domain(cfg, dim)
     if cfg["solution"] is None:
         raise ConfigError("diagnose needs --solution CSV from a solve run")

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._rand import subseed
 from .geometry import Ball, Box, MetricSpace, euclidean, metric_distance
 from .grids import GridFunction
-from .weights import MaximalValue, Weight, maximal_function, _subseed
+from .weights import MaximalValue, Weight, maximal_function
 from .energy import eval_shifted, horizontal_gradient
 
 __all__ = [
@@ -128,7 +129,7 @@ def fit_harnack_constant(
     best = 0.0
     for i, b in enumerate(balls):
         quot = harnack_quotient(u, space, b)
-        mu = _mu_p(w, v, p, space, b, budget=budget, seed=_subseed(seed, ("harnack", i)))
+        mu = _mu_p(w, v, p, space, b, budget=budget, seed=subseed(seed, ("harnack", i)))
         best = max(best, math.log(quot) / max(mu, 1e-300))
     return best
 
@@ -362,7 +363,7 @@ def continuity_map(
     records = []
     discrepancies = []
     for i, x in enumerate(probes):
-        mk = maximal_function(k, space, x, mk_radii, budget, _subseed(seed, ("cmap", i)), domain)
+        mk = maximal_function(k, space, x, mk_radii, budget, subseed(seed, ("cmap", i)), domain)
         mk_val = math.inf if mk.diverging else mk.value
         gamma = gamma_factor(contraction_constant, mk_val)
         fit = holder_exponent(u, space, x, osc_radii, r0=osc_r0)

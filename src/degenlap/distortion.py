@@ -3,8 +3,8 @@ distortion, the distortion tensor, ellipticity verification, and the weak
 residual showing that coordinate functions solve the degenerate n-Laplacian
 with coefficients G^{-1}.
 
-Operator norms use explicit singular values (closed-form symmetric
-eigenvalues for n <= 3, power iteration beyond); the adjugate is computed
+Operator norms are the square roots of the largest eigenvalues of A^T A
+(closed form for n <= 2, LAPACK `eigvalsh` beyond); the adjugate is computed
 cofactor-wise so it remains valid for singular matrices.
 """
 from __future__ import annotations

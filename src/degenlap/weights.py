@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._rand import child_rng
+from ._rand import child_rng, subseed
 from .geometry import (
     Ball,
     Box,
@@ -63,7 +63,7 @@ __all__ = [
 
 # Dyadic refinement depth of the singularity-aware quadrature.
 _RING_LEVELS = 8
-# Divergence rule: ring contributions grow >= 10% per level over 4 levels.
+# Divergence rule: a sequence grows >= 10% per step over its last 4 steps.
 _DIVERGE_FACTOR = 1.10
 _DIVERGE_LEVELS = 4
 
@@ -199,8 +199,10 @@ class BallSamples:
         """Estimate integral of fn over (ball ∩ domain) [restricted to the
         indicator set], together with per-stratum contributions.
 
-        Returns (mass, se, contributions) where contributions[j] is the
-        stratum-j share of the integral.
+        Returns (mass, se, contributions, (vmin, vmax)): contributions[j] is
+        the stratum-j share of the integral, and vmin, vmax bound the values
+        of fn (before the indicator) over all samples, (inf, -inf) if there
+        are none.
         """
         k = len(self.points)
         contrib = np.zeros(k)
@@ -222,8 +224,7 @@ class BallSamples:
             contrib[j] = self.volumes[j] * means[j]
             var_terms[j] = (self.volumes[j] ** 2) * vals.var() / max(len(vals), 1)
         se = math.sqrt(float(np.sum(var_terms) + np.sum((means * self.volume_se) ** 2)))
-        self._last_range = (vmin, vmax)
-        return float(np.sum(contrib)), se, contrib
+        return float(np.sum(contrib)), se, contrib, (vmin, vmax)
 
     @property
     def total_volume(self) -> float:
@@ -236,24 +237,11 @@ class BallSamples:
 
 def _draw_in_ball(space, ball, count, seed, key, domain):
     """Uniform points in ball ∩ domain plus the in-domain acceptance rate."""
-    pts = sample_ball(space, ball, count, seed=_subseed(seed, key))
+    pts = sample_ball(space, ball, count, seed=subseed(seed, key))
     if domain is None:
         return pts, 1.0
     keep = domain.contains(pts)
     return pts[keep], float(np.count_nonzero(keep)) / count
-
-
-_seed_cache: dict = {}
-
-
-def _subseed(seed, key) -> int:
-    # derive a 63-bit integer sub-seed; cached to keep repeated lookups cheap
-    ck = (int(seed), key)
-    if ck not in _seed_cache:
-        _seed_cache[ck] = int(child_rng(seed, *key).integers(0, 2 ** 62))
-        if len(_seed_cache) > 300_000:
-            _seed_cache.clear()
-    return _seed_cache[ck]
 
 
 def gather_ball_samples(
@@ -351,7 +339,7 @@ def _sample_near_singularity(space, ball, delta, count, seed, key, domain, singu
     if singularity.kind == "point":
         proposal = Ball(singularity.point, delta)
         vol_prop = ball_volume(space, proposal)
-        draws = sample_ball(space, proposal, count, seed=_subseed(seed, key))
+        draws = sample_ball(space, proposal, count, seed=subseed(seed, key))
         dist_c = np.asarray(metric_distance(space, draws, np.broadcast_to(center, draws.shape)))
         keep = dist_c < ball.radius
         if domain is not None:
@@ -391,26 +379,28 @@ class BallAverage:
 
 
 def _average_from_samples(samples: BallSamples, weight: Weight) -> BallAverage:
-    mass, se, contrib = samples.mass(weight)
+    mass, se, contrib, (vmin, vmax) = samples.mass(weight)
     vol = samples.total_volume
     if vol <= 0:
         raise ValueError("ball does not intersect the domain")
-    vmin, vmax = samples._last_range
     if math.isfinite(vmin) and vmin == vmax:
         # constant on the sample set: the average is that constant, exactly
         return BallAverage(vmin, 0.0, False, contrib)
     return BallAverage(mass / vol, se / vol, _rings_diverge(contrib), contrib)
 
 
-def _rings_diverge(contrib: np.ndarray) -> bool:
-    # Ring contributions (excluding bulk and the core stratum) must grow by
-    # >= 10% per level over the deepest 4 consecutive levels to flag.
-    rings = contrib[1:-1] if len(contrib) > 2 else contrib
-    rings = rings[rings > 0]
-    if len(rings) < _DIVERGE_LEVELS + 1:
+def _grows_geometrically(seq: np.ndarray) -> bool:
+    if len(seq) < _DIVERGE_LEVELS + 1:
         return False
-    tail = rings[-(_DIVERGE_LEVELS + 1):]
+    tail = seq[-(_DIVERGE_LEVELS + 1):]
     return bool(np.all(tail[1:] >= _DIVERGE_FACTOR * tail[:-1]))
+
+
+def _rings_diverge(contrib: np.ndarray) -> bool:
+    # Ring contributions, excluding bulk and the core stratum, over the
+    # deepest levels that received mass.
+    rings = contrib[1:-1] if len(contrib) > 2 else contrib
+    return _grows_geometrically(rings[rings > 0])
 
 
 def ball_average(
@@ -441,8 +431,7 @@ def ball_mass(
 ) -> float:
     """Weighted measure w(ball ∩ domain)."""
     samples = gather_ball_samples(space, ball, budget, seed, domain, weight.singularity)
-    mass, _, _ = samples.mass(weight)
-    return mass
+    return samples.mass(weight)[0]
 
 
 # --- estimate traces / reports ----------------------------------------------
@@ -518,8 +507,41 @@ class WeightReport:
         }
 
 
-def _stage_plan(total: int, floor: int = 32) -> list[int]:
+def _stage_plan(total: int, floor: int) -> list[int]:
     return [max(total >> (3 - s), floor) for s in range(4)]
+
+
+def _staged_sup(count: int, budget: int, value) -> tuple[EstimateTrace, np.ndarray]:
+    """Supremum of `value` over a family of `count` items, in four stages.
+
+    Stage s evaluates value(i, s, budget_s) -> (ratio, diverging) on the
+    first count_s items, and records the stage maximum.  count_s and
+    budget_s double from stage to stage up to count and budget, with floors
+    of 8 and 64 (`_stage_plan`).  Returns the trace and the last stage's
+    ratios.
+    """
+    if count < 8:
+        raise ValueError(f"the stage plan needs a family of >= 8 balls or points, got {count}")
+    stages = []
+    any_div = False
+    for s, (n, b) in enumerate(zip(_stage_plan(count, floor=8), _stage_plan(budget, floor=64))):
+        vals = np.empty(n)
+        for i in range(n):
+            vals[i], div = value(i, s, b)
+            any_div = any_div or div
+        stages.append(float(np.max(vals)))
+    return _trace(stages, any_div), vals
+
+
+def _worst_cases(centers, radii, vals) -> list[dict]:
+    """The three largest ratios, worst first; `radii` is None for a family
+    of points."""
+    return [
+        {"center": list(map(float, centers[i])),
+         "radius": None if radii is None else float(radii[i]),
+         "ratio": float(vals[i])}
+        for i in np.argsort(vals)[::-1][:3]
+    ]
 
 
 def _ball_family(domain: Box, window, count: int, seed: int):
@@ -550,57 +572,30 @@ def ap_constant(
     pprime = p / (p - 1.0)
     dual = weight.pow(1.0 - pprime)
     centers, radii = _ball_family(domain, window, balls, seed)
-    plan_balls = _stage_plan(balls, floor=8)
-    plan_budget = _stage_plan(budget, floor=64)
 
-    cache: dict[tuple[int, int], tuple[float, float, bool]] = {}
+    def ratio(i, s, budget_s):
+        samples = gather_ball_samples(space, Ball(centers[i], radii[i]), budget_s, seed,
+                                      domain, weight.singularity, tag=("ap", i, s))
+        aw = _average_from_samples(samples, weight)
+        ad = _average_from_samples(samples, dual)
+        return aw.value * ad.value ** (p - 1.0), aw.diverging or ad.diverging
 
-    def ratio(i: int, s: int):
-        key = (i, s)
-        if key not in cache:
-            b = Ball(centers[i], radii[i])
-            samples = gather_ball_samples(
-                space, b, plan_budget[s], seed, domain, weight.singularity, tag=("ap", i, s)
-            )
-            aw = _average_from_samples(samples, weight)
-            ad = _average_from_samples(samples, dual)
-            cache[key] = (aw.value, ad.value, aw.diverging or ad.diverging)
-        return cache[key]
-
-    stages = []
-    any_div = False
-    final_vals = None
-    for s, nballs in enumerate(plan_balls):
-        vals = np.empty(nballs)
-        for i in range(nballs):
-            aw, ad, div = ratio(i, s)
-            vals[i] = aw * ad ** (p - 1.0)
-            any_div = any_div or div
-        stages.append(float(np.max(vals)))
-        if s == 3:
-            final_vals = vals
-    trace = _trace(stages, any_div)
-
-    order = np.argsort(final_vals)[::-1][:3]
-    worst = [
-        {"center": list(map(float, centers[i])), "radius": float(radii[i]),
-         "ratio": float(final_vals[i])}
-        for i in order
-    ]
+    trace, final_vals = _staged_sup(balls, budget, ratio)
     # doubling ratio on a subsample of the final family
-    sub = np.linspace(0, plan_balls[3] - 1, num=min(64, plan_balls[3]), dtype=int)
+    final_budget = _stage_plan(budget, floor=64)[-1]
+    sub = np.linspace(0, balls - 1, num=min(64, balls), dtype=int)
     doubling = 0.0
     for i in sub:
         b1 = Ball(centers[i], radii[i])
         b2 = Ball(centers[i], 2.0 * radii[i])
-        m1 = ball_mass(weight, space, b1, plan_budget[3], _subseed(seed, ("dbl", int(i), 1)), domain)
-        m2 = ball_mass(weight, space, b2, plan_budget[3], _subseed(seed, ("dbl", int(i), 2)), domain)
+        m1 = ball_mass(weight, space, b1, final_budget, subseed(seed, ("dbl", int(i), 1)), domain)
+        m2 = ball_mass(weight, space, b2, final_budget, subseed(seed, ("dbl", int(i), 2)), domain)
         if m1 > 0:
             doubling = max(doubling, m2 / m1)
     return WeightReport(
         weight=weight.name, p=p, ap_estimate=trace, doubling_estimate=doubling,
         ball_count=balls, budget=budget, window=(float(window[0]), float(window[1])),
-        seed=seed, worst_cases=worst,
+        seed=seed, worst_cases=_worst_cases(centers, radii, final_vals),
     )
 
 
@@ -619,45 +614,19 @@ def rh_constant(
         raise ValueError("RH_t requires t > 1")
     wt = weight.pow(t)
     centers, radii = _ball_family(domain, window, balls, seed)
-    plan_balls = _stage_plan(balls, floor=8)
-    plan_budget = _stage_plan(budget, floor=64)
-    cache: dict[tuple[int, int], tuple[float, float, bool]] = {}
 
-    def pair(i, s):
-        key = (i, s)
-        if key not in cache:
-            b = Ball(centers[i], radii[i])
-            samples = gather_ball_samples(
-                space, b, plan_budget[s], seed, domain, weight.singularity, tag=("rh", i, s)
-            )
-            a1 = _average_from_samples(samples, weight)
-            a2 = _average_from_samples(samples, wt)
-            cache[key] = (a1.value, a2.value, a1.diverging or a2.diverging)
-        return cache[key]
+    def ratio(i, s, budget_s):
+        samples = gather_ball_samples(space, Ball(centers[i], radii[i]), budget_s, seed,
+                                      domain, weight.singularity, tag=("rh", i, s))
+        aw = _average_from_samples(samples, weight)
+        awt = _average_from_samples(samples, wt)
+        return awt.value ** (1.0 / t) / aw.value, aw.diverging or awt.diverging
 
-    stages = []
-    any_div = False
-    final_vals = None
-    for s, nballs in enumerate(plan_balls):
-        vals = np.empty(nballs)
-        for i in range(nballs):
-            aw, awt, div = pair(i, s)
-            vals[i] = awt ** (1.0 / t) / aw
-            any_div = any_div or div
-        stages.append(float(np.max(vals)))
-        if s == 3:
-            final_vals = vals
-    trace = _trace(stages, any_div)
-    order = np.argsort(final_vals)[::-1][:3]
-    worst = [
-        {"center": list(map(float, centers[i])), "radius": float(radii[i]),
-         "ratio": float(final_vals[i])}
-        for i in order
-    ]
+    trace, final_vals = _staged_sup(balls, budget, ratio)
     return WeightReport(
         weight=weight.name, t=t, rh_estimate=trace,
         ball_count=balls, budget=budget, window=(float(window[0]), float(window[1])),
-        seed=seed, worst_cases=worst,
+        seed=seed, worst_cases=_worst_cases(centers, radii, final_vals),
     )
 
 
@@ -702,17 +671,13 @@ def maximal_function(
     shell_div = False
     for j, r in enumerate(radii):
         a = ball_average(weight, space, Ball(x, float(r)), budget,
-                         _subseed(seed, ("max", j)), domain)
+                         subseed(seed, ("max", j)), domain)
         avgs[j] = a.value
         shell_div = shell_div or a.diverging
-    shrink_div = False
-    if len(avgs) >= _DIVERGE_LEVELS + 1:
-        tail = avgs[-(_DIVERGE_LEVELS + 1):]
-        shrink_div = bool(np.all(tail[1:] >= _DIVERGE_FACTOR * tail[:-1]))
     return MaximalValue(
         value=float(np.max(avgs)),
         shell_diverging=shell_div,
-        shrink_diverging=shrink_div,
+        shrink_diverging=_grows_geometrically(avgs),
         radii=tuple(float(r) for r in radii),
         averages=tuple(float(a) for a in avgs),
     )
@@ -733,45 +698,20 @@ def a1_constant(
     xs = domain.sample(points, rng)
     lo, hi = window
     radius_set = np.exp(np.linspace(math.log(hi), math.log(lo), radii))
-    plan_points = _stage_plan(points, floor=8)
-    plan_budget = _stage_plan(budget, floor=64)
 
-    cache: dict[tuple[int, int], tuple[float, bool]] = {}
-
-    def ratio(i, s):
+    def ratio(i, s, budget_s):
         # Only shell-level divergence (non-integrability) counts as global
         # unboundedness evidence: a probe accidentally on the singular locus
         # sees growing averages but is a measure-zero event for the esssup.
-        key = (i, s)
-        if key not in cache:
-            mv = maximal_function(weight, space, xs[i], radius_set, plan_budget[s],
-                                  _subseed(seed, ("a1", i, s)), domain)
-            wx = float(weight(xs[i][None, :])[0])
-            cache[key] = (mv.value / wx, mv.shell_diverging)
-        return cache[key]
+        mv = maximal_function(weight, space, xs[i], radius_set, budget_s,
+                              subseed(seed, ("a1", i, s)), domain)
+        return mv.value / float(weight(xs[i][None, :])[0]), mv.shell_diverging
 
-    stages = []
-    any_div = False
-    final_vals = None
-    for s, npts in enumerate(plan_points):
-        vals = np.empty(npts)
-        for i in range(npts):
-            v, div = ratio(i, s)
-            vals[i] = v
-            any_div = any_div or div
-        stages.append(float(np.max(vals)))
-        if s == 3:
-            final_vals = vals
-    trace = _trace(stages, any_div)
-    order = np.argsort(final_vals)[::-1][:3]
-    worst = [
-        {"center": list(map(float, xs[i])), "radius": None, "ratio": float(final_vals[i])}
-        for i in order
-    ]
+    trace, final_vals = _staged_sup(points, budget, ratio)
     return WeightReport(
         weight=weight.name, a1_estimate=trace,
         ball_count=points, budget=budget, window=(float(window[0]), float(window[1])),
-        seed=seed, worst_cases=worst,
+        seed=seed, worst_cases=_worst_cases(xs, None, final_vals),
     )
 
 
@@ -879,11 +819,10 @@ def balance_check(
     ratios = np.empty(pairs)
     viol = 0
     any_div = False
-    worst = None
     for i in range(pairs):
         gap = max(r2[i] - r1[i], 0.0)
         if gap > 0:
-            c1 = sample_ball(space, Ball(centers2[i], gap), 1, seed=_subseed(seed, ("balc", i)))[0]
+            c1 = sample_ball(space, Ball(centers2[i], gap), 1, seed=subseed(seed, ("balc", i)))[0]
         else:
             c1 = centers2[i]
         b1, b2 = Ball(c1, float(r1[i])), Ball(centers2[i], float(r2[i]))
@@ -891,8 +830,8 @@ def balance_check(
         for j, b in enumerate((b1, b2)):
             samples = gather_ball_samples(space, b, budget, seed, None,
                                           w.singularity or v.singularity, tag=("bal", i, j))
-            mw, _, cw = samples.mass(w)
-            mv, _, cv = samples.mass(v)
+            mw, _, cw, _ = samples.mass(w)
+            mv, _, cv, _ = samples.mass(v)
             pts = samples.all_points
             wp, vp = w(pts), v(pts)
             viol += int(np.count_nonzero(wp > vp * (1 + 1e-12)))
@@ -942,9 +881,7 @@ def mu_p(
     """(v(B)/w(B))^{1/p}, with both masses from one shared sample set."""
     samples = gather_ball_samples(space, ball, budget, seed, domain,
                                   w.singularity or v.singularity, tag="mu")
-    mw, _, _ = samples.mass(w)
-    mv, _, _ = samples.mass(v)
-    return (mv / mw) ** (1.0 / p)
+    return (samples.mass(v)[0] / samples.mass(w)[0]) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -988,8 +925,8 @@ def subset_mass_check(
     Violations are counted beyond a relative Monte-Carlo slack.
     """
     samples = gather_ball_samples(space, ball, budget, seed, None, w.singularity, tag="subset")
-    w_mass, _, _ = samples.mass(w)
-    vol_mass, _, _ = samples.mass(lambda pts: np.ones(len(pts)))
+    w_mass = samples.mass(w)[0]
+    vol_mass = samples.mass(lambda pts: np.ones(len(pts)))[0]
     rng = child_rng(seed, "subsets")
 
     rh_viol = ap_viol = 0
@@ -1000,7 +937,7 @@ def subset_mass_check(
             member = lambda pts: np.ones(len(pts))
         else:
             nsub = int(rng.integers(1, 5))
-            subc = sample_ball(space, ball, nsub, seed=_subseed(seed, ("subc", k)))
+            subc = sample_ball(space, ball, nsub, seed=subseed(seed, ("subc", k)))
             subr = ball.radius * rng.uniform(0.05, 0.5, nsub)
 
             def member(pts, subc=subc, subr=subr):
@@ -1010,8 +947,8 @@ def subset_mass_check(
                     inside |= d < r
                 return inside.astype(float)
 
-        wE, _, _ = samples.mass(w, indicator=member)
-        volE, _, _ = samples.mass(lambda pts: np.ones(len(pts)), indicator=member)
+        wE = samples.mass(w, indicator=member)[0]
+        volE = samples.mass(lambda pts: np.ones(len(pts)), indicator=member)[0]
         frac_w = wE / w_mass
         frac_vol = volE / vol_mass
         if frac_vol <= 0:

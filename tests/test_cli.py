@@ -78,6 +78,20 @@ def test_solve_and_diagnose_roundtrip(tmp_path, mask):
     assert len(rows) > 1
 
 
+@pytest.mark.parametrize("mask, resolved", [([], "disc"), (["--mask", "box"], "box"),
+                                            (["--mask", "disc"], "disc")],
+                         ids=["unset", "box", "disc"])
+def test_solve_fixture_keeps_explicit_mask(tmp_path, mask, resolved):
+    # the fixture's disc is only a default: an explicit mask wins
+    out = tmp_path / "m"
+    rc = run_cli(["solve", "--fixture", "axis-degenerate-planar", "--resolution", "17",
+                  *mask, "--output-dir", str(out)])
+    assert rc == 0
+    cfg = read_json(out / "resolved-config.json")["config"]
+    assert cfg["mask"] == resolved
+    assert cfg["bounds"] == [[-1.0, 1.0]] * 2
+
+
 def test_solve_3d_memory_gate(tmp_path):
     out = tmp_path / "gate"
     rc = run_cli(["solve", "--fixture", "zhong-log", "--psi", "zhong-odd",
@@ -142,6 +156,16 @@ def test_exit_code_config_errors(tmp_path):
     missing = tmp_path / "missing.json"
     assert run_cli(["weights", "--config", str(missing),
                     "--output-dir", str(tmp_path / "v")]) == 2
+
+
+@pytest.mark.parametrize("sizes", [["--balls", "4", "--points", "16"],
+                                   ["--balls", "64", "--points", "4"]],
+                         ids=["balls", "points"])
+def test_weights_family_below_stage_floor(tmp_path, capsys, sizes):
+    rc = run_cli(["weights", "--weight", "pow:-1", "--budget", "64", "--radii", "5",
+                  *sizes, "--output-dir", str(tmp_path / "small")])
+    assert rc == 2
+    assert ">= 8" in capsys.readouterr().err
 
 
 def test_exit_code_grid_mismatch(tmp_path):

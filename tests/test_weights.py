@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from degenlap._rand import child_rng
 from degenlap.geometry import Ball, Box
 from degenlap.weights import (
     OutOfRegimeError,
@@ -14,6 +15,7 @@ from degenlap.weights import (
     balance_check,
     ball_average,
     constant_weight,
+    gather_ball_samples,
     log_weight,
     maximal_function,
     mu_p,
@@ -39,6 +41,8 @@ def test_ball_average_constant_exact(e1):
         assert a.value == 5.0
         assert a.stderr == 0.0
         assert not a.diverging
+    samples = gather_ball_samples(e1, Ball([0.2], 0.5), 64, 1)
+    assert samples.mass(w)[3] == (5.0, 5.0)
 
 
 def test_ball_average_sqrt_1d(e1):
@@ -47,6 +51,13 @@ def test_ball_average_sqrt_1d(e1):
     a = ball_average(w, e1, Ball([0.0], 1.0), budget=8192, seed=2)
     assert abs(a.value - 2.0 / 3.0) <= 3.0 * a.stderr
     assert not a.diverging
+    # the value range covers every sample of a stratum with positive volume
+    samples = gather_ball_samples(e1, Ball([0.0], 1.0), 8192, 2, None, w.singularity)
+    vmin, vmax = samples.mass(w)[3]
+    vals = np.concatenate([w(pts) for pts, vol in zip(samples.points, samples.volumes)
+                           if len(pts) and vol > 0])
+    assert (vmin, vmax) == (vals.min(), vals.max())
+    assert 0.0 <= vmin < vmax <= 1.0
 
 
 def test_ball_average_singular_2d(e2):
@@ -104,6 +115,45 @@ def test_ap_planar_singular_weight_stable(e2):
     assert abs(tr.stages[-1] - tr.stages[-2]) / tr.stages[-1] < 0.05
     # the sup over all balls dominates the centered-disc reduction
     assert tr.value >= centered_ap_power_2d(-1.0 / 3.0, 2.0) - 0.05
+
+
+def test_ap_stages_recomputed_by_hand(e2):
+    # Stage s takes the sup over the first balls >> (3 - s) balls of the
+    # family (at least 8), each sampled with budget >> (3 - s) points (at
+    # least 64) under the tag ("ap", i, s).
+    w = power_weight(-1.0 / 3.0, 2)
+    dual = w.pow(-1.0)   # 1 - p' at p = 2
+    balls, budget, seed, window = 64, 256, 3, (1e-3, 1.0)
+    rep = ap_constant(w, 2.0, e2, BOX2, window, balls=balls, budget=budget, seed=seed)
+    rng = child_rng(seed, "family")
+    centers = BOX2.sample(balls, rng)
+    radii = np.exp(rng.uniform(math.log(window[0]), math.log(window[1]), balls))
+    stages = []
+    for s in range(4):
+        ratios = []
+        for i in range(max(balls >> (3 - s), 8)):
+            samples = gather_ball_samples(e2, Ball(centers[i], radii[i]),
+                                          max(budget >> (3 - s), 64), seed, BOX2,
+                                          w.singularity, tag=("ap", i, s))
+            vol = samples.total_volume
+            ratios.append(samples.mass(w)[0] / vol * (samples.mass(dual)[0] / vol))
+        stages.append(max(ratios))
+    assert rep.ap_estimate.stages == tuple(stages)
+    worst = sorted(range(balls), key=lambda i: ratios[i], reverse=True)[:3]
+    assert rep.worst_cases == [
+        {"center": list(centers[i]), "radius": radii[i], "ratio": ratios[i]} for i in worst]
+
+
+@pytest.mark.parametrize("estimate", ["ap", "a1", "rh"])
+def test_family_below_stage_floor_rejected(e1, estimate):
+    w, win = constant_weight(1.0, 1), (1e-3, 1.0)
+    with pytest.raises(ValueError, match=">= 8"):
+        if estimate == "ap":
+            ap_constant(w, 2.0, e1, BOX1, win, balls=4, budget=64)
+        elif estimate == "a1":
+            a1_constant(w, e1, BOX1, win, points=4, radii=5, budget=64)
+        else:
+            rh_constant(w, 2.0, e1, BOX1, win, balls=7, budget=64)
 
 
 def test_ap_requires_p_above_one(e1):
