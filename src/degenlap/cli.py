@@ -261,6 +261,10 @@ def run_weights(cfg) -> int:
     balls, budget = int(cfg["balls"]), int(cfg["budget"])
     if balls < 8 or int(cfg["points"]) < 8:
         raise ConfigError("balls and points must be >= 8")
+    if int(cfg["radii"]) < 1:
+        raise ConfigError("radii must be >= 1")
+    if budget < 16:
+        raise ConfigError("budget must be >= 16")
 
     out = _outdir(cfg)
     _write_resolved(cfg, out)

@@ -9,10 +9,25 @@ convex minimization.
 The degenerate factor <A Xu, Xu>^{(p-2)/2} is regularized to
 (delta^2 + <A Xu, Xu>)^{(p-2)/2}; the solver runs damped Newton with an
 Armijo line search under a delta-continuation schedule.
+
+The continuation is inexact.  A delta level only seeds the next one, and the
+regularized gradient moves by O(delta) between levels, so every level but
+the last stops once the max-norm of the free gradient is below
+max(tolerance, delta) times the first residual; the last level uses
+`tolerance`.  Each target has an absolute floor, a small multiple of the
+rounding scale of the gradient evaluation, so a boundary datum that already
+solves the discrete problem is accepted at once.  Each Newton step solves
+its linear system with Jacobi-preconditioned CG to the relative tolerance
+clamp(0.1 * target / |gradient|, cg_rtol, 0.1), the forcing term of
+Eisenstat & Walker, "Choosing the forcing terms in an inexact Newton
+method", SIAM J. Sci. Comput. 17 (1996): far from the target CG stops early,
+and it is never asked for more than `cg_rtol`.  Near the minimizer a step's
+predicted energy drop falls below the rounding of the energy itself, where
+the Armijo test only sees noise; a step whose predicted drop is that small
+is accepted when it lowers the max-norm of the gradient instead.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -357,9 +372,23 @@ def vector_inequalities_check(
 
 # --- Dirichlet solver ---------------------------------------------------------
 
+# Rounding margin: no residual target is set below this multiple of
+# `_Discretization.gradient_roundoff` (a fresh evaluation of data that solve
+# the discrete problem sits at 0.3-0.5 of it), and the line search treats an
+# energy drop below this multiple of eps * |E| as invisible.
+_ROUNDOFF_FACTOR = 10.0
+
+
 @dataclass
 class SolverConfig:
-    """Damped-Newton configuration for the regularized p-energy."""
+    """Damped-Newton configuration for the regularized p-energy.
+
+    `tolerance` is the stopping tolerance of the last delta level, relative
+    to the first residual; earlier levels stop at max(tolerance, delta).
+    `cg_rtol` is the floor of the CG forcing term: a Newton step asks CG for
+    the relative residual clamp(0.1 * target / |gradient|, cg_rtol, 0.1).
+    A p = 2 solve has one level, and its first step uses `cg_rtol` itself.
+    """
 
     p: float
     delta_final: float | None = None
@@ -392,6 +421,12 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
+    """Outcome of `solve_dirichlet`.  `levels` has one entry per delta level
+    visited: its delta, Newton steps, CG iterations, the CG relative
+    tolerance and exit status of each step (`cg_rtol`, `cg_info`),
+    line-search trials, and why the level stopped (`tolerance`,
+    `newton_per_level`, `max_iterations` or `line_search_failed`)."""
+
     iterations: int
     final_energy: float
     final_grad_norm: float
@@ -402,6 +437,7 @@ class SolveReport:
     grad_scale: float
     init: str
     shifted_evaluations: int = 0
+    levels: list[dict] = field(default_factory=list)
     notes: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -416,6 +452,7 @@ class SolveReport:
             "grad_scale": self.grad_scale,
             "init": self.init,
             "shifted_evaluations": self.shifted_evaluations,
+            "levels": list(self.levels),
             "notes": self.notes,
         }
 
@@ -473,6 +510,24 @@ class _Discretization:
         np.add.at(grad, self.corner_idx.ravel(), cell_grad.ravel())
         return energy, grad, (s, ag, v)
 
+    def gradient_roundoff(self, values: np.ndarray, p: float, cache) -> float:
+        """Rounding scale of the free components of `energy_gradient`: machine
+        epsilon times the largest, over free nodes, of the node's cell
+        contributions summed in absolute value, term by term down to the
+        corner values.  No residual below a small multiple of it can be
+        certified in floating point."""
+        s = cache[0]
+        corners = np.abs(values.ravel()[self.corner_idx])
+        mag = np.einsum("kmc,km->kc", np.abs(self.b),
+                        np.einsum("kic,kc->ki", np.abs(self.ab), corners))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w1 = np.where(s > 0, s ** ((p - 2.0) / 2.0), 0.0)
+        node = np.bincount(self.corner_idx.ravel(),
+                           ((self.cell_volume * p) * w1[:, None] * mag).ravel(),
+                           minlength=self.n_nodes)
+        free = node[self.free]
+        return float(np.finfo(float).eps * free.max()) if len(free) else 0.0
+
     def hessian(self, values: np.ndarray, p: float, delta: float, cache=None) -> sp.csr_matrix:
         if cache is None:
             _, _, cache = self.energy_gradient(values, p, delta)
@@ -510,8 +565,9 @@ def solve_dirichlet(
     the boundary nodes.
 
     Damped Newton on the strictly convex regularized functional, with an
-    Armijo line search guaranteeing energy descent and delta-continuation
-    down to config.delta_final.  Returns the minimizer and a report whose
+    Armijo line search guaranteeing energy descent down to the energy's
+    rounding, and inexact delta-continuation down to config.delta_final (see
+    the module docstring).  Returns the minimizer and a report whose
     weak-residual sup is max_i |a0^p(u, e_i)| over the interior nodal basis.
     """
     domain = domain or psi.domain
@@ -534,13 +590,23 @@ def solve_dirichlet(
 
     schedule = config.schedule()
     energy_history: list[float] = []
+    levels: list[dict] = []
     grad_scale = None
     iters = 0
-    converged = False
-    final_grad_norm = math.inf
-    energy = math.inf
 
-    for delta in schedule:
+    def target_of(level_tol, values, cache) -> float:
+        floor = _ROUNDOFF_FACTOR * disc.gradient_roundoff(values, p, cache)
+        return max(level_tol * (grad_scale or 1.0), floor)
+
+    for li, delta in enumerate(schedule):
+        level_tol = config.tolerance if li == len(schedule) - 1 else max(config.tolerance, delta)
+        level = {"delta": delta, "newton_steps": 0, "cg_iterations": 0, "cg_rtol": [],
+                 "cg_info": [], "line_search_trials": 0, "stop": "newton_per_level"}
+        levels.append(level)
+
+        def count_cg(_xk, level=level):
+            level["cg_iterations"] += 1
+
         for _ in range(config.newton_per_level):
             energy, grad, cache = disc.energy_gradient(values, p, delta)
             gfree = grad[disc.free]
@@ -548,41 +614,56 @@ def solve_dirichlet(
             if grad_scale is None:
                 grad_scale = max(gnorm, 1e-300)
             energy_history.append(energy)
-            if gnorm <= config.tolerance * grad_scale:
+            target = target_of(level_tol, values, cache)
+            if gnorm <= target:
+                level["stop"] = "tolerance"
                 break
             if iters >= config.max_iterations:
+                level["stop"] = "max_iterations"
                 break
             hess = disc.hessian(values, p, delta, cache)
             diag = hess.diagonal()
             diag[diag <= 0] = 1.0
             precond = spla.LinearOperator(hess.shape, matvec=lambda x, d=diag: x / d)
-            step, _info = spla.cg(hess, -gfree, rtol=config.cg_rtol, atol=0.0,
-                                  maxiter=10 * len(gfree), M=precond)
+            # forcing term: solve only as far as the Newton target needs
+            rtol = min(max(0.1 * target / gnorm, config.cg_rtol), 0.1)
+            step, info = spla.cg(hess, -gfree, rtol=rtol, atol=0.0,
+                                 maxiter=10 * len(gfree), M=precond, callback=count_cg)
+            level["cg_rtol"].append(rtol)
+            level["cg_info"].append(int(info))
             slope = float(np.dot(gfree, step))
             if slope >= 0:
                 step = -gfree
                 slope = float(np.dot(gfree, step))
+            energy_noise = _ROUNDOFF_FACTOR * np.finfo(float).eps * abs(energy)
             s = 1.0
             accepted = False
             for _ls in range(42):
                 trial = values.copy()
                 trial.ravel()[disc.free] += s * step
-                e_trial, _, _ = disc.energy_gradient(trial, p, delta)
-                if e_trial <= energy + 1e-4 * s * slope:
+                e_trial, g_trial, _ = disc.energy_gradient(trial, p, delta)
+                level["line_search_trials"] += 1
+                # a drop below the energy's rounding cannot be seen by the
+                # Armijo test; there a smaller gradient accepts the step
+                if e_trial <= energy + 1e-4 * s * slope or (
+                        -s * slope <= energy_noise
+                        and np.max(np.abs(g_trial[disc.free])) < gnorm):
                     values = trial
                     accepted = True
                     break
                 s *= 0.5
             iters += 1
+            level["newton_steps"] += 1
             if not accepted:
+                level["stop"] = "line_search_failed"
                 break
         if iters >= config.max_iterations:
             break
 
-    energy, grad, _ = disc.energy_gradient(values, p, schedule[-1])
+    energy, grad, cache = disc.energy_gradient(values, p, schedule[-1])
     gfree = grad[disc.free]
     final_grad_norm = float(np.max(np.abs(gfree))) if len(gfree) else 0.0
-    converged = final_grad_norm <= 10.0 * config.tolerance * (grad_scale or 1.0)
+    converged = final_grad_norm <= 10.0 * target_of(config.tolerance, values, cache)
     energy_history.append(energy)
 
     u = GridFunction(domain, values)
@@ -597,6 +678,7 @@ def solve_dirichlet(
         grad_scale=float(grad_scale or 0.0),
         init=config.init,
         shifted_evaluations=a_field.shifted_evaluations - shifted_before,
+        levels=levels,
     )
     return u, report
 

@@ -168,6 +168,19 @@ def test_weights_family_below_stage_floor(tmp_path, capsys, sizes):
     assert ">= 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sizes, message", [
+    (["--radii", "0"], "radii must be >= 1"),
+    (["--radii", "-3"], "radii must be >= 1"),
+    (["--budget", "8"], "budget must be >= 16"),
+    (["--budget", "15"], "budget must be >= 16"),
+], ids=["radii-0", "radii-negative", "budget-8", "budget-15"])
+def test_weights_radii_and_budget_validated(tmp_path, capsys, sizes, message):
+    rc = run_cli(["weights", "--weight", "pow:-1", "--balls", "8", "--points", "8",
+                  *sizes, "--output-dir", str(tmp_path / "bad")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_exit_code_grid_mismatch(tmp_path):
     sol = tmp_path / "s"
     assert run_cli(["solve", "--psi", "poly:x2-y2", "--resolution", "17",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from degenlap._rand import child_rng
-from degenlap.geometry import Ball, euclidean
+from degenlap.geometry import Ball, euclidean, heisenberg1
 from degenlap.grids import GridDomain, GridFunction
 from degenlap.weights import axis_power_weight, constant_weight, power_weight
 from degenlap.energy import (
@@ -328,6 +328,79 @@ def test_solver_heisenberg_affine(heis):
     u, rep = solve_dirichlet(a2, 2.0, psi, config=SolverConfig(p=2.0, init="zero"),
                              space=heis)
     assert np.abs(u.values - psi.values)[dom.mask > 0].max() < 1e-7
+
+
+def test_solver_boundary_data_already_solves():
+    # x^2 - y^2 solves the discrete problem at 24^2 up to roundoff: the first
+    # residual is about 1e-15, so a target relative to it alone is unreachable
+    dom = GridDomain.box([(-1, 1), (-1, 1)], (24, 24))
+    psi = GridFunction.from_callable(dom, lambda x: x[:, 0] ** 2 - x[:, 1] ** 2)
+    u, rep = solve_dirichlet(I2, 2.0, psi, config=SolverConfig(p=2.0))
+    assert rep.converged
+    assert rep.iterations <= 1
+    assert np.abs(u.values - psi.values)[dom.mask > 0].max() < 1e-13
+
+
+def test_solver_levels_record():
+    dom = GridDomain.box([(-1, 1), (-1, 1)], (33, 33))
+    psi = GridFunction.from_callable(dom, lambda x: np.exp(x[:, 0]) * np.cos(x[:, 1]))
+    cfg = SolverConfig(p=3.0, init="zero")
+    _, rep = solve_dirichlet(I2, 3.0, psi, config=cfg)
+    assert [lv["delta"] for lv in rep.levels] == cfg.schedule()
+    assert sum(lv["newton_steps"] for lv in rep.levels) == rep.iterations
+    for lv in rep.levels:
+        assert lv["stop"] in {"tolerance", "newton_per_level", "max_iterations",
+                              "line_search_failed"}
+        assert len(lv["cg_rtol"]) == len(lv["cg_info"]) == lv["newton_steps"]
+        assert lv["line_search_trials"] >= lv["newton_steps"]
+        assert all(cfg.cg_rtol <= r <= 0.1 for r in lv["cg_rtol"])
+    assert rep.levels[-1]["stop"] == "tolerance"
+    assert rep.to_dict()["levels"] == rep.levels
+
+    capped = SolverConfig(p=3.0, max_iterations=2, init="zero")
+    _, rep = solve_dirichlet(I2, 3.0, psi, config=capped)
+    assert rep.iterations == 2
+    assert rep.levels[-1]["stop"] == "max_iterations"
+
+
+def test_solver_p2_one_level_full_cg_rtol():
+    dom = GridDomain.box([(-1, 1), (-1, 1)], (33, 33))
+    psi = GridFunction.from_callable(dom, lambda x: np.exp(x[:, 0]) * np.cos(x[:, 1]))
+    cfg = SolverConfig(p=2.0, init="zero")
+    _, rep = solve_dirichlet(I2, 2.0, psi, config=cfg)
+    assert rep.converged
+    assert len(rep.levels) == 1
+    assert rep.levels[0]["newton_steps"] == rep.iterations == 1
+    assert rep.levels[0]["cg_rtol"] == [cfg.cg_rtol]
+    assert rep.levels[0]["cg_info"] == [0]
+    assert rep.levels[0]["cg_iterations"] > 0
+
+
+# Final energies of two p = 3 continuation solves, recorded with one BLAS
+# thread before the continuation became inexact (70 and 33 Newton steps).
+def _box65_p3():
+    dom = GridDomain.box([(-1, 1), (-1, 1)], (65, 65))
+    psi = GridFunction.from_callable(dom, lambda x: x[:, 0] ** 2 - x[:, 1] ** 2)
+    return solve_dirichlet(I2, 3.0, psi, config=SolverConfig(p=3.0))[1]
+
+
+def _heis13_p3():
+    dom = GridDomain.box([(-1, 1)] * 3, (13, 13, 13))
+    psi = GridFunction.from_callable(
+        dom, lambda x: np.exp(x[:, 0]) * np.cos(x[:, 1]) + x[:, 2])
+    return solve_dirichlet(MatrixField.identity(2), 3.0, psi, config=SolverConfig(p=3.0),
+                           space=heisenberg1())[1]
+
+
+@pytest.mark.parametrize("solve, energy", [
+    (_box65_p3, 19.816576489251055),
+    (_heis13_p3, 29.183476545243003),
+], ids=["box65", "heis13"])
+def test_solver_inexact_continuation_pinned(solve, energy):
+    rep = solve()
+    assert rep.converged
+    assert rep.final_energy == pytest.approx(energy, rel=1e-10, abs=0.0)
+    assert rep.iterations <= 20
 
 
 def test_asymmetric_coefficients_rejected():
