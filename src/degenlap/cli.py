@@ -315,7 +315,7 @@ def run_solve(cfg) -> int:
         if a_field is None:
             raise ConfigError(f"fixture {fixture.name!r} has no coefficient field")
     else:
-        a_field = E.MatrixField.identity(2 if space.kind == "heisenberg1" else dim)
+        a_field = E.MatrixField.identity(space.m)
     _resolve_mask(cfg, fixture)
     domain = _build_domain(cfg, dim)
     if domain.downsampled_from:

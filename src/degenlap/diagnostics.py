@@ -65,21 +65,13 @@ def dyadic_radii(r0: float, h: float, min_factor: float = 4.0) -> list[float]:
     return radii
 
 
-def _live_nodes_in_ball(u: GridFunction, space: MetricSpace, x, r: float):
-    dom = u.domain
-    coords = dom.node_coords().reshape(-1, dom.n)
-    live = dom.mask.ravel() > 0
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(metric_distance(space, coords, np.broadcast_to(x, coords.shape)))
-    return live & (d < r)
-
-
 def oscillation(u: GridFunction, space: MetricSpace, x, radii) -> list[float]:
     """(max - min) of u over grid nodes in B(x, r), for each requested r."""
     out = []
     vals = u.values.ravel()
+    dist = u.domain.node_distances(space, x)
     for r in radii:
-        sel = _live_nodes_in_ball(u, space, x, float(r))
+        sel = dist < float(r)
         if np.count_nonzero(sel) < 4:
             raise RadiusTooSmallError(f"ball of radius {r} contains fewer than 4 nodes")
         picked = vals[sel]
@@ -100,13 +92,14 @@ def gamma_factor(contraction_constant: float, mk_value: float) -> float:
 
 def harnack_quotient(u: GridFunction, space: MetricSpace, ball: Ball) -> float:
     """(max over B)/(min over B) of nodal values; requires u > 0 on 2B."""
-    sel2 = _live_nodes_in_ball(u, space, ball.center, 2.0 * ball.radius)
+    dist = u.domain.node_distances(space, ball.center)
+    sel2 = dist < 2.0 * ball.radius
     if np.count_nonzero(sel2) == 0:
         raise RadiusTooSmallError("doubled ball contains no nodes")
     vals2 = u.values.ravel()[sel2]
     if vals2.min() <= 0:
         raise NotPositiveError(f"u attains {vals2.min()} on the doubled ball")
-    sel = _live_nodes_in_ball(u, space, ball.center, ball.radius)
+    sel = dist < ball.radius
     if np.count_nonzero(sel) < 4:
         raise RadiusTooSmallError("ball contains fewer than 4 nodes")
     vals = u.values.ravel()[sel]
@@ -164,8 +157,9 @@ def mean_value_check(
     if not sigma > 1.0:
         raise ValueError("sigma must exceed 1")
     vals = u.values.ravel()
-    sel_in = _live_nodes_in_ball(u, space, ball.center, alpha * ball.radius)
-    sel_out = _live_nodes_in_ball(u, space, ball.center, ball.radius)
+    dist = u.domain.node_distances(space, ball.center)
+    sel_in = dist < alpha * ball.radius
+    sel_out = dist < ball.radius
     if np.count_nonzero(sel_in) < 1 or np.count_nonzero(sel_out) < 4:
         raise RadiusTooSmallError("ball too small for the mean-value check")
     uplus_in = np.maximum(vals[sel_in], 0.0)
@@ -272,8 +266,9 @@ def precise_representative(
     vals = u.values.ravel()
     avgs = []
     oscs = []
+    dist = u.domain.node_distances(space, x)
     for r in radii:
-        sel = _live_nodes_in_ball(u, space, x, r)
+        sel = dist < r
         count = int(np.count_nonzero(sel))
         if count < 4:
             raise RadiusTooSmallError(f"ball of radius {r} contains fewer than 4 nodes")

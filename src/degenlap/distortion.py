@@ -18,7 +18,7 @@ import numpy as np
 from ._rand import child_rng
 from .geometry import MetricSpace, euclidean
 from .grids import BOUNDARY, GridDomain, GridFunction
-from .energy import InvalidTestFunctionError, _weak_form_cells, horizontal_gradient
+from .energy import InvalidTestFunctionError, _Discretization, _weak_form_cells
 
 __all__ = [
     "MappingSpec",
@@ -289,12 +289,10 @@ def coordinate_weak_residual(
         return out
 
     fvals = safe_eval(coords)
-    fgrids = [GridFunction(domain, fvals[:, i].reshape(domain.shape)) for i in range(n)]
 
     # adj Df and G^{-1} at cell centers
-    included = domain.included_cells().ravel()
-    centers = domain.cell_centers().reshape(-1, n)[included]
-    dfc = jacobian(mapping, centers)
+    disc = _Discretization(space, domain)
+    dfc = jacobian(mapping, disc.centers)
     jacs = np.linalg.det(dfc)
     if not np.all(np.isfinite(jacs)):
         raise SingularPointError("J_f is not finite at a quadrature cell: a cell center "
@@ -303,7 +301,7 @@ def coordinate_weak_residual(
         raise OrientationReversedError("J_f <= 0 at a quadrature cell")
     adjc = adjugate(dfc)
     ginv_c = np.linalg.inv(dfc.transpose(0, 2, 1) @ dfc) * (jacs ** (2.0 / n))[:, None, None]
-    grad_f = [horizontal_gradient(space, fg).values for fg in fgrids]
+    grad_f = [disc.gradients(fvals[:, i]) for i in range(n)]
     quad_f = [np.einsum("kij,ki,kj->k", ginv_c, g, g) for g in grad_f]
 
     sing = mapping.singular_point if mapping.singular_point is not None else np.zeros(n)
@@ -311,7 +309,7 @@ def coordinate_weak_residual(
 
     rows = []
     extrapolated = []
-    cell_volume = domain.h ** n
+    cell_volume = disc.cell_volume
     for pidx, phi in enumerate(test_functions):
         if np.any(phi.values[domain.mask == BOUNDARY] != 0.0):
             raise InvalidTestFunctionError("test function must vanish on boundary nodes")
@@ -319,14 +317,14 @@ def coordinate_weak_residual(
         for eta in tube_widths:
             if eta > 0:
                 cut = _smoothstep((dist_nodes - eta) / ramp_width).reshape(domain.shape)
-                phi_eta = GridFunction(domain, phi.values * cut)
+                phi_eta = phi.values * cut
             else:
                 if mapping.singular_point is not None and np.any(
                         (dist_nodes < 4 * domain.h) & (np.abs(phi.values.ravel()) > 0)):
                     raise InvalidTestFunctionError(
                         "test function support touches the singular point; use a tube")
-                phi_eta = phi
-            gphi = horizontal_gradient(space, phi_eta).values
+                phi_eta = phi.values
+            gphi = disc.gradients(phi_eta)
             for i in range(n):
                 r_adj = cell_volume * float(np.einsum("ki,ki->", adjc[:, :, i], gphi))
                 # the p = n weak form with coefficients G^{-1}

@@ -697,9 +697,7 @@ def poincare_ratio(
     dom = f.domain
     space = space or euclidean(dom.n)
     coords = dom.node_coords().reshape(-1, dom.n)
-    live = dom.mask.ravel() > 0
-    center = np.broadcast_to(ball.center, coords.shape)
-    in_ball = (np.asarray(metric_distance(space, coords, center)) < ball.radius) & live
+    in_ball = dom.node_distances(space, ball.center) < ball.radius
     if np.count_nonzero(in_ball) < 2:
         raise ValueError("ball contains fewer than 2 grid nodes")
     interior_point = dom.bounds.mean(axis=1)

@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import MetricSpace, metric_distance
+
 __all__ = ["GridDomain", "GridFunction", "EXCLUDED", "INTERIOR", "BOUNDARY"]
 
 EXCLUDED, INTERIOR, BOUNDARY = 0, 1, 2
@@ -134,18 +136,13 @@ class GridDomain:
             corners.append(base[sl].ravel())
         return corners  # list of 2^n arrays, each of length prod(cell_shape)
 
-    def validate(self):
-        inter = self.mask == INTERIOR
-        ok = self.mask > 0
-        for ax in range(self.n):
-            for shift in (-1, 1):
-                nb = np.roll(ok, shift, axis=ax)
-                edge = [slice(None)] * self.n
-                edge[ax] = 0 if shift == 1 else -1
-                nb[tuple(edge)] = False
-                if np.any(inter & ~nb):
-                    raise ValueError("interior node with neighbor outside mask")
-        return True
+    def node_distances(self, space: MetricSpace, x) -> np.ndarray:
+        """Flat array of the metric distance from x to every node, +inf on
+        excluded nodes: the live nodes of B(x, r) are those below r."""
+        coords = self.node_coords().reshape(-1, self.n)
+        x = np.broadcast_to(np.asarray(x, dtype=float), coords.shape)
+        d = np.asarray(metric_distance(space, coords, x))
+        return np.where(self.mask.ravel() > 0, d, np.inf)
 
 
 def _classify(inside: np.ndarray) -> np.ndarray:

@@ -235,13 +235,21 @@ class BallSamples:
         return np.concatenate([p for p in self.points if len(p)], axis=0)
 
 
+def _hit_volume(pts, keep, vol):
+    """The points of `pts` selected by `keep`, with the hit-or-miss estimate
+    vol * acc of the selected region's volume and its standard error, where
+    vol is the proposal volume and acc the accepted fraction."""
+    count = len(keep)
+    acc = float(np.count_nonzero(keep)) / count
+    return pts[keep], vol * acc, vol * math.sqrt(max(acc * (1 - acc), 0.0) / count)
+
+
 def _draw_in_ball(space, ball, count, seed, key, domain):
-    """Uniform points in ball ∩ domain plus the in-domain acceptance rate."""
+    """Uniform points in ball ∩ domain plus the estimated volume of ball ∩
+    domain and its standard error."""
     pts = sample_ball(space, ball, count, seed=subseed(seed, key))
-    if domain is None:
-        return pts, 1.0
-    keep = domain.contains(pts)
-    return pts[keep], float(np.count_nonzero(keep)) / count
+    keep = np.ones(count, dtype=bool) if domain is None else domain.contains(pts)
+    return _hit_volume(pts, keep, ball_volume(space, ball))
 
 
 def gather_ball_samples(
@@ -253,119 +261,96 @@ def gather_ball_samples(
     singularity: Singularity | None = None,
     tag="avg",
 ) -> BallSamples:
+    """Uniform samples of ball ∩ domain, stratified by distance d to the
+    singular locus when the ball comes near it.
+
+    Far from the locus (d(center) > 1.5 r, or no locus) there is one stratum:
+    `budget` points drawn in the ball and kept when they lie in the domain.
+
+    Near it, with deltas[ell] = r 2^-(ell+1) for ell = 0..L-1 (L = 8), a pool
+    of budget/2 points is drawn in the ball, and for each ell a further level
+    draw in T_ell = {p in ball ∩ domain : d(p) < deltas[ell]}.  Stratum 0 (the
+    bulk) is the pool points with d >= deltas[0]; stratum ell+1 is the points
+    with inner <= d < deltas[ell], where inner = deltas[ell+1] (0 for the
+    core, stratum L), taken from level draws 0..ell and then from the pool.
+
+    Every volume is a hit-or-miss estimate vol(proposal) * acc with standard
+    error vol(proposal) sqrt(acc (1 - acc) / n) over n proposals, acc being
+    the accepted fraction; vol(T_ell) is clamped to be nonincreasing in ell,
+    and a stratum's volume is the difference of the two sets it lies between.
+    A stratum without points hands its volume to the next deeper one.
+    """
     if budget < 16:
         raise ValueError("budget must be >= 16")
     r = ball.radius
-    vol_ball = ball_volume(space, ball)
-
     near = False
     if singularity is not None:
         d_center = float(singularity.distance(space, ball.center[None, :])[0])
         near = d_center <= 1.5 * r
 
     if not near:
-        pts, acc = _draw_in_ball(space, ball, budget, seed, (tag, "pool"), domain)
-        vol = vol_ball * acc
-        se_vol = vol_ball * math.sqrt(max(acc * (1 - acc), 0.0) / budget)
-        return BallSamples(ball, [pts], np.array([vol]), np.array([se_vol]))
+        pts, vol, se = _draw_in_ball(space, ball, budget, seed, (tag, "pool"), domain)
+        return BallSamples(ball, [pts], np.array([vol]), np.array([se]))
 
     levels = _RING_LEVELS
     pool_n = max(budget // 2, 16)
     per_level = max((budget - pool_n) // levels, 32)
-
-    pool, acc = _draw_in_ball(space, ball, pool_n, seed, (tag, "pool"), domain)
-    vol_in = vol_ball * acc
-    se_in = vol_ball * math.sqrt(max(acc * (1 - acc), 0.0) / pool_n)
-
+    pool, vol_in, se_in = _draw_in_ball(space, ball, pool_n, seed, (tag, "pool"), domain)
     deltas = [r * 2.0 ** (-(ell + 1)) for ell in range(levels)]
-    level_pts: list[np.ndarray] = []
-    level_vol = np.zeros(levels)
-    level_se = np.zeros(levels)
-    for ell, delta in enumerate(deltas):
-        pts, vol, se = _sample_near_singularity(
-            space, ball, delta, per_level, seed, (tag, "lvl", ell), domain, singularity
-        )
-        level_pts.append(pts)
-        level_vol[ell] = vol
-        level_se[ell] = se
+    level_pts, level_vol, level_se = zip(*(
+        _sample_near_singularity(space, ball, delta, per_level, seed, (tag, "lvl", ell),
+                                 domain, singularity)
+        for ell, delta in enumerate(deltas)))
+    # the sets T_ell are nested, so their estimated volumes must not grow
+    level_vol = np.minimum.accumulate(level_vol)
 
-    # enforce monotone nesting of the estimated T_ell volumes
-    for ell in range(1, levels):
-        level_vol[ell] = min(level_vol[ell], level_vol[ell - 1])
-    dist_pool = singularity.distance(space, pool) if len(pool) else np.empty(0)
-
-    points: list[np.ndarray] = []
-    volumes = np.zeros(levels + 1)
-    volumes_se = np.zeros(levels + 1)
-    # stratum 0: bulk
-    points.append(pool[dist_pool >= deltas[0]] if len(pool) else pool)
-    volumes[0] = max(vol_in - level_vol[0], 0.0)
-    volumes_se[0] = math.hypot(se_in, level_se[0])
-    # rings 1..levels-1 and core
+    # one distance pass per draw set; each stratum is a threshold on it
+    *level_sets, pool_set = [(p, singularity.distance(space, p)) for p in (*level_pts, pool)]
+    inner = [*deltas[1:], 0.0]
+    points = [pool[pool_set[1] >= deltas[0]]]
     for ell in range(levels):
-        inner = deltas[ell + 1] if ell + 1 < levels else 0.0
-        ring_members = [p[_ring_mask(space, singularity, p, inner)] for p in level_pts[: ell + 1]]
-        if len(pool):
-            in_t = pool[(dist_pool < deltas[ell]) & (dist_pool >= inner)]
-            ring_members.append(in_t)
-        # only points already inside T_ell qualify
-        merged = [m[singularity.distance(space, m) < deltas[ell]] for m in ring_members if len(m)]
-        pts = np.concatenate(merged, axis=0) if merged else pool[:0]
-        points.append(pts)
-        if ell + 1 < levels:
-            volumes[ell + 1] = max(level_vol[ell] - level_vol[ell + 1], 0.0)
-            volumes_se[ell + 1] = math.hypot(level_se[ell], level_se[ell + 1])
-        else:
-            volumes[ell + 1] = level_vol[ell]
-            volumes_se[ell + 1] = level_se[ell]
+        points.append(np.concatenate([p[(inner[ell] <= d) & (d < deltas[ell])]
+                                      for p, d in (*level_sets[: ell + 1], pool_set)]))
+    volumes = np.maximum(np.array([vol_in, *level_vol]) - np.append(level_vol, 0.0), 0.0)
+    se = [se_in, *level_se]
+    volume_se = np.array([*(math.hypot(a, b) for a, b in zip(se, se[1:])), se[-1]])
     # merge empty-but-massive strata into the next deeper one
     for j in range(len(points) - 1):
         if len(points[j]) == 0 and volumes[j] > 0:
             volumes[j + 1] += volumes[j]
             volumes[j] = 0.0
-    return BallSamples(ball, points, volumes, volumes_se)
-
-
-def _ring_mask(space, singularity, pts, inner):
-    if len(pts) == 0:
-        return np.zeros(0, dtype=bool)
-    return singularity.distance(space, pts) >= inner
+    return BallSamples(ball, points, volumes, volume_se)
 
 
 def _sample_near_singularity(space, ball, delta, count, seed, key, domain, singularity):
     """Uniform points in T = {p in ball ∩ domain : dist(p, S) < delta} plus
-    an unbiased estimate of vol(T)."""
-    center = ball.center
+    an unbiased estimate of vol(T) and its standard error."""
     if singularity.kind == "point":
         proposal = Ball(singularity.point, delta)
         vol_prop = ball_volume(space, proposal)
         draws = sample_ball(space, proposal, count, seed=subseed(seed, key))
-        dist_c = np.asarray(metric_distance(space, draws, np.broadcast_to(center, draws.shape)))
-        keep = dist_c < ball.radius
+    else:
+        # hyperplane: box proposal around the slab through the ball bounding
+        # box, clipped to the domain (so its draws need no domain test)
+        a = singularity.axis
+        lo = ball.center - ball.radius
+        hi = ball.center + ball.radius
+        lo[a] = max(lo[a], singularity.offset - delta)
+        hi[a] = min(hi[a], singularity.offset + delta)
         if domain is not None:
-            keep &= domain.contains(draws)
-        acc = float(np.count_nonzero(keep)) / count
-        se = vol_prop * math.sqrt(max(acc * (1 - acc), 0.0) / count)
-        return draws[keep], vol_prop * acc, se
-    # hyperplane: box proposal around the slab through the ball bounding box
-    a = singularity.axis
-    lo = center - ball.radius
-    hi = center + ball.radius
-    lo[a] = max(lo[a], singularity.offset - delta)
-    hi[a] = min(hi[a], singularity.offset + delta)
+            lo = np.maximum(lo, domain.bounds[:, 0])
+            hi = np.minimum(hi, domain.bounds[:, 1])
+            domain = None
+        if np.any(hi <= lo):
+            return np.empty((0, space.n)), 0.0, 0.0
+        vol_prop = float(np.prod(hi - lo))
+        rng = child_rng(seed, *key, "slab")
+        draws = lo + rng.random((count, space.n)) * (hi - lo)
+    center = np.broadcast_to(ball.center, draws.shape)
+    keep = np.asarray(metric_distance(space, draws, center)) < ball.radius
     if domain is not None:
-        lo = np.maximum(lo, domain.bounds[:, 0])
-        hi = np.minimum(hi, domain.bounds[:, 1])
-    if np.any(hi <= lo):
-        return np.empty((0, space.n)), 0.0, 0.0
-    vol_prop = float(np.prod(hi - lo))
-    rng = child_rng(seed, *key, "slab")
-    draws = lo + rng.random((count, space.n)) * (hi - lo)
-    dist_c = np.asarray(metric_distance(space, draws, np.broadcast_to(center, draws.shape)))
-    keep = dist_c < ball.radius
-    acc = float(np.count_nonzero(keep)) / count
-    se = vol_prop * math.sqrt(max(acc * (1 - acc), 0.0) / count)
-    return draws[keep], vol_prop * acc, se
+        keep &= domain.contains(draws)
+    return _hit_volume(draws, keep, vol_prop)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from degenlap._rand import child_rng
-from degenlap.geometry import Ball, Box
+from degenlap.geometry import Ball, Box, euclidean, heisenberg1
 from degenlap.weights import (
     OutOfRegimeError,
     SingularSampleError,
+    Singularity,
     Weight,
     a1_constant,
     ap_constant,
@@ -88,6 +89,127 @@ def test_ball_average_singular_sample_error(e1):
 def test_ball_average_budget_validation(e1):
     with pytest.raises(ValueError):
         ball_average(constant_weight(1.0, 1), e1, Ball([0.0], 1.0), budget=8, seed=0)
+
+
+# --- stratified sampler ----------------------------------------------------------
+
+# Near-singular balls that cross the domain edge and the proposals' edges, so
+# that both acceptance tests and every stratum are exercised.
+SAMPLER_CASES = {
+    "point-r2": (euclidean(2), Ball([0.35, 0.6], 0.75), 512, 3, BOX2,
+                 Singularity("point", point=[0.0, 0.0])),
+    "hyperplane-r2": (euclidean(2), Ball([0.2, 0.3], 0.4), 512, 5, BOX2,
+                      Singularity("hyperplane", axis=0, offset=0.0)),
+    "point-heis": (heisenberg1(), Ball([0.3, 0.1, 0.05], 0.55), 512, 7,
+                   Box([[-0.5, 0.5], [-1.0, 1.0], [-1.0, 1.0]]),
+                   Singularity("point", point=[0.0, 0.0, 0.0])),
+}
+
+# Bit-exact output of gather_ball_samples on SAMPLER_CASES: per-stratum point
+# counts, volumes, their standard errors and coordinate sums.  A change to the
+# draws, the strata or the volume estimates shows here.
+SAMPLER_DIGEST = {
+    "point-r2": {
+        "counts": [169, 41, 19, 29, 32, 32, 31, 28, 46],
+        "volumes": [
+            1.1734953027325155, 0.19328157927359077, 0.031925975147869906,
+            0.01639441967052779, 0.005177185159114039, 0.0012942962897785097,
+            0.0003235740724446274, 8.089351811115686e-05, 2.6964506037052286e-05,
+        ],
+        "volume_se": [
+            0.0584650187848605, 0.03995350067830012, 0.00992176578254311,
+            0.0017722881850173323, 0.0, 0.0,
+            0.0, 0.0, 0.0,
+        ],
+        "sums": [
+            [60.12963726860809, 83.6730913529275],
+            [2.296930469146014, 7.552424282612702],
+            [0.45794670660153347, 0.808663034100897],
+            [0.01945091386707467, 0.6727408436954683],
+            [0.06934130036876768, 0.2872984305868734],
+            [-0.1600170864058941, 0.01919871732189604],
+            [-0.0080213599879605, -0.025164138668668328],
+            [-0.011849929338863804, -0.01673553139559016],
+            [-0.010374359213028829, -0.009615367426709032],
+        ],
+    },
+    "hyperplane-r2": {
+        "counts": [134, 71, 44, 52, 34, 40, 23, 23, 53],
+        "volumes": [
+            0.2526548245743669, 0.11000000000000004, 0.0725,
+            0.031250000000000014, 0.018750000000000003, 0.0090625,
+            0.003906250000000002, 0.002578125, 0.0019531250000000004,
+        ],
+        "volume_se": [
+            0.02338535866733714, 0.02518680209951236, 0.010670856924352424,
+            0.0055331035030080555, 0.00236964857626611, 0.001333857115544053,
+            0.0006916379378760069, 0.0003158390943124264, 0.0001826981145885714,
+        ],
+        "sums": [
+            [51.88357063943463, 38.816625689517466],
+            [2.9212238399525075, 20.52101678238577],
+            [0.0032074757591958325, 13.90123778274253],
+            [0.48167118050017105, 15.38362315744094],
+            [-0.06376584687295381, 10.548849029450732],
+            [-0.06770602760508536, 11.227333000966237],
+            [-0.003235905379961009, 5.238455226392694],
+            [-0.013897477838401166, 7.234464694712941],
+            [0.00492371634098129, 14.154975090240358],
+        ],
+    },
+    "point-heis": {
+        "counts": [182, 29, 34, 29, 33, 31, 32, 34, 33],
+        "volumes": [
+            0.08003817554808779, 0.004189325992875118, 0.00041342032824425503,
+            2.583877051526594e-05, 1.6149231572041212e-06, 1.0093269732525758e-07,
+            6.3082935828285985e-09, 3.942683489267874e-10, 2.628455659511916e-11,
+        ],
+        "volume_se": [
+            0.0031121151717628686, 0.0005924088750411098, 0.0,
+            0.0, 0.0, 0.0,
+            0.0, 0.0, 0.0,
+        ],
+        "sums": [
+            [37.74131749282457, 4.776252527135956, 8.169706093106804],
+            [1.3776354779870565, -0.9485939507853426, 0.10687296595751838],
+            [-0.034551895396772475, -0.5034483664974454, 0.014833572309439807],
+            [0.14958441191567773, 0.03245414921759172, -0.0031084812880228076],
+            [-0.058680546958948684, -0.09834766631462417, -0.00042345229877799654],
+            [-0.01836633200290509, 0.04373186152246935, -0.00015085524607123704],
+            [0.014032074527934858, -0.003695540688899228, 1.897410631259494e-05],
+            [0.0030006572936199425, -0.010602377179455445, 2.347875771045949e-05],
+            [-0.00563380605919126, -0.005062054533584221, 1.6936926244641358e-07],
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(SAMPLER_CASES))
+def test_sampler_strata_are_distance_shells(case):
+    space, ball, budget, seed, domain, sing = SAMPLER_CASES[case]
+    samples = gather_ball_samples(space, ball, budget, seed, domain, sing)
+    deltas = [ball.radius * 2.0 ** -(ell + 1) for ell in range(8)]
+    assert len(samples.points) == len(deltas) + 1
+    shells = [(deltas[0], math.inf), *zip([*deltas[1:], 0.0], deltas)]
+    for pts, (lo, hi) in zip(samples.points, shells):
+        d = sing.distance(space, pts)
+        assert np.all((lo <= d) & (d < hi))
+        assert np.all(domain.contains(pts))
+    assert np.all(samples.volumes >= 0.0)
+    assert np.all(samples.volume_se >= 0.0)
+
+
+@pytest.mark.parametrize("case", list(SAMPLER_CASES))
+def test_sampler_digest_pinned(case):
+    space, ball, budget, seed, domain, sing = SAMPLER_CASES[case]
+    samples = gather_ball_samples(space, ball, budget, seed, domain, sing)
+    digest = {
+        "counts": [len(p) for p in samples.points],
+        "volumes": samples.volumes.tolist(),
+        "volume_se": samples.volume_se.tolist(),
+        "sums": [p.sum(axis=0).tolist() if len(p) else 0.0 for p in samples.points],
+    }
+    assert digest == SAMPLER_DIGEST[case]
 
 
 # --- A_p -------------------------------------------------------------------------
