@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from ._rand import child_rng
-from .geometry import Ball, Box, MetricSpace, euclidean
+from .geometry import Box, MetricSpace, euclidean
 from .weights import (
     Singularity,
     Weight,
@@ -117,7 +117,6 @@ def fixture(name: str, epsilon: float = 0.1, q: float = 3.0) -> Fixture:
         )
     if name == "axis-degenerate-planar":
         k = axis_power_weight(-1.0 / q, axis=0)
-        k = Weight(k.name, k.fn, k.singularity, claimed=("A_1", "RH_2"))
         return Fixture(
             name=name, dim=2, p=2.0, q=q, space=euclidean(2), weight=k,
             matrix=_axis_matrix(k),
@@ -130,7 +129,6 @@ def fixture(name: str, epsilon: float = 0.1, q: float = 3.0) -> Fixture:
         )
     if name == "zhong-log":
         k = log_weight(1.0 + epsilon, 3)
-        k = Weight(k.name, k.fn, k.singularity, claimed=("A_1", "A_2", "RH_3"))
         tau = _zhong_tau(epsilon)
         kinv = k.pow(-1.0)
         matrix = MatrixField.isotropic(
@@ -153,7 +151,6 @@ def fixture(name: str, epsilon: float = 0.1, q: float = 3.0) -> Fixture:
             name=f"K_I(eps={epsilon:g})",
             fn=lambda pts: epsilon ** (-(n - 1.0)) * inner(pts),
             singularity=Singularity("point", point=np.zeros(n)),
-            claimed=("A_{n'}", "RH_n") if epsilon < 1.0 / (n - 1.0) else (),
         )
         return Fixture(
             name=name, dim=n, p=float(n), epsilon=epsilon, space=euclidean(n),

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from ._rand import child_rng
-from .geometry import Ball, Box, euclidean, heisenberg1
+from .geometry import Box, euclidean, heisenberg1
 from .grids import BOUNDARY, GridDomain, GridFunction
 from . import weights as W
 from . import energy as E

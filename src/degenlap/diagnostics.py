@@ -1,10 +1,9 @@
 """Regularity diagnostics for discrete solutions: oscillation decay, Harnack
-quotients, mean-value ratios, Holder exponents, precise representatives and
-the predicted continuity set {Mk < infinity}.
+quotients, Holder exponents and the predicted continuity set {Mk < infinity}.
 
-All constants that the underlying theory leaves existential (the contraction
-constant, the mean-value constant, the Holder data c(x), alpha(x)) are fitted
-empirically and reported, never assumed.
+The constants that the underlying theory leaves existential (the Harnack
+constant, the Holder data c(x), alpha(x)) are fitted empirically and
+reported, never assumed; the contraction constant is an input.
 """
 from __future__ import annotations
 
@@ -14,17 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rand import subseed
-from .geometry import Ball, Box, MetricSpace, euclidean, metric_distance
+from .geometry import Ball, Box, MetricSpace, metric_distance
 from .grids import GridFunction
-from .weights import MaximalValue, Weight, maximal_function
-from .energy import eval_shifted, horizontal_gradient
+from .weights import Weight, maximal_function
+from .energy import horizontal_gradient
 
 __all__ = [
     "RadiusTooSmallError",
     "NotPositiveError",
     "HolderFit",
-    "PreciseValue",
-    "MeanValueResult",
     "ProbeRecord",
     "DiagnosticsReport",
     "dyadic_radii",
@@ -32,9 +29,7 @@ __all__ = [
     "gamma_factor",
     "harnack_quotient",
     "fit_harnack_constant",
-    "mean_value_check",
     "holder_exponent",
-    "precise_representative",
     "continuity_map",
 ]
 
@@ -128,55 +123,6 @@ def fit_harnack_constant(
 
 
 @dataclass(frozen=True)
-class MeanValueResult:
-    ratio: float
-    lhs: float
-    rhs_core: float
-    mu_p: float
-    alpha: float
-    sigma: float
-
-
-def mean_value_check(
-    u: GridFunction,
-    p: float,
-    w: Weight,
-    v: Weight,
-    space: MetricSpace,
-    ball: Ball,
-    alpha: float = 0.5,
-    sigma: float = 2.0,
-) -> MeanValueResult:
-    """LHS = (max over alpha*B of u+)^p against the v-weighted mean-value core
-    RHS = mu_p^{p sigma/(sigma-1)} * (1/v(B)) * sum u+^p v h^n.
-
-    The implied constant c/(1-alpha)^d is the returned ratio, reported rather
-    than assumed."""
-    if not (0.5 <= alpha < 1.0):
-        raise ValueError("alpha must lie in [1/2, 1)")
-    if not sigma > 1.0:
-        raise ValueError("sigma must exceed 1")
-    vals = u.values.ravel()
-    dist = u.domain.node_distances(space, ball.center)
-    sel_in = dist < alpha * ball.radius
-    sel_out = dist < ball.radius
-    if np.count_nonzero(sel_in) < 1 or np.count_nonzero(sel_out) < 4:
-        raise RadiusTooSmallError("ball too small for the mean-value check")
-    uplus_in = np.maximum(vals[sel_in], 0.0)
-    lhs = float(uplus_in.max() ** p)
-    coords = u.domain.node_coords().reshape(-1, u.domain.n)
-    interior_point = u.domain.bounds.mean(axis=1)
-    vv, _ = eval_shifted(v, coords[sel_out], u.domain.h, interior_point)
-    ww, _ = eval_shifted(w, coords[sel_out], u.domain.h, interior_point)
-    mu = float((np.sum(vv) / np.sum(ww)) ** (1.0 / p))
-    uplus = np.maximum(vals[sel_out], 0.0)
-    rhs_core = float(mu ** (p * sigma / (sigma - 1.0)) * np.sum(uplus ** p * vv) / np.sum(vv))
-    if lhs == 0.0:
-        return MeanValueResult(0.0, 0.0, rhs_core, mu, alpha, sigma)
-    return MeanValueResult(lhs / rhs_core, lhs, rhs_core, mu, alpha, sigma)
-
-
-@dataclass(frozen=True)
 class HolderFit:
     """Least-squares fit osc(x, r) ~ c * (r/r0)^alpha over usable radii."""
 
@@ -241,59 +187,6 @@ def holder_exponent(
 
 
 @dataclass(frozen=True)
-class PreciseValue:
-    """Ball-average limit with its Cauchy certificate."""
-
-    value: float
-    converged: bool
-    radii: tuple[float, ...]
-    averages: tuple[float, ...]
-    certificate: tuple[float, ...]  # oscillation bound |u_B(t) - u_B(s)| <= osc(t)
-
-
-def precise_representative(
-    u: GridFunction,
-    space: MetricSpace,
-    x,
-    radii,
-    budget: int = 100_000,
-    tol: float | None = None,
-) -> PreciseValue:
-    """Ball averages over shrinking radii; returns the limit when successive
-    averages are Cauchy (last differences below the tolerance), else flags
-    divergence."""
-    radii = sorted((float(r) for r in radii), reverse=True)
-    vals = u.values.ravel()
-    avgs = []
-    oscs = []
-    dist = u.domain.node_distances(space, x)
-    for r in radii:
-        sel = dist < r
-        count = int(np.count_nonzero(sel))
-        if count < 4:
-            raise RadiusTooSmallError(f"ball of radius {r} contains fewer than 4 nodes")
-        idx = np.flatnonzero(sel)
-        if count > budget:
-            idx = idx[:: max(1, count // budget)]
-        picked = vals[idx]
-        avgs.append(float(picked.mean()))
-        oscs.append(float(vals[sel].max() - vals[sel].min()))
-    if tol is None:
-        gscale = _local_gradient_scale(u, space, x, radii[0])
-        tol = 20.0 * u.domain.h * (gscale + 1.0) * 1e-2 + 1e-10
-        tol = max(tol, 1e-6 * (1.0 + float(np.abs(u.values).max())))
-    diffs = np.abs(np.diff(avgs))
-    converged = bool(len(diffs) >= 1 and np.all(diffs[-2:] < tol))
-    return PreciseValue(
-        value=avgs[-1],
-        converged=converged,
-        radii=tuple(radii),
-        averages=tuple(avgs),
-        certificate=tuple(oscs[:-1]),
-    )
-
-
-@dataclass(frozen=True)
 class ProbeRecord:
     point: tuple[float, ...]
     mk_value: float           # +inf when diverging
@@ -318,13 +211,11 @@ class ProbeRecord:
 class DiagnosticsReport:
     probes: list[ProbeRecord]
     contraction_constant: float
-    sigma: float | None = None
     discrepancies: list[dict] = field(default_factory=list)
 
     def to_dict(self):
         return {
             "contraction_constant": self.contraction_constant,
-            "sigma": self.sigma,
             "probes": [p.to_dict() for p in self.probes],
             "discrepancies": self.discrepancies,
         }
@@ -337,11 +228,8 @@ def continuity_map(
     domain: Box,
     probes: np.ndarray,
     contraction_constant: float = 1.0,
-    mk_radii=None,
-    osc_r0: float | None = None,
     budget: int = 1024,
     seed: int = 0,
-    sigma: float | None = None,
 ) -> DiagnosticsReport:
     """Per probe point: Mk (discretized maximal function), the contraction
     factor gamma, the fitted Holder exponent, and the predicted continuity
@@ -349,11 +237,9 @@ def continuity_map(
     are listed, not suppressed."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     h = u.domain.h
-    if mk_radii is None:
-        top = 0.25 * float(np.min(domain.lengths))
-        mk_radii = [top * 2.0 ** (-j) for j in range(8)]
-    if osc_r0 is None:
-        osc_r0 = max(0.125 * float(np.min(domain.lengths)), 8.0 * h)
+    top = 0.25 * float(np.min(domain.lengths))
+    mk_radii = [top * 2.0 ** (-j) for j in range(8)]
+    osc_r0 = max(0.125 * float(np.min(domain.lengths)), 8.0 * h)
     osc_radii = dyadic_radii(osc_r0, h)
     records = []
     discrepancies = []
@@ -378,6 +264,5 @@ def continuity_map(
     return DiagnosticsReport(
         probes=records,
         contraction_constant=contraction_constant,
-        sigma=sigma,
         discrepancies=discrepancies,
     )

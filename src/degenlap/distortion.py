@@ -4,8 +4,8 @@ residual showing that coordinate functions solve the degenerate n-Laplacian
 with coefficients G^{-1}.
 
 Operator norms are the square roots of the largest eigenvalues of A^T A
-(closed form for n <= 2, LAPACK `eigvalsh` beyond); the adjugate is computed
-cofactor-wise so it remains valid for singular matrices.
+(LAPACK `eigvalsh`); the adjugate is computed cofactor-wise so it remains
+valid for singular matrices.
 """
 from __future__ import annotations
 
@@ -111,25 +111,6 @@ def adjugate(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sym_eigenvalues(s: np.ndarray) -> np.ndarray:
-    """Eigenvalues of symmetric (k, n, n) stacks, ascending per row.
-
-    Closed form for n <= 2; LAPACK symmetric eigensolve beyond.  The n = 3
-    trigonometric characteristic-polynomial formula was tried first but loses
-    ~1e-8 relative accuracy on doubly-degenerate spectra (exactly the radial
-    map case), which is not enough for the 1e-8 distortion checks.
-    """
-    k, n, _ = s.shape
-    if n == 1:
-        return s[:, :, 0].copy()
-    if n == 2:
-        tr = s[:, 0, 0] + s[:, 1, 1]
-        det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
-        disc = np.sqrt(np.maximum(0.25 * tr * tr - det, 0.0))
-        return np.stack([0.5 * tr - disc, 0.5 * tr + disc], axis=1)
-    return np.linalg.eigvalsh(s)
-
-
 def operator_norm(mats: np.ndarray) -> np.ndarray:
     """Largest singular value(s) via eigenvalues of M^T M."""
     m = np.asarray(mats, dtype=float)
@@ -137,7 +118,7 @@ def operator_norm(mats: np.ndarray) -> np.ndarray:
     if single:
         m = m[None]
     s = np.einsum("kji,kjl->kil", m, m)
-    eigs = _sym_eigenvalues(s)
+    eigs = np.linalg.eigvalsh(s)
     out = np.sqrt(np.maximum(eigs.max(axis=1), 0.0))
     return float(out[0]) if single else out
 
@@ -437,7 +418,7 @@ def sample_distortion_report(
         hi = sc.inner ** (n - 1.0)
         if not (lo * (1 - 1e-9) <= sc.outer <= hi * (1 + 1e-9)):
             sand_viol += 1
-        eigs = _sym_eigenvalues(g[None])[0]
+        eigs = np.linalg.eigvalsh(g)
         rows.append({
             "point": [float(c) for c in pts[k]],
             "jacobian_det": sc.jacobian_det,

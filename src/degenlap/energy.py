@@ -1,4 +1,4 @@
-"""Discrete p-energy, weak form, vector inequalities and the Dirichlet solver.
+"""Discrete p-energy, weak form, monotonicity gap and the Dirichlet solver.
 
 Discretization: node-based unknowns, cell-centered gradients (average of the
 2^(n-1) edge differences per axis), midpoint quadrature, coefficients
@@ -18,10 +18,10 @@ max(tolerance, delta) times the first residual; the last level uses
 rounding scale of the gradient evaluation, so a boundary datum that already
 solves the discrete problem is accepted at once.  Each Newton step solves
 its linear system with Jacobi-preconditioned CG to the relative tolerance
-clamp(0.1 * target / |gradient|, cg_rtol, 0.1), the forcing term of
+clamp(0.1 * target / |gradient|, CG_RTOL, 0.1), the forcing term of
 Eisenstat & Walker, "Choosing the forcing terms in an inexact Newton
 method", SIAM J. Sci. Comput. 17 (1996): far from the target CG stops early,
-and it is never asked for more than `cg_rtol`.  Near the minimizer a step's
+and it is never asked for more than `CG_RTOL`.  Near the minimizer a step's
 predicted energy drop falls below the rounding of the energy itself, where
 the Armijo test only sees noise; a step whose predicted drop is that small
 is accepted when it lowers the max-norm of the gradient instead.
@@ -37,7 +37,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ._rand import child_rng
-from .geometry import Ball, MetricSpace, euclidean, metric_distance
+from .geometry import MetricSpace, euclidean
 from .grids import BOUNDARY, INTERIOR, GridDomain, GridFunction
 from .weights import Weight
 
@@ -51,11 +51,8 @@ __all__ = [
     "horizontal_gradient",
     "p_energy",
     "weak_form",
-    "vector_inequalities_check",
-    "VectorInequalityReport",
     "monotonicity_gap",
     "solve_dirichlet",
-    "poincare_ratio",
     "default_delta",
 ]
 
@@ -66,23 +63,6 @@ class InvalidTestFunctionError(ValueError):
 
 class InvalidCoefficientsError(ValueError):
     """Coefficient field violates its declared ellipticity envelope."""
-
-
-def eval_shifted(fn, pts: np.ndarray, h: float, interior_point: np.ndarray):
-    """Evaluate `fn` at `pts`, nudging every point where it is non-finite (a
-    point on its singular set) by h/100 toward `interior_point`.  Returns the
-    values and the number of nudged points."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = np.asarray(fn(pts), dtype=float)
-    bad = ~np.all(np.isfinite(out.reshape(len(out), -1)), axis=1)
-    if np.any(bad):
-        shift = interior_point - pts[bad]
-        norms = np.linalg.norm(shift, axis=1, keepdims=True)
-        shift = np.where(norms > 0, shift / np.maximum(norms, 1e-300), 0.0)
-        shift[np.all(shift == 0.0, axis=1)] = np.eye(pts.shape[1])[0]
-        out[bad] = fn(pts[bad] + (h / 100.0) * shift)
-    return out, int(np.count_nonzero(bad))
 
 
 @dataclass
@@ -111,8 +91,16 @@ class MatrixField:
         """Evaluate, nudging any point that hits a singularity of the
         coefficients by h/100 toward the domain interior; counts the nudges
         in `shifted_evaluations`."""
-        out, nudged = eval_shifted(self, pts, h, interior_point)
-        self.shifted_evaluations += nudged
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        out = self(pts)
+        bad = ~np.all(np.isfinite(out.reshape(len(out), -1)), axis=1)
+        if np.any(bad):
+            shift = interior_point - pts[bad]
+            norms = np.linalg.norm(shift, axis=1, keepdims=True)
+            shift = np.where(norms > 0, shift / np.maximum(norms, 1e-300), 0.0)
+            shift[np.all(shift == 0.0, axis=1)] = np.eye(pts.shape[1])[0]
+            out[bad] = self(pts[bad] + (h / 100.0) * shift)
+        self.shifted_evaluations += int(np.count_nonzero(bad))
         return out
 
     @classmethod
@@ -274,102 +262,6 @@ def monotonicity_gap(
     return t1 - t2
 
 
-# --- vector inequalities ------------------------------------------------------
-
-@dataclass(frozen=True)
-class VectorInequalityReport:
-    p: float
-    entries: tuple[dict, ...]
-
-    @property
-    def total_violations(self) -> int:
-        return sum(e["violations"] for e in self.entries)
-
-    def to_dict(self):
-        return {"p": self.p, "entries": list(self.entries),
-                "total_violations": self.total_violations}
-
-
-def _phi_p(x: np.ndarray, p: float) -> np.ndarray:
-    """|x|^{p-2} x with the zero-vector convention phi_p(0) = 0."""
-    norm = np.linalg.norm(x, axis=-1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(norm > 0, norm ** (p - 2.0) * x, 0.0)
-    return out
-
-
-def vector_inequalities_check(
-    p: float,
-    samples: int,
-    seed: int,
-    dims: tuple[int, ...] = (1, 2, 3, 5),
-    rel_slack: float = 1e-10,
-    batch: int = 250_000,
-) -> VectorInequalityReport:
-    """Brute-force check of the four monotonicity/coercivity vector
-    inequalities on random pairs with magnitudes log-uniform in [1e-6, 1e6].
-
-    For the 1 < p <= 2 difference bound the smallest working constant c_p is
-    fitted and recorded alongside the violation count against 2^{2-p}.
-    """
-    if not p > 1:
-        raise ValueError("requires p > 1")
-    entries = []
-    for m in dims:
-        counts = {"difference_bound_p_ge_2": 0, "difference_bound_p_le_2": 0,
-                  "coercivity_p_ge_2": 0, "coercivity_p_le_2": 0}
-        fitted_cp = 0.0
-        done = 0
-        bi = 0
-        while done < samples:
-            nb = min(batch, samples - done)
-            rng = child_rng(seed, "vecineq", m, bi)
-            bi += 1
-            xi = rng.normal(size=(nb, m))
-            xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-            eta = rng.normal(size=(nb, m))
-            eta /= np.linalg.norm(eta, axis=1, keepdims=True)
-            xi *= np.exp(rng.uniform(np.log(1e-6), np.log(1e6), (nb, 1)))
-            eta *= np.exp(rng.uniform(np.log(1e-6), np.log(1e6), (nb, 1)))
-
-            fxi, feta = _phi_p(xi, p), _phi_p(eta, p)
-            dphi = np.linalg.norm(fxi - feta, axis=1)
-            dv = np.linalg.norm(xi - eta, axis=1)
-            nxi = np.linalg.norm(xi, axis=1)
-            neta = np.linalg.norm(eta, axis=1)
-            inner = np.einsum("ij,ij->i", fxi - feta, xi - eta)
-
-            if p >= 2.0:
-                rhs = (p - 1.0) * (nxi ** (p - 2.0) + neta ** (p - 2.0)) * dv
-                counts["difference_bound_p_ge_2"] += int(np.count_nonzero(
-                    dphi > rhs * (1 + rel_slack) + 1e-300))
-                rhs = 2.0 ** (2.0 - p) * dv ** p
-                counts["coercivity_p_ge_2"] += int(np.count_nonzero(
-                    inner < rhs * (1 - rel_slack) - 1e-300))
-            if 1.0 < p <= 2.0:
-                core = dv ** (p - 1.0)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    ratio = np.where(core > 0, dphi / core, 0.0)
-                fitted_cp = max(fitted_cp, float(np.max(ratio)))
-                counts["difference_bound_p_le_2"] += int(np.count_nonzero(
-                    dphi > 2.0 ** (2.0 - p) * core * (1 + rel_slack) + 1e-300))
-                rhs = dv ** p - neta ** (p - 1.0) * dv
-                scale = np.maximum(np.abs(inner), np.abs(rhs))
-                counts["coercivity_p_le_2"] += int(np.count_nonzero(
-                    inner < rhs - rel_slack * scale - 1e-300))
-            done += nb
-        for name, viol in counts.items():
-            applicable = (("ge_2" in name) and p >= 2.0) or (("le_2" in name) and 1.0 < p <= 2.0)
-            if not applicable:
-                continue
-            entry = {"inequality": name, "m": m, "samples": samples, "violations": viol}
-            if name == "difference_bound_p_le_2":
-                entry["fitted_constant"] = fitted_cp
-                entry["reference_constant"] = 2.0 ** (2.0 - p)
-            entries.append(entry)
-    return VectorInequalityReport(p=p, entries=tuple(entries))
-
-
 # --- Dirichlet solver ---------------------------------------------------------
 
 # Rounding margin: no residual target is set below this multiple of
@@ -377,6 +269,14 @@ def vector_inequalities_check(
 # the discrete problem sits at 0.3-0.5 of it), and the line search treats an
 # energy drop below this multiple of eps * |E| as invisible.
 _ROUNDOFF_FACTOR = 10.0
+# The delta-continuation starts at DELTA_INIT and halves down to delta_final.
+DELTA_INIT = 1e-2
+# A delta level stops after at most NEWTON_PER_LEVEL Newton steps.
+NEWTON_PER_LEVEL = 40
+# The floor of the CG forcing term: a Newton step asks CG for the relative
+# residual clamp(0.1 * target / |gradient|, CG_RTOL, 0.1).  A p = 2 solve has
+# one level, and its first step uses CG_RTOL itself.
+CG_RTOL = 1e-10
 
 
 @dataclass
@@ -385,18 +285,12 @@ class SolverConfig:
 
     `tolerance` is the stopping tolerance of the last delta level, relative
     to the first residual; earlier levels stop at max(tolerance, delta).
-    `cg_rtol` is the floor of the CG forcing term: a Newton step asks CG for
-    the relative residual clamp(0.1 * target / |gradient|, cg_rtol, 0.1).
-    A p = 2 solve has one level, and its first step uses `cg_rtol` itself.
     """
 
     p: float
     delta_final: float | None = None
-    delta_init: float = 1e-2
     tolerance: float = 1e-10
     max_iterations: int = 400
-    newton_per_level: int = 40
-    cg_rtol: float = 1e-10
     init: str = "psi"          # "psi" or "zero"
 
     def __post_init__(self):
@@ -411,7 +305,7 @@ class SolverConfig:
         if self.p == 2.0:
             return [self.delta_final]
         out = []
-        d = self.delta_init
+        d = DELTA_INIT
         while d > self.delta_final:
             out.append(d)
             d *= 0.5
@@ -607,7 +501,7 @@ def solve_dirichlet(
         def count_cg(_xk, level=level):
             level["cg_iterations"] += 1
 
-        for _ in range(config.newton_per_level):
+        for _ in range(NEWTON_PER_LEVEL):
             energy, grad, cache = disc.energy_gradient(values, p, delta)
             gfree = grad[disc.free]
             gnorm = float(np.max(np.abs(gfree))) if len(gfree) else 0.0
@@ -626,7 +520,7 @@ def solve_dirichlet(
             diag[diag <= 0] = 1.0
             precond = spla.LinearOperator(hess.shape, matvec=lambda x, d=diag: x / d)
             # forcing term: solve only as far as the Newton target needs
-            rtol = min(max(0.1 * target / gnorm, config.cg_rtol), 0.1)
+            rtol = min(max(0.1 * target / gnorm, CG_RTOL), 0.1)
             step, info = spla.cg(hess, -gfree, rtol=rtol, atol=0.0,
                                  maxiter=10 * len(gfree), M=precond, callback=count_cg)
             level["cg_rtol"].append(rtol)
@@ -681,40 +575,3 @@ def solve_dirichlet(
         levels=levels,
     )
     return u, report
-
-
-def poincare_ratio(
-    w: Weight,
-    v: Weight,
-    p: float,
-    q: float,
-    f: GridFunction,
-    ball: Ball,
-    space: MetricSpace | None = None,
-) -> float:
-    """(v-weighted q-mean oscillation of f around its v-mean on B) divided by
-    (r times the w-weighted p-mean of |Xf| on B); 0 when f is constant."""
-    dom = f.domain
-    space = space or euclidean(dom.n)
-    coords = dom.node_coords().reshape(-1, dom.n)
-    in_ball = dom.node_distances(space, ball.center) < ball.radius
-    if np.count_nonzero(in_ball) < 2:
-        raise ValueError("ball contains fewer than 2 grid nodes")
-    interior_point = dom.bounds.mean(axis=1)
-    vals = f.values.ravel()[in_ball]
-    vw, _ = eval_shifted(v, coords[in_ball], dom.h, interior_point)
-    f_mean = float(np.sum(vals * vw) / np.sum(vw))
-    lhs = float((np.sum(np.abs(vals - f_mean) ** q * vw) / np.sum(vw)) ** (1.0 / q))
-    scale = float(np.max(np.abs(vals - vals.mean()))) if len(vals) else 0.0
-    if lhs <= 1e-14 * max(scale, 1.0):
-        return 0.0
-    g = horizontal_gradient(space, f)
-    centers = g.centers
-    cball = np.asarray(metric_distance(space, centers,
-                                       np.broadcast_to(ball.center, centers.shape))) < ball.radius
-    if not np.any(cball):
-        raise ValueError("ball contains no quadrature cells")
-    gw, _ = eval_shifted(w, centers[cball], dom.h, interior_point)
-    gn = np.linalg.norm(g.values[cball], axis=1)
-    rhs = ball.radius * float((np.sum(gn ** p * gw) / np.sum(gw)) ** (1.0 / p))
-    return lhs / rhs

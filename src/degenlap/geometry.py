@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._rand import child_rng
 
@@ -120,8 +119,11 @@ class Box:
 def euclidean(n: int) -> MetricSpace:
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    log_c0 = (n / 2.0) * math.log(math.pi) - gammaln(n / 2.0 + 1.0)
-    return MetricSpace(kind="euclidean", n=n, Q=n, unit_ball_volume=math.exp(log_c0))
+    # unit-ball volume by V_k = (2 pi / k) V_{k-2}, from V_0 = 1 or V_1 = 2
+    c0 = 2.0 if n % 2 else 1.0
+    for k in range(2 + n % 2, n + 1, 2):
+        c0 *= 2.0 * math.pi / k
+    return MetricSpace(kind="euclidean", n=n, Q=n, unit_ball_volume=c0)
 
 
 def heisenberg1() -> MetricSpace:

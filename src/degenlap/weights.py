@@ -10,9 +10,10 @@ operationalized through two falsifiable signals:
   geometrically instead of silently undersampling, and the average is
   flagged as diverging;
 * plateau detection -- the running supremum is tracked across three
-  successive doublings of ball count and sampling budget; if it keeps
-  growing (relative change >= 1% per stage) the estimate is reported as
-  "unbounded-suspected".
+  successive doublings of ball count and sampling budget; if it rises at
+  every stage and not every rise is below 1% of the new value (so it has
+  not plateaued), the estimate is reported as "unbounded-suspected".  A
+  diverging ball average at any stage raises the same flag.
 """
 from __future__ import annotations
 
@@ -40,8 +41,6 @@ __all__ = [
     "EstimateTrace",
     "WeightReport",
     "BalanceReport",
-    "PowerClassReport",
-    "SubsetMassReport",
     "SingularSampleError",
     "OutOfRegimeError",
     "ball_average",
@@ -50,11 +49,9 @@ __all__ = [
     "a1_constant",
     "rh_constant",
     "maximal_function",
-    "power_class_check",
     "balance_check",
     "tau_exponent",
     "mu_p",
-    "subset_mass_check",
     "power_weight",
     "axis_power_weight",
     "log_weight",
@@ -116,7 +113,6 @@ class Weight:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     singularity: Singularity | None = None
-    claimed: tuple[str, ...] = ()
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -194,15 +190,13 @@ class BallSamples:
     volumes: np.ndarray
     volume_se: np.ndarray
 
-    def mass(self, fn: Callable[[np.ndarray], np.ndarray],
-             indicator: Callable[[np.ndarray], np.ndarray] | None = None):
-        """Estimate integral of fn over (ball ∩ domain) [restricted to the
-        indicator set], together with per-stratum contributions.
+    def mass(self, fn: Callable[[np.ndarray], np.ndarray]):
+        """Estimate integral of fn over (ball ∩ domain), together with
+        per-stratum contributions.
 
         Returns (mass, se, contributions, (vmin, vmax)): contributions[j] is
         the stratum-j share of the integral, and vmin, vmax bound the values
-        of fn (before the indicator) over all samples, (inf, -inf) if there
-        are none.
+        of fn over all samples, (inf, -inf) if there are none.
         """
         k = len(self.points)
         contrib = np.zeros(k)
@@ -218,8 +212,6 @@ class BallSamples:
                 raise SingularSampleError(pts[bad], vals[bad])
             vmin = min(vmin, float(vals.min()))
             vmax = max(vmax, float(vals.max()))
-            if indicator is not None:
-                vals = vals * indicator(pts)
             means[j] = vals.mean()
             contrib[j] = self.volumes[j] * means[j]
             var_terms[j] = (self.volumes[j] ** 2) * vals.var() / max(len(vals), 1)
@@ -549,8 +541,8 @@ def ap_constant(
 ) -> WeightReport:
     """Estimate [w]_{A_p}: sup over sampled balls of (avg w)(avg w^{1-p'})^{p-1}.
 
-    The report also carries the doubling ratio sup w(2B)/w(B) over the final
-    ball family.
+    The report also carries the doubling ratio sup w(2B)/w(B) over at most
+    64 evenly spaced balls of the final ball family.
     """
     if not p > 1:
         raise ValueError("A_p requires p > 1")
@@ -700,56 +692,6 @@ def a1_constant(
     )
 
 
-def power_class_check(
-    weight: Weight,
-    p: float,
-    t: float,
-    space: MetricSpace,
-    domain: Box,
-    window: tuple[float, float],
-    balls: int = 1024,
-    budget: int = 1024,
-    seed: int = 0,
-):
-    """Estimate [w]_{A_p}, [w]_{RH_t} and [w^t]_{A_q} with q = t(p-1)+1 and
-    report whether finiteness of the first two is matched by the third."""
-    q = t * (p - 1.0) + 1.0
-    rep_ap = ap_constant(weight, p, space, domain, window, balls, budget, seed)
-    rep_rh = rh_constant(weight, t, space, domain, window, balls, budget, seed)
-    rep_aq = ap_constant(weight.pow(t), q, space, domain, window, balls, budget, seed)
-    finite = lambda tr: tr is not None and not tr.unbounded_suspected
-    return PowerClassReport(
-        weight=weight.name,
-        p=p,
-        t=t,
-        q=q,
-        ap=rep_ap.ap_estimate,
-        rh=rep_rh.rh_estimate,
-        aq=rep_aq.ap_estimate,
-        consistent=bool(not (finite(rep_ap.ap_estimate) and finite(rep_rh.rh_estimate))
-                        or finite(rep_aq.ap_estimate)),
-    )
-
-
-@dataclass(frozen=True)
-class PowerClassReport:
-    weight: str
-    p: float
-    t: float
-    q: float
-    ap: EstimateTrace
-    rh: EstimateTrace
-    aq: EstimateTrace
-    consistent: bool
-
-    def to_dict(self):
-        return {
-            "weight": self.weight, "p": self.p, "t": self.t, "q": self.q,
-            "ap": self.ap.to_dict(), "rh": self.rh.to_dict(), "aq": self.aq.to_dict(),
-            "consistent": self.consistent,
-        }
-
-
 @dataclass(frozen=True)
 class BalanceReport:
     """Best empirical constant in the nested-ball balance inequality."""
@@ -867,97 +809,3 @@ def mu_p(
     samples = gather_ball_samples(space, ball, budget, seed, domain,
                                   w.singularity or v.singularity, tag="mu")
     return (samples.mass(v)[0] / samples.mass(w)[0]) ** (1.0 / p)
-
-
-@dataclass(frozen=True)
-class SubsetMassReport:
-    subsets: int
-    rh_checked: bool
-    ap_checked: bool
-    rh_violations: int
-    ap_violations: int
-    worst_rh_margin: float
-    worst_ap_margin: float
-
-    def to_dict(self):
-        return {
-            "subsets": self.subsets,
-            "rh_checked": self.rh_checked, "ap_checked": self.ap_checked,
-            "rh_violations": self.rh_violations, "ap_violations": self.ap_violations,
-            "worst_rh_margin": self.worst_rh_margin, "worst_ap_margin": self.worst_ap_margin,
-        }
-
-
-def subset_mass_check(
-    w: Weight,
-    space: MetricSpace,
-    ball: Ball,
-    p: float | None = None,
-    t: float | None = None,
-    ap_value: float | None = None,
-    rh_value: float | None = None,
-    subsets: int = 256,
-    budget: int = 4096,
-    seed: int = 0,
-    include_full_ball: bool = True,
-    rel_slack: float = 0.05,
-) -> SubsetMassReport:
-    """Check the subset-mass inequalities on random unions of sub-balls E ⊆ B:
-
-        w(E)/w(B) <= [w]_{RH_t} (|E|/|B|)^{1/t'}       (needs t, rh_value)
-        |E|/|B|  <= ([w]_{A_p} w(E)/w(B))^{1/p}        (needs p, ap_value)
-
-    Violations are counted beyond a relative Monte-Carlo slack.
-    """
-    samples = gather_ball_samples(space, ball, budget, seed, None, w.singularity, tag="subset")
-    w_mass = samples.mass(w)[0]
-    vol_mass = samples.mass(lambda pts: np.ones(len(pts)))[0]
-    rng = child_rng(seed, "subsets")
-
-    rh_viol = ap_viol = 0
-    worst_rh = worst_ap = -math.inf
-    count = 0
-    for k in range(subsets):
-        if include_full_ball and k == 0:
-            member = lambda pts: np.ones(len(pts))
-        else:
-            nsub = int(rng.integers(1, 5))
-            subc = sample_ball(space, ball, nsub, seed=subseed(seed, ("subc", k)))
-            subr = ball.radius * rng.uniform(0.05, 0.5, nsub)
-
-            def member(pts, subc=subc, subr=subr):
-                inside = np.zeros(len(pts), dtype=bool)
-                for c, r in zip(subc, subr):
-                    d = np.asarray(metric_distance(space, pts, np.broadcast_to(c, pts.shape)))
-                    inside |= d < r
-                return inside.astype(float)
-
-        wE = samples.mass(w, indicator=member)[0]
-        volE = samples.mass(lambda pts: np.ones(len(pts)), indicator=member)[0]
-        frac_w = wE / w_mass
-        frac_vol = volE / vol_mass
-        if frac_vol <= 0:
-            continue
-        count += 1
-        if t is not None and rh_value is not None:
-            tprime = t / (t - 1.0)
-            rhs = rh_value * frac_vol ** (1.0 / tprime)
-            margin = frac_w - rhs
-            worst_rh = max(worst_rh, margin / max(rhs, 1e-300))
-            if frac_w > rhs * (1.0 + rel_slack) + 1e-12:
-                rh_viol += 1
-        if p is not None and ap_value is not None:
-            rhs = (ap_value * frac_w) ** (1.0 / p)
-            margin = frac_vol - rhs
-            worst_ap = max(worst_ap, margin / max(rhs, 1e-300))
-            if frac_vol > rhs * (1.0 + rel_slack) + 1e-12:
-                ap_viol += 1
-    return SubsetMassReport(
-        subsets=count,
-        rh_checked=t is not None and rh_value is not None,
-        ap_checked=p is not None and ap_value is not None,
-        rh_violations=rh_viol,
-        ap_violations=ap_viol,
-        worst_rh_margin=worst_rh,
-        worst_ap_margin=worst_ap,
-    )

@@ -29,7 +29,7 @@ def test_constant_fixture_claims():
 def test_axis_fixture_metadata():
     fix = fixture("axis-degenerate-planar")
     assert fix.p == 2.0 and fix.q == 3.0
-    assert "A_1" in fix.weight.claimed and "RH_2" in fix.weight.claimed
+    assert "A_1" in fix.claimed["classes"] and "RH_2" in fix.claimed["classes"]
     assert fix.discontinuity == "hyperplane x1 = 0"
     # solution formula: sign(x) exp(|x|^{2/3}) sin(2y/3)
     val = fix.solution(np.array([[0.5, 0.3]]))[0]

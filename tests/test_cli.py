@@ -1,11 +1,9 @@
 import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import degenlap

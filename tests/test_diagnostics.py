@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from degenlap._rand import child_rng
 from degenlap.geometry import Ball, Box
 from degenlap.grids import GridDomain, GridFunction
-from degenlap.weights import constant_weight, power_weight
+from degenlap.weights import constant_weight
 from degenlap.energy import MatrixField, SolverConfig, solve_dirichlet
 from degenlap.catalog import fixture
 from degenlap.diagnostics import (
@@ -20,9 +20,7 @@ from degenlap.diagnostics import (
     gamma_factor,
     harnack_quotient,
     holder_exponent,
-    mean_value_check,
     oscillation,
-    precise_representative,
 )
 
 I2 = MatrixField.identity(2)
@@ -137,53 +135,6 @@ def test_harnack_rejects_nonpositive(e2):
         harnack_quotient(u, e2, Ball([0.0, 0.0], 0.3))
 
 
-# --- mean value ----------------------------------------------------------------------
-
-def test_mean_value_nonpositive_solution(e2):
-    dom = GridDomain.box([(-1, 1), (-1, 1)], (33, 33))
-    u = GridFunction.from_callable(dom, lambda x: -1.0 - x[:, 0] ** 2)
-    one = constant_weight(1.0, 2)
-    res = mean_value_check(u, 2.0, one, one, e2, Ball([0.0, 0.0], 0.5))
-    assert res.ratio == 0.0 and res.lhs == 0.0
-
-
-def test_mean_value_constant_positive(e2):
-    dom = GridDomain.box([(-1, 1), (-1, 1)], (33, 33))
-    u = GridFunction.from_callable(dom, lambda x: np.full(len(x), 3.0))
-    one = constant_weight(1.0, 2)
-    res = mean_value_check(u, 2.0, one, one, e2, Ball([0.0, 0.0], 0.5))
-    assert res.ratio == pytest.approx(1.0, rel=1e-12)
-    assert res.mu_p == pytest.approx(1.0, rel=1e-12)
-
-
-def test_mean_value_solutions_plateau(e2):
-    one = constant_weight(1.0, 2)
-    rng = child_rng(2, "mv")
-    maxima = {}
-    for nn in (33, 65):
-        dom = GridDomain.box([(-1, 1), (-1, 1)], (nn, nn))
-        worst = 0.0
-        for k in range(20):
-            a, b = rng.normal(size=2)
-            psi = GridFunction.from_callable(
-                dom, lambda x, a=a, b=b: 3.0 + a * 0.3 * x[:, 0] + b * 0.3 * x[:, 1])
-            u, _ = solve_dirichlet(I2, 2.0, psi, config=SolverConfig(p=2.0, init="zero"))
-            res = mean_value_check(u, 2.0, one, one, e2, Ball([0.0, 0.0], 0.6))
-            worst = max(worst, res.ratio)
-        maxima[nn] = worst
-    assert abs(maxima[65] / maxima[33] - 1.0) < 0.5
-
-
-def test_mean_value_validation(e2):
-    dom = GridDomain.box([(-1, 1), (-1, 1)], (33, 33))
-    u = GridFunction(dom, np.zeros(dom.shape))
-    one = constant_weight(1.0, 2)
-    with pytest.raises(ValueError):
-        mean_value_check(u, 2.0, one, one, e2, Ball([0.0, 0.0], 0.5), alpha=0.3)
-    with pytest.raises(ValueError):
-        mean_value_check(u, 2.0, one, one, e2, Ball([0.0, 0.0], 0.5), sigma=0.9)
-
-
 # --- Holder exponent ------------------------------------------------------------------
 
 def test_holder_affine(e2):
@@ -222,32 +173,6 @@ def test_holder_constant_certified(e2):
     fit = holder_exponent(u, e2, [0.0, 0.0], dyadic_radii(0.4, dom.h))
     assert not fit.no_decay
     assert math.isinf(fit.alpha)
-
-
-# --- precise representative ------------------------------------------------------------
-
-def test_precise_representative_continuous(e2):
-    dom = GridDomain.box([(-1, 1), (-1, 1)], (129, 129))
-    u = GridFunction.from_callable(dom, lambda x: np.exp(x[:, 0]) * np.cos(x[:, 1]))
-    radii = dyadic_radii(0.3, dom.h)
-    pv = precise_representative(u, e2, [0.2, -0.1], radii)
-    assert pv.converged
-    assert abs(pv.value - math.exp(0.2) * math.cos(-0.1)) < 10 * dom.h
-    # certificate: |u_B(t) - u_B(s)| <= osc(t)
-    diffs = np.abs(np.diff(pv.averages))
-    assert np.all(diffs <= np.array(pv.certificate) + 1e-12)
-
-
-def test_precise_representative_sign_function(e2):
-    dom = GridDomain.box([(-1, 1), (-1, 1)], (129, 129))
-    u = GridFunction.from_callable(dom, lambda x: np.sign(x[:, 0]))
-    radii = dyadic_radii(0.3, dom.h)
-    right = precise_representative(u, e2, [0.5, 0.0], radii)
-    assert right.converged and right.value == pytest.approx(1.0, abs=1e-12)
-    center = precise_representative(u, e2, [0.0, 0.0], radii)
-    # averages vanish by symmetry: the limit exists despite the jump
-    assert center.converged
-    assert abs(center.value) < 0.05
 
 
 # --- continuity map ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from degenlap._rand import child_rng
-from degenlap.grids import GridDomain, GridFunction
+from degenlap.grids import GridDomain
 from degenlap.cli import bump_function
 from degenlap.distortion import (
     MappingSpec,

@@ -67,6 +67,13 @@ def test_ball_volume_euclidean(e2, e3):
     assert ball_volume(e2, Ball([0.0, 0.0], 1.0)) == pytest.approx(math.pi, rel=1e-14)
     assert ball_volume(e3, Ball([1.0, 2.0, 3.0], 2.0)) == pytest.approx(
         4.0 / 3.0 * math.pi * 8.0, rel=1e-14)
+    pi = math.pi
+    closed = {1: 2.0, 2: pi, 3: 4.0 * pi / 3.0, 4: pi ** 2 / 2.0,
+              5: 8.0 * pi ** 2 / 15.0, 6: pi ** 3 / 6.0}
+    for n, c0 in closed.items():
+        assert euclidean(n).unit_ball_volume == pytest.approx(c0, rel=1e-15)
+    assert euclidean(1).unit_ball_volume == 2.0
+    assert euclidean(3).unit_ball_volume == 4.0 * pi / 3.0  # correctly rounded
 
 
 def test_ball_volume_homogeneity(e3, heis):

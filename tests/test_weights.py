@@ -20,10 +20,8 @@ from degenlap.weights import (
     log_weight,
     maximal_function,
     mu_p,
-    power_class_check,
     power_weight,
     rh_constant,
-    subset_mass_check,
     tau_exponent,
 )
 
@@ -372,25 +370,7 @@ def test_maximal_radial_power_law(e3):
     assert coeffs[0] == pytest.approx(target, abs=0.08)
 
 
-# --- power class / balance / tau / mu_p ----------------------------------------------
-
-def test_power_class_trivial(e1):
-    rep = power_class_check(constant_weight(1.0, 1), 3.0, 2.0, e1, BOX1, (1e-3, 1.0),
-                            balls=64, budget=128, seed=17)
-    assert rep.q == 5.0
-    assert rep.ap.value == 1.0 and rep.rh.value == 1.0 and rep.aq.value == 1.0
-    assert rep.consistent
-
-
-def test_power_class_planar(e2):
-    rep = power_class_check(power_weight(-1.0 / 3.0, 2), 2.0, 2.0, e2, BOX2,
-                            (1e-3, 1.0), balls=384, budget=1024, seed=18)
-    assert rep.q == 3.0
-    assert rep.consistent
-    assert not rep.aq.unbounded_suspected
-    # dense radial reduction of [k^2]_{A_3} over centered discs
-    assert rep.aq.value >= centered_ap_power_2d(-2.0 / 3.0, 3.0) - 0.1
-
+# --- balance / tau / mu_p ----------------------------------------------
 
 def test_balance_trivial_pair(e2):
     one = constant_weight(1.0, 2)
@@ -455,35 +435,6 @@ def test_mu_p_holder_bound(e2):
     mu = mu_p(k.pow(-1.0), k, 2.0, e2, ball, budget=8192, seed=25)
     avg_k = ball_average(k, e2, ball, budget=8192, seed=25).value
     assert mu <= avg_k + 3e-2
-
-
-# --- subset mass -------------------------------------------------------------------
-
-def test_subset_mass_trivial(e2):
-    rep = subset_mass_check(constant_weight(1.0, 2), e2, Ball([0.0, 0.0], 1.0),
-                            p=2.0, t=2.0, ap_value=1.0, rh_value=1.0,
-                            subsets=64, budget=2048, seed=26)
-    assert rep.rh_violations == 0
-    assert rep.ap_violations == 0
-    # E = B realizes equality (both sides 1) when the constants are 1
-    assert rep.worst_rh_margin == pytest.approx(0.0, abs=1e-12)
-    assert rep.worst_ap_margin == pytest.approx(0.0, abs=1e-12)
-
-
-def test_subset_mass_planar_weight(e2):
-    k = power_weight(-1.0 / 3.0, 2)
-    ap = ap_constant(k, 2.0, e2, BOX2, (1e-3, 1.0), balls=256, budget=1024, seed=27)
-    rh = rh_constant(k, 2.0, e2, BOX2, (1e-3, 1.0), balls=256, budget=1024, seed=27)
-    rep = subset_mass_check(k, e2, Ball([0.0, 0.0], 1.0),
-                            p=2.0, t=2.0,
-                            ap_value=ap.ap_estimate.value, rh_value=rh.rh_estimate.value,
-                            subsets=1000, budget=4096, seed=28)
-    assert rep.subsets >= 1000
-    assert rep.rh_violations == 0
-    assert rep.ap_violations == 0
-    # estimated constants exceed 1, so all margins stay below zero
-    assert rep.worst_rh_margin <= 0.0
-    assert rep.worst_ap_margin <= 0.0
 
 
 # --- structural invariants -----------------------------------------------------------
