@@ -87,7 +87,6 @@ _DEFAULTS = {
         "dimension": 3,
         "epsilon": 0.1,
         "samples": 200,
-        "directions": 256,
         "residual_resolution": 0,
         "tubes": [0.2, 0.15, 0.1],
         "bump_count": 2,
@@ -99,7 +98,7 @@ _DEFAULTS = {
     },
 }
 
-# n = 3 solves above this node count per axis are clamped to it.  Hessian
+# n = 3 solves above this node count per axis are refused.  Hessian
 # assembly sets the memory peak: measured peak RSS 646 MB at 48^3 and
 # 1.47 GB at 64^3, on a 2-CPU host with 7 GB of RAM.
 MAX_RESOLUTION_3D = 48
@@ -189,10 +188,10 @@ def _build_domain(cfg, dim: int) -> GridDomain:
     res = int(cfg["resolution"])
     if res < 5:
         raise ConfigError("resolution must be >= 5")
-    downsampled_from = None
     if dim == 3 and res > MAX_RESOLUTION_3D:
-        downsampled_from = res
-        res = MAX_RESOLUTION_3D
+        raise ConfigError(
+            f"3-d resolution {res} is above the limit {MAX_RESOLUTION_3D}: Hessian assembly "
+            "peaks at 646 MB RSS at 48^3 and 1.47 GB at 64^3")
     shape = (res,) * dim
     bounds = cfg["bounds"] or [[-1.0, 1.0]] * dim
     mask = cfg["mask"]
@@ -207,7 +206,6 @@ def _build_domain(cfg, dim: int) -> GridDomain:
                                  float(params.get("outer", 1.0)), shape, bounds=bounds)
     else:
         raise ConfigError(f"unknown mask {mask!r}")
-    dom.downsampled_from = downsampled_from
     return dom
 
 
@@ -318,9 +316,6 @@ def run_solve(cfg) -> int:
         a_field = E.MatrixField.identity(space.m)
     _resolve_mask(cfg, fixture)
     domain = _build_domain(cfg, dim)
-    if domain.downsampled_from:
-        cfg["resolution"] = domain.shape[0]
-        cfg["downsampled_from"] = domain.downsampled_from
     p = float(cfg["p"])
     psi_fn = _parse_psi(cfg["psi"], dim, fixture)
     psi = GridFunction.from_callable(domain, psi_fn)
@@ -334,9 +329,6 @@ def run_solve(cfg) -> int:
     out = _outdir(cfg)
     _write_resolved(cfg, out)
     u, report = E.solve_dirichlet(a_field, p, psi, domain, config, space)
-    if domain.downsampled_from:
-        report.notes["downsampled_from"] = domain.downsampled_from
-        report.notes["resolution"] = domain.shape[0]
     u.to_csv(out / "solution.csv")
     write_json(out / "solve-report.json", {"solve_report": report.to_dict()})
     if cfg.get("pgm") and dim == 2:
@@ -401,6 +393,10 @@ def run_distortion(cfg) -> int:
     eps = float(cfg["epsilon"])
     if eps <= 0:
         raise ConfigError("epsilon must be positive")
+    res = int(cfg["residual_resolution"])
+    if res > 2 * MAX_RESOLUTION_3D + 1:
+        raise ConfigError(f"residual resolution {res} is above the limit "
+                          f"{2 * MAX_RESOLUTION_3D + 1}")
     mapping = DT.radial_exp_map(eps, 3)
     rng = child_rng(int(cfg["seed"]), "cli-distortion")
     n = int(cfg["samples"])
@@ -409,13 +405,8 @@ def run_distortion(cfg) -> int:
     pts = pts[(r > 0.05) & (r < 0.95)][:n]
     out = _outdir(cfg)
     _write_resolved(cfg, out)
-    report = DT.sample_distortion_report(mapping, pts, directions=int(cfg["directions"]),
-                                         seed=int(cfg["seed"]))
-    resid = None
-    res = int(cfg["residual_resolution"])
+    report = DT.sample_distortion_report(mapping, pts)
     if res > 0:
-        # odd, so that no cell center sits on the map's singular point
-        res = min(res, MAX_RESOLUTION_3D * 2 + 1)
         dom = GridDomain.box([[-0.5, 0.5]] * 3, (res,) * 3)
         rng2 = child_rng(int(cfg["seed"]), "cli-bumps")
         bumps = []
@@ -429,8 +420,7 @@ def run_distortion(cfg) -> int:
         except DT.SingularPointError as exc:
             raise ConfigError(f"residual resolution {res}: {exc}; "
                               "use an odd resolution") from exc
-        resid = table.to_dict()
-        report.residuals = resid
+        report.residuals = table.to_dict()
     write_json(out / "distortion-report.json", {"distortion": report.to_dict()})
     header = ["x1", "x2", "x3", "jacobian_det", "op_norm", "adj_norm",
               "outer", "inner", "g_eig_min", "g_eig_max"]
@@ -528,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.add_argument("--epsilon", type=float, default=None)
     s.add_argument("--samples", type=int, default=None)
-    s.add_argument("--directions", type=int, default=None)
     s.add_argument("--residual-resolution", dest="residual_resolution",
                    type=int, default=None)
 

@@ -3,22 +3,24 @@ distortion, the distortion tensor, ellipticity verification, and the weak
 residual showing that coordinate functions solve the degenerate n-Laplacian
 with coefficients G^{-1}.
 
-Operator norms are the square roots of the largest eigenvalues of A^T A
-(LAPACK `eigvalsh`); the adjugate is computed cofactor-wise so it remains
-valid for singular matrices.
+The matrix routines take one (n, n) matrix or a (K, n, n) stack.  Operator
+norms are the square roots of the largest eigenvalues of A^T A (LAPACK
+`eigvalsh`); the adjugate is computed cofactor-wise so it remains valid for
+singular matrices.  The ellipticity sandwiches are checked exactly: the
+extremes of <G^{-1} xi, xi> over unit xi are the extreme eigenvalues of
+G^{-1}, so no direction is sampled.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from ._rand import child_rng
 from .geometry import MetricSpace, euclidean
 from .grids import BOUNDARY, GridDomain, GridFunction
-from .energy import InvalidTestFunctionError, _Discretization, _weak_form_cells
+from .energy import (InvalidTestFunctionError, _Discretization, _sandwich_violations,
+                     _weak_form_cells)
 
 __all__ = [
     "MappingSpec",
@@ -61,21 +63,29 @@ class MappingSpec:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.singular_point is not None:
-            d = np.linalg.norm(pts - self.singular_point, axis=1)
-            if np.any(d < 10 * np.finfo(float).eps):
-                raise SingularPointError(f"{self.name} evaluated at its singular point")
+        self._refuse_singular(pts)
         return np.asarray(self.fn(pts), dtype=float).reshape(len(pts), self.dim)
+
+    def _regular(self, pts: np.ndarray) -> np.ndarray:
+        if self.singular_point is None:
+            return np.ones(len(pts), dtype=bool)
+        return np.linalg.norm(pts - self.singular_point, axis=1) >= 10 * np.finfo(float).eps
+
+    def _refuse_singular(self, pts: np.ndarray) -> None:
+        if not np.all(self._regular(pts)):
+            raise SingularPointError(f"{self.name} evaluated at its singular point")
 
 
 def jacobian(mapping: MappingSpec, x: np.ndarray, h_fd: float = 1e-6,
              method: str = "auto") -> np.ndarray:
     """Jacobian matrix Df(x): analytic evaluator when available, otherwise
     centered finite differences with step h_fd.  Both paths are exposed for
-    cross-validation."""
+    cross-validation.  Raises SingularPointError, before evaluating either
+    path, if a point sits on the mapping's singular point."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
+    mapping._refuse_singular(pts)
     if method == "auto":
         method = "analytic" if mapping.jacobian_fn is not None else "fd"
     if method == "analytic":
@@ -125,71 +135,57 @@ def operator_norm(mats: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DistortionScalars:
-    jacobian_det: float
-    op_norm: float
-    adj_norm: float
-    outer: float   # K_O = |Df|^n / J_f, +inf when J_f = 0
-    inner: float   # K_I = |adj Df|^n / J_f^(n-1), +inf when J_f = 0
+    """Floats for one matrix, (K,) arrays for a stack of K."""
+
+    jacobian_det: float | np.ndarray
+    op_norm: float | np.ndarray
+    adj_norm: float | np.ndarray
+    outer: float | np.ndarray   # K_O = |Df|^n / J_f, +inf when J_f = 0
+    inner: float | np.ndarray   # K_I = |adj Df|^n / J_f^(n-1), +inf when J_f = 0
 
 
 def distortion_scalars(df: np.ndarray) -> DistortionScalars:
     """Jacobian determinant, operator norms and the outer/inner distortion of
-    one matrix; raises for orientation-reversing (negative determinant)."""
-    df = np.asarray(df, dtype=float)
-    n = df.shape[0]
-    jac = float(np.linalg.det(df))
-    if jac < 0:
-        raise OrientationReversedError(f"J_f = {jac} < 0")
-    adj = adjugate(df)
-    opn = operator_norm(df)
-    adjn = operator_norm(adj)
-    if jac == 0.0:
-        return DistortionScalars(jac, opn, adjn, math.inf, math.inf)
-    return DistortionScalars(
-        jacobian_det=jac,
-        op_norm=opn,
-        adj_norm=adjn,
-        outer=opn ** n / jac,
-        inner=adjn ** n / jac ** (n - 1),
-    )
-
-
-def distortion_tensor(df: np.ndarray, jac: float | None = None) -> np.ndarray:
-    """G = Df^T Df / J_f^{2/n}; unimodular by construction (det G = 1)."""
+    one matrix or a stack; raises for orientation-reversing (negative
+    determinant) matrices."""
     df = np.asarray(df, dtype=float)
     n = df.shape[-1]
-    if jac is None:
-        jac = float(np.linalg.det(df))
-    if jac <= 0:
+    jac = np.linalg.det(df)
+    if np.any(jac < 0):
+        raise OrientationReversedError(f"J_f = {np.min(jac)} < 0")
+    opn = operator_norm(df)
+    adjn = operator_norm(adjugate(df))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        outer = np.where(jac > 0, opn ** n / jac, np.inf)
+        inner = np.where(jac > 0, adjn ** n / jac ** (n - 1), np.inf)
+    if df.ndim == 2:
+        return DistortionScalars(float(jac), opn, adjn, float(outer), float(inner))
+    return DistortionScalars(jac, opn, adjn, outer, inner)
+
+
+def distortion_tensor(df: np.ndarray, jac: float | np.ndarray | None = None) -> np.ndarray:
+    """G = Df^T Df / J_f^{2/n} of one matrix or a stack; unimodular by
+    construction (det G = 1).  `jac` is J_f when already known."""
+    df = np.asarray(df, dtype=float)
+    n = df.shape[-1]
+    jac = np.linalg.det(df) if jac is None else np.asarray(jac, dtype=float)
+    if np.any(jac <= 0):
         raise ValueError("distortion tensor needs J_f > 0")
-    return (df.T @ df) / jac ** (2.0 / n)
+    return (np.swapaxes(df, -1, -2) @ df) / (jac ** (2.0 / n))[..., None, None]
 
 
-def ellipticity_check(
-    g_inv: np.ndarray,
-    outer: float,
-    inner: float,
-    n: int,
-    directions: int = 1024,
-    seed: int = 0,
-    rel_slack: float = 1e-9,
-) -> int:
-    """Count violating unit directions for the two distortion sandwiches
+def ellipticity_check(g_inv: np.ndarray, outer, inner, n: int) -> int:
+    """Number of matrices G^{-1} (one, or a stack with (K,) arrays of K_O
+    and K_I) violating the distortion sandwiches
 
         K_O^{-2/n} |xi|^2 <= <G^{-1} xi, xi> <= K_I^{2/n} |xi|^2
         K_I^{-2/n'} |xi|^2 <= <G^{-1} xi, xi>         (n' = n/(n-1))
-    """
-    rng = child_rng(seed, "ellipticity")
-    xi = rng.normal(size=(directions, n))
-    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-    quad = np.einsum("ij,di,dj->d", np.asarray(g_inv, dtype=float), xi, xi)
+
+    for some direction xi.  Exact: the extreme eigenvalues of G^{-1} are
+    compared with max(K_O^{-2/n}, K_I^{-2/n'}) and K_I^{2/n}."""
     nprime = n / (n - 1.0)
-    lo_outer = outer ** (-2.0 / n)
-    lo_inner = inner ** (-2.0 / nprime)
-    hi = inner ** (2.0 / n)
-    bad = (quad < lo_outer * (1 - rel_slack)) | (quad < lo_inner * (1 - rel_slack)) | (
-        quad > hi * (1 + rel_slack))
-    return int(np.count_nonzero(bad))
+    lo = np.maximum(outer ** (-2.0 / n), inner ** (-2.0 / nprime))
+    return _sandwich_violations(np.asarray(g_inv, dtype=float), lo, inner ** (2.0 / n))
 
 
 def column_identity_check(mapping: MappingSpec, pts: np.ndarray,
@@ -200,23 +196,18 @@ def column_identity_check(mapping: MappingSpec, pts: np.ndarray,
     pts = np.atleast_2d(pts)
     n = mapping.dim
     dfs = jacobian(mapping, pts, method=method)
-    worst = 0.0
-    for k in range(len(pts)):
-        df = dfs[k]
-        jac = float(np.linalg.det(df))
-        if jac <= 0:
-            raise OrientationReversedError(f"J_f = {jac} <= 0 at sample {pts[k]}")
-        g_inv = np.linalg.inv(distortion_tensor(df, jac))
-        adj = adjugate(df)
-        for i in range(n):
-            grad = df[i, :]  # row i of Df = gradient of coordinate f^i
-            agrad = g_inv @ grad
-            quad = float(grad @ agrad)
-            lhs = quad ** ((n - 2.0) / 2.0) * agrad
-            rhs = adj[:, i]
-            scale = max(float(np.linalg.norm(rhs)), 1e-300)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)) / scale)
-    return worst
+    jac = np.linalg.det(dfs)
+    if np.any(jac <= 0):
+        raise OrientationReversedError(f"J_f <= 0 at sample {pts[np.argmin(jac)]}")
+    g_inv = np.linalg.inv(distortion_tensor(dfs, jac))
+    # column i of agrad is A grad f^i; row i of Df is the gradient of f^i
+    grads = np.swapaxes(dfs, 1, 2)
+    agrad = g_inv @ grads
+    quad = np.einsum("kai,kai->ki", grads, agrad)
+    lhs = quad[:, None, :] ** ((n - 2.0) / 2.0) * agrad
+    rhs = adjugate(dfs)
+    scale = np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)
+    return float(np.max(np.linalg.norm(lhs - rhs, axis=1) / scale, initial=0.0))
 
 
 @dataclass
@@ -261,23 +252,14 @@ def coordinate_weak_residual(
         ramp_width = max(tube_widths[0], 8 * domain.h)
 
     # coordinate functions sampled on the grid (0 at the singular node if any)
-    def safe_eval(pts):
-        out = np.zeros((len(pts), n))
-        ok = np.ones(len(pts), dtype=bool)
-        if mapping.singular_point is not None:
-            ok = np.linalg.norm(pts - mapping.singular_point, axis=1) > 10 * np.finfo(float).eps
-        out[ok] = mapping(pts[ok])
-        return out
-
-    fvals = safe_eval(coords)
+    ok = mapping._regular(coords)
+    fvals = np.zeros((len(coords), n))
+    fvals[ok] = mapping(coords[ok])
 
     # adj Df and G^{-1} at cell centers
     disc = _Discretization(space, domain)
     dfc = jacobian(mapping, disc.centers)
     jacs = np.linalg.det(dfc)
-    if not np.all(np.isfinite(jacs)):
-        raise SingularPointError("J_f is not finite at a quadrature cell: a cell center "
-                                 "sits on the mapping's singular point")
     if np.any(jacs <= 0):
         raise OrientationReversedError("J_f <= 0 at a quadrature cell")
     adjc = adjugate(dfc)
@@ -392,43 +374,32 @@ class DistortionReport:
         }
 
 
-def sample_distortion_report(
-    mapping: MappingSpec,
-    pts: np.ndarray,
-    directions: int = 256,
-    seed: int = 0,
-) -> DistortionReport:
+def sample_distortion_report(mapping: MappingSpec, pts: np.ndarray) -> DistortionReport:
     """Per-point distortion quantities with the ellipticity and K-sandwich
-    checks; flags the epsilon validity gate for parametrized radial maps."""
+    checks, each counting violating sample points; flags the epsilon
+    validity gate for parametrized radial maps."""
     pts = np.atleast_2d(pts)
     n = mapping.dim
-    rows = []
-    ell_viol = 0
-    sand_viol = 0
-    detg_err = 0.0
     dfs = jacobian(mapping, pts)
-    for k in range(len(pts)):
-        sc = distortion_scalars(dfs[k])
-        g = distortion_tensor(dfs[k], sc.jacobian_det)
-        detg_err = max(detg_err, abs(float(np.linalg.det(g)) - 1.0))
-        g_inv = np.linalg.inv(g)
-        ell_viol += ellipticity_check(g_inv, sc.outer, sc.inner, n,
-                                      directions=directions, seed=seed + k)
-        lo = sc.inner ** (1.0 / (n - 1.0))
-        hi = sc.inner ** (n - 1.0)
-        if not (lo * (1 - 1e-9) <= sc.outer <= hi * (1 + 1e-9)):
-            sand_viol += 1
-        eigs = np.linalg.eigvalsh(g)
-        rows.append({
-            "point": [float(c) for c in pts[k]],
-            "jacobian_det": sc.jacobian_det,
-            "op_norm": sc.op_norm,
-            "adj_norm": sc.adj_norm,
-            "outer": sc.outer,
-            "inner": sc.inner,
-            "g_eig_min": float(eigs.min()),
-            "g_eig_max": float(eigs.max()),
-        })
+    sc = distortion_scalars(dfs)
+    g = distortion_tensor(dfs, sc.jacobian_det)
+    detg_err = float(np.max(np.abs(np.linalg.det(g) - 1.0), initial=0.0))
+    ell_viol = ellipticity_check(np.linalg.inv(g), sc.outer, sc.inner, n)
+    lo = sc.inner ** (1.0 / (n - 1.0))
+    hi = sc.inner ** (n - 1.0)
+    sand_viol = int(np.count_nonzero(
+        ~((lo * (1 - 1e-9) <= sc.outer) & (sc.outer <= hi * (1 + 1e-9)))))
+    eigs = np.linalg.eigvalsh(g)
+    rows = [{
+        "point": [float(c) for c in pts[k]],
+        "jacobian_det": float(sc.jacobian_det[k]),
+        "op_norm": float(sc.op_norm[k]),
+        "adj_norm": float(sc.adj_norm[k]),
+        "outer": float(sc.outer[k]),
+        "inner": float(sc.inner[k]),
+        "g_eig_min": float(eigs[k, 0]),
+        "g_eig_max": float(eigs[k, -1]),
+    } for k in range(len(pts))]
     gate = None
     if "epsilon" in mapping.params:
         eps = mapping.params["epsilon"]

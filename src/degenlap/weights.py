@@ -730,7 +730,12 @@ def balance_check(
 ) -> BalanceReport:
     """Empirical constant for
         (r1/r2) (v(B1)/v(B2))^{1/q} <= C (w(B1)/w(B2))^{1/p}
-    over sampled nested pairs B1 ⊆ B2 inside the domain."""
+    over sampled nested pairs B1 ⊆ B2 inside the domain.
+
+    Unlike `_staged_sup`, every pair is evaluated once at the full budget
+    and the four stages are the maxima over the prefixes of `_stage_plan`
+    (floor 1); budget growth therefore cannot show in the stages, only the
+    growth of the family."""
     if not (q > p > 1):
         raise ValueError("balance check requires q > p > 1")
     rng = child_rng(seed, "balance")
@@ -768,7 +773,7 @@ def balance_check(
         lhs = (r1[i] / r2[i]) * (v1 / v2) ** (1.0 / q)
         rhs = (w1 / w2) ** (1.0 / p)
         ratios[i] = lhs / rhs
-    stages = [float(np.max(ratios[:max(pairs >> (3 - s), 1)])) for s in range(4)]
+    stages = [float(np.max(ratios[:n])) for n in _stage_plan(pairs, floor=1)]
     trace = _trace(stages, any_div)
     i_worst = int(np.argmax(ratios))
     worst = {

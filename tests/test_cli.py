@@ -90,16 +90,13 @@ def test_solve_fixture_keeps_explicit_mask(tmp_path, mask, resolved):
     assert cfg["bounds"] == [[-1.0, 1.0]] * 2
 
 
-def test_solve_3d_memory_gate(tmp_path):
+def test_solve_3d_memory_gate(tmp_path, capsys):
     out = tmp_path / "gate"
     rc = run_cli(["solve", "--fixture", "zhong-log", "--psi", "zhong-odd",
                   "--resolution", "64", "--output-dir", str(out)])
-    assert rc == 0
-    rep = read_json(out / "solve-report.json")["solve_report"]
-    assert rep["notes"]["downsampled_from"] == 64
-    assert rep["notes"]["resolution"] == 48
-    resolved = read_json(out / "resolved-config.json")["config"]
-    assert resolved["resolution"] == 48
+    assert rc == 2
+    assert "limit 48" in capsys.readouterr().err
+    assert not (out / "solve-report.json").exists()
 
 
 def test_solve_pgm_output(tmp_path):
@@ -129,6 +126,15 @@ def test_distortion_even_residual_resolution(tmp_path, capsys):
                   "--output-dir", str(tmp_path / "dist")])
     assert rc == 2
     assert "odd resolution" in capsys.readouterr().err
+
+
+def test_distortion_residual_resolution_limit(tmp_path, capsys):
+    out = tmp_path / "dist"
+    rc = run_cli(["distortion", "--samples", "8", "--residual-resolution", "99",
+                  "--output-dir", str(out)])
+    assert rc == 2
+    assert "limit 97" in capsys.readouterr().err
+    assert not (out / "distortion-report.json").exists()
 
 
 def test_catalog_subcommand(tmp_path):

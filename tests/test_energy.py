@@ -6,7 +6,7 @@ import pytest
 from degenlap._rand import child_rng
 from degenlap.geometry import heisenberg1
 from degenlap.grids import GridDomain, GridFunction
-from degenlap.weights import axis_power_weight
+from degenlap.weights import axis_power_weight, constant_weight
 from degenlap.energy import (
     InvalidCoefficientsError,
     InvalidTestFunctionError,
@@ -380,6 +380,20 @@ def test_asymmetric_coefficients_rejected():
     psi = GridFunction(dom, np.zeros(dom.shape))
     with pytest.raises(InvalidCoefficientsError):
         solve_dirichlet(bad, 2.0, psi)
+
+
+def test_envelope_thin_cone_violation():
+    # <A xi, xi> < 1 only in a cone of half-width ~1e-3 about e1, which
+    # sampled directions miss; the smallest eigenvalue does not
+    field = MatrixField.diagonal(
+        "thin", [lambda pts: np.full(len(pts), 1.0 - 1e-6), lambda pts: np.full(len(pts), 2.0)],
+        envelope=(constant_weight(1.0, 2), constant_weight(4.0, 2), 2.0))
+    pts = np.linspace(-0.9, 0.9, 20).reshape(10, 2)
+    assert field.check_envelope(pts) == 10
+    inside = MatrixField.diagonal(
+        "inside", [lambda pts: np.full(len(pts), 1.0), lambda pts: np.full(len(pts), 4.0)],
+        envelope=(constant_weight(1.0, 2), constant_weight(4.0, 2), 2.0))
+    assert inside.check_envelope(pts) == 0
 
 
 def test_degenerate_node_shift():
