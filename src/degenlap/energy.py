@@ -143,17 +143,26 @@ class MatrixField:
         """Number of points x at which the declared sandwich
             w(x)^{2/p} |xi|^2 <= <A(x) xi, xi> <= v(x)^{2/p} |xi|^2
         fails for some direction xi, decided exactly from the extreme
-        eigenvalues of A(x) (`_sandwich_violations`)."""
+        eigenvalues of A(x) (`_sandwich_violations`).  A point where A or the
+        envelope is not finite (on the singular set of the coefficients) is
+        refused with InvalidCoefficientsError, which names the first one."""
         if self.envelope is None:
             raise ValueError("matrix field has no declared envelope")
         w, v, p = self.envelope
         pts = np.atleast_2d(pts)
         a = self(pts)
+        lo = np.asarray(w(pts), dtype=float) ** (2.0 / p)
+        hi = np.asarray(v(pts), dtype=float) ** (2.0 / p)
+        finite = (np.all(np.isfinite(a.reshape(len(a), -1)), axis=1)
+                  & np.isfinite(lo) & np.isfinite(hi))
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise InvalidCoefficientsError(
+                f"coefficients or envelope not finite at {pts[i].tolist()} "
+                f"(A = {a[i].tolist()}, envelope {lo[i]}, {hi[i]})")
         asym = np.abs(a - np.swapaxes(a, 1, 2)).max()
         if asym > 0:
             raise InvalidCoefficientsError(f"matrix field not symmetric (max asym {asym})")
-        lo = np.asarray(w(pts), dtype=float) ** (2.0 / p)
-        hi = np.asarray(v(pts), dtype=float) ** (2.0 / p)
         return _sandwich_violations(a, lo, hi)
 
 

@@ -108,8 +108,13 @@ class Box:
         return self.bounds.mean(axis=1)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
+        """Membership of points (..., n), with one entry per point."""
         pts = np.atleast_2d(pts)
-        return np.all((pts >= self.bounds[:, 0]) & (pts <= self.bounds[:, 1]), axis=1)
+        inside = np.ones(pts.shape[:-1], dtype=bool)
+        # axis by axis: numpy broadcasts slowly over a last axis this short
+        for j, (lo, hi) in enumerate(self.bounds):
+            inside &= (pts[..., j] >= lo) & (pts[..., j] <= hi)
+        return inside
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random((count, self.n))
@@ -136,7 +141,6 @@ def heisenberg_multiply(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     out = u + v
-    out = np.array(out, dtype=float)
     out[..., 2] += 0.5 * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
     return out
 
@@ -145,10 +149,12 @@ def heisenberg_inverse(u: np.ndarray) -> np.ndarray:
     return -np.asarray(u, dtype=float)
 
 
-def heisenberg_dilate(u: np.ndarray, r: float) -> np.ndarray:
+def heisenberg_dilate(u: np.ndarray, r) -> np.ndarray:
+    """delta_r(u); r is a scalar or an array over the leading axes of u."""
     out = np.array(u, dtype=float)
+    r = np.asarray(r, dtype=float)[..., None]
     out[..., :2] *= r
-    out[..., 2] *= r * r
+    out[..., 2:] *= r * r
     return out
 
 
@@ -183,38 +189,57 @@ def _sample_unit_ball(space: MetricSpace, count: int, rng: np.random.Generator) 
     """Uniform points in the unit ball centered at the origin, by rejection
     from the bounding box."""
     if space.kind == "euclidean":
-        box_lo = -np.ones(space.n)
-        box_len = 2.0 * np.ones(space.n)
+        box = [(-1.0, 2.0)] * space.n       # (lower corner, side) per axis
         accept = lambda p: np.einsum("ij,ij->i", p, p) <= 1.0
     else:
-        box_lo = np.array([-1.0, -1.0, -0.25])
-        box_len = np.array([2.0, 2.0, 0.5])
+        box = [(-1.0, 2.0), (-1.0, 2.0), (-0.25, 0.5)]
         accept = lambda p: gauge_norm(p) <= 1.0
     out = np.empty((count, space.n))
     got = 0
     while got < count:
         m = max(64, int(1.8 * (count - got)) + 16)
-        cand = box_lo + rng.random((m, space.n)) * box_len
-        keep = cand[accept(cand)]
+        cand = rng.random((m, space.n))
+        # lower + u * side, column by column: numpy broadcasts slowly over a
+        # last axis this short
+        for col, (lower, side) in zip(cand.T, box):
+            col *= side
+            col += lower
+        keep = np.compress(accept(cand), cand, axis=0)
         take = min(len(keep), count - got)
         out[got : got + take] = keep[:take]
         got += take
     return out
 
 
+def _unit_ball_draws(space: MetricSpace, count: int, seed: int) -> np.ndarray:
+    """The `count` unit-ball points that `sample_ball` maps onto its ball
+    for this seed."""
+    return _sample_unit_ball(space, count, child_rng(seed, "ball", space.kind))
+
+
+def _map_to_balls(space: MetricSpace, centers, radii, pts: np.ndarray) -> np.ndarray:
+    """Unit-ball points pts (..., count, n) mapped onto the balls with
+    centers (..., n) and radii (...).
+
+    Euclidean balls translate and scale linearly; gauge balls are mapped from
+    the origin ball by the dilation delta_r followed by left translation,
+    both of which preserve Lebesgue measure up to the exact factor r**Q.
+    Every operation is elementwise, so a stack of balls maps each ball's
+    points exactly as a ball on its own."""
+    centers = np.asarray(centers, dtype=float)[..., None, :]
+    radii = np.asarray(radii, dtype=float)[..., None]
+    if space.kind != "euclidean":
+        return heisenberg_multiply(centers, heisenberg_dilate(pts, radii))
+    out = radii[..., None] * pts
+    for j in range(space.n):      # axis by axis, as in Box.contains
+        out[..., j] += centers[..., j]
+    return out
+
+
 def sample_ball(space: MetricSpace, ball: Ball, count: int, seed: int) -> np.ndarray:
     """`count` points uniform w.r.t. Lebesgue measure in the metric ball.
 
-    Deterministic given the seed.  Euclidean balls translate and scale
-    linearly; gauge balls are mapped from the origin ball by the dilation
-    delta_r followed by left translation, both of which preserve Lebesgue
-    measure up to the exact factor r**Q.
-    """
+    Deterministic given the seed (see `_map_to_balls` for the map)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = child_rng(seed, "ball", space.kind)
-    pts = _sample_unit_ball(space, count, rng)
-    if space.kind == "euclidean":
-        return ball.center + ball.radius * pts
-    pts = heisenberg_dilate(pts, ball.radius)
-    return heisenberg_multiply(ball.center, pts)
+    return _map_to_balls(space, ball.center, ball.radius, _unit_ball_draws(space, count, seed))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from degenlap._rand import child_rng
+from degenlap.catalog import fixture
 from degenlap.geometry import heisenberg1
 from degenlap.grids import GridDomain, GridFunction
 from degenlap.weights import axis_power_weight, constant_weight
@@ -394,6 +395,17 @@ def test_envelope_thin_cone_violation():
         "inside", [lambda pts: np.full(len(pts), 1.0), lambda pts: np.full(len(pts), 4.0)],
         envelope=(constant_weight(1.0, 2), constant_weight(4.0, 2), 2.0))
     assert inside.check_envelope(pts) == 0
+
+
+def test_envelope_refuses_singular_set():
+    # A = diag(k^{-1}, k), k = |x1|^{-1/3}: an entry is infinite on {x1 = 0}.
+    # The suite turns RuntimeWarnings into errors, so the refusal must come
+    # before any arithmetic on the infinite entry.
+    fix = fixture("axis-degenerate-planar")
+    for pts in ([[0.0, 0.3], [0.5, 0.2]], [[0.5, 0.2], [0.0, 0.3], [0.0, -0.1]]):
+        with pytest.raises(InvalidCoefficientsError, match=r"not finite at \[0\.0, 0\.3\]"):
+            fix.matrix.check_envelope(np.array(pts))
+    assert fix.matrix.check_envelope(np.array([[0.5, 0.2], [-0.25, 0.7]])) == 0
 
 
 def test_degenerate_node_shift():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from degenlap._rand import child_rng
-from degenlap.geometry import Ball, Box, euclidean, heisenberg1
+from degenlap._rand import child_rng, subseed
+from degenlap.geometry import Ball, Box, ball_volume, euclidean, heisenberg1, sample_ball
 from degenlap.weights import (
     OutOfRegimeError,
     SingularSampleError,
@@ -23,6 +23,7 @@ from degenlap.weights import (
     power_weight,
     rh_constant,
     tau_exponent,
+    _powers,
 )
 
 from oracles import ap_constant_power_1d, centered_ap_power_2d, radial_ball_average_2d
@@ -87,6 +88,24 @@ def test_ball_average_singular_sample_error(e1):
 def test_ball_average_budget_validation(e1):
     with pytest.raises(ValueError):
         ball_average(constant_weight(1.0, 1), e1, Ball([0.0], 1.0), budget=8, seed=0)
+
+
+@pytest.mark.parametrize("weight", [
+    power_weight(-1.0 / 3.0, 3), power_weight(0.5, 3), axis_power_weight(-0.5),
+    axis_power_weight(0.25), log_weight(1.1, 3), log_weight(1.0, 3), constant_weight(2.0, 3),
+], ids=lambda w: w.name)
+def test_pow_is_the_power_of_the_values(weight):
+    # The estimators evaluate a weight once per sample and take w.pow(e) as
+    # w(x) ** e from those values; that is bitwise what w.pow(e) computes,
+    # on the singular set too (origin, the plane x1 = 0, |x| = 1/e).
+    rng = np.random.default_rng(7)
+    pts = np.vstack([np.zeros(3), [0.0, 0.3, -0.2], [0.0, 0.0, 0.5], [math.exp(-1.0), 0.0, 0.0],
+                     rng.standard_normal((200, 3)) * np.geomspace(1e-9, 1.0, 200)[:, None]])
+    vals = weight(pts)
+    for e in (-2.0, -1.0, -0.5, 1.0 - 2.5 / 1.5, 1.0 / 3.0, 1.0, 2.0, 3.0):
+        assert np.array_equal(weight.pow(e)(pts), _powers(vals, e))
+        with np.errstate(divide="ignore", over="ignore"):
+            assert np.array_equal(weight.pow(e)(pts), vals ** e)
 
 
 # --- stratified sampler ----------------------------------------------------------
@@ -210,6 +229,28 @@ def test_sampler_digest_pinned(case):
     assert digest == SAMPLER_DIGEST[case]
 
 
+@pytest.mark.parametrize("case", list(SAMPLER_CASES))
+def test_block_samples_match_single_balls(case):
+    # a block mixes near, far and clipped balls with their own seeds and
+    # tags; each ball's segments equal those of the ball sampled alone
+    space, ball, budget, seed, domain, sing = SAMPLER_CASES[case]
+    far = Ball(ball.center + 0.9 * ball.radius, 0.05)
+    balls = [ball, far, Ball(ball.center, 0.5 * ball.radius), far, Ball(-ball.center, 0.2)]
+    seeds = [seed, 11, seed, 12, 13]
+    tags = ["avg", "avg", ("ap", 3, 1), ("ap", 3, 2), "mu"]
+    block = gather_ball_samples(space, balls, budget, seeds, domain, sing, tags)
+    segments = block.points
+    for b, (one_ball, s, t) in enumerate(zip(balls, seeds, tags)):
+        alone = gather_ball_samples(space, one_ball, budget, s, domain, sing, tag=t)
+        first, last = block.first[b], block.first[b + 1]
+        assert np.array_equal(block.volumes[first:last], alone.volumes)
+        assert np.array_equal(block.volume_se[first:last], alone.volume_se)
+        assert len(alone.points) == last - first
+        for got, want in zip(segments[first:last], alone.points):
+            assert np.array_equal(got, want)
+    assert block.first[-1] > len(balls)     # some ball of the block is near
+
+
 # --- A_p -------------------------------------------------------------------------
 
 def test_ap_constant_weight_exactly_one(e1):
@@ -262,6 +303,160 @@ def test_ap_stages_recomputed_by_hand(e2):
     worst = sorted(range(balls), key=lambda i: ratios[i], reverse=True)[:3]
     assert rep.worst_cases == [
         {"center": list(centers[i]), "radius": radii[i], "ratio": ratios[i]} for i in worst]
+
+
+# Families for the hand-recomputed stages of every estimator: balls near a
+# point singularity, near a hyperplane, clipped by the domain box, and on
+# heisenberg1.  The estimators sample their balls in blocks; each case is
+# recomputed ball by ball through gather_ball_samples with one ball, and must
+# agree to the bit.
+STAGE_CASES = {
+    "point-r2": (euclidean(2), power_weight(-1.0 / 3.0, 2), BOX2),
+    "hyperplane-r2": (euclidean(2), axis_power_weight(-0.5), BOX2),
+    "clipped-r2": (euclidean(2), power_weight(-1.0 / 3.0, 2), Box([[0.0, 0.5], [-0.2, 1.0]])),
+    "point-heis": (heisenberg1(), power_weight(-1.0, 3),
+                   Box([[-0.5, 0.5], [-1.0, 1.0], [-1.0, 1.0]])),
+}
+STAGE_WINDOW = (1e-3, 1.0)
+
+
+def stage_sizes(total, floor):
+    return [max(total >> (3 - s), floor) for s in range(4)]
+
+
+def one_ball(space, w, domain, center, radius, budget, seed, tag, coverage):
+    """gather_ball_samples for one ball, noting whether the ball is near the
+    singular set (several strata) and whether the domain clips it."""
+    ball = Ball(center, radius)
+    samples = gather_ball_samples(space, ball, budget, seed, domain, w.singularity, tag=tag)
+    coverage["near"] |= len(samples.points) > 1
+    coverage["clipped"] |= samples.total_volume < 0.999 * ball_volume(space, ball)
+    return samples
+
+
+def hand_ap_stages(space, w, domain, p, balls, budget, seed, coverage):
+    dual = w.pow(1.0 - p / (p - 1.0))
+    rng = child_rng(seed, "family")
+    centers = domain.sample(balls, rng)
+    radii = np.exp(rng.uniform(math.log(STAGE_WINDOW[0]), math.log(STAGE_WINDOW[1]), balls))
+    stages = []
+    for s, (n, b) in enumerate(zip(stage_sizes(balls, 8), stage_sizes(budget, 64))):
+        ratios = []
+        for i in range(n):
+            samples = one_ball(space, w, domain, centers[i], radii[i], b, seed, ("ap", i, s),
+                               coverage)
+            vol = samples.total_volume
+            ratios.append(samples.mass(w)[0] / vol * (samples.mass(dual)[0] / vol) ** (p - 1.0))
+        stages.append(max(ratios))
+    doubling = 0.0
+    for i in np.linspace(0, balls - 1, num=min(64, balls), dtype=int).tolist():
+        m1, m2 = (one_ball(space, w, domain, centers[i], k * radii[i], stage_sizes(budget, 64)[-1],
+                           subseed(seed, ("dbl", i, j)), "avg", coverage).mass(w)[0]
+                  for k, j in ((1.0, 1), (2.0, 2)))
+        if m1 > 0:
+            doubling = max(doubling, m2 / m1)
+    return stages, ratios, centers, radii, doubling
+
+
+def hand_rh_stages(space, w, domain, t, balls, budget, seed, coverage):
+    wt = w.pow(t)
+    rng = child_rng(seed, "family")
+    centers = domain.sample(balls, rng)
+    radii = np.exp(rng.uniform(math.log(STAGE_WINDOW[0]), math.log(STAGE_WINDOW[1]), balls))
+    stages = []
+    for s, (n, b) in enumerate(zip(stage_sizes(balls, 8), stage_sizes(budget, 64))):
+        ratios = []
+        for i in range(n):
+            samples = one_ball(space, w, domain, centers[i], radii[i], b, seed, ("rh", i, s),
+                               coverage)
+            vol = samples.total_volume
+            ratios.append((samples.mass(wt)[0] / vol) ** (1.0 / t) / (samples.mass(w)[0] / vol))
+        stages.append(max(ratios))
+    return stages, ratios, centers, radii
+
+
+def hand_a1_stages(space, w, domain, points, radii_count, budget, seed, coverage):
+    xs = domain.sample(points, child_rng(seed, "a1-points"))
+    lo, hi = STAGE_WINDOW
+    radius_set = np.exp(np.linspace(math.log(hi), math.log(lo), radii_count))  # descending
+    stages = []
+    for s, (n, b) in enumerate(zip(stage_sizes(points, 8), stage_sizes(budget, 64))):
+        ratios = []
+        for i in range(n):
+            point_seed = subseed(seed, ("a1", i, s))
+            averages = []
+            for j, r in enumerate(radius_set):
+                samples = one_ball(space, w, domain, xs[i], float(r), b,
+                                   subseed(point_seed, ("max", j)), "avg", coverage)
+                averages.append(samples.mass(w)[0] / samples.total_volume)
+            ratios.append(max(averages) / float(w(xs[i][None, :])[0]))
+        stages.append(max(ratios))
+    return stages, ratios, xs
+
+
+@pytest.mark.parametrize("case", list(STAGE_CASES))
+@pytest.mark.parametrize("estimate", ["ap", "rh", "a1"])
+def test_stages_recomputed_by_hand(estimate, case):
+    space, w, domain = STAGE_CASES[case]
+    coverage = {"near": False, "clipped": False}
+    if estimate == "ap":
+        rep = ap_constant(w, 2.5, space, domain, STAGE_WINDOW, balls=64, budget=256, seed=3)
+        stages, ratios, centers, radii, doubling = hand_ap_stages(space, w, domain, 2.5, 64, 256,
+                                                                  3, coverage)
+        trace = rep.ap_estimate
+        assert rep.doubling_estimate == doubling
+    elif estimate == "rh":
+        rep = rh_constant(w, 2.0, space, domain, STAGE_WINDOW, balls=64, budget=256, seed=4)
+        stages, ratios, centers, radii = hand_rh_stages(space, w, domain, 2.0, 64, 256, 4,
+                                                        coverage)
+        trace = rep.rh_estimate
+    else:
+        rep = a1_constant(w, space, domain, STAGE_WINDOW, points=16, radii=4, budget=128, seed=5)
+        stages, ratios, centers = hand_a1_stages(space, w, domain, 16, 4, 128, 5, coverage)
+        radii = None
+        trace = rep.a1_estimate
+    assert trace.stages == tuple(stages)
+    worst = sorted(range(len(ratios)), key=lambda i: ratios[i], reverse=True)[:3]
+    assert rep.worst_cases == [
+        {"center": list(centers[i]), "radius": None if radii is None else radii[i],
+         "ratio": ratios[i]} for i in worst]
+    # every case reaches the singular set's strata, and the clipped case the box
+    assert coverage["near"]
+    assert coverage["clipped"] or case != "clipped-r2"
+
+
+@pytest.mark.parametrize("case", list(STAGE_CASES))
+def test_balance_recomputed_by_hand(case):
+    # pair i: outer ball B2 inside the box, inner ball B1 inside B2, sampled
+    # under the tags ("bal", i, 0) and ("bal", i, 1) with no domain
+    space, k, domain = STAGE_CASES[case]
+    w, v, p, q, pairs, budget, seed = k.pow(-1.5), k, 2.5, 3.0, 40, 128, 6
+    rep = balance_check(w, v, p, q, space, domain, (2e-3, 0.4), pairs=pairs, budget=budget,
+                        seed=seed)
+    rng = child_rng(seed, "balance")
+    lo, hi = 2e-3, min(0.4, 0.5 * float(np.min(domain.lengths)))
+    r2 = np.exp(rng.uniform(math.log(lo), math.log(hi), pairs))
+    inner_lo = domain.bounds[:, 0][None, :] + r2[:, None]
+    inner_hi = domain.bounds[:, 1][None, :] - r2[:, None]
+    centers2 = inner_lo + rng.random((pairs, space.n)) * np.maximum(inner_hi - inner_lo, 0.0)
+    r1 = np.exp(rng.uniform(math.log(lo), np.log(r2)))
+    ratios, viol = [], 0
+    for i in range(pairs):
+        gap = max(r2[i] - r1[i], 0.0)
+        c1 = (sample_ball(space, Ball(centers2[i], gap), 1, seed=subseed(seed, ("balc", i)))[0]
+              if gap > 0 else centers2[i])
+        masses = []
+        for j, ball in enumerate((Ball(c1, float(r1[i])), Ball(centers2[i], float(r2[i])))):
+            samples = gather_ball_samples(space, ball, budget, seed, None, k.singularity,
+                                          tag=("bal", i, j))
+            pts = np.concatenate(samples.points)
+            viol += int(np.count_nonzero(w(pts) > v(pts) * (1 + 1e-12)))
+            masses.append((samples.mass(w)[0], samples.mass(v)[0]))
+        (w1, v1), (w2, v2) = masses
+        ratios.append((r1[i] / r2[i]) * (v1 / v2) ** (1.0 / q) / (w1 / w2) ** (1.0 / p))
+    assert rep.stages == tuple(max(ratios[:n]) for n in stage_sizes(pairs, 1))
+    assert rep.pointwise_violations == viol
+    assert rep.worst_pair["ratio"] == max(ratios)
 
 
 @pytest.mark.parametrize("estimate", ["ap", "a1", "rh"])
