@@ -263,7 +263,7 @@ def coordinate_weak_residual(
     if np.any(jacs <= 0):
         raise OrientationReversedError("J_f <= 0 at a quadrature cell")
     adjc = adjugate(dfc)
-    ginv_c = np.linalg.inv(dfc.transpose(0, 2, 1) @ dfc) * (jacs ** (2.0 / n))[:, None, None]
+    ginv_c = np.linalg.inv(distortion_tensor(dfc, jacs))
     grad_f = [disc.gradients(fvals[:, i]) for i in range(n)]
     quad_f = [np.einsum("kij,ki,kj->k", ginv_c, g, g) for g in grad_f]
 

@@ -4,31 +4,28 @@ Constants are estimated as suprema over finite families of metric balls, so
 every reported value is a lower bound for the true constant.  Membership is
 operationalized through two falsifiable signals:
 
-* integrability rings -- ball averages near a declared singular set are
-  computed by stratified sampling over dyadic distance shells; when the
-  weight is not locally integrable the shell contributions grow
-  geometrically instead of silently undersampling, and the average is
-  flagged as diverging;
+* integrability levels -- a ball near a declared singular set is
+  integrated along rays from it over dyadic panels of the ray parameter
+  toward it; when the weight is not locally integrable the panel
+  contributions grow geometrically instead of being cut off, and the
+  average is flagged as diverging;
 * plateau detection -- the running supremum is tracked across three
   successive doublings of ball count and sampling budget; if it rises at
   every stage and not every rise is below 1% of the new value (so it has
   not plateaued), the estimate is reported as "unbounded-suspected".  A
   diverging ball average at any stage raises the same flag.
 
-The estimators sample their balls in blocks of a fixed number of balls
-(`_BLOCK`).  Draws stay per ball: every ball draws from its own random
-streams, keyed by the seed and its tag, exactly as a ball sampled on its
-own.  Everything after the draws runs on the whole block at once: the maps
-onto the balls, the domain test, the stratum thresholds, one weight
-evaluation per sample (its powers are taken from those values) and the
-masses.  Each ball's sums still run over its own samples in the same order,
-so a ball's average has the same bits in any block.
+The estimators sample their balls in blocks of `_BLOCK` balls.  Every ball
+draws from its own random stream, keyed by the seed and its tag, exactly as
+a ball sampled on its own; everything after the draws runs on the whole
+block at once, with one weight evaluation per node (its powers are taken
+from those values).  Each ball's sums still run over its own nodes in the
+same order, so a ball's average has the same bits in any block.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,7 +37,6 @@ from .geometry import (
     MetricSpace,
     _map_to_balls,
     _unit_ball_draws,
-    ball_volume,
     metric_distance,
     sample_ball,
 )
@@ -56,7 +52,6 @@ __all__ = [
     "SingularSampleError",
     "OutOfRegimeError",
     "ball_average",
-    "ball_mass",
     "ap_constant",
     "a1_constant",
     "rh_constant",
@@ -70,8 +65,6 @@ __all__ = [
     "constant_weight",
 ]
 
-# Dyadic refinement depth of the singularity-aware quadrature.
-_RING_LEVELS = 8
 # Divergence rule: a sequence grows >= 10% per step over its last 4 steps.
 _DIVERGE_FACTOR = 1.10
 _DIVERGE_LEVELS = 4
@@ -95,8 +88,8 @@ class Singularity:
     """Locus where a weight may blow up or lose smoothness.
 
     kind "point": the locus is a single point (distances measured with the
-    space metric).  kind "hyperplane": the locus is {x_axis = offset}
-    (Euclidean backends only).
+    space metric).  kind "hyperplane": the locus is {x_axis = offset}, in
+    coordinates on either backend.
     """
 
     kind: str
@@ -185,116 +178,114 @@ def constant_weight(value: float, dim: int) -> Weight:
     return Weight(name=f"const{value:g}", fn=lambda pts: np.full(len(np.atleast_2d(pts)), float(value)))
 
 
-# --- stratified ball sampling ------------------------------------------------
+# --- ball quadrature ---------------------------------------------------------
 
 # Balls per block of the batched engine.  Draws stay per ball; a block only
-# batches the array work that follows them, and its arrays hold _BLOCK x
-# budget points.  Of 1, 4, 8, 16 and 32, 8 ran the catalog's estimator calls
+# batches the array work that follows them, and its arrays hold about _BLOCK x
+# budget nodes.  Of 1, 4, 8, 16 and 32, 8 ran the catalog's estimator calls
 # fastest (median CPU time); larger blocks gained nothing.
 _BLOCK = 8
+# Dyadic panels per ray near the singular set (see gather_ball_samples).
+_PANELS = 6
+# Clenshaw-Curtis rules on [-1, 1]: the 5-point rule, and on its nodes the
+# 3-point rule (Simpson's), whose difference estimates the quadrature error.
+_NODES = np.array([-1.0, -math.sqrt(0.5), 0.0, math.sqrt(0.5), 1.0])
+_RULES = np.array([[1.0, 8.0, 12.0, 8.0, 1.0], [5.0, 0.0, 20.0, 0.0, 5.0]]) / 15.0
+# Fewest rays or lines per near ball: small budgets still see a spread.
+_MIN_UNITS = 9
 
 
 @dataclass
 class BallSamples:
-    """Uniform samples of a block of balls, each clipped to a domain box and
-    stratified into dyadic distance shells around a singular locus.
+    """Quadrature nodes of a block of balls, each clipped to a domain box.
 
-    The samples form segments, one per (ball, stratum), ball after ball; the
-    segments of ball b are first[b]:first[b + 1].  A ball far from the locus
-    has one stratum.  A near ball has L + 1: stratum 0 is the bulk (B minus
-    the first shell), strata 1..L-1 are the rings and stratum L is the
-    innermost core.  Segment k holds the points kept[offsets[k]:offsets[k+1]],
-    uniform in its stratum, whose estimated Lebesgue volume is volumes[k]
-    with standard error volume_se[k].  For a block of one ball the segments
-    are its strata.
+    A ball's integral is the mean over its units (see `gather_ball_samples`)
+    of the sums of weight x value over each unit's nodes.  The nodes form
+    segments, one per (ball, level), ball after ball: ball b's segments are
+    first[b]:first[b+1], segment k holds kept[offsets[k]:offsets[k+1]]; a far
+    ball has one level, a near ball one per panel, outermost first.  weights
+    (2, nodes) are the fine and coarse rules', bins the cells in each ball's
+    (levels, units[b]) grid, start the near balls' units' starts (`integrals`).
     """
 
     balls: list[Ball]
     kept: np.ndarray
     offsets: np.ndarray
     first: np.ndarray
-    volumes: np.ndarray
-    volume_se: np.ndarray
+    weights: np.ndarray
+    bins: np.ndarray
+    units: np.ndarray
+    start: np.ndarray
 
     @property
     def points(self) -> list[np.ndarray]:
-        """The points of each segment."""
+        """The nodes of each segment."""
         return [self.kept[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]
 
     @property
     def total_volume(self) -> float:
         """Estimated volume of ball ∩ domain, for a block of one ball."""
-        (_,) = self.balls
-        return float(np.sum(self.volumes))
+        ((*_, vol),) = self.integrals(np.ones(len(self.kept)))
+        return vol
+
+    @property
+    def volumes(self) -> np.ndarray:
+        """Estimated volume of each segment's part of ball ∩ domain."""
+        out = self.integrals(np.ones(len(self.kept)))
+        return np.concatenate([c[:nl] for (_, _, c, _, _), nl in zip(out, np.diff(self.first))])
 
     def integrals(self, vals: np.ndarray) -> list[tuple]:
-        """Integral of a function over each ball ∩ domain, from its values
-        `vals` at `kept`, as one (mass, se, contributions, (vmin, vmax),
-        volume) per ball.
-
-        contributions[j] is the stratum-j share of the mass, vmin and vmax
-        bound the values over the ball's samples ((inf, -inf) if there are
-        none), and volume is the estimated volume of ball ∩ domain.  Only
-        segments with points and positive volume are integrated.  Each
-        segment's mean and variance are numpy's, over its own contiguous
-        slice, and each ball's sums run over its own segments, so a ball
-        gets the same bits in any block.
-        """
+        """Per ball (mass, se, contributions, (vmin, vmax), volume) of the function
+        with values `vals` at `kept`; mass is the mean of the unit estimates:
+        panel sums plus, if the deepest two are c_{J-2}, c_{J-1} = rho c_{J-2},
+        rho < 1, that power law's tail down to the unit's start f (a fraction
+        of the deepest panel's lower edge), c_{J-1} rho / (1 - rho) (1 -
+        f^-log2(rho)).  volume is the mass of 1; se**2 / volume**2 is the
+        variance of mass / volume, from successive differences of the residuals
+        est - (mass / volume) (unit volume) over the jittered units, plus the
+        squared mean gap to the coarse rule's estimates.  contributions are the
+        levels' and a near ball's tail's shares of mass; (vmin, vmax) bounds the
+        values ((inf, -inf) if none).  A ball gets the same bits in any block."""
         self.check_finite([vals])
-        counts = np.diff(self.offsets)
-        segs = np.flatnonzero(self.live)
-        bounds = list(zip(self.offsets[segs].tolist(), self.offsets[segs + 1].tolist()))
-        live_pts = self.live_points
-        add = np.add.reduce
-        means = np.zeros(len(counts))
-        means[segs] = np.array([add(vals[a:b]) for a, b in bounds]) / counts[segs]
-        dev = vals - np.repeat(means, counts)
-        np.multiply(dev, dev, out=dev)
-        var = np.zeros(len(counts))
-        var[segs] = np.array([add(dev[a:b]) for a, b in bounds]) / counts[segs]
-        contrib = self.volumes * means
-        # the volumes squared one by one, as scalars: an array power can
-        # differ from a scalar one in the last bit
-        squares = np.array([v ** 2 for v in self.volumes.tolist()])
-        var_terms = squares * var / np.maximum(counts, 1)
-        vol_terms = (means * self.volume_se) ** 2
-        out = []
-        for s0, s1 in zip(self.first[:-1].tolist(), self.first[1:].tolist()):
-            a, b = int(self.offsets[s0]), int(self.offsets[s1])
-            ball_vals = vals[a:b] if live_pts is None else vals[a:b][live_pts[a:b]]
-            vrange = ((float(ball_vals.min()), float(ball_vals.max())) if len(ball_vals)
-                      else (math.inf, -math.inf))
-            se = math.sqrt(float(add(var_terms[s0:s1]) + add(vol_terms[s0:s1])))
-            out.append((float(add(contrib[s0:s1])), se, contrib[s0:s1], vrange,
-                        float(add(self.volumes[s0:s1]))))
+        levels = np.diff(self.first)
+        cells = np.concatenate([[0], np.cumsum(levels * self.units)])
+        unit_first = np.concatenate([[0], np.cumsum(np.where(levels > 1, self.units, 0))])
+        ends = self.offsets[self.first].tolist()
+        # (bincount gives integers when there are no nodes at all)
+        sums = [np.bincount(self.bins, w, cells[-1]).astype(float)
+                for w in (vals * self.weights[0], vals * self.weights[1], self.weights[0])]
+        out = [None] * len(self.balls)
+        for nl, nu in set(zip(levels.tolist(), self.units.tolist())):    # far, near
+            group = np.flatnonzero((levels == nl) & (self.units == nu))
+            cell = cells[group][:, None] + np.arange(nl * nu)
+            fine, coarse, ones = (s[cell].reshape(-1, nl, nu) for s in sums)
+            start = self.start[unit_first[group][:, None] + np.arange(nu)] if nl > 1 else None
+            (est, tail), size = _estimates(fine, start), _estimates(ones, start)[0]
+            mass, vol = np.add.reduce(est, axis=-1) / nu, np.add.reduce(size, axis=-1) / nu
+            step = np.diff(est - np.divide(mass, vol, out=np.zeros_like(vol),
+                                           where=vol > 0)[:, None] * size, axis=-1)
+            var = np.add.reduce(step * step, axis=-1) / (2 * max(nu - 1, 1)) / nu
+            err = np.add.reduce(np.abs(est - _estimates(coarse, start)[0]), axis=-1) / nu
+            contrib = np.add.reduce(fine, axis=-1) / nu
+            if nl > 1:
+                contrib = np.concatenate([contrib, np.add.reduce(tail, axis=-1)[:, None] / nu], 1)
+            for i, b in enumerate(group.tolist()):
+                v = vals[ends[b]:ends[b + 1]]
+                vrange = (float(v.min()), float(v.max())) if len(v) else (math.inf, -math.inf)
+                out[b] = (float(mass[i]), math.sqrt(var[i] + err[i] ** 2), contrib[i], vrange,
+                          float(vol[i]))
         return out
 
-    @cached_property
-    def live(self) -> np.ndarray:
-        """The segments that are integrated: those with points and positive
-        volume."""
-        return (np.diff(self.offsets) > 0) & (self.volumes > 0.0)
-
-    @cached_property
-    def live_points(self) -> np.ndarray | None:
-        """Mask of the kept points in live segments, None if all are."""
-        return None if self.live.all() else np.repeat(self.live, np.diff(self.offsets))
-
     def check_finite(self, values: list[np.ndarray]) -> None:
-        """Raise SingularSampleError at the first non-finite value of the
-        first ball that has one in a live segment, taking the value arrays
-        in order within a ball."""
-        live_pts = self.live_points
-        bad = [~np.isfinite(v) if live_pts is None else ~np.isfinite(v) & live_pts
-               for v in values]
-        if not any(b.any() for b in bad):
+        """Raise SingularSampleError at the first non-finite value (ball, then array)."""
+        if all(np.isfinite(v).all() for v in values):
             return
         ends = self.offsets[self.first]
         for a, b in zip(ends[:-1], ends[1:]):
-            for v, mask in zip(values, bad):
-                if mask[a:b].any():
-                    i = a + int(np.argmax(mask[a:b]))
-                    raise SingularSampleError(self.kept[i], v[i])
+            for v in values:
+                bad = np.flatnonzero(~np.isfinite(v[a:b]))
+                if len(bad):
+                    raise SingularSampleError(self.kept[a + bad[0]], v[a + bad[0]])
 
     def mass(self, fn: Callable[[np.ndarray], np.ndarray]):
         """Estimate the integral of fn over ball ∩ domain, for a block of one
@@ -304,12 +295,15 @@ class BallSamples:
         return mass, se, contrib, vrange
 
 
-def _hit_volume(hits, count, vol):
-    """Hit-or-miss estimate vol * acc of a region's volume and its standard
-    error, where vol is the proposal volume and acc = hits / count the
-    accepted fraction of `count` proposals."""
-    acc = float(hits) / count
-    return vol * acc, vol * math.sqrt(max(acc * (1 - acc), 0.0) / count)
+def _estimates(panels: np.ndarray, start):
+    """Each unit's estimate and tail from panel sums (balls, levels, units) and starts."""
+    if panels.shape[1] < 2:
+        return np.add.reduce(panels, axis=1), 0.0
+    last, prev = panels[:, -1], panels[:, -2]
+    rho = np.divide(last, prev, out=np.zeros_like(last), where=prev > 0)
+    cut = 1.0 - start ** -np.log2(np.clip(rho, 1e-300, 1.0))
+    tail = np.divide(last * rho * cut, 1.0 - rho, out=np.zeros_like(last), where=rho < 1.0)
+    return np.add.reduce(panels, axis=1) + tail, tail
 
 
 def _draw_in_ball(space, key, count, seed):
@@ -318,142 +312,177 @@ def _draw_in_ball(space, key, count, seed):
     return _unit_ball_draws(space, count, subseed(seed, key))
 
 
-def _sample_near_singularity(space, singularity, key, count, seed, empty):
-    """`count` raw draws of one level's proposal from the stream (seed, key):
-    unit-ball points, which gather_ball_samples maps onto the ball of radius
-    delta about a point locus, or points of the unit cube, mapped onto the
-    slab about a hyperplane; None for an empty slab, which draws nothing."""
-    if empty:
-        return None
-    if singularity.kind == "point":
-        return _unit_ball_draws(space, count, subseed(seed, key))
-    return child_rng(seed, *key, "slab").random((count, space.n))
+def _sample_near_singularity(space, singularity, key, count, seed):
+    """The parameters of a near ball's `count` rays or lines, from the stream
+    (seed, key): offsets (count, n - 1) into the cells of a jittered grid, or
+    Gaussian vectors (count, n) for directions beyond three dimensions."""
+    rng = child_rng(seed, *key)
+    if singularity.kind == "point" and space.n > 3:
+        return rng.standard_normal((count, space.n))
+    return rng.random((count, space.n - 1))
 
 
-def _compress(pts, keep):
-    """The points of pts (..., n) where keep (...) holds, in order."""
-    return np.compress(keep.ravel(), pts.reshape(-1, pts.shape[-1]), axis=0)
-
-
-def _within(space, pts, centers, radii):
-    """Whether each point of pts (B, ..., n) lies within distance radii[b]
-    of centers[b]."""
-    flat = pts.reshape(len(pts), -1, space.n)
-    per = flat.shape[1]
-    d = np.asarray(metric_distance(space, flat.reshape(-1, space.n),
-                                   np.repeat(centers, per, axis=0)))
-    return (d < np.repeat(radii, per)).reshape(pts.shape[:-1])
-
-
-def _far_block(space, balls, seeds, tags, budget, domain):
-    """Samples of balls drawn as one stratum each: `budget` points in the
-    ball, kept when they lie in the domain.  Returns the kept points, ball
-    after ball, their strata (all 0), the kept count per ball, and the
-    volumes and their standard errors as (balls, 1) arrays."""
-    centers = np.array([b.center for b in balls])
-    radii = np.array([b.radius for b in balls], dtype=float)
+def _far_block(space, centers, radii, seeds, tags, budget, domain):
+    """Balls far from the locus: `budget` uniform draws per ball, one unit each,
+    those in the domain nodes weighted by the ball's volume; returns the nodes,
+    their levels, cells and (fine, coarse) weights, and node and unit counts."""
     draws = np.stack([_draw_in_ball(space, (t, "pool"), budget, s) for s, t in zip(seeds, tags)])
     pts = _map_to_balls(space, centers, radii, draws)
     keep = np.ones(pts.shape[:2], dtype=bool) if domain is None else domain.contains(pts)
     hits = np.count_nonzero(keep, axis=1)
-    vol_se = np.array([_hit_volume(h, budget, ball_volume(space, b))
-                       for h, b in zip(hits.tolist(), balls)])
-    return (_compress(pts, keep), np.zeros(int(hits.sum()), dtype=int), hits, vol_se[:, :1],
-            vol_se[:, 1:])
+    weight = np.repeat(space.unit_ball_volume * radii ** space.Q, hits)
+    return (np.compress(keep.ravel(), pts.reshape(-1, space.n), axis=0),
+            np.zeros(len(weight), dtype=int), np.nonzero(keep)[1],
+            np.stack([weight, weight], axis=1), hits, np.full(len(radii), budget))
 
 
-def _near_block(space, balls, seeds, tags, budget, domain, singularity):
-    """Samples of balls near the singular locus (see gather_ball_samples):
-    per ball, L level draws and then the pool, with each kept point's stratum
-    from one distance threshold pass.  Returns as `_far_block` does, with
-    (balls, L + 1) volumes; within a stratum, points keep the order of the
-    draws (levels 0..L-1, then the pool)."""
-    levels = _RING_LEVELS
-    pool_n = max(budget // 2, 16)
-    per_level = max((budget - pool_n) // levels, 32)
+def _jitter(u: np.ndarray) -> np.ndarray:
+    """Points of a jittered grid in [0, 1)^m: u (..., count, m) offsets into
+    the cells, row-major, of g^(m-1) x (count / g^(m-1)), g = floor(count^(1/m))."""
+    m, count = u.shape[-1], u.shape[-2]
+    g = int(count ** (1.0 / max(m, 1)) + 1e-9)
+    dims = (g,) * (m - 1) + (count // g ** (m - 1),) if m else ()
+    return (np.indices(dims).reshape(m, count).T + u) / dims
+
+
+def _frames(space, centers, radii):
+    """A (balls, n, n) with x = c + A y taking the unit region U (the unit ball;
+    on heisenberg1 {|y_h|^4 + y_t^2 <= 1}, in the sphere of radius sqrt(2)) onto
+    each ball: as c^-1 x = L (x - c), A = L^-1 diag(r, r, r^2/4) there."""
+    A = np.zeros((len(radii), space.n, space.n))
+    A[:, range(space.n), range(space.n)] = radii[:, None]
+    if space.kind != "euclidean":
+        A[:, 2, 2] = radii ** 2 / 4
+        A[:, 2, 0], A[:, 2, 1] = -centers[:, 1] * radii / 2, centers[:, 0] * radii / 2
+    return A
+
+
+def _rays(space, singularity, centers, A, domain, u):
+    """Origins and directions (balls, rays, n) of the units' rays, and the
+    measure of their parameter set per ball.  About a hyperplane (or in 1-d)
+    a unit is a line normal to it, a ray each way from a foot on it; the feet
+    fill the plane's rectangle under the ball's bounding box ∩ domain.  About
+    a point o it is a ray along A theta, theta unit in the cap that sees U's
+    bounding sphere from A^-1 (o - c) (all of the sphere if that holds o):
+    over the angle in 2-d and (cos phi, azimuth) about the cap's axis in 3-d,
+    Gaussian beyond, the measure carrying |det A|.  Grids are jittered."""
     n = space.n
-    centers = np.array([b.center for b in balls])
-    radii = np.array([b.radius for b in balls], dtype=float)
-    deltas = [[b.radius * 2.0 ** (-(ell + 1)) for ell in range(levels)] for b in balls]
-    delta_arr = np.array(deltas, dtype=float)
-
-    if singularity.kind == "point":
-        empty = np.zeros((len(balls), levels), dtype=bool)
-        vol_prop = [[space.unit_ball_volume * d ** space.Q for d in row] for row in deltas]
-    else:
-        # box proposal around the slab through the ball's bounding box, clipped
-        # to the domain (so its draws need no domain test)
-        a = singularity.axis
-        lo = np.repeat((centers - radii[:, None])[:, None, :], levels, axis=1)
-        hi = np.repeat((centers + radii[:, None])[:, None, :], levels, axis=1)
-        lo[..., a] = np.maximum(lo[..., a], singularity.offset - delta_arr)
-        hi[..., a] = np.minimum(hi[..., a], singularity.offset + delta_arr)
+    if singularity.kind == "hyperplane" or n == 1:
+        a, offset = ((singularity.axis, singularity.offset) if singularity.kind == "hyperplane"
+                     else (0, float(singularity.point[0])))
+        others = [j for j in range(n) if j != a]
+        half = np.abs(A).sum(axis=2)          # U lies in the cube [-1, 1]^n
+        lo, hi = centers - half, centers + half
         if domain is not None:
-            lo = np.maximum(lo, domain.bounds[:, 0])
-            hi = np.minimum(hi, domain.bounds[:, 1])
-        empty = np.any(hi <= lo, axis=-1)
-        vol_prop = np.prod(hi - lo, axis=-1).tolist()
-
-    raw = np.zeros((len(balls), levels, per_level, n))
-    for b, (s, t) in enumerate(zip(seeds, tags)):
-        for ell in range(levels):
-            u = _sample_near_singularity(space, singularity, (t, "lvl", ell), per_level, s,
-                                         bool(empty[b, ell]))
-            if u is not None:
-                raw[b, ell] = u
-    pool = _map_to_balls(space, centers, radii,
-                         np.stack([_draw_in_ball(space, (t, "pool"), pool_n, s)
-                                   for s, t in zip(seeds, tags)]))
-    pool_keep = np.ones(pool.shape[:2], dtype=bool) if domain is None else domain.contains(pool)
-    if singularity.kind == "point":
-        lvl = _map_to_balls(space, singularity.point, delta_arr, raw)
-        lvl_keep = _within(space, lvl, centers, radii)
-        if domain is not None:
-            lvl_keep &= domain.contains(lvl)
+            lo, hi = np.maximum(lo, domain.bounds[:, 0]), np.minimum(hi, domain.bounds[:, 1])
+        width = np.maximum(hi - lo, 0.0)[:, others]
+        feet = np.full(u.shape[:2] + (n,), offset)
+        feet[..., others] = lo[:, None, others] + width[:, None] * _jitter(u)
+        dirs = np.zeros(feet.shape[:2] + (2, n))
+        dirs[..., 0, a], dirs[..., 1, a] = 1.0, -1.0
+        return np.repeat(feet, 2, axis=1), dirs.reshape(len(feet), -1, n), np.prod(width, axis=1)
+    v = np.linalg.solve(A, (centers - singularity.point)[..., None])[..., 0]
+    d = np.linalg.norm(v, axis=1)
+    reach = 1.0 if space.kind == "euclidean" else math.sqrt(2.0)
+    ratio = np.divide(reach, d, out=np.full(len(d), 2.0), where=d > 0)
+    cos_a = np.where(ratio < 1.0, np.sqrt(1.0 - np.minimum(ratio, 1.0) ** 2), -1.0)
+    axis = np.divide(v, d[:, None], out=np.eye(n)[np.zeros(len(d), dtype=int)],
+                     where=d[:, None] > 0)
+    if n == 2:
+        angle = np.arccos(cos_a)
+        phi = (np.arctan2(axis[:, 1], axis[:, 0])[:, None]
+               + angle[:, None] * (2.0 * _jitter(u)[..., 0] - 1.0))
+        dirs, sigma = np.stack([np.cos(phi), np.sin(phi)], axis=-1), 2.0 * angle
+    elif n == 3:
+        t = _jitter(u)
+        z = 1.0 - (1.0 - cos_a)[:, None] * t[..., 0]
+        rho, psi = np.sqrt(np.maximum(1.0 - z * z, 0.0)), 2.0 * math.pi * t[..., 1]
+        # an orthonormal frame (e1, e2) of the plane normal to the axis
+        e1 = np.cross(axis, np.where(np.abs(axis[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
+        e1 /= np.linalg.norm(e1, axis=1)[:, None]
+        e2 = np.cross(axis, e1)
+        dirs = (z[..., None] * axis[:, None] + (rho * np.cos(psi))[..., None] * e1[:, None]
+                + (rho * np.sin(psi))[..., None] * e2[:, None])
+        sigma = 2.0 * math.pi * (1.0 - cos_a)
     else:
-        lvl = lo[:, :, None, :] + raw * (hi - lo)[:, :, None, :]
-        lvl_keep = _within(space, lvl, centers, radii) & ~empty[:, :, None]
+        dirs = u / np.linalg.norm(u, axis=-1, keepdims=True)
+        sigma = np.full(len(d), n * space.unit_ball_volume)
+    dirs = (A[:, None] @ dirs[..., None])[..., 0]
+    return np.broadcast_to(singularity.point, dirs.shape), dirs, sigma * np.abs(np.linalg.det(A))
 
-    # volumes: the pool's, then level ell's T_ell = {p in ball ∩ domain :
-    # d(p) < deltas[ell]}, clamped to be nonincreasing in ell
-    pool_hits = np.count_nonzero(pool_keep, axis=1).tolist()
-    lvl_hits = np.count_nonzero(lvl_keep, axis=2).tolist()
-    vol = np.empty((len(balls), levels + 1))
-    se = np.empty((len(balls), levels + 1))
-    for b, ball in enumerate(balls):
-        vol[b, 0], se[b, 0] = _hit_volume(pool_hits[b], pool_n, ball_volume(space, ball))
-        for ell in range(levels):
-            vol[b, ell + 1], se[b, ell + 1] = ((0.0, 0.0) if empty[b, ell] else
-                                               _hit_volume(lvl_hits[b][ell], per_level,
-                                                           vol_prop[b][ell]))
-    level_vol = np.minimum.accumulate(vol[:, 1:], axis=1)
-    volumes = np.maximum(np.concatenate([vol[:, :1], level_vol], axis=1)
-                         - np.concatenate([level_vol, np.zeros((len(balls), 1))], axis=1), 0.0)
-    volume_se = np.array([[*(math.hypot(x, y) for x, y in zip(row, row[1:])), row[-1]]
-                          for row in se.tolist()])
 
-    # strata: stratum ell + 1 is inner <= d < deltas[ell], with inner the next
-    # delta (0 for the core, stratum L), taken from level draws 0..ell and then
-    # the pool; stratum 0 is the pool's d >= deltas[0]
-    pts = np.concatenate([lvl.reshape(len(balls), -1, n), pool], axis=1)
-    keep = np.concatenate([lvl_keep.reshape(len(balls), -1), pool_keep], axis=1)
-    d = singularity.distance(space, pts.reshape(-1, n)).reshape(keep.shape)
-    stratum = np.zeros(keep.shape, dtype=int)
-    for ell in range(levels):
-        stratum += d < delta_arr[:, ell:ell + 1]
-    source = np.concatenate([np.repeat(np.arange(levels), per_level), np.full(pool_n, levels)])
-    keep &= (stratum > source) | (source == levels)
-    segment = np.arange(len(balls))[:, None] * (levels + 1) + stratum
-    counts = np.bincount(segment[keep], minlength=len(balls) * (levels + 1))
-    counts = counts.reshape(len(balls), levels + 1)
-    # merge empty-but-massive strata into the next deeper one
-    for b in np.flatnonzero(np.any((counts[:, :-1] == 0) & (volumes[:, :-1] > 0), axis=1)):
-        for j in range(levels):
-            if counts[b, j] == 0 and volumes[b, j] > 0:
-                volumes[b, j + 1] += volumes[b, j]
-                volumes[b, j] = 0.0
-    return (_compress(pts, keep), stratum[keep], np.count_nonzero(keep, axis=1), volumes,
-            volume_se)
+def _bisect(f, lo, hi, steps=60):
+    """Where the nondecreasing function f crosses 0 in [lo, hi], elementwise."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        up = f(mid) > 0
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def _chords(space, centers, A, domain, origins, dirs):
+    """Chord [s1, s2] (s1 = s2 = 0 for a miss) of each ray o + s D, s >= 0,
+    through the convex ball ∩ domain.  In U's coordinates, y0 + s y1, U's
+    boundary is a quadratic in s, or on heisenberg1 a convex quartic, whose
+    minimiser and roots come from bisection up to U's bounding sphere.  A D
+    parallel to a box face is nudged by 1e-300: its slab holds all or none."""
+    inv = np.linalg.inv(A)[:, None]
+    y0 = (inv @ (origins - centers[:, None, :])[..., None])[..., 0]
+    y1 = (inv @ dirs[..., None])[..., 0]
+    if space.kind == "euclidean":
+        a, b = (y1 * y1).sum(axis=-1), (y0 * y1).sum(axis=-1)
+        disc = b * b - a * ((y0 * y0).sum(axis=-1) - 1.0)
+        root = np.sqrt(np.maximum(disc, 0.0))
+        s1, s2 = (-b - root) / a, np.where(disc >= 0, (root - b) / a, -np.inf)
+    else:
+        h0, h1, t0, t1 = y0[..., :2], y1[..., :2], y0[..., 2], y1[..., 2]
+        p0, p1, p2 = (h0 * h0).sum(axis=-1), 2.0 * (h0 * h1).sum(axis=-1), (h1 * h1).sum(axis=-1)
+        q = lambda s: (p0 + s * (p1 + s * p2)) ** 2 + (t0 + s * t1) ** 2 - 1.0
+        dq = lambda s: (2.0 * (p0 + s * (p1 + s * p2)) * (p1 + 2.0 * p2 * s)
+                        + 2.0 * t1 * (t0 + s * t1))
+        top = (np.linalg.norm(y0, axis=-1) + math.sqrt(2.0)) / np.linalg.norm(y1, axis=-1)
+        low = _bisect(dq, np.zeros_like(top), top)
+        s1 = np.where(q(0.0) <= 0, 0.0, _bisect(lambda s: -q(s), np.zeros_like(top), low))
+        s2 = np.where(q(low) <= 0, _bisect(q, low, top), -np.inf)
+    s1 = np.maximum(s1, 0.0)
+    for j, (lo, hi) in enumerate(domain.bounds if domain is not None else []):
+        t = np.where(dirs[..., j] == 0, 1e-300, dirs[..., j])
+        with np.errstate(divide="ignore", over="ignore"):
+            a, b = (lo - origins[..., j]) / t, (hi - origins[..., j]) / t
+        s1, s2 = np.maximum(s1, np.minimum(a, b)), np.minimum(s2, np.maximum(a, b))
+    hit = s2 > s1
+    return np.where(hit, s1, 0.0), np.where(hit, s2, 0.0)
+
+
+def _near_block(space, centers, radii, seeds, tags, budget, domain, singularity):
+    """Balls near the singular locus: the ray nodes of gather_ball_samples,
+    a level's ray after ray; returns as `_far_block` does, and the starts."""
+    lines = singularity.kind == "hyperplane" or space.n == 1
+    # budget / (nodes per unit) units, at least _MIN_UNITS, in a whole `_jitter` grid
+    m = space.n - 1
+    target = max(budget / ((1 + lines) * _PANELS * len(_NODES)), _MIN_UNITS)
+    g = int(target ** (1.0 / max(m, 1)) + 1e-9)
+    units = (1 if m == 0 else int(target) if space.n > 3 and not lines
+             else g ** (m - 1) * int(target / g ** (m - 1)))
+    u = np.stack([_sample_near_singularity(space, singularity, (t, "rays"), units, s)
+                  for s, t in zip(seeds, tags)])
+    A = _frames(space, centers, radii)
+    origins, dirs, sigma = _rays(space, singularity, centers, A, domain, u)
+    s1, s2 = _chords(space, centers, A, domain, origins, dirs)
+    # panels (balls, levels, rays), dyadic in s below s2 and cut at s1; empty
+    # ones drop out.  A ray's start is s1 over the deepest panel's lower edge.
+    edges = s2[:, None, :] * 0.5 ** np.arange(_PANELS + 1)[:, None]
+    start = np.minimum(np.divide(s1, edges[:, -1], out=np.ones_like(s1), where=s2 > 0), 1.0)
+    lo, hi = np.maximum(edges[:, 1:], s1[:, None]), np.maximum(edges[:, :-1], s1[:, None])
+    s = 0.5 * (hi + lo)[..., None] + 0.5 * (hi - lo)[..., None] * _NODES
+    keep = np.broadcast_to((hi > lo)[..., None], s.shape)
+    nodes = origins[:, None, :, None, :] + s[..., None] * dirs[:, None, :, None, :]
+    jac = (sigma[:, None, None, None] * 0.5 * (hi - lo)[..., None] * s ** (0 if lines else m))
+    _, level, ray, rule = np.nonzero(keep)
+    count = np.count_nonzero(keep.reshape(len(radii), -1), axis=1)
+    start = start.reshape(len(radii), units, -1).min(axis=2).ravel()
+    return (nodes[keep], level, level * units + ray // (1 + lines),
+            jac[keep][:, None] * _RULES.T[rule], count, np.full(len(radii), units), start)
 
 
 def gather_ball_samples(
@@ -465,78 +494,61 @@ def gather_ball_samples(
     singularity: Singularity | None = None,
     tag="avg",
 ) -> BallSamples:
-    """Uniform samples of ball ∩ domain, stratified by distance d to the
-    singular locus when the ball comes near it.
-
-    `ball` is one Ball, drawn from the streams keyed by (seed, tag), or a
-    block: a sequence of balls, with `seed` and `tag` sequences holding one
-    seed and one tag per ball.  Draws stay per ball: each ball draws from its
-    own streams, exactly as a block of one, so its samples do not depend on
-    the block.  What follows the draws runs on the whole block at once: the
-    maps onto the balls and proposals, the acceptance and domain tests, and
-    the distance thresholds of the strata.
-
-    Far from the locus (d(center) > 1.5 r, or no locus) there is one stratum:
-    `budget` points drawn in the ball and kept when they lie in the domain.
-
-    Near it, with deltas[ell] = r 2^-(ell+1) for ell = 0..L-1 (L = 8), a pool
-    of budget/2 points is drawn in the ball, and for each ell a further level
-    draw in T_ell = {p in ball ∩ domain : d(p) < deltas[ell]}.  Stratum 0 (the
-    bulk) is the pool points with d >= deltas[0]; stratum ell+1 is the points
-    with inner <= d < deltas[ell], where inner = deltas[ell+1] (0 for the
-    core, stratum L), taken from level draws 0..ell and then from the pool.
-
-    Every volume is a hit-or-miss estimate vol(proposal) * acc with standard
-    error vol(proposal) sqrt(acc (1 - acc) / n) over n proposals, acc being
-    the accepted fraction; vol(T_ell) is clamped to be nonincreasing in ell,
-    and a stratum's volume is the difference of the two sets it lies between.
-    A stratum without points hands its volume to the next deeper one.
-    """
+    """Quadrature nodes of ball ∩ domain.  `ball` is one Ball, drawn from the
+    stream keyed by (seed, tag), or a block: balls with one seed and one tag
+    each, each drawn exactly as a block of one.  Far from the locus (d(center)
+    > 1.5 r, or no locus) each unit is one of `budget` uniform draws in the
+    ball, a node when in the domain.  Near it each unit is a ray from the
+    singular point or a line normal to the singular hyperplane (`_rays`); the
+    chord [s1, s2] of ray o + s D through ball ∩ domain carries w(o + s D)
+    s^(k-1) (k = n about a point, 1 about a plane) on the dyadic panels
+    [s2 2^-(j+1), s2 2^-j], j < _PANELS, by the Clenshaw-Curtis 5-point rule,
+    about budget / (5 _PANELS) nodes per ray.  A near ball none of whose rays
+    meets ball ∩ domain is drawn as a far one."""
     if budget < 16:
         raise ValueError("budget must be >= 16")
     if isinstance(ball, Ball):
         ball, seed, tag = [ball], [seed], [tag]
-    near = np.zeros(len(ball), dtype=bool)
-    if singularity is not None:
-        centers = np.array([b.center for b in ball])
-        radii = np.array([b.radius for b in ball], dtype=float)
-        near = singularity.distance(space, centers) <= 1.5 * radii
-    strata = np.where(near, _RING_LEVELS + 1, 1)
-    first = np.concatenate([[0], np.cumsum(strata)])
-    volumes = np.empty(first[-1])
-    volume_se = np.empty(first[-1])
-    pick = lambda group: ([ball[i] for i in group], [seed[i] for i in group],
-                          [tag[i] for i in group])
-    far, close = np.flatnonzero(~near), np.flatnonzero(near)
-    parts = []
-    if len(far):
-        parts.append((far, _far_block(space, *pick(far), budget, domain)))
-    if len(close):
-        parts.append((close, _near_block(space, *pick(close), budget, domain, singularity)))
-    pts, keys = [], []
-    for group, (kept, stratum, per_ball, vol, vol_se) in parts:
-        segs = first[group][:, None] + np.arange(vol.shape[1])
-        volumes[segs] = vol
-        volume_se[segs] = vol_se
-        pts.append(kept)
-        keys.append(np.repeat(first[group], per_ball) + stratum)
-    keys = np.concatenate(keys)
-    kept = np.concatenate(pts)
-    if np.any(keys[1:] < keys[:-1]):
-        kept = np.take(kept, np.argsort(keys, kind="stable"), axis=0)
-    counts = np.bincount(keys, minlength=first[-1])
-    return BallSamples(list(ball), kept, np.concatenate([[0], np.cumsum(counts)]), first,
-                       volumes, volume_se)
+    centers = np.array([b.center for b in ball])
+    radii = np.array([b.radius for b in ball], dtype=float)
+    near = (np.zeros(len(ball), dtype=bool) if singularity is None
+            else singularity.distance(space, centers) <= 1.5 * radii)
+    units = np.empty(len(ball), dtype=int)
+    pick = lambda g: (space, centers[g], radii[g], [seed[i] for i in g], [tag[i] for i in g],
+                      budget, domain)
+    cols, start = [], np.zeros(0)
+    if near.any():
+        group = np.flatnonzero(near)
+        *part, count, units[group], start = _near_block(*pick(group), singularity)
+        near[group[count == 0]] = False
+        start = start.reshape(len(group), -1)[count > 0].ravel()
+        cols.append((np.repeat(group, count), *part))
+    if not near.all():
+        group = np.flatnonzero(~near)
+        *part, count, units[group] = _far_block(*pick(group))
+        cols.append((np.repeat(group, count), *part))
+    levels = np.where(near, _PANELS, 1)
+    first = np.concatenate([[0], np.cumsum(levels)])
+    # the nodes in segment order, and their cells
+    ball_of, kept, level, cell, weights = (np.concatenate(c) for c in zip(*cols))
+    keys = first[ball_of] + level
+    bins = (np.cumsum(levels * units) - levels * units)[ball_of] + cell
+    if np.any(keys[1:] < keys[:-1]):      # a block with both far and near balls
+        order = np.argsort(keys, kind="stable")
+        kept, weights, bins = kept[order], weights[order], bins[order]
+    return BallSamples(list(ball), kept,
+                       np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=first[-1]))]),
+                       first, np.ascontiguousarray(weights.T), bins, units, start)
 
 
 @dataclass(frozen=True)
 class BallAverage:
-    """Monte-Carlo ball average with refinement diagnostics."""
+    """Ball average with refinement diagnostics."""
 
     value: float
     stderr: float
     diverging: bool
-    ring_contributions: np.ndarray  # per-stratum contribution to the mass
+    ring_contributions: np.ndarray  # per-level shares of the mass (see _rings_diverge)
 
 
 def _block_averages(samples: BallSamples, vals: np.ndarray) -> list[BallAverage]:
@@ -547,7 +559,7 @@ def _block_averages(samples: BallSamples, vals: np.ndarray) -> list[BallAverage]
         if vol <= 0:
             raise ValueError("ball does not intersect the domain")
         if math.isfinite(vmin) and vmin == vmax:
-            # constant on the sample set: the average is that constant, exactly
+            # constant on the nodes: the average is that constant, exactly
             out.append(BallAverage(vmin, 0.0, False, contrib))
         else:
             out.append(BallAverage(mass / vol, se / vol, _rings_diverge(contrib), contrib))
@@ -595,8 +607,8 @@ def _grows_geometrically(seq: np.ndarray) -> bool:
 
 
 def _rings_diverge(contrib: np.ndarray) -> bool:
-    # Ring contributions, excluding bulk and the core stratum, over the
-    # deepest levels that received mass.
+    # contrib: a far ball's one level, or a near ball's panel levels, outermost
+    # first, then its tail; the levels between, over those that received mass.
     rings = contrib[1:-1] if len(contrib) > 2 else contrib
     return _grows_geometrically(rings[rings > 0])
 
@@ -611,25 +623,12 @@ def ball_average(
 ) -> BallAverage:
     """Average of the weight over ball ∩ domain.
 
-    Stratifies samples into dyadic shells when the ball comes near the
-    weight's declared singular set, so non-integrable weights produce a
-    visibly diverging refinement profile.
+    Integrates along rays over dyadic panels toward the weight's declared
+    singular set when the ball comes near it (`gather_ball_samples`), so
+    non-integrable weights produce a visibly diverging refinement profile.
     """
     ((avg,),) = _ball_averages(weight, (1.0,), space, [ball], budget, [seed], ["avg"], domain)
     return avg
-
-
-def ball_mass(
-    weight: Weight,
-    space: MetricSpace,
-    ball: Ball,
-    budget: int,
-    seed: int,
-    domain: Box | None = None,
-) -> float:
-    """Weighted measure w(ball ∩ domain)."""
-    samples = gather_ball_samples(space, ball, budget, seed, domain, weight.singularity)
-    return samples.mass(weight)[0]
 
 
 # --- estimate traces / reports ----------------------------------------------
@@ -836,8 +835,8 @@ def rh_constant(
 class MaximalValue:
     """Discretized maximal-function value at a point.
 
-    `shell_diverging` means some single ball average diverged under shell
-    refinement (the weight is not locally integrable there); `shrink_diverging`
+    `shell_diverging` means some single ball average diverged over its
+    panel levels (the weight is not locally integrable there); `shrink_diverging`
     means the averages grow monotonically by >= 10% per level over the 4
     smallest-radius refinements (the point sits on the weight's singular
     locus).  Either one certifies Mw(x) = +infinity.
@@ -911,7 +910,7 @@ def a1_constant(
     radius_set = np.exp(np.linspace(math.log(hi), math.log(lo), radii))
 
     def ratios(n, s, budget_s):
-        # Only shell-level divergence (non-integrability) counts as global
+        # Only panel-level divergence (non-integrability) counts as global
         # unboundedness evidence: a probe accidentally on the singular locus
         # sees growing averages but is a measure-zero event for the esssup.
         mvs = _maximal_values(weight, space, xs[:n], radius_set, budget_s,

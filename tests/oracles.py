@@ -3,12 +3,15 @@
 Each oracle computes its answer by a route disjoint from the library code it
 checks: closed-form antiderivatives and dense interval scans for Muckenhoupt
 constants, 1-d flux integration for radial p-harmonic profiles, polar
-reduction for radial ball averages.
+reduction for radial ball averages, and 1-d adaptive quadrature over the
+spheres or slices of a ball for off-centre ball averages.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.integrate import cumulative_simpson
+from scipy.integrate import cumulative_simpson, quad
 
 
 def power_antiderivative(exponent: float):
@@ -76,3 +79,64 @@ def centered_ap_power_2d(w_exp: float, p: float) -> float:
     dual_exp = w_exp * (1.0 - p / (p - 1.0))
     return (radial_ball_average_2d(w_exp, 1.0)
             * radial_ball_average_2d(dual_exp, 1.0) ** (p - 1.0))
+
+
+def _quad_power(f, a: float, lo: float, hi: float, breaks=()) -> float:
+    """Integral of |x|^a f(x) over [lo, hi] by adaptive quadrature, split at
+    0 and at the kinks `breaks` of f, with the algebraic weight of QUADPACK
+    on the pieces that end at 0."""
+    cuts = sorted({lo, hi, *(x for x in (0.0, *breaks) if lo < x < hi)})
+    total = 0.0
+    for u, v in zip(cuts[:-1], cuts[1:]):
+        if u == 0.0:
+            total += quad(f, 0.0, v, weight="alg", wvar=(a, 0.0), epsabs=0.0, epsrel=1e-12)[0]
+        elif v == 0.0:
+            total += quad(lambda t: f(-t), 0.0, -u, weight="alg", wvar=(a, 0.0), epsabs=0.0,
+                          epsrel=1e-12)[0]
+        else:
+            total += quad(lambda x: abs(x) ** a * f(x), u, v, epsabs=0.0, epsrel=1e-12,
+                          limit=200)[0]
+    return total
+
+
+def _solid_angle_in_ball(rho: float, d: float, r: float, dim: int) -> float:
+    """Angle (dim 2) or solid angle (dim 3) of the part of the sphere
+    |x| = rho inside a ball of radius r whose centre is at distance d from
+    0: the whole sphere, none of it, or an arc / cap of half-angle t with
+    cos t = (rho^2 + d^2 - r^2) / (2 rho d)."""
+    if rho <= r - d:
+        return 2.0 * math.pi if dim == 2 else 4.0 * math.pi
+    if rho >= r + d or rho <= d - r:
+        return 0.0
+    cos_t = (rho ** 2 + d ** 2 - r ** 2) / (2.0 * rho * d)
+    return 2.0 * math.acos(cos_t) if dim == 2 else 2.0 * math.pi * (1.0 - cos_t)
+
+
+def radial_ball_average(profile, dim: int, d: float, r: float, power: float = 0.0,
+                        breaks=()) -> float:
+    """Average of |x|^power profile(|x|) over a ball of radius r in R^dim
+    (dim 2 or 3) whose centre is at distance d from 0: integrals over rho of
+    rho^(dim-1) times the solid angle inside the ball, by 1-d quadrature."""
+    lo, hi = max(d - r, 0.0), d + r
+    kinks = (abs(r - d), *breaks)
+    angle = lambda rho: _solid_angle_in_ball(rho, d, r, dim)
+    num = _quad_power(lambda rho: profile(rho) * angle(rho), power + dim - 1, lo, hi, kinks)
+    return num / _quad_power(angle, dim - 1.0, lo, hi, kinks)
+
+
+def slice_ball_average(exponent: float, center, r: float, bounds) -> float:
+    """Average of |x1|^a over the disc B(center, r) clipped to the box
+    `bounds` ((2, 2) lows and highs): the integrals over x1 of the length
+    L(x1) of the slice of the clipped disc, by 1-d quadrature."""
+    (lo1, hi1), (lo2, hi2) = bounds
+    c1, c2 = center
+
+    def length(x1):
+        h = math.sqrt(max(r * r - (x1 - c1) ** 2, 0.0))
+        return max(min(c2 + h, hi2) - max(c2 - h, lo2), 0.0)
+
+    # L has kinks where the disc's rim crosses the box's edges x2 = lo2, hi2
+    kinks = [c1 + sign * math.sqrt(r * r - (edge - c2) ** 2)
+             for edge in (lo2, hi2) if abs(edge - c2) < r for sign in (-1.0, 1.0)]
+    lo, hi = max(c1 - r, lo1), min(c1 + r, hi1)
+    return _quad_power(length, exponent, lo, hi, kinks) / _quad_power(length, 0.0, lo, hi, kinks)

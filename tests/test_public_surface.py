@@ -14,7 +14,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(degenlap.__path__))
 # Routines that only tests called, removed together with their report types.
 REMOVED = {
     "weights": ["power_class_check", "PowerClassReport", "subset_mass_check",
-                "SubsetMassReport"],
+                "SubsetMassReport", "ball_mass"],
     "energy": ["vector_inequalities_check", "VectorInequalityReport", "poincare_ratio"],
     "diagnostics": ["mean_value_check", "MeanValueResult", "precise_representative",
                     "PreciseValue"],
