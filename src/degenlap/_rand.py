@@ -2,8 +2,11 @@
 
 Every sampling operation in the package derives its generator from a user
 seed plus a structured key (operation tag, ball index, stage, ...), so that
-independent sub-tasks get independent counter-based streams and any task can
-be replayed in isolation.
+any task can be replayed in isolation.  A stream is a PCG64DXSM generator
+seeded by a SeedSequence whose spawn key is the hashed key.  Streams of
+distinct keys are independent with overwhelming probability; they are not
+counter-based, so nothing guarantees that two never overlap.  No result
+depends on the order in which streams are made.
 """
 from __future__ import annotations
 
@@ -23,12 +26,13 @@ def _key_int(key) -> int:
 def child_rng(seed: int, *keys) -> np.random.Generator:
     """Generator for the sub-stream identified by (seed, *keys).
 
-    Uses a Philox counter-based bit generator keyed through a SeedSequence
-    spawn key, so streams for distinct keys never overlap and results do not
-    depend on evaluation order.
+    A PCG64DXSM bit generator seeded by SeedSequence(seed, spawn_key), one
+    spawn word per key (an integer modulo 2**32, else the CRC-32 of its
+    str).  Streams of distinct spawn keys are independent with overwhelming
+    probability; the keys, not the order of construction, fix the draws.
     """
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(_key_int(k) for k in keys))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64DXSM(ss))
 
 
 def subseed(seed: int, key: tuple) -> int:

@@ -127,6 +127,13 @@ def _load_config(path: str | None, subcommand: str, overrides: dict) -> dict:
     for key, val in overrides.items():
         if val is not None and key in cfg:
             cfg[key] = val
+    # the random streams are keyed by a non-negative seed (numpy's SeedSequence)
+    try:
+        seed = int(cfg["seed"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}") from exc
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     cfg["subcommand"] = subcommand
     return cfg
 

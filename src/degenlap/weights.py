@@ -16,11 +16,15 @@ operationalized through two falsifiable signals:
   diverging ball average at any stage raises the same flag.
 
 The estimators sample their balls in blocks of `_BLOCK` balls.  Every ball
-draws from its own random stream, keyed by the seed and its tag, exactly as
-a ball sampled on its own; everything after the draws runs on the whole
-block at once, with one weight evaluation per node (its powers are taken
-from those values).  Each ball's sums still run over its own nodes in the
-same order, so a ball's average has the same bits in any block.
+draws from its own random stream, one PCG64DXSM generator keyed by the seed
+and the ball's tag (`child_rng`), so a ball can be replayed on its own.  A
+block's far balls take their candidate rows from their own streams and are
+mapped, accept-tested and compacted in one pass; a ball's points are the
+first accepted rows of its stream, exactly as a ball sampled on its own.
+Everything after the draws runs on the whole block at once, with one weight
+evaluation per node (its powers are taken from those values).  Each ball's
+sums still run over its own nodes in the same order, so a ball's average has
+the same bits in any block.
 """
 from __future__ import annotations
 
@@ -35,8 +39,11 @@ from .geometry import (
     Ball,
     Box,
     MetricSpace,
+    _candidates,
+    _chunk,
     _map_to_balls,
-    _unit_ball_draws,
+    _norm,
+    _sample_unit_ball,
     metric_distance,
     sample_ball,
 )
@@ -142,7 +149,7 @@ def power_weight(exponent: float, dim: int) -> Weight:
     sing = Singularity("point", point=np.zeros(dim))
     return Weight(
         name=f"|x|^{exponent:g}",
-        fn=lambda pts: np.linalg.norm(pts, axis=-1) ** exponent,
+        fn=lambda pts: _norm(pts) ** exponent,
         singularity=sing,
     )
 
@@ -160,7 +167,7 @@ def log_weight(power: float, dim: int) -> Weight:
     """(|log|x||)^s for |x| < 1/e and 1 otherwise."""
 
     def fn(pts):
-        r = np.linalg.norm(pts, axis=-1)
+        r = _norm(pts)
         with np.errstate(divide="ignore"):
             out = np.where(r < math.exp(-1.0), np.abs(np.log(np.maximum(r, 1e-300))), 1.0)
         return out ** power
@@ -180,8 +187,8 @@ def constant_weight(value: float, dim: int) -> Weight:
 
 # --- ball quadrature ---------------------------------------------------------
 
-# Balls per block of the batched engine.  Draws stay per ball; a block only
-# batches the array work that follows them, and its arrays hold about _BLOCK x
+# Balls per block of the batched engine.  Streams stay per ball; a block
+# batches the array work on their draws, and its arrays hold about _BLOCK x
 # budget nodes.  Of 1, 4, 8, 16 and 32, 8 ran the catalog's estimator calls
 # fastest (median CPU time); larger blocks gained nothing.
 _BLOCK = 8
@@ -250,15 +257,31 @@ class BallSamples:
         levels = np.diff(self.first)
         cells = np.concatenate([[0], np.cumsum(levels * self.units)])
         unit_first = np.concatenate([[0], np.cumsum(np.where(levels > 1, self.units, 0))])
-        ends = self.offsets[self.first].tolist()
-        # (bincount gives integers when there are no nodes at all)
-        sums = [np.bincount(self.bins, w, cells[-1]).astype(float)
-                for w in (vals * self.weights[0], vals * self.weights[1], self.weights[0])]
+        ends = self.offsets[self.first]
+        # the dense (cells) sums: a cell of a far ball holds one node or none,
+        # so a block of far balls assigns them; else each cell sums its nodes
+        far_only = bool(np.all(levels == 1))
+        sums = np.zeros((3, cells[-1]))
+        for row, w in zip(sums, (vals * self.weights[0], vals * self.weights[1], self.weights[0])):
+            if far_only:
+                row[self.bins] = w
+            else:
+                row[:] = np.bincount(self.bins, w, cells[-1])
+        # each ball's value range, over the balls that have nodes
+        vmin, vmax = np.full(len(self.balls), math.inf), np.full(len(self.balls), -math.inf)
+        full = np.diff(ends) > 0
+        if full.any():
+            vmin[full] = np.minimum.reduceat(vals, ends[:-1][full])
+            vmax[full] = np.maximum.reduceat(vals, ends[:-1][full])
         out = [None] * len(self.balls)
         for nl, nu in set(zip(levels.tolist(), self.units.tolist())):    # far, near
             group = np.flatnonzero((levels == nl) & (self.units == nu))
-            cell = cells[group][:, None] + np.arange(nl * nu)
-            fine, coarse, ones = (s[cell].reshape(-1, nl, nu) for s in sums)
+            # a block of one kind is its dense grid as it stands
+            if len(group) == len(levels):
+                fine, coarse, ones = sums.reshape(3, -1, nl, nu)
+            else:
+                cell = cells[group][:, None] + np.arange(nl * nu)
+                fine, coarse, ones = (s[cell].reshape(-1, nl, nu) for s in sums)
             start = self.start[unit_first[group][:, None] + np.arange(nu)] if nl > 1 else None
             (est, tail), size = _estimates(fine, start), _estimates(ones, start)[0]
             mass, vol = np.add.reduce(est, axis=-1) / nu, np.add.reduce(size, axis=-1) / nu
@@ -270,10 +293,8 @@ class BallSamples:
             if nl > 1:
                 contrib = np.concatenate([contrib, np.add.reduce(tail, axis=-1)[:, None] / nu], 1)
             for i, b in enumerate(group.tolist()):
-                v = vals[ends[b]:ends[b + 1]]
-                vrange = (float(v.min()), float(v.max())) if len(v) else (math.inf, -math.inf)
-                out[b] = (float(mass[i]), math.sqrt(var[i] + err[i] ** 2), contrib[i], vrange,
-                          float(vol[i]))
+                out[b] = (float(mass[i]), math.sqrt(var[i] + err[i] ** 2), contrib[i],
+                          (float(vmin[b]), float(vmax[b])), float(vol[i]))
         return out
 
     def check_finite(self, values: list[np.ndarray]) -> None:
@@ -298,7 +319,7 @@ class BallSamples:
 def _estimates(panels: np.ndarray, start):
     """Each unit's estimate and tail from panel sums (balls, levels, units) and starts."""
     if panels.shape[1] < 2:
-        return np.add.reduce(panels, axis=1), 0.0
+        return panels[:, 0], 0.0
     last, prev = panels[:, -1], panels[:, -2]
     rho = np.divide(last, prev, out=np.zeros_like(last), where=prev > 0)
     cut = 1.0 - start ** -np.log2(np.clip(rho, 1e-300, 1.0))
@@ -307,9 +328,11 @@ def _estimates(panels: np.ndarray, start):
 
 
 def _draw_in_ball(space, key, count, seed):
-    """`count` unit-ball points from the stream (seed, key), which
-    gather_ball_samples maps onto the ball."""
-    return _unit_ball_draws(space, count, subseed(seed, key))
+    """Start the stream (seed, key) of a far ball that takes `count` unit-ball
+    points: its generator, and its first `_chunk` candidate rows, which
+    `_far_block` accept-tests with the block's other balls' rows."""
+    rng = child_rng(seed, *key)
+    return rng, rng.random((_chunk(space, count), space.n))
 
 
 def _sample_near_singularity(space, singularity, key, count, seed):
@@ -325,15 +348,34 @@ def _sample_near_singularity(space, singularity, key, count, seed):
 def _far_block(space, centers, radii, seeds, tags, budget, domain):
     """Balls far from the locus: `budget` uniform draws per ball, one unit each,
     those in the domain nodes weighted by the ball's volume; returns the nodes,
-    their levels, cells and (fine, coarse) weights, and node and unit counts."""
-    draws = np.stack([_draw_in_ball(space, (t, "pool"), budget, s) for s, t in zip(seeds, tags)])
-    pts = _map_to_balls(space, centers, radii, draws)
+    their levels, cells and (fine, coarse) weights, and node and unit counts.
+    A ball's draws are the first `budget` unit-ball points of its stream
+    (`_sample_unit_ball`): the block's first chunks are accept-tested and
+    compacted together, and a ball they leave short continues its stream."""
+    streams = [_draw_in_ball(space, (t, "pool"), budget, s) for s, t in zip(seeds, tags)]
+    cand = np.concatenate([rows for _, rows in streams])
+    inside = _candidates(space, cand).reshape(len(streams), -1)
+    got = []
+    for row in inside:
+        accepted = np.flatnonzero(row)
+        if len(accepted) > budget:
+            row[accepted[budget]:] = False      # a ball keeps its first `budget` points
+        got.append(min(len(accepted), budget))
+    draws = np.compress(inside.ravel(), cand, axis=0)
+    if min(got) < budget:       # rare: a ball left short continues its stream
+        parts = np.split(draws, np.cumsum(got)[:-1])
+        draws = np.concatenate([
+            np.concatenate([part, _sample_unit_ball(space, budget - n, rng)])
+            for part, n, (rng, _) in zip(parts, got, streams)])
+    pts = _map_to_balls(space, centers, radii, draws.reshape(len(streams), budget, space.n))
     keep = np.ones(pts.shape[:2], dtype=bool) if domain is None else domain.contains(pts)
     hits = np.count_nonzero(keep, axis=1)
     weight = np.repeat(space.unit_ball_volume * radii ** space.Q, hits)
-    return (np.compress(keep.ravel(), pts.reshape(-1, space.n), axis=0),
-            np.zeros(len(weight), dtype=int), np.nonzero(keep)[1],
-            np.stack([weight, weight], axis=1), hits, np.full(len(radii), budget))
+    kept = pts.reshape(-1, space.n)
+    if len(weight) < len(kept):
+        kept = np.compress(keep.ravel(), kept, axis=0)
+    return (kept, np.zeros(len(weight), dtype=int), np.flatnonzero(keep) % budget,
+            np.stack([weight, weight]), hits, np.full(len(radii), budget))
 
 
 def _jitter(u: np.ndarray) -> np.ndarray:
@@ -481,8 +523,9 @@ def _near_block(space, centers, radii, seeds, tags, budget, domain, singularity)
     _, level, ray, rule = np.nonzero(keep)
     count = np.count_nonzero(keep.reshape(len(radii), -1), axis=1)
     start = start.reshape(len(radii), units, -1).min(axis=2).ravel()
+    # the (2, nodes) weights C-ordered, as `take` leaves them (a[:, idx] would not)
     return (nodes[keep], level, level * units + ray // (1 + lines),
-            jac[keep][:, None] * _RULES.T[rule], count, np.full(len(radii), units), start)
+            jac[keep] * _RULES.take(rule, axis=1), count, np.full(len(radii), units), start)
 
 
 def gather_ball_samples(
@@ -495,10 +538,11 @@ def gather_ball_samples(
     tag="avg",
 ) -> BallSamples:
     """Quadrature nodes of ball ∩ domain.  `ball` is one Ball, drawn from the
-    stream keyed by (seed, tag), or a block: balls with one seed and one tag
-    each, each drawn exactly as a block of one.  Far from the locus (d(center)
-    > 1.5 r, or no locus) each unit is one of `budget` uniform draws in the
-    ball, a node when in the domain.  Near it each unit is a ray from the
+    PCG64DXSM stream keyed by (seed, tag, "pool") when far and (seed, tag,
+    "rays") when near (`child_rng`), or a block: balls with one seed and one
+    tag each, each drawn exactly as a block of one.  Far from the locus
+    (d(center) > 1.5 r, or no locus) each unit is one of `budget` uniform
+    draws in the ball, a node when in the domain.  Near it each unit is a ray from the
     singular point or a line normal to the singular hyperplane (`_rays`); the
     chord [s1, s2] of ray o + s D through ball ∩ domain carries w(o + s D)
     s^(k-1) (k = n about a point, 1 about a plane) on the dyadic panels
@@ -530,15 +574,19 @@ def gather_ball_samples(
     levels = np.where(near, _PANELS, 1)
     first = np.concatenate([[0], np.cumsum(levels)])
     # the nodes in segment order, and their cells
-    ball_of, kept, level, cell, weights = (np.concatenate(c) for c in zip(*cols))
+    if len(cols) == 1:
+        ball_of, kept, level, cell, weights = cols[0]
+    else:       # a block with both far and near balls
+        ball_of, kept, level, cell = (np.concatenate(c) for c in list(zip(*cols))[:4])
+        weights = np.concatenate([c[4] for c in cols], axis=1)
     keys = first[ball_of] + level
     bins = (np.cumsum(levels * units) - levels * units)[ball_of] + cell
-    if np.any(keys[1:] < keys[:-1]):      # a block with both far and near balls
+    if len(cols) > 1:
         order = np.argsort(keys, kind="stable")
-        kept, weights, bins = kept[order], weights[order], bins[order]
+        kept, weights, bins = kept[order], weights.take(order, axis=1), bins[order]
     return BallSamples(list(ball), kept,
                        np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=first[-1]))]),
-                       first, np.ascontiguousarray(weights.T), bins, units, start)
+                       first, weights, bins, units, start)
 
 
 @dataclass(frozen=True)
@@ -785,9 +833,9 @@ def ap_constant(
     final_budget = _stage_plan(budget, floor=64)[-1]
     sub = np.linspace(0, balls - 1, num=min(64, balls), dtype=int).tolist()
     pairs = [Ball(centers[i], k * radii[i]) for i in sub for k in (1.0, 2.0)]
-    seeds = [subseed(seed, ("dbl", i, j)) for i in sub for j in (1, 2)]
+    tags = [("dbl", i, j) for i in sub for j in (1, 2)]
     masses = []
-    for samples in _sample_blocks(space, pairs, final_budget, seeds, ["avg"] * len(pairs),
+    for samples in _sample_blocks(space, pairs, final_budget, [seed] * len(pairs), tags,
                                   domain, weight.singularity):
         masses.extend(m[0] for m in samples.integrals(weight(samples.kept)))
     doubling = 0.0
@@ -876,9 +924,9 @@ def _maximal_values(weight, space, xs, radius_set, budget, seeds, domain) -> lis
     if len(radii) == 0:
         raise ValueError("radius_set must be non-empty")
     balls = [Ball(x, float(r)) for x in xs for r in radii]
-    ball_seeds = [subseed(sd, ("max", j)) for sd in seeds for j in range(len(radii))]
-    (avgs,) = _ball_averages(weight, (1.0,), space, balls, budget, ball_seeds,
-                             ["avg"] * len(balls), domain)
+    (avgs,) = _ball_averages(weight, (1.0,), space, balls, budget,
+                             [sd for sd in seeds for _ in radii],
+                             [("max", j) for _ in seeds for j in range(len(radii))], domain)
     out = []
     for k in range(0, len(avgs), len(radii)):
         row = avgs[k:k + len(radii)]

@@ -3,8 +3,9 @@
 Each oracle computes its answer by a route disjoint from the library code it
 checks: closed-form antiderivatives and dense interval scans for Muckenhoupt
 constants, 1-d flux integration for radial p-harmonic profiles, polar
-reduction for radial ball averages, and 1-d adaptive quadrature over the
-spheres or slices of a ball for off-centre ball averages.
+reduction for radial ball averages, 1-d adaptive quadrature over the
+spheres or slices of a ball for off-centre ball averages, and scalar
+rejection sampling, one candidate at a time, for uniform draws in unit balls.
 """
 from __future__ import annotations
 
@@ -140,3 +141,24 @@ def slice_ball_average(exponent: float, center, r: float, bounds) -> float:
              for edge in (lo2, hi2) if abs(edge - c2) < r for sign in (-1.0, 1.0)]
     lo, hi = max(c1 - r, lo1), min(c1 + r, hi1)
     return _quad_power(length, exponent, lo, hi, kinks) / _quad_power(length, 0.0, lo, hi, kinks)
+
+
+def unit_ball_rejection(kind: str, n: int, count: int, rng) -> tuple[np.ndarray, int]:
+    """The first `count` uniform points of the unit ball by rejection, one
+    candidate row rng.random(n) at a time: u mapped to 2u - 1 per axis (the
+    t axis of heisenberg1 to u/2 - 1/4) and kept if inside, by the Euclidean
+    norm or the Koranyi gauge (a^2 + b^2)^2 + 16 t^2 <= 1.  Returns the
+    points and the number of candidate rows drawn."""
+    points, rows = [], 0
+    while len(points) < count:
+        u = rng.random(n).tolist()
+        rows += 1
+        if kind == "euclidean":
+            p = [2.0 * x - 1.0 for x in u]
+            inside = sum(x * x for x in p) <= 1.0
+        else:
+            p = [2.0 * u[0] - 1.0, 2.0 * u[1] - 1.0, 0.5 * u[2] - 0.25]
+            inside = (p[0] * p[0] + p[1] * p[1]) ** 2 + 16.0 * p[2] * p[2] <= 1.0
+        if inside:
+            points.append(p)
+    return np.array(points), rows

@@ -162,6 +162,16 @@ def test_exit_code_config_errors(tmp_path):
                     "--output-dir", str(tmp_path / "v")]) == 2
 
 
+@pytest.mark.parametrize("sub", ["weights", "solve", "diagnose", "distortion", "catalog"])
+def test_negative_seed_rejected(tmp_path, capsys, sub):
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    for args in (["--seed", "-1"], ["--config", str(cfg)]):
+        assert run_cli([sub, *args, "--output-dir", str(tmp_path / "out")]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("sizes", [["--balls", "4", "--points", "16"],
                                    ["--balls", "64", "--points", "4"]],
                          ids=["balls", "points"])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from degenlap._rand import child_rng, subseed
-from degenlap.geometry import (Ball, Box, ball_volume, euclidean, heisenberg1, metric_distance,
-                               sample_ball)
+from degenlap.geometry import (Ball, Box, _chunk, ball_volume, euclidean, heisenberg1,
+                               metric_distance, sample_ball)
 from degenlap.weights import (
     OutOfRegimeError,
     SingularSampleError,
@@ -34,6 +34,7 @@ from oracles import (
     radial_ball_average,
     radial_ball_average_2d,
     slice_ball_average,
+    unit_ball_rejection,
 )
 
 BOX1 = Box([[-1.0, 1.0]])
@@ -138,70 +139,70 @@ SAMPLER_DIGEST = {
     "point-r2": {
         "counts": [85, 85, 85, 85, 85, 85],
         "volumes": [
-            1.1219446177482901, 0.28048615443707253, 0.07012153860926813,
-            0.017530384652317033, 0.004382596163079258, 0.0010956490407698146,
+            1.0391101189529572, 0.2597775297382393, 0.06494438243455983,
+            0.016236095608639957, 0.004059023902159989, 0.0010147559755399973,
         ],
         "weights": [
-            [19.073058501720933, 19.073058501720933],
-            [4.768264625430233, 4.768264625430233],
-            [1.1920661563575583, 1.1920661563575583],
-            [0.2980165390893896, 0.2980165390893896],
-            [0.0745041347723474, 0.0745041347723474],
-            [0.01862603369308685, 0.01862603369308685],
+            [17.664872022200278, 17.664872022200274],
+            [4.4162180055500695, 4.416218005550069],
+            [1.1040545013875174, 1.1040545013875172],
+            [0.27601362534687934, 0.2760136253468793],
+            [0.06900340633671984, 0.06900340633671982],
+            [0.01725085158417996, 0.017250851584179955],
         ],
         "sums": [
-            [10.590511870251015, 18.091288922212186],
-            [5.295255935125508, 9.045644461106093],
-            [2.647627967562754, 4.5228222305530466],
-            [1.323813983781377, 2.2614111152765233],
-            [0.6619069918906885, 1.1307055576382616],
-            [0.33095349594534423, 0.5653527788191308],
+            [9.780769913543008, 17.067442688292044],
+            [4.890384956771504, 8.533721344146022],
+            [2.445192478385752, 4.266860672073011],
+            [1.222596239192876, 2.1334303360365054],
+            [0.611298119596438, 1.0667151680182527],
+            [0.305649059798219, 0.5333575840091264],
         ],
     },
     "hyperplane-r2": {
-        "counts": [80, 80, 75, 75, 75, 75],
+        "counts": [85, 85, 85, 85, 85, 80],
         "volumes": [
-            0.2552884815008919, 0.12614364417232524, 0.06041662447747948,
-            0.03020831223873974, 0.01510415611936987, 0.007552078059684935,
+            0.25674706364524325, 0.12837353182262162, 0.06418676591131081,
+            0.032093382955655406, 0.015322557838227176, 0.007495596922005441,
         ],
         "weights": [
-            [2.297596333508027, 2.297596333508027],
-            [1.1352927975509268, 1.1352927975509268],
-            [0.5437496202973153, 0.5437496202973153],
-            [0.27187481014865766, 0.27187481014865766],
-            [0.13593740507432883, 0.13593740507432883],
-            [0.06796870253716442, 0.06796870253716442],
+            [2.3107235728071895, 2.310723572807189],
+            [1.1553617864035948, 1.1553617864035945],
+            [0.5776808932017974, 0.5776808932017973],
+            [0.2888404466008987, 0.28884044660089864],
+            [0.13790302054404457, 0.13790302054404457],
+            [0.06746037229804897, 0.06746037229804897],
         ],
         "sums": [
-            [13.149118206503895, 23.88740797394056],
-            [6.616763382011592, 23.88740797394056],
-            [2.999940835253866, 24.31522340605167],
-            [1.499970417626933, 24.31522340605167],
-            [0.7499852088134665, 24.31522340605167],
-            [0.37499260440673327, 24.31522340605167],
+            [13.424921805652712, 27.39289596291336],
+            [6.712460902826356, 27.39289596291336],
+            [3.356230451413178, 27.39289596291336],
+            [1.678115225706589, 27.39289596291336],
+            [0.8594238714670595, 27.39289596291336],
+            [0.37500000000000017, 27.679005605562306],
         ],
     },
     "point-heis": {
         "counts": [80, 80, 80, 80, 80, 80],
         "volumes": [
-            0.09289669848773863, 0.011612087310967328, 0.001451510913870916,
-            0.0001814388642338645, 2.2679858029233063e-05, 2.834982253654133e-06,
+            0.062498038995061574, 0.007812254874382697, 0.0009765318592978371,
+            0.00012206648241222964, 1.5258310301528704e-05, 1.907288787691088e-06,
         ],
         "weights": [
-            [1.4863471758038178, 1.486347175803818],
-            [0.18579339697547723, 0.18579339697547725],
-            [0.023224174621934653, 0.023224174621934657],
-            [0.0029030218277418317, 0.002903021827741832],
-            [0.00036287772846772896, 0.000362877728467729],
-            [4.535971605846612e-05, 4.5359716058466126e-05],
+            [0.9999686239209852, 0.999968623920985],
+            [0.12499607799012315, 0.12499607799012312],
+            [0.015624509748765393, 0.01562450974876539],
+            [0.0019530637185956742, 0.0019530637185956737],
+            [0.00024413296482445927, 0.00024413296482445922],
+            [3.051662060305741e-05, 3.0516620603057402e-05],
         ],
         "sums": [
-            [3.8925089470591714, 2.1612901751711404, 1.0607601032478045],
-            [1.9462544735295857, 1.0806450875855702, 0.5303800516239022],
-            [0.9731272367647928, 0.5403225437927851, 0.2651900258119511],
-            [0.4865636183823964, 0.27016127189639255, 0.13259501290597556],
-            [0.2432818091911982, 0.13508063594819628, 0.06629750645298778],
-            [0.1216409045955991, 0.06754031797409814, 0.03314875322649389],
+            [5.516937068258082, 1.298796676688676, 0.3796844386239021],
+            [2.758468534129041, 0.649398338344338, 0.18984221931195105],
+            [1.3792342670645206, 0.324699169172169, 0.09492110965597553],
+            [0.6896171335322603, 0.1623495845860845, 0.047460554827987764],
+            [0.34480856676613014, 0.08117479229304225, 0.023730277413993882],
+            [0.17240428338306507, 0.040587396146521126, 0.011865138706996941],
         ],
     },
 }
@@ -285,6 +286,28 @@ def test_block_samples_match_single_balls(case):
         for got, want in zip(segments[first:last], alone.points):
             assert np.array_equal(got, want)
     assert block.first[-1] > len(balls)     # some ball of the block is near
+
+
+@pytest.mark.parametrize("count", [16, 2048])
+@pytest.mark.parametrize("space", [euclidean(1), euclidean(2), euclidean(3), euclidean(4),
+                                   heisenberg1()], ids=["r1", "r2", "r3", "r4", "heis"])
+def test_far_draws_are_the_first_accepted_candidates(space, count):
+    # A block's far balls are accept-tested together, yet each ball's points
+    # are the first `count` accepted candidate rows of its own stream (seed,
+    # tag, "pool"), in stream order.  On the unit ball about 0 the map onto
+    # the ball is exact.  In 4-d, seed 32's first chunk of candidates holds
+    # fewer than 16 points, so that ball continues its stream.
+    seeds, tags = [0, 32, 5, 32], ["avg", "avg", ("ap", 3, 1), ("dbl", 0, 2)]
+    block = gather_ball_samples(space, [Ball(np.zeros(space.n), 1.0)] * 4, count, seeds, None,
+                                None, tags)
+    assert len(block.points) == 4
+    drawn = []
+    for got, seed, tag in zip(block.points, seeds, tags):
+        want, rows = unit_ball_rejection(space.kind, space.n, count, child_rng(seed, tag, "pool"))
+        assert np.array_equal(got, want)
+        drawn.append(rows)
+    if space.n == 4 and count == 16:
+        assert drawn[1] > _chunk(space, count)
 
 
 E = math.exp(-1.0)
@@ -500,7 +523,7 @@ def hand_ap_stages(space, w, domain, p, balls, budget, seed, coverage):
     doubling = 0.0
     for i in np.linspace(0, balls - 1, num=min(64, balls), dtype=int).tolist():
         m1, m2 = (one_ball(space, w, domain, centers[i], k * radii[i], stage_sizes(budget, 64)[-1],
-                           subseed(seed, ("dbl", i, j)), "avg", coverage).mass(w)[0]
+                           seed, ("dbl", i, j), coverage).mass(w)[0]
                   for k, j in ((1.0, 1), (2.0, 2)))
         if m1 > 0:
             doubling = max(doubling, m2 / m1)
@@ -536,7 +559,7 @@ def hand_a1_stages(space, w, domain, points, radii_count, budget, seed, coverage
             averages = []
             for j, r in enumerate(radius_set):
                 samples = one_ball(space, w, domain, xs[i], float(r), b,
-                                   subseed(point_seed, ("max", j)), "avg", coverage)
+                                   point_seed, ("max", j), coverage)
                 averages.append(samples.mass(w)[0] / samples.total_volume)
             ratios.append(max(averages) / float(w(xs[i][None, :])[0]))
         stages.append(max(ratios))
