@@ -128,10 +128,13 @@ def _load_config(path: str | None, subcommand: str, overrides: dict) -> dict:
         if val is not None and key in cfg:
             cfg[key] = val
     # the random streams are keyed by a non-negative seed (numpy's SeedSequence)
+    seed = cfg["seed"]
     try:
-        seed = int(cfg["seed"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}") from exc
+        integral = not isinstance(seed, bool) and int(seed) == seed
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     cfg["subcommand"] = subcommand

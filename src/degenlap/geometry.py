@@ -175,7 +175,7 @@ def metric_distance(space: MetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndar
             f"points must have dimension {space.n}, got {x.shape[-1]} and {y.shape[-1]}"
         )
     if space.kind == "euclidean":
-        d = _norm(x - y)
+        d = np.linalg.norm(x - y, axis=-1)
     else:
         d = gauge_norm(heisenberg_multiply(heisenberg_inverse(y), x))
     return float(d) if d.ndim == 0 else d
@@ -185,51 +185,33 @@ def ball_volume(space: MetricSpace, ball: Ball) -> float:
     return space.unit_ball_volume * ball.radius ** space.Q
 
 
-def _norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, summing the squares column by
-    column: numpy reduces a last axis this short row by row.  For fewer than
-    8 columns this is np.linalg.norm(x, axis=-1) to the bit (both sums are
-    sequential); from 8 on, numpy's pairwise sum may differ in the last bit."""
-    sq = x[..., 0] * x[..., 0]
-    for j in range(1, x.shape[-1]):
-        sq += x[..., j] * x[..., j]
-    return np.sqrt(sq)
-
-
-def _candidates(space: MetricSpace, u: np.ndarray) -> np.ndarray:
-    """Map uniform rows u (rows, n) in place onto the box about the unit ball;
-    returns which of them lie in the ball.  Row by row, so a stack of
-    streams' rows maps each row exactly as its stream's rows on their own."""
-    if space.kind == "euclidean":
-        box = [(-1.0, 2.0)] * space.n       # (lower corner, side) per axis
-    else:
-        box = [(-1.0, 2.0), (-1.0, 2.0), (-0.25, 0.5)]
-    # lower + u * side, column by column: numpy broadcasts slowly over a
-    # last axis this short
-    for col, (lower, side) in zip(u.T, box):
-        col *= side
-        col += lower
-    if space.kind == "euclidean":
-        return np.einsum("ij,ij->i", u, u) <= 1.0
-    return gauge_norm(u) <= 1.0
-
-
 def _chunk(space: MetricSpace, count: int) -> int:
     """Candidate rows to draw for `count` unit-ball points: 15 % above the
-    expected need, plus 16, so that a shortfall is rare."""
+    expected need, plus 16, so that a second pass is rare."""
     box = 2.0 ** space.n if space.kind == "euclidean" else 2.0
     return math.ceil(1.15 * count * box / space.unit_ball_volume) + 16
 
 
 def _sample_unit_ball(space: MetricSpace, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform points in the unit ball centered at the origin, by rejection
-    from the box about it: the first `count` rows of rng.random((rows, n))
-    that `_candidates` accepts, in stream order, however they are chunked."""
+    from the bounding box: the first `count` rows of rng.random((rows, n))
+    that lie in the ball, in stream order, however they are chunked."""
+    if space.kind == "euclidean":
+        box = [(-1.0, 2.0)] * space.n       # (lower corner, side) per axis
+        accept = lambda p: np.einsum("ij,ij->i", p, p) <= 1.0
+    else:
+        box = [(-1.0, 2.0), (-1.0, 2.0), (-0.25, 0.5)]
+        accept = lambda p: gauge_norm(p) <= 1.0
     out = np.empty((count, space.n))
     got = 0
     while got < count:
         cand = rng.random((_chunk(space, count - got), space.n))
-        keep = np.compress(_candidates(space, cand), cand, axis=0)
+        # lower + u * side, column by column: numpy broadcasts slowly over a
+        # last axis this short
+        for col, (lower, side) in zip(cand.T, box):
+            col *= side
+            col += lower
+        keep = np.compress(accept(cand), cand, axis=0)
         take = min(len(keep), count - got)
         out[got : got + take] = keep[:take]
         got += take

@@ -17,14 +17,11 @@ operationalized through two falsifiable signals:
 
 The estimators sample their balls in blocks of `_BLOCK` balls.  Every ball
 draws from its own random stream, one PCG64DXSM generator keyed by the seed
-and the ball's tag (`child_rng`), so a ball can be replayed on its own.  A
-block's far balls take their candidate rows from their own streams and are
-mapped, accept-tested and compacted in one pass; a ball's points are the
-first accepted rows of its stream, exactly as a ball sampled on its own.
-Everything after the draws runs on the whole block at once, with one weight
-evaluation per node (its powers are taken from those values).  Each ball's
-sums still run over its own nodes in the same order, so a ball's average has
-the same bits in any block.
+and the ball's tag (`child_rng`), exactly as a ball sampled on its own, so
+any ball can be replayed alone; everything after the draws runs on the
+whole block at once, with one weight evaluation per node (its powers
+are taken from those values).  Each ball's sums still run over its own nodes
+in the same order, so a ball's average has the same bits in any block.
 """
 from __future__ import annotations
 
@@ -39,10 +36,7 @@ from .geometry import (
     Ball,
     Box,
     MetricSpace,
-    _candidates,
-    _chunk,
     _map_to_balls,
-    _norm,
     _sample_unit_ball,
     metric_distance,
     sample_ball,
@@ -149,7 +143,7 @@ def power_weight(exponent: float, dim: int) -> Weight:
     sing = Singularity("point", point=np.zeros(dim))
     return Weight(
         name=f"|x|^{exponent:g}",
-        fn=lambda pts: _norm(pts) ** exponent,
+        fn=lambda pts: np.linalg.norm(pts, axis=-1) ** exponent,
         singularity=sing,
     )
 
@@ -167,7 +161,7 @@ def log_weight(power: float, dim: int) -> Weight:
     """(|log|x||)^s for |x| < 1/e and 1 otherwise."""
 
     def fn(pts):
-        r = _norm(pts)
+        r = np.linalg.norm(pts, axis=-1)
         with np.errstate(divide="ignore"):
             out = np.where(r < math.exp(-1.0), np.abs(np.log(np.maximum(r, 1e-300))), 1.0)
         return out ** power
@@ -187,8 +181,8 @@ def constant_weight(value: float, dim: int) -> Weight:
 
 # --- ball quadrature ---------------------------------------------------------
 
-# Balls per block of the batched engine.  Streams stay per ball; a block
-# batches the array work on their draws, and its arrays hold about _BLOCK x
+# Balls per block of the batched engine.  Draws stay per ball; a block only
+# batches the array work that follows them, and its arrays hold about _BLOCK x
 # budget nodes.  Of 1, 4, 8, 16 and 32, 8 ran the catalog's estimator calls
 # fastest (median CPU time); larger blocks gained nothing.
 _BLOCK = 8
@@ -258,15 +252,9 @@ class BallSamples:
         cells = np.concatenate([[0], np.cumsum(levels * self.units)])
         unit_first = np.concatenate([[0], np.cumsum(np.where(levels > 1, self.units, 0))])
         ends = self.offsets[self.first]
-        # the dense (cells) sums: a cell of a far ball holds one node or none,
-        # so a block of far balls assigns them; else each cell sums its nodes
-        far_only = bool(np.all(levels == 1))
         sums = np.zeros((3, cells[-1]))
         for row, w in zip(sums, (vals * self.weights[0], vals * self.weights[1], self.weights[0])):
-            if far_only:
-                row[self.bins] = w
-            else:
-                row[:] = np.bincount(self.bins, w, cells[-1])
+            row[:] = np.bincount(self.bins, w, cells[-1])
         # each ball's value range, over the balls that have nodes
         vmin, vmax = np.full(len(self.balls), math.inf), np.full(len(self.balls), -math.inf)
         full = np.diff(ends) > 0
@@ -276,12 +264,8 @@ class BallSamples:
         out = [None] * len(self.balls)
         for nl, nu in set(zip(levels.tolist(), self.units.tolist())):    # far, near
             group = np.flatnonzero((levels == nl) & (self.units == nu))
-            # a block of one kind is its dense grid as it stands
-            if len(group) == len(levels):
-                fine, coarse, ones = sums.reshape(3, -1, nl, nu)
-            else:
-                cell = cells[group][:, None] + np.arange(nl * nu)
-                fine, coarse, ones = (s[cell].reshape(-1, nl, nu) for s in sums)
+            cell = cells[group][:, None] + np.arange(nl * nu)
+            fine, coarse, ones = (s[cell].reshape(-1, nl, nu) for s in sums)
             start = self.start[unit_first[group][:, None] + np.arange(nu)] if nl > 1 else None
             (est, tail), size = _estimates(fine, start), _estimates(ones, start)[0]
             mass, vol = np.add.reduce(est, axis=-1) / nu, np.add.reduce(size, axis=-1) / nu
@@ -328,11 +312,9 @@ def _estimates(panels: np.ndarray, start):
 
 
 def _draw_in_ball(space, key, count, seed):
-    """Start the stream (seed, key) of a far ball that takes `count` unit-ball
-    points: its generator, and its first `_chunk` candidate rows, which
-    `_far_block` accept-tests with the block's other balls' rows."""
-    rng = child_rng(seed, *key)
-    return rng, rng.random((_chunk(space, count), space.n))
+    """`count` unit-ball points from the far ball's own stream (seed, *key),
+    one generator per ball, which gather_ball_samples maps onto the ball."""
+    return _sample_unit_ball(space, count, child_rng(seed, *key))
 
 
 def _sample_near_singularity(space, singularity, key, count, seed):
@@ -348,31 +330,14 @@ def _sample_near_singularity(space, singularity, key, count, seed):
 def _far_block(space, centers, radii, seeds, tags, budget, domain):
     """Balls far from the locus: `budget` uniform draws per ball, one unit each,
     those in the domain nodes weighted by the ball's volume; returns the nodes,
-    their levels, cells and (fine, coarse) weights, and node and unit counts.
-    A ball's draws are the first `budget` unit-ball points of its stream
-    (`_sample_unit_ball`): the block's first chunks are accept-tested and
-    compacted together, and a ball they leave short continues its stream."""
-    streams = [_draw_in_ball(space, (t, "pool"), budget, s) for s, t in zip(seeds, tags)]
-    cand = np.concatenate([rows for _, rows in streams])
-    inside = _candidates(space, cand).reshape(len(streams), -1)
-    got = []
-    for row in inside:
-        accepted = np.flatnonzero(row)
-        if len(accepted) > budget:
-            row[accepted[budget]:] = False      # a ball keeps its first `budget` points
-        got.append(min(len(accepted), budget))
-    draws = np.compress(inside.ravel(), cand, axis=0)
-    if min(got) < budget:       # rare: a ball left short continues its stream
-        parts = np.split(draws, np.cumsum(got)[:-1])
-        draws = np.concatenate([
-            np.concatenate([part, _sample_unit_ball(space, budget - n, rng)])
-            for part, n, (rng, _) in zip(parts, got, streams)])
-    pts = _map_to_balls(space, centers, radii, draws.reshape(len(streams), budget, space.n))
+    their levels, cells and (fine, coarse) weights, and node and unit counts."""
+    draws = np.stack([_draw_in_ball(space, (t, "pool"), budget, s) for s, t in zip(seeds, tags)])
+    pts = _map_to_balls(space, centers, radii, draws)
     keep = np.ones(pts.shape[:2], dtype=bool) if domain is None else domain.contains(pts)
     hits = np.count_nonzero(keep, axis=1)
     weight = np.repeat(space.unit_ball_volume * radii ** space.Q, hits)
     kept = pts.reshape(-1, space.n)
-    if len(weight) < len(kept):
+    if len(weight) < len(kept):     # else every draw is in the domain
         kept = np.compress(keep.ravel(), kept, axis=0)
     return (kept, np.zeros(len(weight), dtype=int), np.flatnonzero(keep) % budget,
             np.stack([weight, weight]), hits, np.full(len(radii), budget))
@@ -542,13 +507,13 @@ def gather_ball_samples(
     "rays") when near (`child_rng`), or a block: balls with one seed and one
     tag each, each drawn exactly as a block of one.  Far from the locus
     (d(center) > 1.5 r, or no locus) each unit is one of `budget` uniform
-    draws in the ball, a node when in the domain.  Near it each unit is a ray from the
-    singular point or a line normal to the singular hyperplane (`_rays`); the
-    chord [s1, s2] of ray o + s D through ball ∩ domain carries w(o + s D)
-    s^(k-1) (k = n about a point, 1 about a plane) on the dyadic panels
-    [s2 2^-(j+1), s2 2^-j], j < _PANELS, by the Clenshaw-Curtis 5-point rule,
-    about budget / (5 _PANELS) nodes per ray.  A near ball none of whose rays
-    meets ball ∩ domain is drawn as a far one."""
+    draws in the ball, a node when in the domain.  Near it each unit is a ray
+    from the singular point or a line normal to the singular hyperplane
+    (`_rays`); the chord [s1, s2] of ray o + s D through ball ∩ domain
+    carries w(o + s D) s^(k-1) (k = n about a point, 1 about a plane) on the
+    dyadic panels [s2 2^-(j+1), s2 2^-j], j < _PANELS, by the Clenshaw-Curtis
+    5-point rule, about budget / (5 _PANELS) nodes per ray.  A near ball none
+    of whose rays meets ball ∩ domain is drawn as a far one."""
     if budget < 16:
         raise ValueError("budget must be >= 16")
     if isinstance(ball, Ball):
@@ -574,14 +539,11 @@ def gather_ball_samples(
     levels = np.where(near, _PANELS, 1)
     first = np.concatenate([[0], np.cumsum(levels)])
     # the nodes in segment order, and their cells
-    if len(cols) == 1:
-        ball_of, kept, level, cell, weights = cols[0]
-    else:       # a block with both far and near balls
-        ball_of, kept, level, cell = (np.concatenate(c) for c in list(zip(*cols))[:4])
-        weights = np.concatenate([c[4] for c in cols], axis=1)
+    ball_of, kept, level, cell = (np.concatenate(c) for c in list(zip(*cols))[:4])
+    weights = np.concatenate([c[4] for c in cols], axis=1)
     keys = first[ball_of] + level
     bins = (np.cumsum(levels * units) - levels * units)[ball_of] + cell
-    if len(cols) > 1:
+    if len(cols) > 1:       # a block with both far and near balls
         order = np.argsort(keys, kind="stable")
         kept, weights, bins = kept[order], weights.take(order, axis=1), bins[order]
     return BallSamples(list(ball), kept,

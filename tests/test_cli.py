@@ -169,6 +169,11 @@ def test_negative_seed_rejected(tmp_path, capsys, sub):
     for args in (["--seed", "-1"], ["--config", str(cfg)]):
         assert run_cli([sub, *args, "--output-dir", str(tmp_path / "out")]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+    # a config file's seed is not truncated to an integer
+    for seed in (-0.5, 2.5, True, "3"):
+        cfg.write_text(json.dumps({"seed": seed}))
+        assert run_cli([sub, "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "seed must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -288,15 +288,34 @@ def test_block_samples_match_single_balls(case):
     assert block.first[-1] > len(balls)     # some ball of the block is near
 
 
+@pytest.mark.parametrize("case", list(SAMPLER_CASES))
+def test_block_value_ranges(case):
+    # Each ball's (vmin, vmax) bounds the values at its own nodes, and a ball
+    # with no node in the domain gets (inf, -inf).  Increasing values put
+    # each ball's extremes on the first and last of its nodes.
+    space, ball, budget, seed, domain, sing = SAMPLER_CASES[case]
+    outside = Ball(domain.bounds[:, 1] + 5.0, 0.1)
+    balls = [Ball(ball.center + 0.9 * ball.radius, 0.05), ball, outside,
+             Ball(ball.center, 0.5 * ball.radius)]
+    block = gather_ball_samples(space, balls, budget, [seed, 11, 12, 13], domain, sing,
+                                ["avg"] * 4)
+    vals = np.arange(len(block.kept), dtype=float)
+    ends = block.offsets[block.first]
+    assert ends[2] == ends[3]
+    for b, (*_, vrange, _) in enumerate(block.integrals(vals)):
+        v = vals[ends[b]:ends[b + 1]]
+        assert vrange == ((v[0], v[-1]) if len(v) else (math.inf, -math.inf))
+
+
 @pytest.mark.parametrize("count", [16, 2048])
 @pytest.mark.parametrize("space", [euclidean(1), euclidean(2), euclidean(3), euclidean(4),
                                    heisenberg1()], ids=["r1", "r2", "r3", "r4", "heis"])
 def test_far_draws_are_the_first_accepted_candidates(space, count):
-    # A block's far balls are accept-tested together, yet each ball's points
-    # are the first `count` accepted candidate rows of its own stream (seed,
-    # tag, "pool"), in stream order.  On the unit ball about 0 the map onto
-    # the ball is exact.  In 4-d, seed 32's first chunk of candidates holds
-    # fewer than 16 points, so that ball continues its stream.
+    # Each far ball's points in a block are the first `count` accepted
+    # candidate rows of its own stream (seed, tag, "pool"), in stream order.
+    # On the unit ball about 0 the map onto the ball is exact.  In 4-d, seed
+    # 32's first chunk of candidates holds fewer than 16 points, so that ball
+    # continues its stream.
     seeds, tags = [0, 32, 5, 32], ["avg", "avg", ("ap", 3, 1), ("dbl", 0, 2)]
     block = gather_ball_samples(space, [Ball(np.zeros(space.n), 1.0)] * 4, count, seeds, None,
                                 None, tags)
