@@ -98,9 +98,9 @@ _DEFAULTS = {
     },
 }
 
-# n = 3 solves above this node count per axis are refused.  Hessian
-# assembly sets the memory peak: measured peak RSS 646 MB at 48^3 and
-# 1.47 GB at 64^3, on a 2-CPU host with 7 GB of RAM.
+# n = 3 solves above this node count per axis are refused.  Measured peak
+# RSS of `solve --p 3 --dimension 3`: 433 MB at 48^3 and 881 MB at 64^3, on
+# a 2-CPU host with 8 GB of RAM.
 MAX_RESOLUTION_3D = 48
 
 
@@ -200,8 +200,8 @@ def _build_domain(cfg, dim: int) -> GridDomain:
         raise ConfigError("resolution must be >= 5")
     if dim == 3 and res > MAX_RESOLUTION_3D:
         raise ConfigError(
-            f"3-d resolution {res} is above the limit {MAX_RESOLUTION_3D}: Hessian assembly "
-            "peaks at 646 MB RSS at 48^3 and 1.47 GB at 64^3")
+            f"3-d resolution {res} is above the limit {MAX_RESOLUTION_3D}: a p = 3 solve "
+            "peaks at 433 MB RSS at 48^3 and 881 MB at 64^3")
     shape = (res,) * dim
     bounds = cfg["bounds"] or [[-1.0, 1.0]] * dim
     mask = cfg["mask"]

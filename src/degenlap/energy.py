@@ -17,19 +17,25 @@ max(tolerance, delta) times the first residual; the last level uses
 `tolerance`.  Each target has an absolute floor, a small multiple of the
 rounding scale of the gradient evaluation, so a boundary datum that already
 solves the discrete problem is accepted at once.  Each Newton step solves
-its linear system with Jacobi-preconditioned CG to the relative tolerance
+its linear system with preconditioned CG to the relative tolerance
 clamp(0.1 * target / |gradient|, CG_RTOL, 0.1), the forcing term of
 Eisenstat & Walker, "Choosing the forcing terms in an inexact Newton
 method", SIAM J. Sci. Comput. 17 (1996): far from the target CG stops early,
-and it is never asked for more than `CG_RTOL`.  Near the minimizer a step's
+and it is never asked for more than `CG_RTOL`.  The Hessian is summed from
+the cell blocks into a CSR pattern built once per discretization.  A step
+whose system has at least `MULTIGRID_MIN_UNKNOWNS` free unknowns and whose
+tolerance is at most `MULTIGRID_MAX_RTOL` is preconditioned by a geometric
+multigrid V-cycle (`_VCycle`; Trottenberg, Oosterlee & Schueller,
+"Multigrid", 2001), any other by Jacobi.  Near the minimizer a step's
 predicted energy drop falls below the rounding of the energy itself, where
 the Armijo test only sees noise; a step whose predicted drop is that small
 is accepted when it lowers the max-norm of the gradient instead.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -291,6 +297,27 @@ NEWTON_PER_LEVEL = 40
 # residual clamp(0.1 * target / |gradient|, CG_RTOL, 0.1).  A p = 2 solve has
 # one level, and its first step uses CG_RTOL itself.
 CG_RTOL = 1e-10
+# A Newton step preconditions CG with the multigrid V-cycle (`_VCycle`) when
+# its system has at least MULTIGRID_MIN_UNKNOWNS free unknowns and it asks CG
+# for a relative residual of at most MULTIGRID_MAX_RTOL; otherwise with
+# Jacobi.  The V-cycle's set-up (Galerkin products, Lanczos estimates, LU)
+# costs tens to hundreds of Jacobi-CG iterations, which only a tight solve of
+# a large system wins back.  Measured on single Newton systems (one BLAS
+# thread, 2-CPU host; BENCH_4.json), multigrid time over Jacobi time at
+# relative residual 1e-8 and 1e-10: p = 3 boxes 65^2 0.81, 0.88; 129^2 0.59,
+# 0.55; 257^2 0.32, 0.27; 21^3 1.05, 0.81; 33^3 0.52, 0.51; 49^3 0.73, 0.60;
+# the zhong-log probe 33^3 1.14, 1.21; 49^3 0.54, 0.48.  At 1e-6 the 3-d
+# ratios run from 0.59 to 2.59.  The steps of p = 3 continuation solves ask
+# for 1e-3 or looser: whole such solves with multigrid in every step took
+# 1.02 to 2.2 times as long as with Jacobi from 65^2 to 257^2 and 21^3 to
+# 33^3, and 0.86 times at 49^3, beyond the CLI's 3-d limit.
+MULTIGRID_MIN_UNKNOWNS = 20000
+MULTIGRID_MAX_RTOL = 1e-8
+# The V-cycle: Chebyshev smoothing of this degree, Lanczos steps of its
+# spectral estimate, and the unknowns at or below which a level is solved by LU.
+_CHEBYSHEV_DEGREE = 2
+_LANCZOS_STEPS = 10
+_COARSEST_MAX = 400
 
 
 @dataclass
@@ -331,9 +358,10 @@ class SolverConfig:
 class SolveReport:
     """Outcome of `solve_dirichlet`.  `levels` has one entry per delta level
     visited: its delta, Newton steps, CG iterations, the CG relative
-    tolerance and exit status of each step (`cg_rtol`, `cg_info`),
-    line-search trials, and why the level stopped (`tolerance`,
-    `newton_per_level`, `max_iterations` or `line_search_failed`)."""
+    tolerance, exit status and preconditioner (`multigrid` or `jacobi`) of
+    each step (`cg_rtol`, `cg_info`, `preconditioner`), line-search trials,
+    and why the level stopped (`tolerance`, `newton_per_level`,
+    `max_iterations` or `line_search_failed`)."""
 
     iterations: int
     final_energy: float
@@ -346,7 +374,6 @@ class SolveReport:
     init: str
     shifted_evaluations: int = 0
     levels: list[dict] = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -361,7 +388,6 @@ class SolveReport:
             "init": self.init,
             "shifted_evaluations": self.shifted_evaluations,
             "levels": list(self.levels),
-            "notes": self.notes,
         }
 
 
@@ -371,7 +397,10 @@ class _Discretization:
     gradient, plus the cell coefficients A when a field is given.  The
     products A B and B^T A B are built on first use, so callers that only
     need gradients or energies never allocate the (K, 2^n, 2^n) Hessian
-    blocks."""
+    blocks.  So are the parts of the linear solve that depend only on the
+    mask: the CSR pattern of the free-node Hessian with the slot of every
+    cell-block entry in it, built once and filled by every `hessian` call,
+    and the multigrid interpolations (`interpolations`)."""
 
     def __init__(self, space: MetricSpace, domain: GridDomain, a_field: MatrixField | None = None):
         if space.kind == "heisenberg1" and domain.n != 3:
@@ -385,6 +414,7 @@ class _Discretization:
         self.b = _stencil_matrix(space, domain, self.centers)
         if a_field is not None:
             self.a = a_field.evaluate_shifted(self.centers, domain.h, domain.bounds.mean(axis=1))
+        self.shape = domain.shape
         mask_flat = domain.mask.ravel()
         self.n_nodes = mask_flat.size
         self.free = np.flatnonzero(mask_flat == INTERIOR)
@@ -436,29 +466,181 @@ class _Discretization:
         free = node[self.free]
         return float(np.finfo(float).eps * free.max()) if len(free) else 0.0
 
+    @cached_property
+    def interpolations(self) -> list[tuple[sp.csr_matrix, sp.csr_matrix]]:
+        """The V-cycle's interpolations and restrictions (`_interpolations`)."""
+        return _interpolations(self.shape, self.free)
+
+    @cached_property
+    def _pattern(self):
+        """(indptr, indices, slot): the CSR structure of the free-node
+        Hessian, and for each cell-block entry (k, c, d), in C order, its
+        position in the CSR data, or nnz when corner c or d is not free.
+
+        Corners c and d of a cell differ by an offset in {-1, 0, 1}^n, so a
+        row's possible columns are its 3^n neighbours, in increasing flat
+        index when the offsets are taken in lexicographic order.  A table of
+        which (row, offset) pairs occur, read row by row, is then the CSR
+        layout itself, and its running count numbers the slots."""
+        n = len(self.shape)
+        bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # corner bits
+        code = (bits[None, :, :] - bits[:, None, :] + 1) @ 3 ** np.arange(n - 1, -1, -1)
+        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
+        strides = np.cumprod((1,) + self.shape[:0:-1])[::-1]
+        idx_dtype = np.int32 if len(self.free) * 3 ** n < 2 ** 31 else np.int64
+        rows = self.free_pos[self.corner_idx].astype(idx_dtype)  # -1 off the free nodes
+        key = ((rows * 3 ** n)[:, :, None] + code.astype(idx_dtype)).ravel()
+        drop = ~((rows >= 0)[:, :, None] & (rows >= 0)[:, None, :]).ravel()
+        key[drop] = 0
+        present = np.zeros(len(self.free) * 3 ** n, dtype=bool)
+        present[key[~drop]] = True
+        row, off = np.divmod(np.flatnonzero(present), 3 ** n)
+        indices = self.free_pos[self.free[row] + (offsets @ strides)[off]]
+        slot = (np.cumsum(present) - 1)[key]
+        slot[drop] = len(indices)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=len(self.free)))])
+        return indptr.astype(idx_dtype), indices.astype(idx_dtype), slot
+
     def hessian(self, values: np.ndarray, p: float, delta: float, cache=None) -> sp.csr_matrix:
+        """Hessian of the energy in the free node values, summed from the
+        cell blocks into the CSR pattern of `_pattern`."""
         if cache is None:
             _, _, cache = self.energy_gradient(values, p, delta)
         s, ag, v = cache
         with np.errstate(divide="ignore", invalid="ignore"):
             alpha = np.where(s > 0, s ** ((p - 2.0) / 2.0), 0.0)
             beta = np.where(s > 0, (p - 2.0) * s ** ((p - 4.0) / 2.0), 0.0)
-        blocks = (self.cell_volume * p) * (
-            alpha[:, None, None] * self.btab
-            + beta[:, None, None] * v[:, :, None] * v[:, None, :]
-        )
-        k, c = self.corner_idx.shape
-        rows = np.repeat(self.corner_idx, c, axis=1).ravel()
-        cols = np.tile(self.corner_idx, (1, c)).ravel()
-        vals = blocks.ravel()
-        rfree = self.free_pos[rows]
-        cfree = self.free_pos[cols]
-        keep = (rfree >= 0) & (cfree >= 0)
-        mat = sp.coo_matrix(
-            (vals[keep], (rfree[keep], cfree[keep])),
-            shape=(len(self.free), len(self.free)),
-        )
-        return mat.tocsr()
+        scale = self.cell_volume * p
+        blocks = (scale * alpha)[:, None, None] * self.btab
+        blocks += ((scale * beta)[:, None] * v)[:, :, None] * v[:, None, :]
+        indptr, indices, slot = self._pattern
+        data = np.bincount(slot, blocks.ravel(), minlength=len(indices) + 1)[:-1]
+        return sp.csr_matrix((data, indices, indptr), shape=(len(self.free), len(self.free)))
+
+
+# --- multigrid preconditioner --------------------------------------------------
+
+def _axis_interpolation(n: int) -> sp.csr_matrix:
+    """Linear interpolation onto the n nodes of an axis from its n // 2 + 1
+    coarse nodes, which sit on fine nodes 0, 2, 4, ... (the last one past
+    the end of the axis when n is even)."""
+    i = np.arange(n)
+    odd = i[1::2]
+    rows = np.concatenate([i, odd])
+    cols = np.concatenate([i // 2, odd // 2 + 1])
+    vals = np.concatenate([np.where(i % 2, 0.5, 1.0), np.full(len(odd), 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n // 2 + 1))
+
+
+def _interpolations(shape: tuple[int, ...], free: np.ndarray) -> list[tuple[sp.csr_matrix, sp.csr_matrix]]:
+    """Interpolation operators P of the V-cycle with their transposes,
+    the restrictions, finest first.
+
+    Each is the tensor product of `_axis_interpolation`s (trilinear in 3-d)
+    restricted to the unknowns: rows to the free nodes, columns to the
+    coarse nodes that sit on a free node.  The finest one has a second
+    column block, diag((-1)^(i+j+k)) P: the cell gradient, an average of
+    edge differences, annihilates that checkerboard, so its smooth
+    multiples are near-kernel modes that smooth interpolation cannot
+    reach.  Coarser levels interpolate both blocks alike.  Coarsening stops
+    at `_COARSEST_MAX` unknowns, or when no coarse node is left."""
+    n = len(shape)
+    free_mask = np.zeros(int(np.prod(shape)), dtype=bool)
+    free_mask[free] = True
+    ops: list[tuple[sp.csr_matrix, sp.csr_matrix]] = []
+    unknowns = len(free)
+    while unknowns > _COARSEST_MAX:
+        coarse_shape = tuple(s // 2 + 1 for s in shape)
+        pos = 2 * np.indices(coarse_shape).reshape(n, -1)
+        on_grid = np.all(pos < np.array(shape)[:, None], axis=0)
+        coarse_free = np.zeros(pos.shape[1], dtype=bool)
+        coarse_free[on_grid] = free_mask[np.ravel_multi_index(pos[:, on_grid], shape)]
+        if not coarse_free.any():
+            break
+        interp = reduce(sp.kron, [_axis_interpolation(s) for s in shape]).tocsr()
+        interp = interp[free_mask][:, coarse_free]
+        if ops:
+            interp = sp.block_diag([interp, interp])
+        else:
+            parity = np.indices(shape).sum(axis=0).ravel()[free_mask] % 2
+            interp = sp.hstack([interp, sp.diags(1.0 - 2.0 * parity) @ interp])
+        ops.append((interp.tocsr(), interp.T.tocsr()))
+        shape, free_mask = coarse_shape, coarse_free
+        unknowns = 2 * np.count_nonzero(free_mask)
+    return ops
+
+
+def _chebyshev_coefficients(a: sp.csr_matrix, dinv: np.ndarray) -> np.ndarray:
+    """Coefficients, lowest degree first, of the polynomial s for which
+    1 - x s(x) = T_k((b + l - 2x) / (b - l)) / T_k((b + l) / (b - l)) with
+    k = _CHEBYSHEV_DEGREE: the Chebyshev smoother of D^-1 A aimed at its
+    eigenvalues in [l, b], b = 1.1 rho and l = b / 30.
+
+    rho, a lower estimate of the spectral radius of D^-1 A, is the largest
+    Ritz value of _LANCZOS_STEPS Lanczos steps on D^-1/2 A D^-1/2 from the
+    fixed chirp (sin 1, sin 4, sin 9, ...), which overlaps the whole
+    spectrum; the same matrix always gives the same smoother.  For even k
+    the smoother contracts every eigenvalue below (31/30) b."""
+    scale = np.sqrt(dinv)
+    q = np.sin(np.arange(1.0, len(dinv) + 1.0) ** 2)
+    q /= np.linalg.norm(q)
+    q_prev, beta = np.zeros_like(q), 0.0
+    alphas, betas = [], []
+    for _ in range(_LANCZOS_STEPS):
+        w = scale * (a @ (scale * q)) - beta * q_prev
+        alphas.append(float(q @ w))
+        w -= alphas[-1] * q
+        beta = float(np.linalg.norm(w))
+        if beta == 0.0:
+            break
+        betas.append(beta)
+        q_prev, q = q, w / beta
+    off = betas[:len(alphas) - 1]
+    ritz = np.linalg.eigvalsh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
+    hi = 1.1 * float(ritz[-1])
+    lo = hi / 30.0
+    cheb = np.polynomial.Polynomial(np.polynomial.chebyshev.cheb2poly(
+        [0.0] * _CHEBYSHEV_DEGREE + [1.0]))
+    q_cheb = cheb(np.polynomial.Polynomial([(hi + lo) / (hi - lo), -2.0 / (hi - lo)]))
+    return -(q_cheb / q_cheb(0.0)).coef[1:]
+
+
+def _smooth(a: sp.csr_matrix, dinv: np.ndarray, coef: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """s(D^-1 A) D^-1 r by Horner's rule, s given by `coef`."""
+    z = dinv * r
+    y = coef[-1] * z
+    for c in coef[-2::-1]:
+        y = a @ y
+        y *= dinv
+        y += c * z
+    return y
+
+
+class _VCycle:
+    """Symmetric multigrid V-cycle for the free-node Hessian `a`, applied to
+    a residual as a CG preconditioner.  Coarse operators are Galerkin,
+    P^T A P; every level but the coarsest smooths with `_smooth` before and
+    after its coarse correction (the smoother is A-self-adjoint, so the
+    cycle is a symmetric operator), and the coarsest is solved by sparse
+    LU."""
+
+    def __init__(self, a: sp.csr_matrix,
+                 interpolations: list[tuple[sp.csr_matrix, sp.csr_matrix]]):
+        self.levels = []
+        for interp, restrict in interpolations:
+            dinv = 1.0 / a.diagonal()
+            self.levels.append((a, dinv, _chebyshev_coefficients(a, dinv), interp, restrict))
+            a = restrict @ (a @ interp)
+        self.coarsest = spla.splu(a.tocsc())
+
+    def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
+        if level == len(self.levels):
+            return self.coarsest.solve(r)
+        a, dinv, coef, interp, restrict = self.levels[level]
+        x = _smooth(a, dinv, coef, r)
+        x += interp @ self(restrict @ (r - a @ x), level + 1)
+        x += _smooth(a, dinv, coef, r - a @ x)
+        return x
 
 
 def solve_dirichlet(
@@ -509,7 +691,8 @@ def solve_dirichlet(
     for li, delta in enumerate(schedule):
         level_tol = config.tolerance if li == len(schedule) - 1 else max(config.tolerance, delta)
         level = {"delta": delta, "newton_steps": 0, "cg_iterations": 0, "cg_rtol": [],
-                 "cg_info": [], "line_search_trials": 0, "stop": "newton_per_level"}
+                 "cg_info": [], "preconditioner": [], "line_search_trials": 0,
+                 "stop": "newton_per_level"}
         levels.append(level)
 
         def count_cg(_xk, level=level):
@@ -530,15 +713,21 @@ def solve_dirichlet(
                 level["stop"] = "max_iterations"
                 break
             hess = disc.hessian(values, p, delta, cache)
-            diag = hess.diagonal()
-            diag[diag <= 0] = 1.0
-            precond = spla.LinearOperator(hess.shape, matvec=lambda x, d=diag: x / d)
             # forcing term: solve only as far as the Newton target needs
             rtol = min(max(0.1 * target / gnorm, CG_RTOL), 0.1)
+            multigrid = len(gfree) >= MULTIGRID_MIN_UNKNOWNS and rtol <= MULTIGRID_MAX_RTOL
+            if multigrid:
+                precond = spla.LinearOperator(hess.shape, matvec=_VCycle(hess, disc.interpolations),
+                                              dtype=float)
+            else:
+                diag = hess.diagonal()
+                diag[diag <= 0] = 1.0
+                precond = spla.LinearOperator(hess.shape, matvec=lambda x, d=diag: x / d)
             step, info = spla.cg(hess, -gfree, rtol=rtol, atol=0.0,
                                  maxiter=10 * len(gfree), M=precond, callback=count_cg)
             level["cg_rtol"].append(rtol)
             level["cg_info"].append(int(info))
+            level["preconditioner"].append("multigrid" if multigrid else "jacobi")
             slope = float(np.dot(gfree, step))
             if slope >= 0:
                 step = -gfree

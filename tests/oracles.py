@@ -6,12 +6,15 @@ constants, 1-d flux integration for radial p-harmonic profiles, polar
 reduction for radial ball averages, 1-d adaptive quadrature over the
 spheres or slices of a ball for off-centre ball averages, and scalar
 rejection sampling, one candidate at a time, for uniform draws in unit balls.
+The Hessian reference assembles the solver's cell blocks by COO triplets and
+scipy's duplicate summation, not through the solver's precomputed pattern.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import cumulative_simpson, quad
 
 
@@ -162,3 +165,23 @@ def unit_ball_rejection(kind: str, n: int, count: int, rng) -> tuple[np.ndarray,
         if inside:
             points.append(p)
     return np.array(points), rows
+
+
+def hessian_coo(disc, values: np.ndarray, p: float, delta: float) -> sp.csr_matrix:
+    """Free-node Hessian of the regularized p-energy of a solver
+    discretization (`degenlap.energy._Discretization`): the cell blocks
+    h^n p (alpha B^T A B + beta v v^T), alpha = s^((p-2)/2),
+    beta = (p-2) s^((p-4)/2), v = B^T A Xu, as COO triplets over every
+    pair of free cell corners, converted to CSR."""
+    _, _, (s, _, v) = disc.energy_gradient(values, p, delta)
+    alpha = s ** ((p - 2.0) / 2.0)
+    beta = (p - 2.0) * s ** ((p - 4.0) / 2.0)
+    blocks = (disc.cell_volume * p) * (
+        alpha[:, None, None] * disc.btab + beta[:, None, None] * v[:, :, None] * v[:, None, :])
+    c = disc.corner_idx.shape[1]
+    rows = disc.free_pos[np.repeat(disc.corner_idx, c, axis=1).ravel()]
+    cols = disc.free_pos[np.tile(disc.corner_idx, (1, c)).ravel()]
+    keep = (rows >= 0) & (cols >= 0)
+    n_free = len(disc.free)
+    return sp.coo_matrix((blocks.ravel()[keep], (rows[keep], cols[keep])),
+                         shape=(n_free, n_free)).tocsr()

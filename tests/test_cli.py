@@ -234,3 +234,18 @@ def test_determinism_weights(tmp_path):
     assert run_cli(args) == 0
     for p in out.iterdir():
         assert snap[p.name] == p.read_bytes()
+
+
+def test_determinism_solve_multigrid(tmp_path):
+    # 28^3 = 21952 free unknowns, above MULTIGRID_MIN_UNKNOWNS, and one p = 2
+    # Newton step at CG_RTOL: the step is preconditioned by the V-cycle
+    out = tmp_path / "det"
+    args = ["solve", "--dimension", "3", "--resolution", "30", "--init", "zero",
+            "--output-dir", str(out)]
+    assert run_cli(args) == 0
+    levels = read_json(out / "solve-report.json")["solve_report"]["levels"]
+    assert levels[0]["preconditioner"] == ["multigrid"]
+    snap = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run_cli(args) == 0
+    for p in out.iterdir():
+        assert snap[p.name] == p.read_bytes()

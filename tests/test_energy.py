@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from degenlap._rand import child_rng
 from degenlap.catalog import fixture
-from degenlap.geometry import heisenberg1
+from degenlap.geometry import euclidean, heisenberg1
 from degenlap.grids import GridDomain, GridFunction
 from degenlap.weights import axis_power_weight, constant_weight
 from degenlap.energy import (
@@ -19,9 +20,11 @@ from degenlap.energy import (
     p_energy,
     solve_dirichlet,
     weak_form,
+    _Discretization,
+    _VCycle,
 )
 
-from oracles import radial_p_harmonic
+from oracles import hessian_coo, radial_p_harmonic
 
 I2 = MatrixField.identity(2)
 
@@ -322,7 +325,9 @@ def test_solver_levels_record():
     for lv in rep.levels:
         assert lv["stop"] in {"tolerance", "newton_per_level", "max_iterations",
                               "line_search_failed"}
-        assert len(lv["cg_rtol"]) == len(lv["cg_info"]) == lv["newton_steps"]
+        assert (len(lv["cg_rtol"]) == len(lv["cg_info"]) == len(lv["preconditioner"])
+                == lv["newton_steps"])
+        assert set(lv["preconditioner"]) <= {"jacobi"}  # 961 unknowns: below the crossover
         assert lv["line_search_trials"] >= lv["newton_steps"]
         assert all(CG_RTOL <= r <= 0.1 for r in lv["cg_rtol"])
     assert rep.levels[-1]["stop"] == "tolerance"
@@ -427,3 +432,102 @@ def test_degenerate_node_shift():
     out = field.evaluate_shifted(centers, dom.h, np.array([0.3, 0.0]))
     assert np.all(np.isfinite(out))
     assert field.shifted_evaluations == 1
+
+
+# --- Hessian assembly and the multigrid preconditioner -------------------------------
+
+ANISO2 = MatrixField.diagonal("aniso", [lambda pts: 1.0 + pts[:, 0] ** 2,
+                                        lambda pts: 2.0 + np.sin(pts[:, 1])])
+
+
+def _discretization(case):
+    if case == "box2":
+        return _Discretization(euclidean(2), GridDomain.box([(-1, 1)] * 2, (9, 9)), I2)
+    if case == "disc2":
+        return _Discretization(euclidean(2), GridDomain.disc(1.0, (13, 13)), ANISO2)
+    if case == "heis3":
+        return _Discretization(heisenberg1(), GridDomain.box([(-1, 1)] * 3, (7, 7, 7)), I2)
+    if case == "box2-65":
+        return _Discretization(euclidean(2), GridDomain.box([(-1, 1)] * 2, (65, 65)), ANISO2)
+    if case == "disc3-25":
+        return _Discretization(euclidean(3), GridDomain.disc(1.0, (25, 25, 25)),
+                               MatrixField.identity(3))
+    if case == "heis3-21":
+        return _Discretization(heisenberg1(), GridDomain.box([(-1, 1)] * 3, (21, 21, 21)), I2)
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("case", ["box2", "disc2", "heis3"])
+def test_hessian_matches_differences_and_coo(case, p):
+    # the Hessian scattered into the precomputed CSR pattern: symmetric, equal
+    # to the COO assembly up to summation order, and the derivative of the
+    # free gradient along random free directions (central differences)
+    disc = _discretization(case)
+    rng = child_rng(12, "hessian", case, str(p))
+    values = rng.normal(size=disc.shape)
+    delta = 1e-2
+    hess = disc.hessian(values, p, delta)
+    ref = hessian_coo(disc, values, p, delta)
+    scale = abs(ref).max()
+    assert hess.shape == ref.shape == (len(disc.free),) * 2
+    assert abs(hess - ref).max() <= 1e-14 * scale
+    assert abs(hess - hess.T).max() <= 1e-14 * scale
+    eps = 1e-5
+    for _ in range(3):
+        w = rng.normal(size=len(disc.free))
+        up, um = values.copy(), values.copy()
+        up.ravel()[disc.free] += eps * w
+        um.ravel()[disc.free] -= eps * w
+        fd = (disc.energy_gradient(up, p, delta)[1]
+              - disc.energy_gradient(um, p, delta)[1])[disc.free] / (2 * eps)
+        hw = hess @ w
+        assert np.abs(fd - hw).max() <= 1e-7 * np.abs(hw).max()
+
+
+@pytest.mark.parametrize("case, shapes", [
+    ("box2-65", [(3969, 1922), (1922, 450), (450, 98)]),
+    ("disc3-25", None),
+    # 21 -> 11 -> 6 nodes per axis: the second coarsening reaches an even count
+    ("heis3-21", [(6859, 1458), (1458, 128)]),
+], ids=["box2-65", "disc3-25", "heis3-21"])
+def test_vcycle_symmetric_positive(case, shapes):
+    disc = _discretization(case)
+    if shapes is not None:
+        assert [interp.shape for interp, _ in disc.interpolations] == shapes
+    assert len(disc.interpolations) >= 2
+    rng = child_rng(13, "vcycle", case)
+    hess = disc.hessian(rng.normal(size=disc.shape), 3.0, 1e-2)
+    vcycle = _VCycle(hess, disc.interpolations)
+    for _ in range(5):
+        x, y = rng.normal(size=(2, len(disc.free)))
+        mx, my = vcycle(x), vcycle(y)
+        xmx, ymy = mx @ x, my @ y
+        assert xmx > 0 and ymy > 0
+        assert abs(mx @ y - x @ my) <= 1e-12 * math.sqrt(xmx * ymy)
+        # as an iteration the cycle contracts the error in the energy norm
+        err = x - vcycle(hess @ x)
+        assert err @ (hess @ err) < x @ (hess @ x)
+
+
+def test_multigrid_cg_iterations_bounded():
+    # the catalog's zhong-log probe system (one p = 2 Newton step from the
+    # boundary data): multigrid CG iterations do not grow with the grid
+    fix = fixture("zhong-log")
+    iterations = {}
+    for res in (33, 49):
+        dom = GridDomain.disc(fix.domain_radius, (res,) * 3)
+        psi = GridFunction.from_callable(
+            dom, lambda pts: pts[:, 2] / np.maximum(np.linalg.norm(pts, axis=1), 1e-9))
+        disc = _Discretization(euclidean(3), dom, fix.matrix)
+        _, grad, cache = disc.energy_gradient(psi.values, 2.0, 1e-8)
+        hess = disc.hessian(psi.values, 2.0, 1e-8, cache)
+        precond = spla.LinearOperator(hess.shape, matvec=_VCycle(hess, disc.interpolations),
+                                      dtype=float)
+        count = [0]
+        _, info = spla.cg(hess, -grad[disc.free], rtol=CG_RTOL, atol=0.0, M=precond,
+                          callback=lambda _xk: count.__setitem__(0, count[0] + 1))
+        assert info == 0
+        iterations[res] = count[0]
+    assert max(iterations.values()) <= 100
+    assert max(iterations.values()) <= 2 * min(iterations.values())
