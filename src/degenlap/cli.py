@@ -1,9 +1,16 @@
 """Batch front-end: `degenlap <weights|solve|diagnose|distortion|catalog>`.
 
-Configuration comes from an optional JSON file (--config) plus command-line
-overrides (flags win).  Every run writes the fully resolved configuration to
-the output directory next to its reports.  Exit codes: 0 success, 2 invalid
-configuration, 3 I/O failure.  Numerical flags such as "unbounded-suspected"
+Configuration comes from defaults, then an optional JSON file (--config),
+then command-line flags (flags win).  Each subcommand accepts only the
+settings it reads, as flags and as config keys (`_SETTINGS`).  A fixture
+(`weights` and `solve` --fixture) fixes the geometry and the dimension; an
+explicit value that contradicts it is refused.  Every run writes the fully
+resolved configuration, with the geometry and dimension that ran, to
+resolved-config.json in the output directory next to its reports.
+
+Exit codes: 0 success; 2 invalid configuration, which covers unknown flags
+or config keys and out-of-range values, refused before the output directory
+is created; 3 I/O failure.  Numerical flags such as "unbounded-suspected"
 are reported inside the JSON output with exit code 0.
 """
 from __future__ import annotations
@@ -32,70 +39,84 @@ class ConfigError(ValueError):
     pass
 
 
-_COMMON_DEFAULTS = {
-    "geometry": "euclidean",
-    "dimension": 2,
-    "seed": 0,
-    "output_dir": "degenlap-out",
-}
+# Each subcommand's settings, each declared once: key -> (default, the
+# argparse keywords of its flag --<key with "-" for "_">, or None for a key
+# that only a config file sets).  `_load_config` takes its defaults from
+# here and `build_parser` its flags, and a subcommand accepts no other key.
+_INT = {"type": int}
+_FLOAT = {"type": float}
+_SWITCH = {"action": "store_const", "const": True}
+_FIXTURE = {"choices": CAT.fixture_names()}
+_MASK = {"choices": ("box", "disc", "annulus")}
+_RUN = {"seed": (0, _INT), "output_dir": ("degenlap-out", {})}
+# unset until resolved: a fixture fixes both (`_space_and_dim`)
+_GEOMETRY = {"geometry": (None, {"choices": ("euclidean", "heisenberg1")}),
+             "dimension": (None, _INT)}
 
-_DEFAULTS = {
+_SETTINGS = {
     "weights": {
-        **_COMMON_DEFAULTS,
-        "fixture": None,
-        "weight": None,
-        "p": 2.0,
-        "t": 2.0,
-        "q": None,
-        "balls": 1024,
-        "budget": 2048,
-        "points": 128,
-        "radii": 10,
-        "window": None,
-        "bounds": None,
+        **_RUN, **_GEOMETRY,
+        "fixture": (None, _FIXTURE),
+        "weight": (None, {"help": "pow:a | axis-pow:a | log:s | const:c"}),
+        "p": (2.0, _FLOAT),
+        "t": (2.0, _FLOAT),
+        "q": (None, _FLOAT),
+        "balls": (1024, _INT),
+        "budget": (2048, _INT),
+        "points": (128, _INT),
+        "radii": (10, _INT),
+        "window": (None, None),
+        "bounds": (None, None),
     },
     "solve": {
-        **_COMMON_DEFAULTS,
-        "fixture": None,
-        "p": 2.0,
-        "resolution": 65,
-        "mask": None,
-        "mask_params": {},
-        "bounds": None,
-        "psi": "poly:x2-y2",
-        "delta_final": None,
-        "tolerance": 1e-10,
-        "max_iterations": 400,
-        "init": "psi",
-        "pgm": False,
+        **_RUN, **_GEOMETRY,
+        "fixture": (None, _FIXTURE),
+        "p": (2.0, _FLOAT),
+        "resolution": (65, _INT),
+        "mask": (None, _MASK),
+        "mask_params": ({}, None),
+        "bounds": (None, None),
+        "psi": ("poly:x2-y2", {}),
+        "delta_final": (None, _FLOAT),
+        "tolerance": (1e-10, _FLOAT),
+        "max_iterations": (400, _INT),
+        "init": ("psi", {"choices": ("psi", "zero")}),
+        "pgm": (False, _SWITCH),
     },
     "diagnose": {
-        **_COMMON_DEFAULTS,
-        "fixture": "axis-degenerate-planar",
-        "solution": None,
-        "resolution": 65,
-        "mask": None,
-        "mask_params": {},
-        "bounds": None,
-        "probes": 5,
-        "contraction_constant": 1.0,
-        "budget": 1024,
-        "pgm": False,
+        **_RUN,
+        "fixture": ("axis-degenerate-planar", _FIXTURE),
+        "solution": (None, {"help": "solution.csv from a solve run"}),
+        "resolution": (65, _INT),
+        "mask": (None, _MASK),
+        "mask_params": ({}, None),
+        "bounds": (None, None),
+        "probes": (5, _INT),
+        "contraction_constant": (1.0, _FLOAT),
+        "budget": (1024, _INT),
+        "pgm": (False, _SWITCH),
     },
     "distortion": {
-        **_COMMON_DEFAULTS,
-        "dimension": 3,
-        "epsilon": 0.1,
-        "samples": 200,
-        "residual_resolution": 0,
-        "tubes": [0.2, 0.15, 0.1],
-        "bump_count": 2,
+        **_RUN,
+        "epsilon": (0.1, _FLOAT),
+        "samples": (200, _INT),
+        "residual_resolution": (0, _INT),
+        "tubes": ([0.2, 0.15, 0.1], None),
+        "bump_count": (2, None),
     },
     "catalog": {
-        **_COMMON_DEFAULTS,
-        "fixture": "all",
-        "budget_scale": 1.0,
+        **_RUN,
+        "fixture": ("all", {}),
+        "budget_scale": (1.0, _FLOAT),
     },
+}
+
+_HELP = {
+    "weights": "A_p / A_1 / RH_t constants and balance checks",
+    "solve": "Dirichlet p-energy minimization",
+    "diagnose": "continuity map from a solved grid",
+    "distortion": "finite-distortion quantities and residuals",
+    "catalog": "verify fixture claims",
 }
 
 # n = 3 solves above this node count per axis are refused.  Measured peak
@@ -104,8 +125,13 @@ _DEFAULTS = {
 MAX_RESOLUTION_3D = 48
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
 def _load_config(path: str | None, subcommand: str, overrides: dict) -> dict:
-    cfg = dict(_DEFAULTS[subcommand])
+    cfg = {key: default for key, (default, _) in _SETTINGS[subcommand].items()}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -114,44 +140,51 @@ def _load_config(path: str | None, subcommand: str, overrides: dict) -> dict:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
+        _require(isinstance(raw, dict), "config root must be a JSON object")
         file_sub = raw.pop("subcommand", subcommand)
-        if file_sub != subcommand:
-            raise ConfigError(
-                f"config file is for subcommand {file_sub!r}, not {subcommand!r}")
+        _require(file_sub == subcommand,
+                 f"config file is for subcommand {file_sub!r}, not {subcommand!r}")
         for key, val in raw.items():
-            if key not in cfg:
-                raise ConfigError(f"unknown config key {key!r} for {subcommand}")
+            _require(key in cfg, f"unknown config key {key!r} for {subcommand}")
             cfg[key] = val
-    for key, val in overrides.items():
-        if val is not None and key in cfg:
-            cfg[key] = val
+    cfg.update((key, val) for key, val in overrides.items() if val is not None)
     # the random streams are keyed by a non-negative seed (numpy's SeedSequence)
     seed = cfg["seed"]
     try:
         integral = not isinstance(seed, bool) and int(seed) == seed
     except (TypeError, ValueError, OverflowError):
         integral = False
-    if not integral:
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    _require(integral, f"seed must be an integer, got {seed!r}")
+    _require(seed >= 0, f"seed must be >= 0, got {seed}")
     cfg["subcommand"] = subcommand
     return cfg
 
 
-def _space_and_dim(cfg):
-    if cfg["geometry"] == "euclidean":
-        dim = int(cfg["dimension"])
-        if dim < 1:
-            raise ConfigError("dimension must be >= 1")
-        return euclidean(dim), dim
-    if cfg["geometry"] == "heisenberg1":
-        if int(cfg["dimension"]) not in (3,):
-            raise ConfigError("heisenberg1 geometry is 3-dimensional")
-        return heisenberg1(), 3
-    raise ConfigError(f"unknown geometry {cfg['geometry']!r}")
+def _space_and_dim(cfg, fixture) -> tuple:
+    """The run's space and dimension: the fixture's, which an explicit
+    geometry or dimension must not contradict, else the configured ones
+    (euclidean, dimension 2, or 3 on heisenberg1, when unset).  Both are
+    written back into cfg, so that resolved-config.json records what ran."""
+    if fixture is not None:
+        for key, val in (("geometry", fixture.space.kind), ("dimension", fixture.dim)):
+            _require(cfg[key] in (None, val),
+                     f"fixture {fixture.name!r} fixes {key} {val!r}, not {cfg[key]!r}")
+            cfg[key] = val
+        return fixture.space, fixture.dim
+    geometry = "euclidean" if cfg["geometry"] is None else cfg["geometry"]
+    dim = cfg["dimension"]
+    if geometry == "euclidean":
+        dim = 2 if dim is None else int(dim)
+        _require(dim >= 1, "dimension must be >= 1")
+        space = euclidean(dim)
+    elif geometry == "heisenberg1":
+        dim = 3 if dim is None else int(dim)
+        _require(dim == 3, "heisenberg1 geometry is 3-dimensional")
+        space = heisenberg1()
+    else:
+        raise ConfigError(f"unknown geometry {geometry!r}")
+    cfg["geometry"], cfg["dimension"] = geometry, dim
+    return space, dim
 
 
 def _parse_weight(spec: str, dim: int) -> W.Weight:
@@ -173,35 +206,35 @@ def _parse_weight(spec: str, dim: int) -> W.Weight:
 def _parse_psi(spec: str, dim: int, fixture):
     if spec == "poly:x2-y2":
         return lambda pts: np.atleast_2d(pts)[:, 0] ** 2 - np.atleast_2d(pts)[:, 1] ** 2
-    if spec.startswith("affine:"):
-        coef = [float(c) for c in spec.split(":", 1)[1].split(",")]
-        if len(coef) != dim + 1:
-            raise ConfigError(f"affine psi needs {dim + 1} coefficients")
-        a, b = np.array(coef[:-1]), coef[-1]
-        return lambda pts: np.atleast_2d(pts) @ a + b
-    if spec.startswith("radial-pow:"):
-        s = float(spec.split(":", 1)[1])
-        return lambda pts: np.linalg.norm(np.atleast_2d(pts), axis=1) ** s
+    try:
+        if spec.startswith("affine:"):
+            coef = [float(c) for c in spec.split(":", 1)[1].split(",")]
+            _require(len(coef) == dim + 1, f"affine psi needs {dim + 1} coefficients")
+            a, b = np.array(coef[:-1]), coef[-1]
+            return lambda pts: np.atleast_2d(pts) @ a + b
+        if spec.startswith("radial-pow:"):
+            s = float(spec.split(":", 1)[1])
+            return lambda pts: np.linalg.norm(np.atleast_2d(pts), axis=1) ** s
+    except ValueError as exc:
+        raise ConfigError(f"bad psi spec {spec!r}: {exc}") from exc
     if spec == "exp-cos":
         return lambda pts: np.exp(np.atleast_2d(pts)[:, 0]) * np.cos(np.atleast_2d(pts)[:, 1])
     if spec == "zhong-odd":
         return lambda pts: np.atleast_2d(pts)[:, -1] / np.maximum(
             np.linalg.norm(np.atleast_2d(pts), axis=1), 1e-9)
     if spec == "fixture-solution":
-        if fixture is None or fixture.solution is None:
-            raise ConfigError("fixture-solution psi requires a fixture with a solution")
+        _require(fixture is not None and fixture.solution is not None,
+                 "fixture-solution psi requires a fixture with a solution")
         return fixture.solution
     raise ConfigError(f"unknown psi spec {spec!r}")
 
 
 def _build_domain(cfg, dim: int) -> GridDomain:
     res = int(cfg["resolution"])
-    if res < 5:
-        raise ConfigError("resolution must be >= 5")
-    if dim == 3 and res > MAX_RESOLUTION_3D:
-        raise ConfigError(
-            f"3-d resolution {res} is above the limit {MAX_RESOLUTION_3D}: a p = 3 solve "
-            "peaks at 433 MB RSS at 48^3 and 881 MB at 64^3")
+    _require(res >= 5, "resolution must be >= 5")
+    _require(dim != 3 or res <= MAX_RESOLUTION_3D,
+             f"3-d resolution {res} is above the limit {MAX_RESOLUTION_3D}: a p = 3 solve "
+             "peaks at 433 MB RSS at 48^3 and 881 MB at 64^3")
     shape = (res,) * dim
     bounds = cfg["bounds"] or [[-1.0, 1.0]] * dim
     mask = cfg["mask"]
@@ -234,24 +267,23 @@ def _resolve_mask(cfg, fixture) -> None:
 
 
 def _outdir(cfg) -> Path:
+    """The output directory, created, with the resolved configuration in it.
+    Runners call it only once every setting has been checked."""
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_resolved(cfg, out: Path):
     write_json(out / "resolved-config.json", {"config": cfg})
+    return out
 
 
 # --- subcommand bodies --------------------------------------------------------
 
 def run_weights(cfg) -> int:
-    space, dim = _space_and_dim(cfg)
     fixture = CAT.fixture(cfg["fixture"]) if cfg["fixture"] else None
+    space, dim = _space_and_dim(cfg, fixture)
     if fixture is not None:
-        weight = fixture.weight
-        space, dim = fixture.space, fixture.dim
-        domain = fixture.domain
+        _require(cfg["weight"] is None and cfg["bounds"] is None,
+                 f"fixture {fixture.name!r} fixes the weight and the bounds")
+        weight, domain = fixture.weight, fixture.domain
     elif cfg["weight"]:
         weight = _parse_weight(cfg["weight"], dim)
         domain = Box(cfg["bounds"] or [[-1.0, 1.0]] * dim)
@@ -261,27 +293,25 @@ def run_weights(cfg) -> int:
     if window is None:
         window = [1e-3 * domain.diameter, domain.diameter]
     window = (float(window[0]), float(window[1]))
-    if not 0 < window[0] < window[1]:
-        raise ConfigError("window must satisfy 0 < r_min < r_max")
+    _require(0 < window[0] < window[1], "window must satisfy 0 < r_min < r_max")
     p = float(cfg["p"])
     t = float(cfg["t"])
+    qq = float(cfg["q"]) if cfg["q"] is not None else t * (p - 1.0) + 1.0
     seed = int(cfg["seed"])
     balls, budget = int(cfg["balls"]), int(cfg["budget"])
-    if balls < 8 or int(cfg["points"]) < 8:
-        raise ConfigError("balls and points must be >= 8")
-    if int(cfg["radii"]) < 1:
-        raise ConfigError("radii must be >= 1")
-    if budget < 16:
-        raise ConfigError("budget must be >= 16")
+    _require(p > 1, "p must be > 1")
+    _require(t > 1, "t must be > 1")
+    _require(qq > p, "q must be > p")
+    _require(balls >= 8 and int(cfg["points"]) >= 8, "balls and points must be >= 8")
+    _require(int(cfg["radii"]) >= 1, "radii must be >= 1")
+    _require(budget >= 16, "budget must be >= 16")
 
     out = _outdir(cfg)
-    _write_resolved(cfg, out)
 
     ap = W.ap_constant(weight, p, space, domain, window, balls, budget, seed)
     a1 = W.a1_constant(weight, space, domain, window, int(cfg["points"]),
                        int(cfg["radii"]), budget, seed)
     rh = W.rh_constant(weight, t, space, domain, window, balls, budget, seed)
-    qq = float(cfg["q"]) if cfg["q"] is not None else t * (p - 1.0) + 1.0
     balance = W.balance_check(weight.pow(1.0 - p), weight, p, qq, space, domain,
                               (window[0], min(window[1], 0.45 * float(np.min(domain.lengths)))),
                               pairs=max(balls // 4, 64), budget=budget, seed=seed)
@@ -314,19 +344,18 @@ def run_weights(cfg) -> int:
 
 
 def run_solve(cfg) -> int:
-    space, dim = _space_and_dim(cfg)
     fixture = CAT.fixture(cfg["fixture"]) if cfg["fixture"] else None
+    space, dim = _space_and_dim(cfg, fixture)
     if fixture is not None:
-        dim = fixture.dim
-        space = fixture.space
         a_field = fixture.matrix
-        if a_field is None:
-            raise ConfigError(f"fixture {fixture.name!r} has no coefficient field")
+        _require(a_field is not None, f"fixture {fixture.name!r} has no coefficient field")
     else:
         a_field = E.MatrixField.identity(space.m)
+    p = float(cfg["p"])
+    _require(p > 1, "p must be > 1")
+    _require(float(cfg["tolerance"]) > 0, "tolerance must be > 0")
     _resolve_mask(cfg, fixture)
     domain = _build_domain(cfg, dim)
-    p = float(cfg["p"])
     psi_fn = _parse_psi(cfg["psi"], dim, fixture)
     psi = GridFunction.from_callable(domain, psi_fn)
     config = E.SolverConfig(
@@ -337,7 +366,6 @@ def run_solve(cfg) -> int:
         init=cfg["init"],
     )
     out = _outdir(cfg)
-    _write_resolved(cfg, out)
     u, report = E.solve_dirichlet(a_field, p, psi, domain, config, space)
     u.to_csv(out / "solution.csv")
     write_json(out / "solve-report.json", {"solve_report": report.to_dict()})
@@ -356,15 +384,15 @@ def _probe_lattice(domain: GridDomain, count: int) -> np.ndarray:
 
 
 def run_diagnose(cfg) -> int:
-    fixture = CAT.fixture(cfg["fixture"]) if cfg["fixture"] else None
-    if fixture is None:
-        raise ConfigError("diagnose needs a fixture for the degeneracy weight")
+    _require(bool(cfg["fixture"]), "diagnose needs a fixture for the degeneracy weight")
+    fixture = CAT.fixture(cfg["fixture"])
     dim = fixture.dim
-    space = fixture.space
+    _require(int(cfg["probes"]) >= 1, "probes must be >= 1")
+    _require(float(cfg["contraction_constant"]) >= 0, "contraction constant must be >= 0")
+    _require(int(cfg["budget"]) >= 16, "budget must be >= 16")
     _resolve_mask(cfg, fixture)
     domain = _build_domain(cfg, dim)
-    if cfg["solution"] is None:
-        raise ConfigError("diagnose needs --solution CSV from a solve run")
+    _require(cfg["solution"] is not None, "diagnose needs --solution CSV from a solve run")
     try:
         u = GridFunction.from_csv(domain, cfg["solution"])
     except OSError as exc:
@@ -375,9 +403,8 @@ def run_diagnose(cfg) -> int:
     if fixture.domain_radius is not None:
         probes = probes[np.linalg.norm(probes, axis=1) < 0.85 * fixture.domain_radius]
     out = _outdir(cfg)
-    _write_resolved(cfg, out)
     report = DG.continuity_map(
-        u, fixture.weight, space, fixture.domain, probes,
+        u, fixture.weight, fixture.space, fixture.domain, probes,
         contraction_constant=float(cfg["contraction_constant"]),
         budget=int(cfg["budget"]), seed=int(cfg["seed"]),
     )
@@ -401,20 +428,18 @@ def run_diagnose(cfg) -> int:
 
 def run_distortion(cfg) -> int:
     eps = float(cfg["epsilon"])
-    if eps <= 0:
-        raise ConfigError("epsilon must be positive")
+    _require(eps > 0, "epsilon must be positive")
+    n = int(cfg["samples"])
+    _require(n >= 1, "samples must be >= 1")
     res = int(cfg["residual_resolution"])
-    if res > 2 * MAX_RESOLUTION_3D + 1:
-        raise ConfigError(f"residual resolution {res} is above the limit "
-                          f"{2 * MAX_RESOLUTION_3D + 1}")
+    _require(res <= 2 * MAX_RESOLUTION_3D + 1,
+             f"residual resolution {res} is above the limit {2 * MAX_RESOLUTION_3D + 1}")
     mapping = DT.radial_exp_map(eps, 3)
     rng = child_rng(int(cfg["seed"]), "cli-distortion")
-    n = int(cfg["samples"])
     pts = rng.uniform(-1.0, 1.0, (4 * n, 3))
     r = np.linalg.norm(pts, axis=1)
     pts = pts[(r > 0.05) & (r < 0.95)][:n]
     out = _outdir(cfg)
-    _write_resolved(cfg, out)
     report = DT.sample_distortion_report(mapping, pts)
     if res > 0:
         dom = GridDomain.box([[-0.5, 0.5]] * 3, (res,) * 3)
@@ -443,15 +468,11 @@ def run_distortion(cfg) -> int:
 
 def run_catalog(cfg) -> int:
     names = CAT.fixture_names() if cfg["fixture"] in (None, "all") else [cfg["fixture"]]
+    _require(set(names) <= set(CAT.fixture_names()), f"unknown fixture {cfg['fixture']!r}")
     out = _outdir(cfg)
-    _write_resolved(cfg, out)
-    reports = []
-    for name in names:
-        try:
-            reports.append(CAT.verify_fixture(name, budget_scale=float(cfg["budget_scale"]),
-                                              seed=int(cfg["seed"])))
-        except CAT.FixtureNotFoundError as exc:
-            raise ConfigError(f"unknown fixture {exc}") from exc
+    reports = [CAT.verify_fixture(name, budget_scale=float(cfg["budget_scale"]),
+                                  seed=int(cfg["seed"]))
+               for name in names]
     write_json(out / "catalog-report.json", {"fixtures": reports})
     return 0
 
@@ -470,14 +491,6 @@ def bump_function(domain: GridDomain, center, radius: float) -> GridFunction:
 
 # --- entry point ---------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--config", default=None, help="JSON config file")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--output-dir", dest="output_dir", default=None)
-    sub.add_argument("--geometry", choices=("euclidean", "heisenberg1"), default=None)
-    sub.add_argument("--dimension", type=int, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="degenlap",
@@ -486,56 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"degenlap {__version__}")
     subs = ap.add_subparsers(dest="subcommand", required=True)
-
-    s = subs.add_parser("weights", help="A_p / A_1 / RH_t constants and balance checks")
-    _add_common(s)
-    s.add_argument("--fixture", default=None, choices=CAT.fixture_names())
-    s.add_argument("--weight", default=None, help="pow:a | axis-pow:a | log:s | const:c")
-    s.add_argument("--p", type=float, default=None)
-    s.add_argument("--t", type=float, default=None)
-    s.add_argument("--q", type=float, default=None)
-    s.add_argument("--balls", type=int, default=None)
-    s.add_argument("--budget", type=int, default=None)
-    s.add_argument("--points", type=int, default=None)
-    s.add_argument("--radii", type=int, default=None)
-
-    s = subs.add_parser("solve", help="Dirichlet p-energy minimization")
-    _add_common(s)
-    s.add_argument("--fixture", default=None, choices=CAT.fixture_names())
-    s.add_argument("--p", type=float, default=None)
-    s.add_argument("--resolution", type=int, default=None)
-    s.add_argument("--mask", choices=("box", "disc", "annulus"), default=None)
-    s.add_argument("--psi", default=None)
-    s.add_argument("--delta-final", dest="delta_final", type=float, default=None)
-    s.add_argument("--tolerance", type=float, default=None)
-    s.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
-    s.add_argument("--init", choices=("psi", "zero"), default=None)
-    s.add_argument("--pgm", action="store_const", const=True, default=None)
-
-    s = subs.add_parser("diagnose", help="continuity map from a solved grid")
-    _add_common(s)
-    s.add_argument("--fixture", default=None, choices=CAT.fixture_names())
-    s.add_argument("--solution", default=None, help="solution.csv from a solve run")
-    s.add_argument("--resolution", type=int, default=None)
-    s.add_argument("--mask", choices=("box", "disc", "annulus"), default=None)
-    s.add_argument("--probes", type=int, default=None)
-    s.add_argument("--contraction-constant", dest="contraction_constant",
-                   type=float, default=None)
-    s.add_argument("--budget", type=int, default=None)
-    s.add_argument("--pgm", action="store_const", const=True, default=None)
-
-    s = subs.add_parser("distortion", help="finite-distortion quantities and residuals")
-    _add_common(s)
-    s.add_argument("--epsilon", type=float, default=None)
-    s.add_argument("--samples", type=int, default=None)
-    s.add_argument("--residual-resolution", dest="residual_resolution",
-                   type=int, default=None)
-
-    s = subs.add_parser("catalog", help="verify fixture claims")
-    _add_common(s)
-    s.add_argument("--fixture", default=None)
-    s.add_argument("--budget-scale", dest="budget_scale", type=float, default=None)
-
+    for name, settings in _SETTINGS.items():
+        s = subs.add_parser(name, help=_HELP[name])
+        s.add_argument("--config", default=None, help="JSON config file")
+        for key, (_, flag) in settings.items():
+            if flag is not None:
+                s.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **flag)
     return ap
 
 

@@ -12,7 +12,7 @@ G^{-1}, so no direction is sampled.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -218,7 +218,7 @@ class WeakResidualTable:
     extrapolated: list[dict]
 
     def to_dict(self):
-        return {"rows": self.rows, "extrapolated": self.extrapolated}
+        return asdict(self)
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -363,15 +363,7 @@ class DistortionReport:
     residuals: dict | None = None
 
     def to_dict(self):
-        return {
-            "mapping": self.mapping,
-            "samples": self.samples,
-            "ellipticity_violations": self.ellipticity_violations,
-            "sandwich_violations": self.sandwich_violations,
-            "det_g_max_error": self.det_g_max_error,
-            "epsilon_gate": self.epsilon_gate,
-            "residuals": self.residuals,
-        }
+        return asdict(self)
 
 
 def sample_distortion_report(mapping: MappingSpec, pts: np.ndarray) -> DistortionReport:

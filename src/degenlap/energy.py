@@ -34,7 +34,7 @@ is accepted when it lowers the max-norm of the gradient instead.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, reduce
 from typing import Callable
 
@@ -376,19 +376,7 @@ class SolveReport:
     levels: list[dict] = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "iterations": self.iterations,
-            "final_energy": self.final_energy,
-            "final_grad_norm": self.final_grad_norm,
-            "weak_residual_sup": self.weak_residual_sup,
-            "converged": self.converged,
-            "delta_schedule": list(self.delta_schedule),
-            "energy_history": list(self.energy_history),
-            "grad_scale": self.grad_scale,
-            "init": self.init,
-            "shifted_evaluations": self.shifted_evaluations,
-            "levels": list(self.levels),
-        }
+        return asdict(self)
 
 
 class _Discretization:
@@ -688,6 +676,9 @@ def solve_dirichlet(
         floor = _ROUNDOFF_FACTOR * disc.gradient_roundoff(values, p, cache)
         return max(level_tol * (grad_scale or 1.0), floor)
 
+    # (delta, energy, gradient, cache) at the current values: a Newton step
+    # starts from the evaluation its predecessor's line search accepted
+    current = None
     for li, delta in enumerate(schedule):
         level_tol = config.tolerance if li == len(schedule) - 1 else max(config.tolerance, delta)
         level = {"delta": delta, "newton_steps": 0, "cg_iterations": 0, "cg_rtol": [],
@@ -699,7 +690,9 @@ def solve_dirichlet(
             level["cg_iterations"] += 1
 
         for _ in range(NEWTON_PER_LEVEL):
-            energy, grad, cache = disc.energy_gradient(values, p, delta)
+            if current is None or current[0] != delta:
+                current = (delta, *disc.energy_gradient(values, p, delta))
+            _, energy, grad, cache = current
             gfree = grad[disc.free]
             gnorm = float(np.max(np.abs(gfree))) if len(gfree) else 0.0
             if grad_scale is None:
@@ -738,7 +731,7 @@ def solve_dirichlet(
             for _ls in range(42):
                 trial = values.copy()
                 trial.ravel()[disc.free] += s * step
-                e_trial, g_trial, _ = disc.energy_gradient(trial, p, delta)
+                e_trial, g_trial, c_trial = disc.energy_gradient(trial, p, delta)
                 level["line_search_trials"] += 1
                 # a drop below the energy's rounding cannot be seen by the
                 # Armijo test; there a smaller gradient accepts the step
@@ -746,6 +739,7 @@ def solve_dirichlet(
                         -s * slope <= energy_noise
                         and np.max(np.abs(g_trial[disc.free])) < gnorm):
                     values = trial
+                    current = (delta, e_trial, g_trial, c_trial)
                     accepted = True
                     break
                 s *= 0.5
@@ -757,7 +751,9 @@ def solve_dirichlet(
         if iters >= config.max_iterations:
             break
 
-    energy, grad, cache = disc.energy_gradient(values, p, schedule[-1])
+    if current is None or current[0] != schedule[-1]:
+        current = (schedule[-1], *disc.energy_gradient(values, p, schedule[-1]))
+    _, energy, grad, cache = current
     gfree = grad[disc.free]
     final_grad_norm = float(np.max(np.abs(gfree))) if len(gfree) else 0.0
     converged = final_grad_norm <= 10.0 * target_of(config.tolerance, values, cache)

@@ -59,15 +59,13 @@ class GridDomain:
         return cls(bounds, shape, mask)
 
     @classmethod
-    def disc(cls, radius: float, shape, center=None, bounds=None) -> "GridDomain":
-        """Disc/ball mask |x - c| <= radius inside its bounding box."""
+    def disc(cls, radius: float, shape, bounds=None) -> "GridDomain":
+        """Disc/ball mask |x| <= radius inside its bounding box."""
         n = len(shape)
         if bounds is None:
             bounds = [(-radius, radius)] * n
-        if center is None:
-            center = np.zeros(n)
         dom = cls(bounds, shape, np.full(shape, INTERIOR, dtype=np.int8))
-        inside = np.linalg.norm(dom.node_coords() - np.asarray(center), axis=-1) <= radius
+        inside = np.linalg.norm(dom.node_coords(), axis=-1) <= radius
         dom.mask = _demote_face_nodes(_classify(inside))
         dom._cell_cache = None
         return dom
@@ -211,13 +209,15 @@ class GridFunction:
         coords = dom.node_coords().reshape(-1, dom.n)
         vals = self.values.ravel()
         flags = dom.mask.ravel()
-        keep = flags > 0
+        live = np.flatnonzero(flags > 0)
+        row_fmt = "%.17g," * (dom.n + 1) + "%d\n"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            header = ",".join(f"x{i + 1}" for i in range(dom.n)) + ",value,boundary\n"
-            fh.write(header)
-            for c, v, f in zip(coords[keep], vals[keep], flags[keep]):
-                cs = ",".join("%.17g" % x for x in c)
-                fh.write(f"{cs},{'%.17g' % v},{int(f == BOUNDARY)}\n")
+            fh.write(",".join(f"x{i + 1}" for i in range(dom.n)) + ",value,boundary\n")
+            # in blocks, so that the rows as Python floats never all exist at once
+            for start in range(0, len(live), 1024):
+                idx = live[start:start + 1024]
+                rows = np.column_stack([coords[idx], vals[idx], flags[idx] == BOUNDARY])
+                fh.writelines(row_fmt % tuple(row) for row in rows.tolist())
 
     @classmethod
     def from_csv(cls, domain: GridDomain, path) -> "GridFunction":

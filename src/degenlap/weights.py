@@ -26,7 +26,7 @@ in the same order, so a ball's average has the same bits in any block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -779,7 +779,6 @@ def ap_constant(
     if not p > 1:
         raise ValueError("A_p requires p > 1")
     pprime = p / (p - 1.0)
-    dual = weight.pow(1.0 - pprime)
     centers, radii = _ball_family(domain, window, balls, seed)
 
     def ratios(n, s, budget_s):
@@ -951,13 +950,7 @@ class BalanceReport:
     worst_pair: dict | None
 
     def to_dict(self):
-        return {
-            "w": self.w, "v": self.v, "p": self.p, "q": self.q,
-            "best_constant": self.best_constant, "stages": list(self.stages),
-            "unbounded_suspected": self.unbounded_suspected,
-            "pointwise_violations": self.pointwise_violations,
-            "worst_pair": self.worst_pair,
-        }
+        return asdict(self)
 
 
 def balance_check(

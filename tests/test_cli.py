@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import degenlap
+from degenlap import cli
 from degenlap.cli import main
 
 
@@ -249,3 +250,142 @@ def test_determinism_solve_multigrid(tmp_path):
     assert run_cli(args) == 0
     for p in out.iterdir():
         assert snap[p.name] == p.read_bytes()
+
+
+# Each subcommand's settings: the keys of its resolved-config.json besides
+# "subcommand".  Only weights and solve read a geometry and a dimension.
+DECLARED = {
+    "weights": {"seed", "output_dir", "geometry", "dimension", "fixture", "weight", "p",
+                "t", "q", "balls", "budget", "points", "radii", "window", "bounds"},
+    "solve": {"seed", "output_dir", "geometry", "dimension", "fixture", "p", "resolution",
+              "mask", "mask_params", "bounds", "psi", "delta_final", "tolerance",
+              "max_iterations", "init", "pgm"},
+    "diagnose": {"seed", "output_dir", "fixture", "solution", "resolution", "mask",
+                 "mask_params", "bounds", "probes", "contraction_constant", "budget", "pgm"},
+    "distortion": {"seed", "output_dir", "epsilon", "samples", "residual_resolution",
+                   "tubes", "bump_count"},
+    "catalog": {"seed", "output_dir", "fixture", "budget_scale"},
+}
+
+
+def test_declared_settings():
+    assert {sub: set(keys) for sub, keys in cli._SETTINGS.items()} == DECLARED
+    assert sum(len(keys) for keys in DECLARED.values()) == 54
+
+
+@pytest.mark.parametrize("sub", list(DECLARED))
+def test_resolved_config_has_declared_keys(tmp_path, sub):
+    sol = tmp_path / "s"
+    argv = {
+        "weights": ["--weight", "pow:0.5", "--balls", "64", "--budget", "128",
+                    "--points", "16", "--radii", "5"],
+        "solve": ["--resolution", "9", "--output-dir", str(sol)],
+        "diagnose": ["--solution", str(sol / "solution.csv"), "--resolution", "9",
+                     "--probes", "2", "--budget", "64"],
+        "distortion": ["--samples", "8"],
+        "catalog": ["--fixture", "constant"],
+    }
+    if sub == "diagnose":
+        assert run_cli(["solve", "--fixture", "axis-degenerate-planar",
+                        *argv["solve"]]) == 0
+    out = tmp_path / "out"
+    assert run_cli([sub, *argv[sub], "--output-dir", str(out)]) == 0
+    cfg = read_json(out / "resolved-config.json")["config"]
+    assert set(cfg) == DECLARED[sub] | {"subcommand"}
+    if sub in ("weights", "solve"):
+        # unset, they resolve to the defaults, which the run records
+        assert (cfg["geometry"], cfg["dimension"]) == ("euclidean", 2)
+
+
+@pytest.mark.parametrize("sub, fixture, geometry", [
+    ("solve", "zhong-log", ("euclidean", 3)),
+    ("solve", "axis-degenerate-planar", ("euclidean", 2)),
+    ("weights", "zhong-log", ("euclidean", 3)),
+])
+def test_fixture_geometry_recorded(tmp_path, sub, fixture, geometry):
+    sizes = {"solve": ["--resolution", "9"],
+             "weights": ["--balls", "8", "--budget", "64", "--points", "8", "--radii", "2"]}
+    out = tmp_path / "out"
+    assert run_cli([sub, "--fixture", fixture, *sizes[sub], "--output-dir", str(out)]) == 0
+    cfg = read_json(out / "resolved-config.json")["config"]
+    assert (cfg["geometry"], cfg["dimension"]) == geometry
+    # the recorded values agree with the fixture, so the resolved config runs again
+    again = tmp_path / "again"
+    cfg.pop("output_dir")
+    (tmp_path / "resolved.json").write_text(json.dumps(cfg))
+    assert run_cli([sub, "--config", str(tmp_path / "resolved.json"),
+                    "--output-dir", str(again)]) == 0
+
+
+def test_heisenberg_dimension_defaults_to_3(tmp_path):
+    out = tmp_path / "h"
+    assert run_cli(["solve", "--geometry", "heisenberg1", "--resolution", "7",
+                    "--output-dir", str(out)]) == 0
+    cfg = read_json(out / "resolved-config.json")["config"]
+    assert (cfg["geometry"], cfg["dimension"]) == ("heisenberg1", 3)
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["solve", "--fixture", "zhong-log", "--dimension", "2"], None, "fixes dimension 3"),
+    (["solve", "--fixture", "zhong-log", "--geometry", "heisenberg1"], None,
+     "fixes geometry 'euclidean'"),
+    (["weights", "--fixture", "constant", "--dimension", "3"], None, "fixes dimension 2"),
+    (["weights", "--fixture", "constant", "--weight", "pow:1"], None,
+     "fixes the weight and the bounds"),
+    (["weights", "--fixture", "constant"], {"bounds": [[-2, 2], [-2, 2]]},
+     "fixes the weight and the bounds"),
+], ids=["solve-dimension", "solve-geometry", "weights-dimension", "weights-weight",
+        "weights-bounds"])
+def test_fixture_contradiction_refused(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub, key, value", [
+    ("catalog", "geometry", "heisenberg1"),
+    ("catalog", "dimension", "7"),
+    ("distortion", "dimension", "2"),
+    ("distortion", "geometry", "euclidean"),
+    ("diagnose", "dimension", "2"),
+    ("diagnose", "geometry", "euclidean"),
+])
+def test_unread_settings_refused(tmp_path, capsys, sub, key, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([sub, f"--{key}", value, "--output-dir", str(out)])
+    assert exc.value.code == 2
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    assert run_cli([sub, "--config", str(tmp_path / "cfg.json"),
+                    "--output-dir", str(out)]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--p", "1"], "p must be > 1"),
+    (["solve", "--tolerance", "0"], "tolerance must be > 0"),
+    (["weights", "--weight", "pow:-1", "--p", "1"], "p must be > 1"),
+    (["weights", "--weight", "pow:-1", "--t", "1"], "t must be > 1"),
+    (["weights", "--weight", "pow:-1", "--q", "2"], "q must be > p"),
+    (["distortion", "--samples", "-3"], "samples must be >= 1"),
+    (["diagnose", "--probes", "-2"], "probes must be >= 1"),
+    (["diagnose", "--budget", "8"], "budget must be >= 16"),
+    (["diagnose", "--contraction-constant", "-1"], "contraction constant must be >= 0"),
+    (["catalog", "--fixture", "bogus"], "unknown fixture 'bogus'"),
+    (["solve", "--psi", "radial-pow:abc"], "bad psi spec 'radial-pow:abc'"),
+    (["solve", "--psi", "affine:1,2"], "affine psi needs 3 coefficients"),
+], ids=["solve-p", "solve-tolerance", "weights-p", "weights-t", "weights-q",
+        "distortion-samples", "diagnose-probes", "diagnose-budget", "diagnose-contraction",
+        "catalog-fixture", "solve-psi-number", "solve-psi-affine"])
+def test_out_of_range_setting_refused(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and message in err
+    assert not out.exists()

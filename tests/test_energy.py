@@ -339,6 +339,30 @@ def test_solver_levels_record():
     assert rep.levels[-1]["stop"] == "max_iterations"
 
 
+@pytest.mark.parametrize("p, max_iterations", [(3.0, 400), (3.0, 2), (2.0, 400)],
+                         ids=["p3", "p3-capped", "p2"])
+def test_solver_reuses_accepted_evaluation(monkeypatch, p, max_iterations):
+    # one evaluation opens each level visited, each line-search trial is one,
+    # and the accepted trial's starts the next Newton step; the end of the
+    # solve evaluates again only when it stopped before the final delta
+    calls = []
+    real = _Discretization.energy_gradient
+
+    def counted(self, values, p_, delta):
+        calls.append(delta)
+        return real(self, values, p_, delta)
+
+    monkeypatch.setattr(_Discretization, "energy_gradient", counted)
+    dom = GridDomain.box([(-1, 1), (-1, 1)], (33, 33))
+    psi = GridFunction.from_callable(dom, lambda x: np.exp(x[:, 0]) * np.cos(x[:, 1]))
+    cfg = SolverConfig(p=p, max_iterations=max_iterations, init="zero")
+    _, rep = solve_dirichlet(I2, p, psi, config=cfg)
+    stopped_early = rep.levels[-1]["delta"] != cfg.schedule()[-1]
+    assert stopped_early == (max_iterations == 2)
+    trials = sum(lv["line_search_trials"] for lv in rep.levels)
+    assert len(calls) == len(rep.levels) + trials + stopped_early
+
+
 def test_solver_p2_one_level_full_cg_rtol():
     dom = GridDomain.box([(-1, 1), (-1, 1)], (33, 33))
     psi = GridFunction.from_callable(dom, lambda x: np.exp(x[:, 0]) * np.cos(x[:, 1]))
