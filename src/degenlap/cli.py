@@ -69,7 +69,7 @@ _SETTINGS = {
         "bounds": (None, None),
     },
     "solve": {
-        **_RUN, **_GEOMETRY,
+        "output_dir": _RUN["output_dir"], **_GEOMETRY,
         "fixture": (None, _FIXTURE),
         "p": (2.0, _FLOAT),
         "resolution": (65, _INT),
@@ -130,6 +130,25 @@ def _require(ok: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _intervals(value, shape: tuple, what: str) -> np.ndarray:
+    """value as finite floats of `shape`, increasing along the last axis."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.zeros(0)
+    _require(arr.shape == shape and bool(np.isfinite(arr).all() and (np.diff(arr) > 0).all()),
+             f"{what}, got {value!r}")
+    return arr
+
+
+def _bounds(cfg, dim: int) -> list:
+    """The configured bounds, or [-1, 1]^dim when unset."""
+    if cfg["bounds"] is None:
+        return [[-1.0, 1.0]] * dim
+    what = f"bounds must be {dim} [lo, hi] pairs, lo < hi"
+    return _intervals(cfg["bounds"], (dim, 2), what).tolist()
+
+
 def _load_config(path: str | None, subcommand: str, overrides: dict) -> dict:
     cfg = {key: default for key, (default, _) in _SETTINGS[subcommand].items()}
     if path is not None:
@@ -149,7 +168,7 @@ def _load_config(path: str | None, subcommand: str, overrides: dict) -> dict:
             cfg[key] = val
     cfg.update((key, val) for key, val in overrides.items() if val is not None)
     # the random streams are keyed by a non-negative seed (numpy's SeedSequence)
-    seed = cfg["seed"]
+    seed = cfg.get("seed", 0)       # solve draws nothing and has no seed
     try:
         integral = not isinstance(seed, bool) and int(seed) == seed
     except (TypeError, ValueError, OverflowError):
@@ -236,7 +255,10 @@ def _build_domain(cfg, dim: int) -> GridDomain:
              f"3-d resolution {res} is above the limit {MAX_RESOLUTION_3D}: a p = 3 solve "
              "peaks at 433 MB RSS at 48^3 and 881 MB at 64^3")
     shape = (res,) * dim
-    bounds = cfg["bounds"] or [[-1.0, 1.0]] * dim
+    bounds = _bounds(cfg, dim)
+    sides = np.diff(bounds, axis=1)
+    _require(np.allclose(sides, sides[0], rtol=1e-12, atol=0.0),
+             f"a grid's bounds must have equal side lengths, got {cfg['bounds']!r}")
     mask = cfg["mask"]
     params = cfg.get("mask_params") or {}
     if mask == "box":
@@ -286,14 +308,15 @@ def run_weights(cfg) -> int:
         weight, domain = fixture.weight, fixture.domain
     elif cfg["weight"]:
         weight = _parse_weight(cfg["weight"], dim)
-        domain = Box(cfg["bounds"] or [[-1.0, 1.0]] * dim)
+        domain = Box(_bounds(cfg, dim))
     else:
         raise ConfigError("weights needs --fixture or --weight")
     window = cfg["window"]
     if window is None:
         window = [1e-3 * domain.diameter, domain.diameter]
-    window = (float(window[0]), float(window[1]))
-    _require(0 < window[0] < window[1], "window must satisfy 0 < r_min < r_max")
+    what = "window must be [r_min, r_max], 0 < r_min < r_max"
+    window = tuple(float(r) for r in _intervals(window, (2,), what))
+    _require(window[0] > 0, f"{what}, got {cfg['window']!r}")
     p = float(cfg["p"])
     t = float(cfg["t"])
     qq = float(cfg["q"]) if cfg["q"] is not None else t * (p - 1.0) + 1.0
@@ -431,7 +454,10 @@ def run_distortion(cfg) -> int:
     _require(eps > 0, "epsilon must be positive")
     n = int(cfg["samples"])
     _require(n >= 1, "samples must be >= 1")
+    # an even count puts a cell center on the map's singular point; 1 leaves no cell
     res = int(cfg["residual_resolution"])
+    _require(res == 0 or (res >= 3 and res % 2 == 1),
+             f"residual resolution {res} must be 0 (none) or an odd resolution >= 3")
     _require(res <= 2 * MAX_RESOLUTION_3D + 1,
              f"residual resolution {res} is above the limit {2 * MAX_RESOLUTION_3D + 1}")
     mapping = DT.radial_exp_map(eps, 3)
@@ -449,12 +475,8 @@ def run_distortion(cfg) -> int:
             center = rng2.uniform(-0.15, 0.15, 3)
             radius = rng2.uniform(0.25, 0.32)
             bumps.append(bump_function(dom, center, radius))
-        try:
-            table = DT.coordinate_weak_residual(mapping, dom, bumps,
-                                                tube_widths=[float(t) for t in cfg["tubes"]])
-        except DT.SingularPointError as exc:
-            raise ConfigError(f"residual resolution {res}: {exc}; "
-                              "use an odd resolution") from exc
+        table = DT.coordinate_weak_residual(mapping, dom, bumps,
+                                            tube_widths=[float(t) for t in cfg["tubes"]])
         report.residuals = table.to_dict()
     write_json(out / "distortion-report.json", {"distortion": report.to_dict()})
     header = ["x1", "x2", "x3", "jacobian_det", "op_norm", "adj_norm",

@@ -444,8 +444,9 @@ class _Discretization:
         certified in floating point."""
         s = cache[0]
         corners = np.abs(values.ravel()[self.corner_idx])
-        mag = np.einsum("kmc,km->kc", np.abs(self.b),
-                        np.einsum("kic,kc->ki", np.abs(self.ab), corners))
+        # on Euclidean space B is one (m, 2^n) table broadcast over the cells
+        abs_b = np.abs(self.b[:1] if self.b.strides[0] == 0 else self.b)
+        mag = np.einsum("kmc,km->kc", abs_b, np.einsum("kic,kc->ki", np.abs(self.ab), corners))
         with np.errstate(divide="ignore", invalid="ignore"):
             w1 = np.where(s > 0, s ** ((p - 2.0) / 2.0), 0.0)
         node = np.bincount(self.corner_idx.ravel(),

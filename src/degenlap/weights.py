@@ -19,9 +19,11 @@ The estimators sample their balls in blocks of `_BLOCK` balls.  Every ball
 draws from its own random stream, one PCG64DXSM generator keyed by the seed
 and the ball's tag (`child_rng`), exactly as a ball sampled on its own, so
 any ball can be replayed alone; everything after the draws runs on the
-whole block at once, with one weight evaluation per node (its powers
-are taken from those values).  Each ball's sums still run over its own nodes
-in the same order, so a ball's average has the same bits in any block.
+whole block at once, in one pass (`_ball_integrals`): one weight evaluation
+per node (its powers are taken from those values), and one integration of
+every function a ratio needs (`BallSamples.integrals`).  Each ball's sums
+still run over its own nodes in the same order, so a ball's average has the
+same bits in any block.
 """
 from __future__ import annotations
 
@@ -206,8 +208,8 @@ class BallSamples:
     first[b]:first[b+1], segment k holds kept[offsets[k]:offsets[k+1]]; a far
     ball has one level, a near ball one per panel, outermost first.  weights
     (2, nodes) are the fine and coarse rules', bins the cells in each ball's
-    (levels, units[b]) grid, start the near balls' units' starts (`integrals`).
-    """
+    (levels, units[b]) grid, start the near balls' units' starts.  `integrals`
+    integrates a stack of functions over all the block's balls in one pass."""
 
     balls: list[Ball]
     kept: np.ndarray
@@ -226,89 +228,87 @@ class BallSamples:
     @property
     def total_volume(self) -> float:
         """Estimated volume of ball ∩ domain, for a block of one ball."""
-        ((*_, vol),) = self.integrals(np.ones(len(self.kept)))
-        return vol
+        return self.integrals(np.ones((1, len(self.kept))))[0][0][-1]
 
     @property
     def volumes(self) -> np.ndarray:
         """Estimated volume of each segment's part of ball ∩ domain."""
-        out = self.integrals(np.ones(len(self.kept)))
+        (out,) = self.integrals(np.ones((1, len(self.kept))))
         return np.concatenate([c[:nl] for (_, _, c, _, _), nl in zip(out, np.diff(self.first))])
 
-    def integrals(self, vals: np.ndarray) -> list[tuple]:
-        """Per ball (mass, se, contributions, (vmin, vmax), volume) of the function
-        with values `vals` at `kept`; mass is the mean of the unit estimates:
-        panel sums plus, if the deepest two are c_{J-2}, c_{J-1} = rho c_{J-2},
-        rho < 1, that power law's tail down to the unit's start f (a fraction
-        of the deepest panel's lower edge), c_{J-1} rho / (1 - rho) (1 -
-        f^-log2(rho)).  volume is the mass of 1; se**2 / volume**2 is the
+    def integrals(self, values: np.ndarray) -> list[list[tuple]]:
+        """Per row of `values` (functions, nodes at `kept`), per ball: (mass, se,
+        contributions, (vmin, vmax), volume); mass is the mean of the unit
+        estimates: panel sums plus, if the deepest two are c_{J-2}, c_{J-1} =
+        rho c_{J-2}, rho < 1, that power law's tail down to the unit's start f
+        (a fraction of the deepest panel's lower edge), c_{J-1} rho / (1 - rho)
+        (1 - f^-log2(rho)).  volume is the mass of 1; se**2 / volume**2 is the
         variance of mass / volume, from successive differences of the residuals
         est - (mass / volume) (unit volume) over the jittered units, plus the
         squared mean gap to the coarse rule's estimates.  contributions are the
         levels' and a near ball's tail's shares of mass; (vmin, vmax) bounds the
-        values ((inf, -inf) if none).  A ball gets the same bits in any block."""
-        self.check_finite([vals])
-        levels = np.diff(self.first)
+        values ((inf, -inf) if none).  A row gets the same bits as alone, a ball
+        in any block.  SingularSampleError names the first non-finite value,
+        by ball, then row."""
+        ends = self.offsets[self.first]
+        row, node = np.nonzero(~np.isfinite(values))
+        if len(row):
+            i = np.lexsort((node, row, np.searchsorted(ends, node, side="right")))[0]
+            raise SingularSampleError(self.kept[node[i]], values[row[i], node[i]])
+        k, levels = len(values), np.diff(self.first)
         cells = np.concatenate([[0], np.cumsum(levels * self.units)])
         unit_first = np.concatenate([[0], np.cumsum(np.where(levels > 1, self.units, 0))])
-        ends = self.offsets[self.first]
-        sums = np.zeros((3, cells[-1]))
-        for row, w in zip(sums, (vals * self.weights[0], vals * self.weights[1], self.weights[0])):
-            row[:] = np.bincount(self.bins, w, cells[-1])
+        # per cell: each row's fine sums, each row's coarse sums, the volume
+        sums = np.stack([np.bincount(self.bins, w, cells[-1]) for w in
+                         (*(values * self.weights[0]), *(values * self.weights[1]),
+                          self.weights[0])])
         # each ball's value range, over the balls that have nodes
-        vmin, vmax = np.full(len(self.balls), math.inf), np.full(len(self.balls), -math.inf)
+        shape = (k, len(self.balls))
+        vmin, vmax = np.full(shape, math.inf), np.full(shape, -math.inf)
         full = np.diff(ends) > 0
         if full.any():
-            vmin[full] = np.minimum.reduceat(vals, ends[:-1][full])
-            vmax[full] = np.maximum.reduceat(vals, ends[:-1][full])
-        out = [None] * len(self.balls)
+            vmin[:, full] = np.minimum.reduceat(values, ends[:-1][full], axis=1)
+            vmax[:, full] = np.maximum.reduceat(values, ends[:-1][full], axis=1)
+        out = [[None] * len(self.balls) for _ in range(k)]
         for nl, nu in set(zip(levels.tolist(), self.units.tolist())):    # far, near
             group = np.flatnonzero((levels == nl) & (self.units == nu))
             cell = cells[group][:, None] + np.arange(nl * nu)
-            fine, coarse, ones = (s[cell].reshape(-1, nl, nu) for s in sums)
+            # C-ordered, as `take` leaves them (sums[:, cell] would not), so that
+            # each row's sums over units run in the order they run alone
+            parts = sums.take(cell, axis=1).reshape(2 * k + 1, len(group), nl, nu)
             start = self.start[unit_first[group][:, None] + np.arange(nu)] if nl > 1 else None
-            (est, tail), size = _estimates(fine, start), _estimates(ones, start)[0]
+            (est, tail), size = _estimates(parts[:k], start), _estimates(parts[-1], start)[0]
             mass, vol = np.add.reduce(est, axis=-1) / nu, np.add.reduce(size, axis=-1) / nu
-            step = np.diff(est - np.divide(mass, vol, out=np.zeros_like(vol),
-                                           where=vol > 0)[:, None] * size, axis=-1)
+            step = np.diff(est - np.divide(mass, vol, out=np.zeros_like(mass),
+                                           where=vol > 0)[..., None] * size, axis=-1)
             var = np.add.reduce(step * step, axis=-1) / (2 * max(nu - 1, 1)) / nu
-            err = np.add.reduce(np.abs(est - _estimates(coarse, start)[0]), axis=-1) / nu
-            contrib = np.add.reduce(fine, axis=-1) / nu
+            err = np.add.reduce(np.abs(est - _estimates(parts[k:-1], start)[0]), axis=-1) / nu
+            contrib = np.add.reduce(parts[:k], axis=-1) / nu
             if nl > 1:
-                contrib = np.concatenate([contrib, np.add.reduce(tail, axis=-1)[:, None] / nu], 1)
-            for i, b in enumerate(group.tolist()):
-                out[b] = (float(mass[i]), math.sqrt(var[i] + err[i] ** 2), contrib[i],
-                          (float(vmin[b]), float(vmax[b])), float(vol[i]))
+                tail = np.add.reduce(tail, axis=-1)[..., None] / nu
+                contrib = np.concatenate([contrib, tail], axis=-1)
+            for r in range(k):
+                for i, b in enumerate(group.tolist()):
+                    out[r][b] = (float(mass[r, i]), math.sqrt(var[r, i] + err[r, i] ** 2),
+                                 contrib[r, i], (float(vmin[r, b]), float(vmax[r, b])),
+                                 float(vol[i]))
         return out
-
-    def check_finite(self, values: list[np.ndarray]) -> None:
-        """Raise SingularSampleError at the first non-finite value (ball, then array)."""
-        if all(np.isfinite(v).all() for v in values):
-            return
-        ends = self.offsets[self.first]
-        for a, b in zip(ends[:-1], ends[1:]):
-            for v in values:
-                bad = np.flatnonzero(~np.isfinite(v[a:b]))
-                if len(bad):
-                    raise SingularSampleError(self.kept[a + bad[0]], v[a + bad[0]])
 
     def mass(self, fn: Callable[[np.ndarray], np.ndarray]):
         """Estimate the integral of fn over ball ∩ domain, for a block of one
         ball: (mass, se, contributions, (vmin, vmax)) as in `integrals`."""
-        vals = np.asarray(fn(self.kept), dtype=float)
-        ((mass, se, contrib, vrange, _),) = self.integrals(vals)
-        return mass, se, contrib, vrange
+        return self.integrals(np.asarray(fn(self.kept), dtype=float)[None])[0][0][:4]
 
 
 def _estimates(panels: np.ndarray, start):
-    """Each unit's estimate and tail from panel sums (balls, levels, units) and starts."""
-    if panels.shape[1] < 2:
-        return panels[:, 0], 0.0
-    last, prev = panels[:, -1], panels[:, -2]
+    """Each unit's estimate and tail from panel sums (..., balls, levels, units) and starts."""
+    if panels.shape[-2] < 2:
+        return panels[..., 0, :], 0.0
+    last, prev = panels[..., -1, :], panels[..., -2, :]
     rho = np.divide(last, prev, out=np.zeros_like(last), where=prev > 0)
     cut = 1.0 - start ** -np.log2(np.clip(rho, 1e-300, 1.0))
     tail = np.divide(last * rho * cut, 1.0 - rho, out=np.zeros_like(last), where=rho < 1.0)
-    return np.add.reduce(panels, axis=1) + tail, tail
+    return np.add.reduce(panels, axis=-2) + tail, tail
 
 
 def _draw_in_ball(space, key, count, seed):
@@ -561,19 +561,15 @@ class BallAverage:
     ring_contributions: np.ndarray  # per-level shares of the mass (see _rings_diverge)
 
 
-def _block_averages(samples: BallSamples, vals: np.ndarray) -> list[BallAverage]:
-    """The average of a function over each ball of the block, from its
-    values `vals` at the kept points."""
-    out = []
-    for mass, se, contrib, (vmin, vmax), vol in samples.integrals(vals):
-        if vol <= 0:
-            raise ValueError("ball does not intersect the domain")
-        if math.isfinite(vmin) and vmin == vmax:
-            # constant on the nodes: the average is that constant, exactly
-            out.append(BallAverage(vmin, 0.0, False, contrib))
-        else:
-            out.append(BallAverage(mass / vol, se / vol, _rings_diverge(contrib), contrib))
-    return out
+def _average(mass, se, contrib, vrange, vol) -> BallAverage:
+    """A ball's average of a function from its integrals (`BallSamples.integrals`)."""
+    if vol <= 0:
+        raise ValueError("ball does not intersect the domain")
+    vmin, vmax = vrange
+    if math.isfinite(vmin) and vmin == vmax:
+        # constant on the nodes: the average is that constant, exactly
+        return BallAverage(vmin, 0.0, False, contrib)
+    return BallAverage(mass / vol, se / vol, _rings_diverge(contrib), contrib)
 
 
 def _powers(vals: np.ndarray, exponent: float) -> np.ndarray:
@@ -586,27 +582,30 @@ def _powers(vals: np.ndarray, exponent: float) -> np.ndarray:
         return vals ** exponent
 
 
-def _sample_blocks(space, balls, budget, seeds, tags, domain, singularity):
-    """gather_ball_samples over `balls`, in blocks of _BLOCK balls."""
+def _ball_integrals(rows, space, balls, budget, seeds, tags, domain, singularity):
+    """`BallSamples.integrals` over each ball (seeds[i], tags[i] for balls[i])
+    of the stack rows(nodes) (functions, nodes), one list per function, one
+    pass per block of _BLOCK balls."""
+    blocks = []
     for k in range(0, len(balls), _BLOCK):
         blk = slice(k, k + _BLOCK)
-        yield gather_ball_samples(space, balls[blk], budget, seeds[blk], domain, singularity,
-                                  tags[blk])
+        samples = gather_ball_samples(space, balls[blk], budget, seeds[blk], domain, singularity,
+                                      tags[blk])
+        blocks.append(samples.integrals(rows(samples.kept)))
+    return [[t for block in row for t in block] for row in zip(*blocks)]
 
 
 def _ball_averages(weight, exponents, space, balls, budget, seeds, tags, domain):
     """Averages of weight**e over each ball, one list of BallAverage per
     exponent e (1 is the weight itself).  The weight is evaluated once per
-    kept point, and its powers come from those values."""
-    out = [[] for _ in exponents]
-    for samples in _sample_blocks(space, balls, budget, seeds, tags, domain,
-                                  weight.singularity):
-        vals = weight(samples.kept)
-        values = [_powers(vals, e) for e in exponents]
-        samples.check_finite(values)
-        for v, acc in zip(values, out):
-            acc.extend(_block_averages(samples, v))
-    return out
+    node, and its powers come from those values."""
+
+    def rows(pts):
+        vals = weight(pts)
+        return np.stack([_powers(vals, e) for e in exponents])
+
+    return [[_average(*t) for t in row] for row in
+            _ball_integrals(rows, space, balls, budget, seeds, tags, domain, weight.singularity)]
 
 
 def _grows_geometrically(seq: np.ndarray) -> bool:
@@ -725,10 +724,10 @@ def _staged_sup(count: int, budget: int, ratios) -> tuple[EstimateTrace, np.ndar
     -> (ratios, diverging), the ratios of the first count_s items and
     whether any of their averages diverged, and records the stage maximum.
     count_s and budget_s double from stage to stage up to count and budget,
-    with floors of 8 and 64 (`_stage_plan`).  The ratio closures sample
-    their balls through `_ball_averages`, in blocks of _BLOCK balls, with
-    each ball's draws exactly those of a ball sampled on its own.  Returns
-    the trace and the last stage's ratios.
+    with floors of 8 and 64 (`_stage_plan`).  The ratio closures sample and
+    integrate their balls in the single block pass of `_ball_integrals`,
+    blocks of _BLOCK balls with each ball's draws exactly those of a ball
+    sampled on its own.  Returns the trace and the last stage's ratios.
     """
     if count < 8:
         raise ValueError(f"the stage plan needs a family of >= 8 balls or points, got {count}")
@@ -761,6 +760,27 @@ def _ball_family(domain: Box, window, count: int, seed: int):
     return centers, radii
 
 
+def _ratio_report(weight, exponents, ratio, tag, space, domain, window, centers, radii, budget,
+                  seed, **fields) -> WeightReport:
+    """The `tag` estimate: `_staged_sup` of ratio(avg w^e0, avg w^e1), (e0,
+    e1) = `exponents`, over the balls (centers, radii), stage s sampling
+    ball i under (tag, i, s); `fields` fill the rest of the report."""
+
+    def ratios(n, s, budget_s):
+        aw, ae = _ball_averages(weight, exponents, space,
+                                [Ball(centers[i], radii[i]) for i in range(n)], budget_s,
+                                [seed] * n, [(tag, i, s) for i in range(n)], domain)
+        return ([ratio(a.value, e.value) for a, e in zip(aw, ae)],
+                any(a.diverging or e.diverging for a, e in zip(aw, ae)))
+
+    trace, final_vals = _staged_sup(len(centers), budget, ratios)
+    return WeightReport(
+        weight=weight.name, ball_count=len(centers), budget=budget,
+        window=(float(window[0]), float(window[1])), seed=seed,
+        worst_cases=_worst_cases(centers, radii, final_vals), **{f"{tag}_estimate": trace},
+        **fields)
+
+
 def ap_constant(
     weight: Weight,
     p: float,
@@ -780,34 +800,19 @@ def ap_constant(
         raise ValueError("A_p requires p > 1")
     pprime = p / (p - 1.0)
     centers, radii = _ball_family(domain, window, balls, seed)
-
-    def ratios(n, s, budget_s):
-        aw, ad = _ball_averages(weight, (1.0, 1.0 - pprime), space,
-                                [Ball(centers[i], radii[i]) for i in range(n)], budget_s,
-                                [seed] * n, [("ap", i, s) for i in range(n)], domain)
-        return ([w.value * d.value ** (p - 1.0) for w, d in zip(aw, ad)],
-                any(w.diverging or d.diverging for w, d in zip(aw, ad)))
-
-    trace, final_vals = _staged_sup(balls, budget, ratios)
+    report = _ratio_report(weight, (1.0, 1.0 - pprime), lambda w, d: w * d ** (p - 1.0), "ap",
+                           space, domain, window, centers, radii, budget, seed, p=p)
     # doubling ratio on a subsample of the final family: the balls B and 2B
     # of each subsampled center, one after the other
     final_budget = _stage_plan(budget, floor=64)[-1]
     sub = np.linspace(0, balls - 1, num=min(64, balls), dtype=int).tolist()
     pairs = [Ball(centers[i], k * radii[i]) for i in sub for k in (1.0, 2.0)]
     tags = [("dbl", i, j) for i in sub for j in (1, 2)]
-    masses = []
-    for samples in _sample_blocks(space, pairs, final_budget, [seed] * len(pairs), tags,
-                                  domain, weight.singularity):
-        masses.extend(m[0] for m in samples.integrals(weight(samples.kept)))
-    doubling = 0.0
-    for m1, m2 in zip(masses[0::2], masses[1::2]):
-        if m1 > 0:
-            doubling = max(doubling, m2 / m1)
-    return WeightReport(
-        weight=weight.name, p=p, ap_estimate=trace, doubling_estimate=doubling,
-        ball_count=balls, budget=budget, window=(float(window[0]), float(window[1])),
-        seed=seed, worst_cases=_worst_cases(centers, radii, final_vals),
-    )
+    (masses,) = _ball_integrals(lambda pts: weight(pts)[None], space, pairs, final_budget,
+                                [seed] * len(pairs), tags, domain, weight.singularity)
+    report.doubling_estimate = max([m2 / m1 for (m1, *_), (m2, *_)
+                                    in zip(masses[0::2], masses[1::2]) if m1 > 0], default=0.0)
+    return report
 
 
 def rh_constant(
@@ -823,21 +828,8 @@ def rh_constant(
     """Estimate [w]_{RH_t}: sup over sampled balls of (avg w^t)^{1/t} / avg w."""
     if not t > 1:
         raise ValueError("RH_t requires t > 1")
-    centers, radii = _ball_family(domain, window, balls, seed)
-
-    def ratios(n, s, budget_s):
-        aw, awt = _ball_averages(weight, (1.0, t), space,
-                                 [Ball(centers[i], radii[i]) for i in range(n)], budget_s,
-                                 [seed] * n, [("rh", i, s) for i in range(n)], domain)
-        return ([wt.value ** (1.0 / t) / w.value for w, wt in zip(aw, awt)],
-                any(w.diverging or wt.diverging for w, wt in zip(aw, awt)))
-
-    trace, final_vals = _staged_sup(balls, budget, ratios)
-    return WeightReport(
-        weight=weight.name, t=t, rh_estimate=trace,
-        ball_count=balls, budget=budget, window=(float(window[0]), float(window[1])),
-        seed=seed, worst_cases=_worst_cases(centers, radii, final_vals),
-    )
+    return _ratio_report(weight, (1.0, t), lambda w, wt: wt ** (1.0 / t) / w, "rh", space, domain,
+                         window, *_ball_family(domain, window, balls, seed), budget, seed, t=t)
 
 
 @dataclass(frozen=True)
@@ -994,24 +986,20 @@ def balance_check(
             c1 = centers2[i]
         nested += [Ball(c1, float(r1[i])), Ball(centers2[i], float(r2[i]))]
     tags = [("bal", i, j) for i in range(pairs) for j in (0, 1)]
-    masses = []
     viol = 0
-    any_div = False
-    for samples in _sample_blocks(space, nested, budget, [seed] * len(nested), tags, None,
-                                  w.singularity or v.singularity):
-        wp, vp = w(samples.kept), v(samples.kept)
-        samples.check_finite([wp, vp])
+
+    def rows(pts):
+        nonlocal viol
+        wp, vp = w(pts), v(pts)
         viol += int(np.count_nonzero(wp > vp * (1 + 1e-12)))
-        for (mw, _, cw, _, _), (mv, _, cv, _, _) in zip(samples.integrals(wp),
-                                                        samples.integrals(vp)):
-            any_div = any_div or _rings_diverge(cw) or _rings_diverge(cv)
-            masses.append((mw, mv))
-    ratios = np.empty(pairs)
-    for i in range(pairs):
-        (w1, v1), (w2, v2) = masses[2 * i], masses[2 * i + 1]
-        lhs = (r1[i] / r2[i]) * (v1 / v2) ** (1.0 / q)
-        rhs = (w1 / w2) ** (1.0 / p)
-        ratios[i] = lhs / rhs
+        return np.stack([wp, vp])
+
+    iw, iv = _ball_integrals(rows, space, nested, budget, [seed] * len(nested), tags, None,
+                             w.singularity or v.singularity)
+    any_div = any(_rings_diverge(c) for ints in (iw, iv) for _, _, c, _, _ in ints)
+    mw, mv = ([m for m, *_ in ints] for ints in (iw, iv))
+    ratios = np.array([(r1[i] / r2[i]) * (mv[2 * i] / mv[2 * i + 1]) ** (1.0 / q)
+                       / (mw[2 * i] / mw[2 * i + 1]) ** (1.0 / p) for i in range(pairs)])
     stages = [float(np.max(ratios[:n])) for n in _stage_plan(pairs, floor=1)]
     trace = _trace(stages, any_div)
     i_worst = int(np.argmax(ratios))
@@ -1050,6 +1038,7 @@ def mu_p(
     domain: Box | None = None,
 ) -> float:
     """(v(B)/w(B))^{1/p}, with both masses from one shared sample set."""
-    samples = gather_ball_samples(space, ball, budget, seed, domain,
-                                  w.singularity or v.singularity, tag="mu")
-    return (samples.mass(v)[0] / samples.mass(w)[0]) ** (1.0 / p)
+    ((v_mass, *_),), ((w_mass, *_),) = _ball_integrals(
+        lambda pts: np.stack([v(pts), w(pts)]), space, [ball], budget, [seed], ["mu"], domain,
+        w.singularity or v.singularity)
+    return (v_mass / w_mass) ** (1.0 / p)

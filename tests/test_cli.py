@@ -121,12 +121,15 @@ def test_distortion_subcommand(tmp_path):
     assert len(lines) == 25
 
 
-def test_distortion_even_residual_resolution(tmp_path, capsys):
-    # an even node count puts a cell center on the map's singular point
-    rc = run_cli(["distortion", "--samples", "8", "--residual-resolution", "16",
-                  "--output-dir", str(tmp_path / "dist")])
-    assert rc == 2
-    assert "odd resolution" in capsys.readouterr().err
+@pytest.mark.parametrize("res", [3, 5])
+def test_distortion_residual_table(tmp_path, res):
+    # the smallest odd resolutions that the refusals let through run the
+    # weak-residual table to the end
+    out = tmp_path / "dist"
+    assert run_cli(["distortion", "--samples", "8", "--residual-resolution", str(res),
+                    "--output-dir", str(out)]) == 0
+    table = read_json(out / "distortion-report.json")["distortion"]["residuals"]
+    assert len(table["extrapolated"]) == 3 * 2     # coordinates x bumps
 
 
 def test_distortion_residual_resolution_limit(tmp_path, capsys):
@@ -163,7 +166,7 @@ def test_exit_code_config_errors(tmp_path):
                     "--output-dir", str(tmp_path / "v")]) == 2
 
 
-@pytest.mark.parametrize("sub", ["weights", "solve", "diagnose", "distortion", "catalog"])
+@pytest.mark.parametrize("sub", ["weights", "diagnose", "distortion", "catalog"])
 def test_negative_seed_rejected(tmp_path, capsys, sub):
     cfg = tmp_path / "seed.json"
     cfg.write_text(json.dumps({"seed": -1}))
@@ -257,8 +260,7 @@ def test_determinism_solve_multigrid(tmp_path):
 DECLARED = {
     "weights": {"seed", "output_dir", "geometry", "dimension", "fixture", "weight", "p",
                 "t", "q", "balls", "budget", "points", "radii", "window", "bounds"},
-    "solve": {"seed", "output_dir", "geometry", "dimension", "fixture", "p", "resolution",
-              "mask", "mask_params", "bounds", "psi", "delta_final", "tolerance",
+    "solve": {"output_dir", "geometry", "dimension", "fixture", "p", "resolution", "mask", "mask_params", "bounds", "psi", "delta_final", "tolerance",
               "max_iterations", "init", "pgm"},
     "diagnose": {"seed", "output_dir", "fixture", "solution", "resolution", "mask",
                  "mask_params", "bounds", "probes", "contraction_constant", "budget", "pgm"},
@@ -270,7 +272,7 @@ DECLARED = {
 
 def test_declared_settings():
     assert {sub: set(keys) for sub, keys in cli._SETTINGS.items()} == DECLARED
-    assert sum(len(keys) for keys in DECLARED.values()) == 54
+    assert sum(len(keys) for keys in DECLARED.values()) == 53
 
 
 @pytest.mark.parametrize("sub", list(DECLARED))
@@ -354,6 +356,7 @@ def test_fixture_contradiction_refused(tmp_path, capsys, argv, config, message):
     ("distortion", "geometry", "euclidean"),
     ("diagnose", "dimension", "2"),
     ("diagnose", "geometry", "euclidean"),
+    ("solve", "seed", "0"),
 ])
 def test_unread_settings_refused(tmp_path, capsys, sub, key, value):
     out = tmp_path / "out"
@@ -367,23 +370,44 @@ def test_unread_settings_refused(tmp_path, capsys, sub, key, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["solve", "--p", "1"], "p must be > 1"),
-    (["solve", "--tolerance", "0"], "tolerance must be > 0"),
-    (["weights", "--weight", "pow:-1", "--p", "1"], "p must be > 1"),
-    (["weights", "--weight", "pow:-1", "--t", "1"], "t must be > 1"),
-    (["weights", "--weight", "pow:-1", "--q", "2"], "q must be > p"),
-    (["distortion", "--samples", "-3"], "samples must be >= 1"),
-    (["diagnose", "--probes", "-2"], "probes must be >= 1"),
-    (["diagnose", "--budget", "8"], "budget must be >= 16"),
-    (["diagnose", "--contraction-constant", "-1"], "contraction constant must be >= 0"),
-    (["catalog", "--fixture", "bogus"], "unknown fixture 'bogus'"),
-    (["solve", "--psi", "radial-pow:abc"], "bad psi spec 'radial-pow:abc'"),
-    (["solve", "--psi", "affine:1,2"], "affine psi needs 3 coefficients"),
+@pytest.mark.parametrize("argv, config, message", [
+    (["solve", "--p", "1"], None, "p must be > 1"),
+    (["solve", "--tolerance", "0"], None, "tolerance must be > 0"),
+    (["weights", "--weight", "pow:-1", "--p", "1"], None, "p must be > 1"),
+    (["weights", "--weight", "pow:-1", "--t", "1"], None, "t must be > 1"),
+    (["weights", "--weight", "pow:-1", "--q", "2"], None, "q must be > p"),
+    (["distortion", "--samples", "-3"], None, "samples must be >= 1"),
+    (["diagnose", "--probes", "-2"], None, "probes must be >= 1"),
+    (["diagnose", "--budget", "8"], None, "budget must be >= 16"),
+    (["diagnose", "--contraction-constant", "-1"], None, "contraction constant must be >= 0"),
+    (["catalog", "--fixture", "bogus"], None, "unknown fixture 'bogus'"),
+    (["solve", "--psi", "radial-pow:abc"], None, "bad psi spec 'radial-pow:abc'"),
+    (["solve", "--psi", "affine:1,2"], None, "affine psi needs 3 coefficients"),
+    # an even node count puts a cell center on the map's singular point
+    (["distortion", "--samples", "8", "--residual-resolution", "16"], None, "odd resolution"),
+    (["distortion", "--samples", "8", "--residual-resolution", "1"], None, "odd resolution"),
+    (["distortion", "--samples", "8", "--residual-resolution", "-3"], None, "odd resolution"),
+    (["weights", "--weight", "pow:-1"], {"window": [0.1]}, "window must be [r_min, r_max]"),
+    (["weights", "--weight", "pow:-1"], {"window": "ab"}, "window must be [r_min, r_max]"),
+    (["weights", "--weight", "pow:-1"], {"window": [0.1, None]},
+     "window must be [r_min, r_max]"),
+    (["weights", "--weight", "pow:-1"], {"bounds": [[1, 0], [0, 1]]}, "lo < hi, got"),
+    (["weights", "--weight", "pow:-1"], {"bounds": [[0, 1]]}, "bounds must be 2 [lo, hi] pairs"),
+    (["weights", "--weight", "pow:-1"], {"bounds": "ab"}, "bounds must be 2 [lo, hi] pairs"),
+    (["solve"], {"bounds": [[0, 1], [0, 1], [0, 1]]}, "bounds must be 2 [lo, hi] pairs"),
+    (["solve"], {"bounds": [[-1, 1], [0, 1]]}, "equal side lengths"),
+    (["diagnose"], {"bounds": [[1, -1], [1, -1]]}, "lo < hi, got"),
 ], ids=["solve-p", "solve-tolerance", "weights-p", "weights-t", "weights-q",
         "distortion-samples", "diagnose-probes", "diagnose-budget", "diagnose-contraction",
-        "catalog-fixture", "solve-psi-number", "solve-psi-affine"])
-def test_out_of_range_setting_refused(tmp_path, capsys, argv, message):
+        "catalog-fixture", "solve-psi-number", "solve-psi-affine", "distortion-residual-even",
+        "distortion-residual-1", "distortion-residual-negative", "weights-window-short",
+        "weights-window-text", "weights-window-null", "weights-bounds-reversed",
+        "weights-bounds-short", "weights-bounds-text", "solve-bounds-3d", "solve-bounds-uneven",
+        "diagnose-bounds-reversed"])
+def test_out_of_range_setting_refused(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
     out = tmp_path / "out"
     assert run_cli([*argv, "--output-dir", str(out)]) == 2
     err = capsys.readouterr().err

@@ -302,9 +302,42 @@ def test_block_value_ranges(case):
     vals = np.arange(len(block.kept), dtype=float)
     ends = block.offsets[block.first]
     assert ends[2] == ends[3]
-    for b, (*_, vrange, _) in enumerate(block.integrals(vals)):
+    (row,) = block.integrals(vals[None])
+    for b, (*_, vrange, _) in enumerate(row):
         v = vals[ends[b]:ends[b + 1]]
         assert vrange == ((v[0], v[-1]) if len(v) else (math.inf, -math.inf))
+
+
+@pytest.mark.parametrize("case", list(SAMPLER_CASES))
+def test_stacked_integrals_match_rows_alone(case):
+    # A block of near, far and clipped balls integrates a stack of functions
+    # in one pass; every row's tuples equal, to the bit, those of integrating
+    # that row alone.  A non-finite value is named by ball, then row, then node.
+    space, ball, budget, seed, domain, sing = SAMPLER_CASES[case]
+    far = Ball(ball.center + 0.9 * ball.radius, 0.05)
+    balls = [far, ball, Ball(ball.center, 0.5 * ball.radius), Ball(-ball.center, 0.2)]
+    block = gather_ball_samples(space, balls, budget, [seed, 11, 12, 13], domain, sing,
+                                ["avg", ("ap", 3, 1), ("rh", 3, 1), "mu"])
+    assert len(block.points) > len(balls)       # some ball of the block is near
+    w = (power_weight(-0.5, space.n) if sing.kind == "point"
+         else axis_power_weight(-0.5, sing.axis))
+    vals = w(block.kept)
+    rows = np.stack([vals, _powers(vals, -1.0), _powers(vals, 2.0), np.ones(len(vals)),
+                     np.sin(block.kept.sum(axis=1))])
+    for stacked, row in zip(block.integrals(rows), rows):
+        (alone,) = block.integrals(row[None])
+        for (mass, se, contrib, vrange, vol), want in zip(stacked, alone):
+            assert (mass, se, vrange, vol) == (want[0], want[1], want[3], want[4])
+            assert np.array_equal(contrib, want[2])
+    ends = block.offsets[block.first]
+    assert ends[1] < ends[2] and ends[3] < ends[4]
+    rows[2, ends[1]] = np.nan               # ball 1: row 2 at its first node,
+    rows[1, ends[2] - 1] = np.inf           # row 1 at its last node
+    rows[0, ends[3]] = -np.inf              # ball 3: row 0
+    with pytest.raises(SingularSampleError) as exc:
+        block.integrals(rows)
+    assert exc.value.value == np.inf
+    assert np.array_equal(exc.value.point, block.kept[ends[2] - 1])
 
 
 @pytest.mark.parametrize("count", [16, 2048])
@@ -395,8 +428,7 @@ def test_rh2_worst_ball_spread(e2):
     for seed in range(200):
         samples = gather_ball_samples(e2, Ball(center, radius), 2048, seed, BOX2, w.singularity)
         vals = w(samples.kept)
-        ((m1, *_), ) = samples.integrals(vals)
-        ((m2, *_), ) = samples.integrals(vals ** 2)
+        ((m1, *_),), ((m2, *_),) = samples.integrals(np.stack([vals, vals ** 2]))
         ratios.append(math.sqrt(m2 / samples.total_volume) / (m1 / samples.total_volume))
     median = float(np.median(ratios))
     assert max(ratios) <= 1.01 * median
