@@ -47,7 +47,9 @@ _INT = {"type": int}
 _FLOAT = {"type": float}
 _SWITCH = {"action": "store_const", "const": True}
 _FIXTURE = {"choices": CAT.fixture_names()}
-_MASK = {"choices": ("box", "disc", "annulus")}
+# each mask's parameters (config key mask_params) and their defaults
+_MASK_PARAMS = {"box": {}, "disc": {"radius": 1.0}, "annulus": {"inner": 0.25, "outer": 1.0}}
+_MASK = {"choices": tuple(_MASK_PARAMS)}
 _RUN = {"seed": (0, _INT), "output_dir": ("degenlap-out", {})}
 # unset until resolved: a fixture fixes both (`_space_and_dim`)
 _GEOMETRY = {"geometry": (None, {"choices": ("euclidean", "heisenberg1")}),
@@ -128,6 +130,14 @@ MAX_RESOLUTION_3D = 48
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise ConfigError(message)
+
+
+def _number(value) -> float:
+    """value as a float, or nan when it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
 
 
 def _intervals(value, shape: tuple, what: str) -> np.ndarray:
@@ -259,19 +269,22 @@ def _build_domain(cfg, dim: int) -> GridDomain:
     sides = np.diff(bounds, axis=1)
     _require(np.allclose(sides, sides[0], rtol=1e-12, atol=0.0),
              f"a grid's bounds must have equal side lengths, got {cfg['bounds']!r}")
-    mask = cfg["mask"]
-    params = cfg.get("mask_params") or {}
+    mask, given = cfg["mask"], cfg.get("mask_params") or {}
+    _require(mask in _MASK_PARAMS, f"unknown mask {mask!r}")
+    _require(isinstance(given, dict) and set(given) <= set(_MASK_PARAMS[mask]),
+             f"mask_params of mask {mask!r} must be an object with keys among "
+             f"{sorted(_MASK_PARAMS[mask])}, got {given!r}")
+    params = {}
+    for key, default in _MASK_PARAMS[mask].items():
+        params[key] = _number(given.get(key, default))
+        _require(0 < params[key] < math.inf,
+                 f"mask_params {key} must be a positive number, got {given.get(key)!r}")
     if mask == "box":
-        dom = GridDomain.box(bounds, shape)
-    elif mask == "disc":
-        radius = float(params.get("radius", 1.0))
-        dom = GridDomain.disc(radius, shape, bounds=bounds)
-    elif mask == "annulus":
-        dom = GridDomain.annulus(float(params.get("inner", 0.25)),
-                                 float(params.get("outer", 1.0)), shape, bounds=bounds)
-    else:
-        raise ConfigError(f"unknown mask {mask!r}")
-    return dom
+        return GridDomain.box(bounds, shape)
+    if mask == "disc":
+        return GridDomain.disc(params["radius"], shape, bounds=bounds)
+    _require(params["inner"] < params["outer"], f"mask_params inner must be < outer, got {given!r}")
+    return GridDomain.annulus(params["inner"], params["outer"], shape, bounds=bounds)
 
 
 def _resolve_mask(cfg, fixture) -> None:
@@ -460,6 +473,12 @@ def run_distortion(cfg) -> int:
              f"residual resolution {res} must be 0 (none) or an odd resolution >= 3")
     _require(res <= 2 * MAX_RESOLUTION_3D + 1,
              f"residual resolution {res} is above the limit {2 * MAX_RESOLUTION_3D + 1}")
+    tubes, bump_count = cfg["tubes"], _number(cfg["bump_count"])
+    _require(isinstance(tubes, list) and len(tubes) > 0
+             and all(0 <= _number(t) < math.inf for t in tubes),
+             f"tubes must be a list of widths >= 0, got {tubes!r}")
+    _require(bump_count.is_integer() and bump_count >= 1,
+             f"bump count must be an integer >= 1, got {cfg['bump_count']!r}")
     mapping = DT.radial_exp_map(eps, 3)
     rng = child_rng(int(cfg["seed"]), "cli-distortion")
     pts = rng.uniform(-1.0, 1.0, (4 * n, 3))
@@ -471,12 +490,12 @@ def run_distortion(cfg) -> int:
         dom = GridDomain.box([[-0.5, 0.5]] * 3, (res,) * 3)
         rng2 = child_rng(int(cfg["seed"]), "cli-bumps")
         bumps = []
-        for _ in range(int(cfg["bump_count"])):
+        for _ in range(int(bump_count)):
             center = rng2.uniform(-0.15, 0.15, 3)
             radius = rng2.uniform(0.25, 0.32)
             bumps.append(bump_function(dom, center, radius))
         table = DT.coordinate_weak_residual(mapping, dom, bumps,
-                                            tube_widths=[float(t) for t in cfg["tubes"]])
+                                            tube_widths=[float(t) for t in tubes])
         report.residuals = table.to_dict()
     write_json(out / "distortion-report.json", {"distortion": report.to_dict()})
     header = ["x1", "x2", "x3", "jacobian_det", "op_norm", "adj_norm",

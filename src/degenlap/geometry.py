@@ -218,30 +218,14 @@ def _sample_unit_ball(space: MetricSpace, count: int, rng: np.random.Generator) 
     return out
 
 
-def _map_to_balls(space: MetricSpace, centers, radii, pts: np.ndarray) -> np.ndarray:
-    """Unit-ball points pts (..., count, n) mapped onto the balls with
-    centers (..., n) and radii (...).
-
-    Euclidean balls translate and scale linearly; gauge balls are mapped from
-    the origin ball by the dilation delta_r followed by left translation,
-    both of which preserve Lebesgue measure up to the exact factor r**Q.
-    Every operation is elementwise, so a stack of balls maps each ball's
-    points exactly as a ball on its own."""
-    centers = np.asarray(centers, dtype=float)[..., None, :]
-    radii = np.asarray(radii, dtype=float)[..., None]
-    if space.kind != "euclidean":
-        return heisenberg_multiply(centers, heisenberg_dilate(pts, radii))
-    out = radii[..., None] * pts
-    for j in range(space.n):      # axis by axis, as in Box.contains
-        out[..., j] += centers[..., j]
-    return out
-
-
 def sample_ball(space: MetricSpace, ball: Ball, count: int, seed: int) -> np.ndarray:
-    """`count` points uniform w.r.t. Lebesgue measure in the metric ball.
-
-    Deterministic given the seed (see `_map_to_balls` for the map)."""
+    """`count` points uniform w.r.t. Lebesgue measure in the metric ball,
+    deterministic given the seed: unit-ball points scaled and translated, or
+    on heisenberg1 dilated by delta_r and left-translated, both of which
+    preserve Lebesgue measure up to the exact factor r**Q."""
     if count < 1:
         raise ValueError("count must be >= 1")
     pts = _sample_unit_ball(space, count, child_rng(seed, "ball", space.kind))
-    return _map_to_balls(space, ball.center, ball.radius, pts)
+    if space.kind != "euclidean":
+        return heisenberg_multiply(ball.center, heisenberg_dilate(pts, ball.radius))
+    return ball.radius * pts + ball.center

@@ -38,8 +38,7 @@ from .geometry import (
     Ball,
     Box,
     MetricSpace,
-    _map_to_balls,
-    _sample_unit_ball,
+    euclidean,
     metric_distance,
     sample_ball,
 )
@@ -184,10 +183,10 @@ def constant_weight(value: float, dim: int) -> Weight:
 # --- ball quadrature ---------------------------------------------------------
 
 # Balls per block of the batched engine.  Draws stay per ball; a block only
-# batches the array work that follows them, and its arrays hold about _BLOCK x
-# budget nodes.  Of 1, 4, 8, 16 and 32, 8 ran the catalog's estimator calls
-# fastest (median CPU time); larger blocks gained nothing.
-_BLOCK = 8
+# batches the array work that follows them: about `budget` nodes per near
+# ball and budget / 6 per far one.  Of 8 to 512 balls, the catalog's
+# estimator calls took the least CPU time from 64 on, half that at 8.
+_BLOCK = 64
 # Dyadic panels per ray near the singular set (see gather_ball_samples).
 _PANELS = 6
 # Clenshaw-Curtis rules on [-1, 1]: the 5-point rule, and on its nodes the
@@ -196,20 +195,32 @@ _NODES = np.array([-1.0, -math.sqrt(0.5), 0.0, math.sqrt(0.5), 1.0])
 _RULES = np.array([[1.0, 8.0, 12.0, 8.0, 1.0], [5.0, 0.0, 20.0, 0.0, 5.0]]) / 15.0
 # Fewest rays or lines per near ball: small budgets still see a spread.
 _MIN_UNITS = 9
+# A far ball's unit (`_draw_in_ball`) turns a copy of the sphere S^0, the
+# octagon (exact for trigonometric polynomials of degree < 8) or the
+# icosahedron (a spherical 5-design).  Over 40 seeds, 3-d far averages spread
+# 5x less than with Fibonacci spheres of 12 points, and octagons kept the
+# error estimate honest on clipped discs, where 12-gons understated it.
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+_DESIGNS = {1: np.array([[1.0], [-1.0]]),
+            2: np.array([[math.cos(k * math.pi / 4), math.sin(k * math.pi / 4)] for k in range(8)]),
+            3: np.array([np.roll([0.0, a, b * _PHI], k) for k in range(3) for a in (-1.0, 1.0)
+                         for b in (-1.0, 1.0)]) / math.sqrt(1.0 + _PHI ** 2)}
 
 
 @dataclass
 class BallSamples:
     """Quadrature nodes of a block of balls, each clipped to a domain box.
 
-    A ball's integral is the mean over its units (see `gather_ball_samples`)
-    of the sums of weight x value over each unit's nodes.  The nodes form
-    segments, one per (ball, level), ball after ball: ball b's segments are
-    first[b]:first[b+1], segment k holds kept[offsets[k]:offsets[k+1]]; a far
-    ball has one level, a near ball one per panel, outermost first.  weights
-    (2, nodes) are the fine and coarse rules', bins the cells in each ball's
-    (levels, units[b]) grid, start the near balls' units' starts.  `integrals`
-    integrates a stack of functions over all the block's balls in one pass."""
+    A ball's integral is the mean over its units (see `gather_ball_samples`:
+    a near ball's rays or lines, a far ball's turned copies of a design of
+    rays from its centre) of the sums of weight x value over each unit's
+    nodes.  The nodes form segments, one per (ball, level), ball after ball:
+    ball b's segments are first[b]:first[b+1], segment k holds
+    kept[offsets[k]:offsets[k+1]]; a far ball has one level, a near ball one
+    per panel, outermost first.  weights (2, nodes) are the fine and coarse
+    rules', bins the cells in each ball's (levels, units[b]) grid, start the
+    near balls' units' starts.  `integrals` integrates a stack of functions
+    over all the block's balls in one pass."""
 
     balls: list[Ball]
     kept: np.ndarray
@@ -244,7 +255,7 @@ class BallSamples:
         (a fraction of the deepest panel's lower edge), c_{J-1} rho / (1 - rho)
         (1 - f^-log2(rho)).  volume is the mass of 1; se**2 / volume**2 is the
         variance of mass / volume, from successive differences of the residuals
-        est - (mass / volume) (unit volume) over the jittered units, plus the
+        est - (mass / volume) (unit volume) over the random units, plus the
         squared mean gap to the coarse rule's estimates.  contributions are the
         levels' and a near ball's tail's shares of mass; (vmin, vmax) bounds the
         values ((inf, -inf) if none).  A row gets the same bits as alone, a ball
@@ -312,9 +323,13 @@ def _estimates(panels: np.ndarray, start):
 
 
 def _draw_in_ball(space, key, count, seed):
-    """`count` unit-ball points from the far ball's own stream (seed, *key),
-    one generator per ball, which gather_ball_samples maps onto the ball."""
-    return _sample_unit_ball(space, count, child_rng(seed, *key))
+    """The parameters of a far ball's `count` rays, from its own stream
+    (seed, *key): a Gaussian (n, n) matrix per copy of the design
+    _DESIGNS[n], whose QR factor turns that copy, or beyond three dimensions
+    a Gaussian vector per ray, its direction."""
+    rng = child_rng(seed, *key)
+    n, design = space.n, _DESIGNS.get(space.n)
+    return rng.standard_normal((count, n) if design is None else (count // len(design), n, n))
 
 
 def _sample_near_singularity(space, singularity, key, count, seed):
@@ -325,22 +340,6 @@ def _sample_near_singularity(space, singularity, key, count, seed):
     if singularity.kind == "point" and space.n > 3:
         return rng.standard_normal((count, space.n))
     return rng.random((count, space.n - 1))
-
-
-def _far_block(space, centers, radii, seeds, tags, budget, domain):
-    """Balls far from the locus: `budget` uniform draws per ball, one unit each,
-    those in the domain nodes weighted by the ball's volume; returns the nodes,
-    their levels, cells and (fine, coarse) weights, and node and unit counts."""
-    draws = np.stack([_draw_in_ball(space, (t, "pool"), budget, s) for s, t in zip(seeds, tags)])
-    pts = _map_to_balls(space, centers, radii, draws)
-    keep = np.ones(pts.shape[:2], dtype=bool) if domain is None else domain.contains(pts)
-    hits = np.count_nonzero(keep, axis=1)
-    weight = np.repeat(space.unit_ball_volume * radii ** space.Q, hits)
-    kept = pts.reshape(-1, space.n)
-    if len(weight) < len(kept):     # else every draw is in the domain
-        kept = np.compress(keep.ravel(), kept, axis=0)
-    return (kept, np.zeros(len(weight), dtype=int), np.flatnonzero(keep) % budget,
-            np.stack([weight, weight]), hits, np.full(len(radii), budget))
 
 
 def _jitter(u: np.ndarray) -> np.ndarray:
@@ -364,17 +363,20 @@ def _frames(space, centers, radii):
     return A
 
 
-def _rays(space, singularity, centers, A, domain, u):
+def _rays(space, singularity, origins, centers, A, domain, u):
     """Origins and directions (balls, rays, n) of the units' rays, and the
-    measure of their parameter set per ball.  About a hyperplane (or in 1-d)
-    a unit is a line normal to it, a ray each way from a foot on it; the feet
-    fill the plane's rectangle under the ball's bounding box ∩ domain.  About
-    a point o it is a ray along A theta, theta unit in the cap that sees U's
-    bounding sphere from A^-1 (o - c) (all of the sphere if that holds o):
-    over the angle in 2-d and (cos phi, azimuth) about the cap's axis in 3-d,
-    Gaussian beyond, the measure carrying |det A|.  Grids are jittered."""
+    measure of their parameter set per ball.  Directions u (balls, rays, n),
+    a far ball's design or Gaussian about a point beyond three dimensions,
+    run along A u / |u| from `origins` over the whole sphere.  Jitter
+    offsets u (balls, units, n - 1) give, about a hyperplane (or in 1-d),
+    lines normal to it, a ray each way from a foot on it; the feet fill the
+    plane's rectangle under the ball's bounding box ∩ domain.  About a point
+    o (`origins`) they give rays along A theta, theta unit in the cap that
+    sees U's bounding sphere from A^-1 (o - c) (all of the sphere if that
+    holds o): over the angle in 2-d and (cos phi, azimuth) about the cap's
+    axis in 3-d.  The measures of directions carry |det A|."""
     n = space.n
-    if singularity.kind == "hyperplane" or n == 1:
+    if u.shape[-1] < n and (singularity.kind == "hyperplane" or n == 1):
         a, offset = ((singularity.axis, singularity.offset) if singularity.kind == "hyperplane"
                      else (0, float(singularity.point[0])))
         others = [j for j in range(n) if j != a]
@@ -388,19 +390,22 @@ def _rays(space, singularity, centers, A, domain, u):
         dirs = np.zeros(feet.shape[:2] + (2, n))
         dirs[..., 0, a], dirs[..., 1, a] = 1.0, -1.0
         return np.repeat(feet, 2, axis=1), dirs.reshape(len(feet), -1, n), np.prod(width, axis=1)
-    v = np.linalg.solve(A, (centers - singularity.point)[..., None])[..., 0]
+    v = np.linalg.solve(A, (centers - origins)[..., None])[..., 0]
     d = np.linalg.norm(v, axis=1)
     reach = 1.0 if space.kind == "euclidean" else math.sqrt(2.0)
     ratio = np.divide(reach, d, out=np.full(len(d), 2.0), where=d > 0)
     cos_a = np.where(ratio < 1.0, np.sqrt(1.0 - np.minimum(ratio, 1.0) ** 2), -1.0)
     axis = np.divide(v, d[:, None], out=np.eye(n)[np.zeros(len(d), dtype=int)],
                      where=d[:, None] > 0)
-    if n == 2:
+    if u.shape[-1] == n:
+        dirs = u / np.linalg.norm(u, axis=-1, keepdims=True)
+        sigma = np.full(len(d), n * euclidean(n).unit_ball_volume)
+    elif n == 2:
         angle = np.arccos(cos_a)
         phi = (np.arctan2(axis[:, 1], axis[:, 0])[:, None]
                + angle[:, None] * (2.0 * _jitter(u)[..., 0] - 1.0))
         dirs, sigma = np.stack([np.cos(phi), np.sin(phi)], axis=-1), 2.0 * angle
-    elif n == 3:
+    else:
         t = _jitter(u)
         z = 1.0 - (1.0 - cos_a)[:, None] * t[..., 0]
         rho, psi = np.sqrt(np.maximum(1.0 - z * z, 0.0)), 2.0 * math.pi * t[..., 1]
@@ -411,11 +416,9 @@ def _rays(space, singularity, centers, A, domain, u):
         dirs = (z[..., None] * axis[:, None] + (rho * np.cos(psi))[..., None] * e1[:, None]
                 + (rho * np.sin(psi))[..., None] * e2[:, None])
         sigma = 2.0 * math.pi * (1.0 - cos_a)
-    else:
-        dirs = u / np.linalg.norm(u, axis=-1, keepdims=True)
-        sigma = np.full(len(d), n * space.unit_ball_volume)
     dirs = (A[:, None] @ dirs[..., None])[..., 0]
-    return np.broadcast_to(singularity.point, dirs.shape), dirs, sigma * np.abs(np.linalg.det(A))
+    return (np.broadcast_to(origins.reshape(-1, 1, n), dirs.shape), dirs,
+            sigma * np.abs(np.linalg.det(A)))
 
 
 def _bisect(f, lo, hi, steps=60):
@@ -461,35 +464,58 @@ def _chords(space, centers, A, domain, origins, dirs):
     return np.where(hit, s1, 0.0), np.where(hit, s2, 0.0)
 
 
-def _near_block(space, centers, radii, seeds, tags, budget, domain, singularity):
-    """Balls near the singular locus: the ray nodes of gather_ball_samples,
-    a level's ray after ray; returns as `_far_block` does, and the starts."""
-    lines = singularity.kind == "hyperplane" or space.n == 1
+def _ray_block(space, centers, radii, seeds, tags, budget, domain, singularity):
+    """The ray nodes of gather_ball_samples for a block of balls near the
+    singular locus, or far from it (singularity None), a level's ray after
+    ray: the nodes, their levels, cells and (fine, coarse) weights, the node
+    and unit counts per ball, and the units' starts (1 for a far one)."""
+    far = singularity is None
+    lines = not far and (singularity.kind == "hyperplane" or space.n == 1)
     # budget / (nodes per unit) units, at least _MIN_UNITS, in a whole `_jitter` grid
     m = space.n - 1
     target = max(budget / ((1 + lines) * _PANELS * len(_NODES)), _MIN_UNITS)
     g = int(target ** (1.0 / max(m, 1)) + 1e-9)
     units = (1 if m == 0 else int(target) if space.n > 3 and not lines
              else g ** (m - 1) * int(target / g ** (m - 1)))
-    u = np.stack([_sample_near_singularity(space, singularity, (t, "rays"), units, s)
-                  for s, t in zip(seeds, tags)])
     A = _frames(space, centers, radii)
-    origins, dirs, sigma = _rays(space, singularity, centers, A, domain, u)
+    if far:
+        # as many rays as a near ball's in whole copies of the design (at least
+        # two; one in 1-d, where it is the whole sphere), from each centre, or
+        # from the box's point nearest to it if it is outside
+        design = _DESIGNS.get(space.n)
+        share = 1 if design is None else len(design)
+        units = max(units // share, 2 if m else 1)
+        u = np.stack([_draw_in_ball(space, (t, "pool"), units * share, s)
+                      for s, t in zip(seeds, tags)])
+        if design is not None:      # uniformly random orthogonal maps (QR, R's signs fixed)
+            q, r = np.linalg.qr(u)
+            q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+            u = (design @ q.swapaxes(-1, -2)).reshape(len(u), -1, space.n)
+        origins = centers if domain is None else np.clip(centers, *domain.bounds.T)
+        levels = 1
+    else:
+        u = np.stack([_sample_near_singularity(space, singularity, (t, "rays"), units, s)
+                      for s, t in zip(seeds, tags)])
+        origins, levels, share = singularity.point, _PANELS, 1 + lines
+    origins, dirs, sigma = _rays(space, singularity, origins, centers, A, domain, u)
     s1, s2 = _chords(space, centers, A, domain, origins, dirs)
-    # panels (balls, levels, rays), dyadic in s below s2 and cut at s1; empty
-    # ones drop out.  A ray's start is s1 over the deepest panel's lower edge.
-    edges = s2[:, None, :] * 0.5 ** np.arange(_PANELS + 1)[:, None]
-    start = np.minimum(np.divide(s1, edges[:, -1], out=np.ones_like(s1), where=s2 > 0), 1.0)
+    # panels (balls, levels, rays): near, dyadic in s below s2 and cut at s1,
+    # empty ones dropping out; far, the one panel [s1, s2].  A near ray's
+    # start is s1 over the deepest panel's lower edge.
+    edges = s2[:, None, :] * (0.0 if far else 0.5) ** np.arange(levels + 1)[:, None]
+    start = np.minimum(np.divide(s1, edges[:, -1], out=np.ones_like(s1),
+                                 where=edges[:, -1] > 0), 1.0)
     lo, hi = np.maximum(edges[:, 1:], s1[:, None]), np.maximum(edges[:, :-1], s1[:, None])
     s = 0.5 * (hi + lo)[..., None] + 0.5 * (hi - lo)[..., None] * _NODES
     keep = np.broadcast_to((hi > lo)[..., None], s.shape)
     nodes = origins[:, None, :, None, :] + s[..., None] * dirs[:, None, :, None, :]
+    sigma = sigma / share if far else sigma         # a far unit's rays share its measure
     jac = (sigma[:, None, None, None] * 0.5 * (hi - lo)[..., None] * s ** (0 if lines else m))
     _, level, ray, rule = np.nonzero(keep)
     count = np.count_nonzero(keep.reshape(len(radii), -1), axis=1)
     start = start.reshape(len(radii), units, -1).min(axis=2).ravel()
     # the (2, nodes) weights C-ordered, as `take` leaves them (a[:, idx] would not)
-    return (nodes[keep], level, level * units + ray // (1 + lines),
+    return (nodes[keep], level, level * units + ray // share,
             jac[keep] * _RULES.take(rule, axis=1), count, np.full(len(radii), units), start)
 
 
@@ -505,15 +531,17 @@ def gather_ball_samples(
     """Quadrature nodes of ball ∩ domain.  `ball` is one Ball, drawn from the
     PCG64DXSM stream keyed by (seed, tag, "pool") when far and (seed, tag,
     "rays") when near (`child_rng`), or a block: balls with one seed and one
-    tag each, each drawn exactly as a block of one.  Far from the locus
-    (d(center) > 1.5 r, or no locus) each unit is one of `budget` uniform
-    draws in the ball, a node when in the domain.  Near it each unit is a ray
-    from the singular point or a line normal to the singular hyperplane
-    (`_rays`); the chord [s1, s2] of ray o + s D through ball ∩ domain
-    carries w(o + s D) s^(k-1) (k = n about a point, 1 about a plane) on the
-    dyadic panels [s2 2^-(j+1), s2 2^-j], j < _PANELS, by the Clenshaw-Curtis
-    5-point rule, about budget / (5 _PANELS) nodes per ray.  A near ball none
-    of whose rays meets ball ∩ domain is drawn as a far one."""
+    tag each, each drawn exactly as a block of one.  Each unit is a ray or a
+    line (`_rays`); the chord [s1, s2] of ray o + s D through ball ∩ domain
+    carries w(o + s D) s^(k-1) (k = n, or 1 along a line) by the
+    Clenshaw-Curtis 5-point rule on panels.  Far from the locus (d(center) >
+    1.5 r, or no locus) a unit is a turned copy of a spherical design of rays
+    from the centre (from the box's point nearest to it if it is outside),
+    each on one panel [s1, s2], in all about as many rays as a near ball's.
+    Near it a unit is a ray from the singular point or a line normal to the
+    singular hyperplane, on the dyadic panels [s2 2^-(j+1), s2 2^-j], j <
+    _PANELS, about budget / (5 _PANELS) nodes per ray.  A near ball none of
+    whose rays meets ball ∩ domain is drawn as a far one."""
     if budget < 16:
         raise ValueError("budget must be >= 16")
     if isinstance(ball, Ball):
@@ -522,20 +550,17 @@ def gather_ball_samples(
     radii = np.array([b.radius for b in ball], dtype=float)
     near = (np.zeros(len(ball), dtype=bool) if singularity is None
             else singularity.distance(space, centers) <= 1.5 * radii)
-    units = np.empty(len(ball), dtype=int)
-    pick = lambda g: (space, centers[g], radii[g], [seed[i] for i in g], [tag[i] for i in g],
-                      budget, domain)
-    cols, start = [], np.zeros(0)
-    if near.any():
-        group = np.flatnonzero(near)
-        *part, count, units[group], start = _near_block(*pick(group), singularity)
-        near[group[count == 0]] = False
-        start = start.reshape(len(group), -1)[count > 0].ravel()
-        cols.append((np.repeat(group, count), *part))
-    if not near.all():
-        group = np.flatnonzero(~near)
-        *part, count, units[group] = _far_block(*pick(group))
-        cols.append((np.repeat(group, count), *part))
+    units, cols, start = np.empty(len(ball), dtype=int), [], np.zeros(0)
+    for is_near in (True, False):
+        group = np.flatnonzero(near == is_near)
+        if len(group):
+            *part, count, units[group], starts = _ray_block(
+                space, centers[group], radii[group], [seed[i] for i in group],
+                [tag[i] for i in group], budget, domain, singularity if is_near else None)
+            if is_near:
+                near[group[count == 0]] = False
+                start = starts.reshape(len(group), -1)[count > 0].ravel()
+            cols.append((np.repeat(group, count), *part))
     levels = np.where(near, _PANELS, 1)
     first = np.concatenate([[0], np.cumsum(levels)])
     # the nodes in segment order, and their cells
@@ -630,12 +655,11 @@ def ball_average(
     seed: int,
     domain: Box | None = None,
 ) -> BallAverage:
-    """Average of the weight over ball ∩ domain.
-
-    Integrates along rays over dyadic panels toward the weight's declared
-    singular set when the ball comes near it (`gather_ball_samples`), so
-    non-integrable weights produce a visibly diverging refinement profile.
-    """
+    """Average of the weight over ball ∩ domain, integrated along rays
+    (`gather_ball_samples`): from the ball's centre when it is far from the
+    weight's declared singular set, and over dyadic panels toward that set
+    when it comes near it, so that non-integrable weights produce a visibly
+    diverging refinement profile."""
     ((avg,),) = _ball_averages(weight, (1.0,), space, [ball], budget, [seed], ["avg"], domain)
     return avg
 

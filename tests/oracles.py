@@ -4,7 +4,8 @@ Each oracle computes its answer by a route disjoint from the library code it
 checks: closed-form antiderivatives and dense interval scans for Muckenhoupt
 constants, 1-d flux integration for radial p-harmonic profiles, polar
 reduction for radial ball averages, 1-d adaptive quadrature over the
-spheres or slices of a ball for off-centre ball averages, and scalar
+spheres or slices of a ball for off-centre ball averages, a tensor Gauss
+rule in coordinates adapted to the Heisenberg gauge ball, and scalar
 rejection sampling, one candidate at a time, for uniform draws in unit balls.
 The Hessian reference assembles the solver's cell blocks by COO triplets and
 scipy's duplicate summation, not through the solver's precomputed pattern.
@@ -144,6 +145,34 @@ def slice_ball_average(exponent: float, center, r: float, bounds) -> float:
              for edge in (lo2, hi2) if abs(edge - c2) < r for sign in (-1.0, 1.0)]
     lo, hi = max(c1 - r, lo1), min(c1 + r, hi1)
     return _quad_power(length, exponent, lo, hi, kinks) / _quad_power(length, 0.0, lo, hi, kinks)
+
+
+def cut_ball_average(exponent: float, c1: float, r: float, hi: float) -> float:
+    """Average of |x1|^a over a ball of R^3 of radius r centred at x1 = c1
+    and cut by the plane x1 = hi: its slices x1 = const are discs of area
+    pi (r^2 - (x1 - c1)^2), integrated over x1 by 1-d quadrature."""
+    area = lambda x: r * r - (x - c1) ** 2
+    lo, hi = c1 - r, min(c1 + r, hi)
+    return _quad_power(area, exponent, lo, hi) / _quad_power(area, 0.0, lo, hi)
+
+
+def gauge_ball_average(fn, center, r: float, nodes: int = 32) -> float:
+    """Average of fn over the Heisenberg gauge ball B(center, r), the image
+    of the unit ball {(a^2 + b^2)^2 + y^2 <= 1} under y -> center * (r a,
+    r b, r^2 y / 4).  In the coordinates a + ib = sqrt(cos th) e^(i phi),
+    y = sin(th) tau the unit ball's measure is sin(th)^2 / 2 dth dphi dtau
+    over [0, pi/2] x [0, 2 pi) x [-1, 1]: a Gauss-Legendre rule in th and
+    tau and the trapezoidal rule in phi, accurate to rounding for smooth fn."""
+    x, wx = np.polynomial.legendre.leggauss(nodes)
+    th, phi, tau = np.meshgrid(np.pi / 4 * (x + 1.0), np.pi * np.arange(2 * nodes) / nodes, x,
+                               indexing="ij")
+    weight = (np.sin(th) ** 2 * wx[:, None, None] * wx[None, None, :]).ravel()
+    rho = np.sqrt(np.cos(th))
+    a, b, y = r * rho * np.cos(phi), r * rho * np.sin(phi), r * r * np.sin(th) * tau / 4.0
+    c1, c2, c3 = center
+    # the group law (c1, c2, c3) * (a, b, t) = (c1 + a, c2 + b, c3 + t + (c1 b - c2 a) / 2)
+    pts = np.stack([c1 + a, c2 + b, c3 + y + 0.5 * (c1 * b - c2 * a)], axis=-1).reshape(-1, 3)
+    return float(np.sum(weight * fn(pts)) / np.sum(weight))
 
 
 def unit_ball_rejection(kind: str, n: int, count: int, rng) -> tuple[np.ndarray, int]:

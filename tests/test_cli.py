@@ -397,13 +397,29 @@ def test_unread_settings_refused(tmp_path, capsys, sub, key, value):
     (["solve"], {"bounds": [[0, 1], [0, 1], [0, 1]]}, "bounds must be 2 [lo, hi] pairs"),
     (["solve"], {"bounds": [[-1, 1], [0, 1]]}, "equal side lengths"),
     (["diagnose"], {"bounds": [[1, -1], [1, -1]]}, "lo < hi, got"),
+    (["distortion", "--samples", "8", "--residual-resolution", "5"], {"tubes": "ab"},
+     "tubes must be a list of widths >= 0"),
+    (["distortion", "--samples", "8", "--residual-resolution", "5"], {"tubes": [0.1, -1]},
+     "tubes must be a list of widths >= 0"),
+    (["distortion", "--samples", "8", "--residual-resolution", "5"], {"bump_count": "x"},
+     "bump count must be an integer >= 1"),
+    (["distortion", "--samples", "8", "--residual-resolution", "5"], {"bump_count": 1.5},
+     "bump count must be an integer >= 1"),
+    (["solve", "--mask", "disc"], {"mask_params": [1]}, "mask_params of mask 'disc'"),
+    (["solve", "--mask", "disc"], {"mask_params": {"radius": "x"}},
+     "mask_params radius must be a positive number"),
+    (["solve", "--mask", "disc"], {"mask_params": {"inner": 0.5}}, "keys among ['radius']"),
+    (["solve", "--mask", "annulus"], {"mask_params": {"inner": 0.5, "outer": 0.25}},
+     "inner must be < outer"),
 ], ids=["solve-p", "solve-tolerance", "weights-p", "weights-t", "weights-q",
         "distortion-samples", "diagnose-probes", "diagnose-budget", "diagnose-contraction",
         "catalog-fixture", "solve-psi-number", "solve-psi-affine", "distortion-residual-even",
         "distortion-residual-1", "distortion-residual-negative", "weights-window-short",
         "weights-window-text", "weights-window-null", "weights-bounds-reversed",
         "weights-bounds-short", "weights-bounds-text", "solve-bounds-3d", "solve-bounds-uneven",
-        "diagnose-bounds-reversed"])
+        "diagnose-bounds-reversed", "distortion-tubes-text", "distortion-tubes-negative",
+        "distortion-bumps-text", "distortion-bumps-fraction", "solve-mask-params-list",
+        "solve-mask-radius-text", "solve-mask-params-key", "solve-annulus-reversed"])
 def test_out_of_range_setting_refused(tmp_path, capsys, argv, config, message):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))

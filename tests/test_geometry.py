@@ -8,6 +8,7 @@ from degenlap.geometry import (
     Ball,
     Box,
     DimensionMismatchError,
+    _chunk,
     ball_volume,
     euclidean,
     gauge_norm,
@@ -16,6 +17,8 @@ from degenlap.geometry import (
     metric_distance,
     sample_ball,
 )
+
+from oracles import unit_ball_rejection
 
 GAUGE_UNIT_BALL_VOLUME = math.pi ** 2 / 8  # polar reduction of the gauge ball
 
@@ -128,6 +131,26 @@ def test_sample_ball_deterministic(e2):
     c = sample_ball(e2, Ball([0.0, 0.0], 1.0), 512, seed=6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("count", [16, 2048])
+@pytest.mark.parametrize("space", [euclidean(1), euclidean(2), euclidean(3), euclidean(4),
+                                   heisenberg1()], ids=["r1", "r2", "r3", "r4", "heis"])
+def test_sample_ball_draws_are_the_first_accepted_candidates(space, count):
+    # The points are the first `count` accepted candidate rows of the stream
+    # (seed, "ball", kind), in stream order, however they are chunked.  On
+    # the unit ball about 0 the map onto the ball is exact.  In 4-d, seed 0's
+    # first chunk of candidates holds fewer than 16 points, so the sampler
+    # continues its stream.
+    drawn = []
+    for seed in (0, 5, 77):
+        got = sample_ball(space, Ball(np.zeros(space.n), 1.0), count, seed)
+        want, rows = unit_ball_rejection(space.kind, space.n, count,
+                                         child_rng(seed, "ball", space.kind))
+        assert np.array_equal(got, want)
+        drawn.append(rows)
+    if space.n == 4 and count == 16:
+        assert drawn[0] > _chunk(space, count)
 
 
 def test_sample_ball_mean_near_center(e2, heis):
