@@ -122,8 +122,8 @@ _HELP = {
 }
 
 # n = 3 solves above this node count per axis are refused.  Measured peak
-# RSS of `solve --p 3 --dimension 3`: 433 MB at 48^3 and 881 MB at 64^3, on
-# a 2-CPU host with 8 GB of RAM.
+# RSS of `solve --p 3 --dimension 3`: 117 MB at 33^3, 239 MB at 48^3 and
+# 471 MB at 64^3, on a 2-CPU host with 8 GB of RAM.
 MAX_RESOLUTION_3D = 48
 
 
@@ -263,7 +263,7 @@ def _build_domain(cfg, dim: int) -> GridDomain:
     _require(res >= 5, "resolution must be >= 5")
     _require(dim != 3 or res <= MAX_RESOLUTION_3D,
              f"3-d resolution {res} is above the limit {MAX_RESOLUTION_3D}: a p = 3 solve "
-             "peaks at 433 MB RSS at 48^3 and 881 MB at 64^3")
+             "peaks at 239 MB RSS at 48^3 and 471 MB at 64^3")
     shape = (res,) * dim
     bounds = _bounds(cfg, dim)
     sides = np.diff(bounds, axis=1)

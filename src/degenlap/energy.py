@@ -21,8 +21,9 @@ its linear system with preconditioned CG to the relative tolerance
 clamp(0.1 * target / |gradient|, CG_RTOL, 0.1), the forcing term of
 Eisenstat & Walker, "Choosing the forcing terms in an inexact Newton
 method", SIAM J. Sci. Comput. 17 (1996): far from the target CG stops early,
-and it is never asked for more than `CG_RTOL`.  The Hessian is summed from
-the cell blocks into a CSR pattern built once per discretization.  A step
+and it is never asked for more than `CG_RTOL`.  The Hessian is summed cell
+by cell into a 3^n-point stencil on the free nodes, read out into a CSR
+pattern built once per discretization.  A step
 whose system has at least `MULTIGRID_MIN_UNKNOWNS` free unknowns and whose
 tolerance is at most `MULTIGRID_MAX_RTOL` is preconditioned by a geometric
 multigrid V-cycle (`_VCycle`; Trottenberg, Oosterlee & Schueller,
@@ -33,7 +34,6 @@ is accepted when it lowers the max-norm of the gradient instead.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, reduce
 from typing import Callable
@@ -182,20 +182,17 @@ class CellField:
     domain: GridDomain
 
 
-def _corner_signs(n: int) -> np.ndarray:
-    """(n, 2^n) array: sign of each corner in the axis-a cell difference."""
-    signs = np.empty((n, 2 ** n))
-    for c in range(2 ** n):
-        for a in range(n):
-            signs[a, c] = 1.0 if (c >> (n - 1 - a)) & 1 else -1.0
-    return signs
+def _corner_bits(n: int) -> np.ndarray:
+    """(n, 2^n) array: the axis-a offset of corner c from the first corner of
+    its cell, c read in binary with axis 0 in the highest bit."""
+    return (np.arange(2 ** n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
 
 
 def _stencil_matrix(space: MetricSpace, domain: GridDomain, centers: np.ndarray) -> np.ndarray:
     """(K, m, 2^n) coefficients turning cell corner values into the
     horizontal gradient at the cell center."""
     n = domain.n
-    signs = _corner_signs(n) / (domain.h * 2 ** (n - 1))  # (n, 2^n)
+    signs = (2.0 * _corner_bits(n) - 1.0) / (domain.h * 2 ** (n - 1))  # (n, 2^n)
     if space.kind == "euclidean":
         return np.broadcast_to(signs, (len(centers), n, 2 ** n))
     # Heisenberg horizontal frame: X1 = dx - (y/2) dt, X2 = dy + (x/2) dt
@@ -318,6 +315,7 @@ MULTIGRID_MAX_RTOL = 1e-8
 _CHEBYSHEV_DEGREE = 2
 _LANCZOS_STEPS = 10
 _COARSEST_MAX = 400
+_HESSIAN_CHUNK = 4096  # cells per pass of `_Discretization.hessian`, sized for cache
 
 
 @dataclass
@@ -382,13 +380,11 @@ class SolveReport:
 class _Discretization:
     """Cell data for one (space, domain) pair: corner node indices, cell
     centers and the stencil B turning corner values into the horizontal
-    gradient, plus the cell coefficients A when a field is given.  The
-    products A B and B^T A B are built on first use, so callers that only
-    need gradients or energies never allocate the (K, 2^n, 2^n) Hessian
-    blocks.  So are the parts of the linear solve that depend only on the
-    mask: the CSR pattern of the free-node Hessian with the slot of every
-    cell-block entry in it, built once and filled by every `hessian` call,
-    and the multigrid interpolations (`interpolations`)."""
+    gradient, plus the cell coefficients A when a field is given.  A B is
+    built on first use, and so are the parts of the linear solve that depend
+    only on the mask: the CSR pattern of the free-node Hessian, which every
+    `hessian` call fills from a 3^n-point stencil, and the multigrid
+    interpolations (`interpolations`)."""
 
     def __init__(self, space: MetricSpace, domain: GridDomain, a_field: MatrixField | None = None):
         if space.kind == "heisenberg1" and domain.n != 3:
@@ -413,10 +409,6 @@ class _Discretization:
     def ab(self) -> np.ndarray:
         return np.einsum("kij,kjc->kic", self.a, self.b)  # A B
 
-    @cached_property
-    def btab(self) -> np.ndarray:
-        return np.einsum("kmc,kmd->kcd", self.b, self.ab)  # B^T A B
-
     def gradients(self, values: np.ndarray) -> np.ndarray:
         corners = values.ravel()[self.corner_idx]  # (K, 2^n)
         return np.einsum("kmc,kc->km", self.b, corners)
@@ -434,7 +426,7 @@ class _Discretization:
         cell_grad = (self.cell_volume * p) * w1[:, None] * v
         grad = np.zeros(self.n_nodes)
         np.add.at(grad, self.corner_idx.ravel(), cell_grad.ravel())
-        return energy, grad, (s, ag, v)
+        return energy, grad, (s, w1, v)
 
     def gradient_roundoff(self, values: np.ndarray, p: float, cache) -> float:
         """Rounding scale of the free components of `energy_gradient`: machine
@@ -442,15 +434,12 @@ class _Discretization:
         contributions summed in absolute value, term by term down to the
         corner values.  No residual below a small multiple of it can be
         certified in floating point."""
-        s = cache[0]
         corners = np.abs(values.ravel()[self.corner_idx])
         # on Euclidean space B is one (m, 2^n) table broadcast over the cells
         abs_b = np.abs(self.b[:1] if self.b.strides[0] == 0 else self.b)
         mag = np.einsum("kmc,km->kc", abs_b, np.einsum("kic,kc->ki", np.abs(self.ab), corners))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w1 = np.where(s > 0, s ** ((p - 2.0) / 2.0), 0.0)
         node = np.bincount(self.corner_idx.ravel(),
-                           ((self.cell_volume * p) * w1[:, None] * mag).ravel(),
+                           ((self.cell_volume * p) * cache[1][:, None] * mag).ravel(),
                            minlength=self.n_nodes)
         free = node[self.free]
         return float(np.finfo(float).eps * free.max()) if len(free) else 0.0
@@ -462,49 +451,61 @@ class _Discretization:
 
     @cached_property
     def _pattern(self):
-        """(indptr, indices, slot): the CSR structure of the free-node
-        Hessian, and for each cell-block entry (k, c, d), in C order, its
-        position in the CSR data, or nnz when corner c or d is not free.
-
-        Corners c and d of a cell differ by an offset in {-1, 0, 1}^n, so a
-        row's possible columns are its 3^n neighbours, in increasing flat
-        index when the offsets are taken in lexicographic order.  A table of
-        which (row, offset) pairs occur, read row by row, is then the CSR
-        layout itself, and its running count numbers the slots."""
+        """(code, present, indptr, indices).  Corners c and d of a cell differ
+        by an offset in {-1, 0, 1}^n, at position code[c, d] in lexicographic
+        order, in which a node's neighbours increase in flat index.  So the
+        (free, 3^n) table `present` of the free nodes' free cell neighbours,
+        read row by row, is the CSR layout itself."""
         n = len(self.shape)
-        bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # corner bits
-        code = (bits[None, :, :] - bits[:, None, :] + 1) @ 3 ** np.arange(n - 1, -1, -1)
-        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
-        strides = np.cumprod((1,) + self.shape[:0:-1])[::-1]
+        bits = _corner_bits(n)
+        code = np.ravel_multi_index(bits[:, None, :] - bits[:, :, None] + 1, (3,) * n)
         idx_dtype = np.int32 if len(self.free) * 3 ** n < 2 ** 31 else np.int64
         rows = self.free_pos[self.corner_idx].astype(idx_dtype)  # -1 off the free nodes
-        key = ((rows * 3 ** n)[:, :, None] + code.astype(idx_dtype)).ravel()
-        drop = ~((rows >= 0)[:, :, None] & (rows >= 0)[:, None, :]).ravel()
-        key[drop] = 0
-        present = np.zeros(len(self.free) * 3 ** n, dtype=bool)
-        present[key[~drop]] = True
-        row, off = np.divmod(np.flatnonzero(present), 3 ** n)
-        indices = self.free_pos[self.free[row] + (offsets @ strides)[off]]
-        slot = (np.cumsum(present) - 1)[key]
-        slot[drop] = len(indices)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=len(self.free)))])
-        return indptr.astype(idx_dtype), indices.astype(idx_dtype), slot
+        cols = np.full((len(self.free) + 1, 3 ** n), -1, dtype=idx_dtype)  # last row: non-free c
+        for c in range(2 ** n):
+            cols[rows[:, c, None], code[c]] = rows
+        present = cols[:-1] >= 0
+        indices = cols[:-1][present]
+        indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))]).astype(idx_dtype)
+        return code, present, indptr, indices
 
     def hessian(self, values: np.ndarray, p: float, delta: float, cache=None) -> sp.csr_matrix:
-        """Hessian of the energy in the free node values, summed from the
-        cell blocks into the CSR pattern of `_pattern`."""
+        """Hessian of the energy in the free node values: cell k adds its
+        block h^n p (alpha B^T A B + beta v v^T), alpha = s^((p-2)/2),
+        beta = (p-2) s^((p-4)/2), v = B^T A Xu, at corners (c, d) to entry
+        code[c, d] of corner c's row of a 3^n-point stencil on the free nodes
+        (`_pattern`).  Chunks of `_HESSIAN_CHUNK` cells, corner c descending
+        in each, make every entry sum its cells in increasing order.  At p = 2
+        the rank-one term vanishes."""
         if cache is None:
             _, _, cache = self.energy_gradient(values, p, delta)
-        s, ag, v = cache
+        s, alpha, v = cache
+        sa = (self.cell_volume * p) * alpha
         with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = np.where(s > 0, s ** ((p - 2.0) / 2.0), 0.0)
-            beta = np.where(s > 0, (p - 2.0) * s ** ((p - 4.0) / 2.0), 0.0)
-        scale = self.cell_volume * p
-        blocks = (scale * alpha)[:, None, None] * self.btab
-        blocks += ((scale * beta)[:, None] * v)[:, :, None] * v[:, None, :]
-        indptr, indices, slot = self._pattern
-        data = np.bincount(slot, blocks.ravel(), minlength=len(indices) + 1)[:-1]
-        return sp.csr_matrix((data, indices, indptr), shape=(len(self.free), len(self.free)))
+            sb = (self.cell_volume * p) * np.where(s > 0, (p - 2.0) * s ** ((p - 4.0) / 2.0), 0.0)
+        code, present, indptr, indices = self._pattern
+        stencil = np.zeros((present.shape[1], len(self.free) + 1))  # last column: non-free c
+        for lo in range(0, len(s), _HESSIAN_CHUNK):
+            cells = slice(lo, lo + _HESSIAN_CHUNK)
+            # corner-major (m, 2^n, cells) layout: every product runs along the cells
+            ab = np.ascontiguousarray(self.ab[cells].transpose(1, 2, 0))
+            b = self.b[cells].transpose(1, 2, 0)
+            if b.strides[2]:  # on Euclidean space B is a faster broadcast view
+                b = np.ascontiguousarray(b)
+            vt = np.ascontiguousarray(v[cells].T)
+            rows = self.free_pos[self.corner_idx[cells]].T
+            y, tmp = np.empty(vt.shape), np.empty(vt.shape)
+            for c in range(len(code) - 1, -1, -1):
+                np.multiply(b[0, c], ab[0], out=y)  # scale alpha B^T A B, then + scale beta v v^T
+                for i in range(1, len(ab)):
+                    y += np.multiply(b[i, c], ab[i], out=tmp)
+                y *= sa[cells]
+                if p != 2.0:
+                    y += np.multiply(sb[cells] * vt[c], vt, out=tmp)
+                for d in range(len(code)):
+                    np.add.at(stencil[code[c, d]], rows[c], y[d])
+        return sp.csr_matrix((stencil[:, :-1].T[present], indices, indptr),
+                             shape=(len(self.free), len(self.free)))
 
 
 # --- multigrid preconditioner --------------------------------------------------
@@ -673,12 +674,13 @@ def solve_dirichlet(
     grad_scale = None
     iters = 0
 
-    def target_of(level_tol, values, cache) -> float:
-        floor = _ROUNDOFF_FACTOR * disc.gradient_roundoff(values, p, cache)
-        return max(level_tol * (grad_scale or 1.0), floor)
+    def target_of(level_tol) -> float:
+        if current[4] is None:  # the rounding floor, once per evaluation
+            current[4] = _ROUNDOFF_FACTOR * disc.gradient_roundoff(values, p, current[3])
+        return max(level_tol * (grad_scale or 1.0), current[4])
 
-    # (delta, energy, gradient, cache) at the current values: a Newton step
-    # starts from the evaluation its predecessor's line search accepted
+    # [delta, energy, gradient, cache, floor] at the current values: a Newton
+    # step starts from the evaluation its predecessor's line search accepted
     current = None
     for li, delta in enumerate(schedule):
         level_tol = config.tolerance if li == len(schedule) - 1 else max(config.tolerance, delta)
@@ -692,14 +694,14 @@ def solve_dirichlet(
 
         for _ in range(NEWTON_PER_LEVEL):
             if current is None or current[0] != delta:
-                current = (delta, *disc.energy_gradient(values, p, delta))
-            _, energy, grad, cache = current
+                current = [delta, *disc.energy_gradient(values, p, delta), None]
+            _, energy, grad, cache, _ = current
             gfree = grad[disc.free]
             gnorm = float(np.max(np.abs(gfree))) if len(gfree) else 0.0
             if grad_scale is None:
                 grad_scale = max(gnorm, 1e-300)
             energy_history.append(energy)
-            target = target_of(level_tol, values, cache)
+            target = target_of(level_tol)
             if gnorm <= target:
                 level["stop"] = "tolerance"
                 break
@@ -727,8 +729,9 @@ def solve_dirichlet(
                 step = -gfree
                 slope = float(np.dot(gfree, step))
             energy_noise = _ROUNDOFF_FACTOR * np.finfo(float).eps * abs(energy)
+            iters += 1
+            level["newton_steps"] += 1
             s = 1.0
-            accepted = False
             for _ls in range(42):
                 trial = values.copy()
                 trial.ravel()[disc.free] += s * step
@@ -740,24 +743,21 @@ def solve_dirichlet(
                         -s * slope <= energy_noise
                         and np.max(np.abs(g_trial[disc.free])) < gnorm):
                     values = trial
-                    current = (delta, e_trial, g_trial, c_trial)
-                    accepted = True
+                    current = [delta, e_trial, g_trial, c_trial, None]
                     break
                 s *= 0.5
-            iters += 1
-            level["newton_steps"] += 1
-            if not accepted:
+            else:
                 level["stop"] = "line_search_failed"
                 break
         if iters >= config.max_iterations:
             break
 
     if current is None or current[0] != schedule[-1]:
-        current = (schedule[-1], *disc.energy_gradient(values, p, schedule[-1]))
-    _, energy, grad, cache = current
+        current = [schedule[-1], *disc.energy_gradient(values, p, schedule[-1]), None]
+    _, energy, grad, _, _ = current
     gfree = grad[disc.free]
     final_grad_norm = float(np.max(np.abs(gfree))) if len(gfree) else 0.0
-    converged = final_grad_norm <= 10.0 * target_of(config.tolerance, values, cache)
+    converged = final_grad_norm <= 10.0 * target_of(config.tolerance)
     energy_history.append(energy)
 
     u = GridFunction(domain, values)

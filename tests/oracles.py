@@ -7,8 +7,9 @@ reduction for radial ball averages, 1-d adaptive quadrature over the
 spheres or slices of a ball for off-centre ball averages, a tensor Gauss
 rule in coordinates adapted to the Heisenberg gauge ball, and scalar
 rejection sampling, one candidate at a time, for uniform draws in unit balls.
-The Hessian reference assembles the solver's cell blocks by COO triplets and
-scipy's duplicate summation, not through the solver's precomputed pattern.
+The Hessian references assemble the solver's cell blocks by COO triplets and
+scipy's duplicate summation, or by one bincount over a slot map of sorted
+(row, column) keys, not through the solver's stencil.
 """
 from __future__ import annotations
 
@@ -205,12 +206,42 @@ def hessian_coo(disc, values: np.ndarray, p: float, delta: float) -> sp.csr_matr
     _, _, (s, _, v) = disc.energy_gradient(values, p, delta)
     alpha = s ** ((p - 2.0) / 2.0)
     beta = (p - 2.0) * s ** ((p - 4.0) / 2.0)
+    btab = np.einsum("kmc,kmd->kcd", disc.b, disc.ab)  # B^T A B
     blocks = (disc.cell_volume * p) * (
-        alpha[:, None, None] * disc.btab + beta[:, None, None] * v[:, :, None] * v[:, None, :])
-    c = disc.corner_idx.shape[1]
-    rows = disc.free_pos[np.repeat(disc.corner_idx, c, axis=1).ravel()]
-    cols = disc.free_pos[np.tile(disc.corner_idx, (1, c)).ravel()]
-    keep = (rows >= 0) & (cols >= 0)
+        alpha[:, None, None] * btab + beta[:, None, None] * v[:, :, None] * v[:, None, :])
+    rows, cols, keep = _block_entries(disc)
     n_free = len(disc.free)
     return sp.coo_matrix((blocks.ravel()[keep], (rows[keep], cols[keep])),
                          shape=(n_free, n_free)).tocsr()
+
+
+def _block_entries(disc):
+    """Free-node row and column of every cell-block entry (k, c, d), in C
+    order, and whether both are free."""
+    c = disc.corner_idx.shape[1]
+    rows = disc.free_pos[np.repeat(disc.corner_idx, c, axis=1).ravel()]
+    cols = disc.free_pos[np.tile(disc.corner_idx, (1, c)).ravel()]
+    return rows, cols, (rows >= 0) & (cols >= 0)
+
+
+def hessian_slot_map(disc, values: np.ndarray, p: float, delta: float) -> sp.csr_matrix:
+    """The same Hessian with the solver's rounding of the blocks,
+    (h^n p alpha) B^T A B + ((h^n p beta) v) v^T, with alpha and beta 0 where
+    s = 0, summed by a slot map: each free cell-block entry (k, c, d), in C
+    order, is given the rank of its (row, column) key among the sorted keys,
+    which is its CSR position, and one bincount adds the entries in that
+    order.  Each CSR entry thus sums its cells in increasing cell order, and
+    the solver's stencil must reproduce the result bit for bit."""
+    _, _, (s, _, v) = disc.energy_gradient(values, p, delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.where(s > 0, s ** ((p - 2.0) / 2.0), 0.0)
+        beta = np.where(s > 0, (p - 2.0) * s ** ((p - 4.0) / 2.0), 0.0)
+    scale = disc.cell_volume * p
+    blocks = (scale * alpha)[:, None, None] * np.einsum("kmc,kmd->kcd", disc.b, disc.ab)
+    blocks += ((scale * beta)[:, None] * v)[:, :, None] * v[:, None, :]
+    rows, cols, keep = _block_entries(disc)
+    n_free = len(disc.free)
+    keys, slot = np.unique(rows[keep] * n_free + cols[keep], return_inverse=True)
+    data = np.bincount(slot, blocks.ravel()[keep], minlength=len(keys))
+    indptr = np.searchsorted(keys // n_free, np.arange(n_free + 1))
+    return sp.csr_matrix((data, keys % n_free, indptr), shape=(n_free, n_free))

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from degenlap import energy
 from degenlap._rand import child_rng
 from degenlap.catalog import fixture
 from degenlap.geometry import euclidean, heisenberg1
@@ -24,7 +26,7 @@ from degenlap.energy import (
     _VCycle,
 )
 
-from oracles import hessian_coo, radial_p_harmonic
+from oracles import hessian_coo, hessian_slot_map, radial_p_harmonic
 
 I2 = MatrixField.identity(2)
 
@@ -344,15 +346,24 @@ def test_solver_levels_record():
 def test_solver_reuses_accepted_evaluation(monkeypatch, p, max_iterations):
     # one evaluation opens each level visited, each line-search trial is one,
     # and the accepted trial's starts the next Newton step; the end of the
-    # solve evaluates again only when it stopped before the final delta
-    calls = []
+    # solve evaluates again only when it stopped before the final delta.  The
+    # rounding floor is taken once for each evaluation a target is set for:
+    # one per Newton step, one for a level stopped at its check, and one at
+    # the end unless the last evaluation was checked already
+    calls, floors = [], []
     real = _Discretization.energy_gradient
+    real_roundoff = _Discretization.gradient_roundoff
 
     def counted(self, values, p_, delta):
         calls.append(delta)
         return real(self, values, p_, delta)
 
+    def counted_roundoff(self, values, p_, cache):
+        floors.append(cache)
+        return real_roundoff(self, values, p_, cache)
+
     monkeypatch.setattr(_Discretization, "energy_gradient", counted)
+    monkeypatch.setattr(_Discretization, "gradient_roundoff", counted_roundoff)
     dom = GridDomain.box([(-1, 1), (-1, 1)], (33, 33))
     psi = GridFunction.from_callable(dom, lambda x: np.exp(x[:, 0]) * np.cos(x[:, 1]))
     cfg = SolverConfig(p=p, max_iterations=max_iterations, init="zero")
@@ -361,6 +372,10 @@ def test_solver_reuses_accepted_evaluation(monkeypatch, p, max_iterations):
     assert stopped_early == (max_iterations == 2)
     trials = sum(lv["line_search_trials"] for lv in rep.levels)
     assert len(calls) == len(rep.levels) + trials + stopped_early
+    assert len({id(cache) for cache in floors}) == len(floors)
+    checked_stops = sum(lv["stop"] in ("tolerance", "max_iterations") for lv in rep.levels)
+    unchecked_end = stopped_early or rep.levels[-1]["stop"] == "newton_per_level"
+    assert len(floors) == rep.iterations + checked_stops + unchecked_end
 
 
 def test_solver_p2_one_level_full_cg_rtol():
@@ -478,13 +493,18 @@ def _discretization(case):
                                MatrixField.identity(3))
     if case == "heis3-21":
         return _Discretization(heisenberg1(), GridDomain.box([(-1, 1)] * 3, (21, 21, 21)), I2)
+    if case == "disc3-33":
+        return _Discretization(euclidean(3), GridDomain.disc(1.0, (33, 33, 33)),
+                               MatrixField.identity(3))
+    if case == "disc2-129":
+        return _Discretization(euclidean(2), GridDomain.disc(1.0, (129, 129)), ANISO2)
     raise ValueError(case)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("case", ["box2", "disc2", "heis3"])
 def test_hessian_matches_differences_and_coo(case, p):
-    # the Hessian scattered into the precomputed CSR pattern: symmetric, equal
+    # the Hessian read out of the stencil into its CSR pattern: symmetric, equal
     # to the COO assembly up to summation order, and the derivative of the
     # free gradient along random free directions (central differences)
     disc = _discretization(case)
@@ -507,6 +527,42 @@ def test_hessian_matches_differences_and_coo(case, p):
               - disc.energy_gradient(um, p, delta)[1])[disc.free] / (2 * eps)
         hw = hess @ w
         assert np.abs(fd - hw).max() <= 1e-7 * np.abs(hw).max()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("case", ["box2", "disc2", "heis3"])
+def test_hessian_summation_order_pinned(monkeypatch, case, p):
+    # every CSR entry sums its cells in increasing order, as the slot-map
+    # bincount does, so the matrix matches it bit for bit, also when the
+    # stencil is filled in many chunks of cells
+    disc = _discretization(case)
+    values = child_rng(12, "hessian", case, str(p)).normal(size=disc.shape)
+    ref = hessian_slot_map(disc, values, p, 1e-2)
+    for chunk in (energy._HESSIAN_CHUNK, 5):
+        monkeypatch.setattr(energy, "_HESSIAN_CHUNK", chunk)
+        hess = disc.hessian(values, p, 1e-2)
+        assert np.array_equal(hess.indptr, ref.indptr)
+        assert np.array_equal(hess.indices, ref.indices)
+        assert np.array_equal(hess.data, ref.data)
+
+
+@pytest.mark.parametrize("case", ["disc3-33", "heis3-21", "disc2-129"])
+def test_hessian_memory_bounded(case):
+    # the first call builds the CSR pattern and fills it through a stencil:
+    # measured peaks of 2.0-2.9 times the bytes of the returned matrix, and
+    # 1.1 times held afterwards, the matrix and its pattern included
+    disc = _discretization(case)
+    values = child_rng(14, "hessian-memory", case).normal(size=disc.shape)
+    _, _, cache = disc.energy_gradient(values, 3.0, 1e-2)
+    tracemalloc.start()
+    try:
+        hess = disc.hessian(values, 3.0, 1e-2, cache)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = hess.data.nbytes + hess.indices.nbytes + hess.indptr.nbytes
+    assert peak <= 4.0 * nbytes
+    assert held <= 1.25 * nbytes
 
 
 @pytest.mark.parametrize("case, shapes", [
