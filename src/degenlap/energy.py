@@ -17,34 +17,38 @@ max(tolerance, delta) times the first residual; the last level uses
 `tolerance`.  Each target has an absolute floor, a small multiple of the
 rounding scale of the gradient evaluation, so a boundary datum that already
 solves the discrete problem is accepted at once.  Each Newton step solves
-its linear system with preconditioned CG to the relative tolerance
-clamp(0.1 * target / |gradient|, CG_RTOL, 0.1), the forcing term of
-Eisenstat & Walker, "Choosing the forcing terms in an inexact Newton
-method", SIAM J. Sci. Comput. 17 (1996): far from the target CG stops early,
-and it is never asked for more than `CG_RTOL`.  The Hessian is summed cell
-by cell into a 3^n-point stencil on the free nodes, read out into a CSR
-pattern built once per discretization.  A step
+its linear system with preconditioned CG (`_cg`, scipy's `cg` operation for
+operation) to the relative tolerance clamp(0.1 * target / |gradient|,
+CG_RTOL, 0.1), the forcing term of Eisenstat & Walker, "Choosing the forcing
+terms in an inexact Newton method", SIAM J. Sci. Comput. 17 (1996): far from
+the target CG stops early, and it is never asked for more than `CG_RTOL`.
+The Hessian is summed cell by cell into a 3^n-point stencil on the free
+nodes, read out into a CSR pattern built once per discretization.  A step
 whose system has at least `MULTIGRID_MIN_UNKNOWNS` free unknowns and whose
 tolerance is at most `MULTIGRID_MAX_RTOL` is preconditioned by a geometric
 multigrid V-cycle (`_VCycle`; Trottenberg, Oosterlee & Schueller,
-"Multigrid", 2001), any other by Jacobi.  Near the minimizer a step's
-predicted energy drop falls below the rounding of the energy itself, where
-the Armijo test only sees noise; a step whose predicted drop is that small
-is accepted when it lowers the max-norm of the gradient instead.
+"Multigrid", 2001), any other by Jacobi.  `scipy.sparse` is imported when a
+matrix is built, and `scipy.sparse.linalg` (SuperLU) only when a V-cycle is.
+Near the minimizer a step's predicted energy drop falls below the rounding
+of the energy itself, where the Armijo test only sees noise; a step whose
+predicted drop is that small is accepted when it lowers the max-norm of the
+gradient instead.
 """
 from __future__ import annotations
 
+import types
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, reduce
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .geometry import MetricSpace, euclidean
 from .grids import BOUNDARY, INTERIOR, GridDomain, GridFunction
 from .weights import Weight
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "MatrixField",
@@ -307,7 +311,8 @@ CG_RTOL = 1e-10
 # ratios run from 0.59 to 2.59.  The steps of p = 3 continuation solves ask
 # for 1e-3 or looser: whole such solves with multigrid in every step took
 # 1.02 to 2.2 times as long as with Jacobi from 65^2 to 257^2 and 21^3 to
-# 33^3, and 0.86 times at 49^3, beyond the CLI's 3-d limit.
+# 33^3, and 0.86 times at 49^3, beyond the CLI's 3-d limit.  A process's
+# first V-cycle also pays the import of `scipy.sparse.linalg` (0.13-0.16 s).
 MULTIGRID_MIN_UNKNOWNS = 20000
 MULTIGRID_MAX_RTOL = 1e-8
 # The V-cycle: Chebyshev smoothing of this degree, Lanczos steps of its
@@ -477,6 +482,7 @@ class _Discretization:
         (`_pattern`).  Chunks of `_HESSIAN_CHUNK` cells, corner c descending
         in each, make every entry sum its cells in increasing order.  At p = 2
         the rank-one term vanishes."""
+        import scipy.sparse as sp
         if cache is None:
             _, _, cache = self.energy_gradient(values, p, delta)
         s, alpha, v = cache
@@ -514,6 +520,7 @@ def _axis_interpolation(n: int) -> sp.csr_matrix:
     """Linear interpolation onto the n nodes of an axis from its n // 2 + 1
     coarse nodes, which sit on fine nodes 0, 2, 4, ... (the last one past
     the end of the axis when n is even)."""
+    import scipy.sparse as sp
     i = np.arange(n)
     odd = i[1::2]
     rows = np.concatenate([i, odd])
@@ -534,6 +541,7 @@ def _interpolations(shape: tuple[int, ...], free: np.ndarray) -> list[tuple[sp.c
     multiples are near-kernel modes that smooth interpolation cannot
     reach.  Coarser levels interpolate both blocks alike.  Coarsening stops
     at `_COARSEST_MAX` unknowns, or when no coarse node is left."""
+    import scipy.sparse as sp
     n = len(shape)
     free_mask = np.zeros(int(np.prod(shape)), dtype=bool)
     free_mask[free] = True
@@ -611,17 +619,18 @@ class _VCycle:
     a residual as a CG preconditioner.  Coarse operators are Galerkin,
     P^T A P; every level but the coarsest smooths with `_smooth` before and
     after its coarse correction (the smoother is A-self-adjoint, so the
-    cycle is a symmetric operator), and the coarsest is solved by sparse
-    LU."""
+    cycle is a symmetric operator), and the coarsest is solved by SuperLU,
+    imported here.  The instance is the preconditioner `_cg` calls."""
 
     def __init__(self, a: sp.csr_matrix,
                  interpolations: list[tuple[sp.csr_matrix, sp.csr_matrix]]):
+        from scipy.sparse.linalg import splu
         self.levels = []
         for interp, restrict in interpolations:
             dinv = 1.0 / a.diagonal()
             self.levels.append((a, dinv, _chebyshev_coefficients(a, dinv), interp, restrict))
             a = restrict @ (a @ interp)
-        self.coarsest = spla.splu(a.tocsc())
+        self.coarsest = splu(a.tocsc())
 
     def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         if level == len(self.levels):
@@ -631,6 +640,37 @@ class _VCycle:
         x += interp @ self(restrict @ (r - a @ x), level + 1)
         x += _smooth(a, dinv, coef, r - a @ x)
         return x
+
+
+def _cg(a, b: np.ndarray, *, rtol: float, atol: float, maxiter: int, M, callback):
+    """scipy 1.17's `scipy.sparse.linalg.cg` from x0 = 0, operation for
+    operation, so with its bits; the preconditioner M is a callable."""
+    bnorm = np.linalg.norm(b)
+    atol = max(float(atol), float(rtol) * float(bnorm))
+    if bnorm == 0:
+        return b, 0
+    x, r = np.zeros(len(b)), b.copy()
+    for it in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = M(r)
+        rho = np.dot(r, z)
+        if it > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = a @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        callback(x)
+    return x, maxiter
+
+
+# looked up at each solve, so bench/child.py can count CG iterations (until ROADMAP item 4)
+spla = types.SimpleNamespace(cg=_cg)
 
 
 def solve_dirichlet(
@@ -713,14 +753,14 @@ def solve_dirichlet(
             rtol = min(max(0.1 * target / gnorm, CG_RTOL), 0.1)
             multigrid = len(gfree) >= MULTIGRID_MIN_UNKNOWNS and rtol <= MULTIGRID_MAX_RTOL
             if multigrid:
-                precond = spla.LinearOperator(hess.shape, matvec=_VCycle(hess, disc.interpolations),
-                                              dtype=float)
+                precond = _VCycle(hess, disc.interpolations)
             else:
                 diag = hess.diagonal()
                 diag[diag <= 0] = 1.0
-                precond = spla.LinearOperator(hess.shape, matvec=lambda x, d=diag: x / d)
+                precond = lambda x, d=diag: x / d
             step, info = spla.cg(hess, -gfree, rtol=rtol, atol=0.0,
                                  maxiter=10 * len(gfree), M=precond, callback=count_cg)
+            hess = precond = None  # freed before the next assembly (a V-cycle holds hess)
             level["cg_rtol"].append(rtol)
             level["cg_info"].append(int(info))
             level["preconditioner"].append("multigrid" if multigrid else "jacobi")

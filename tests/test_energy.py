@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from degenlap.energy import (
     weak_form,
     _Discretization,
     _VCycle,
+    _cg,
 )
 
 from oracles import hessian_coo, hessian_slot_map, radial_p_harmonic
@@ -602,12 +604,74 @@ def test_multigrid_cg_iterations_bounded():
         disc = _Discretization(euclidean(3), dom, fix.matrix)
         _, grad, cache = disc.energy_gradient(psi.values, 2.0, 1e-8)
         hess = disc.hessian(psi.values, 2.0, 1e-8, cache)
-        precond = spla.LinearOperator(hess.shape, matvec=_VCycle(hess, disc.interpolations),
-                                      dtype=float)
         count = [0]
-        _, info = spla.cg(hess, -grad[disc.free], rtol=CG_RTOL, atol=0.0, M=precond,
-                          callback=lambda _xk: count.__setitem__(0, count[0] + 1))
+        _, info = _cg(hess, -grad[disc.free], rtol=CG_RTOL, atol=0.0,
+                      maxiter=10 * len(disc.free), M=_VCycle(hess, disc.interpolations),
+                      callback=lambda _xk: count.__setitem__(0, count[0] + 1))
         assert info == 0
         iterations[res] = count[0]
     assert max(iterations.values()) <= 100
     assert max(iterations.values()) <= 2 * min(iterations.values())
+
+
+def _cg_runs(hess, b, precond, rtol, maxiter):
+    """(solution, info, callbacks) of `_cg` and of scipy's cg on one system."""
+    out = []
+    for solve, m in ((_cg, precond),
+                     (spla.cg, spla.LinearOperator(hess.shape, matvec=precond, dtype=float))):
+        count = [0]
+        x, info = solve(hess, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=m,
+                        callback=lambda _xk: count.__setitem__(0, count[0] + 1))
+        out.append((x, info, count[0]))
+    return out
+
+
+@pytest.mark.parametrize("case, rtol, maxiter", [
+    # Jacobi-preconditioned Newton systems on small grids of the geometries
+    # of the benchmark's three p = 3 solves (box, disc, Heisenberg box)
+    ("box2", 1e-3, None),
+    ("disc2", 1e-10, None),
+    ("heis3", 1e-6, None),
+    ("box2", 1e-12, 5),      # runs out at maxiter
+    ("zero-rhs", 1e-3, None),
+    ("vcycle", CG_RTOL, None),
+])
+def test_cg_matches_scipy_bitwise(case, rtol, maxiter):
+    disc = _discretization({"zero-rhs": "box2", "vcycle": "box2-65"}.get(case, case))
+    rng = child_rng(17, "cg", case)
+    values = rng.normal(size=disc.shape)
+    _, grad, cache = disc.energy_gradient(values, 3.0, 1e-2)
+    hess = disc.hessian(values, 3.0, 1e-2, cache)
+    b = np.zeros(len(disc.free)) if case == "zero-rhs" else -grad[disc.free]
+    if case == "vcycle":
+        precond = _VCycle(hess, disc.interpolations)
+    else:
+        diag = hess.diagonal()
+        precond = lambda x: x / diag
+    ours, scipys = _cg_runs(hess, b, precond, rtol, maxiter or 10 * len(b))
+    assert np.array_equal(ours[0], scipys[0])
+    assert ours[1:] == scipys[1:]
+    assert ours[1] == (maxiter or 0)
+    assert (ours[2] == 0) == (case == "zero-rhs")
+
+
+def test_solver_frees_previous_hessian(monkeypatch):
+    # a V-cycle at every Newton step; when the next step assembles its
+    # Hessian, neither the previous matrix nor the V-cycle holding it is alive
+    monkeypatch.setattr(energy, "MULTIGRID_MIN_UNKNOWNS", 0)
+    monkeypatch.setattr(energy, "MULTIGRID_MAX_RTOL", 1.0)
+    real = _Discretization.hessian
+    refs = []
+
+    def tracked(self, *args):
+        assert all(ref() is None for ref in refs)
+        hess = real(self, *args)
+        refs.append(weakref.ref(hess))
+        return hess
+
+    monkeypatch.setattr(_Discretization, "hessian", tracked)
+    dom = GridDomain.box([(-1, 1), (-1, 1)], (25, 25))
+    psi = GridFunction.from_callable(dom, lambda x: np.exp(x[:, 0]) * np.cos(x[:, 1]))
+    _, rep = solve_dirichlet(I2, 3.0, psi, config=SolverConfig(p=3.0, init="zero"))
+    assert {pc for lv in rep.levels for pc in lv["preconditioner"]} == {"multigrid"}
+    assert len(refs) == rep.iterations >= 3

@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import degenlap
+from degenlap.cli import main as run_cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(degenlap.__path__))
 
@@ -38,13 +40,57 @@ def test_removed_names_gone(name):
         assert not hasattr(module, gone)
 
 
-def test_cli_import_skips_scipy_special():
-    # scipy.special is a large import that nothing in the package needs
+# Runs the CLI with the given arguments (none: only imports it) in a fresh
+# interpreter and prints its exit code and the scipy modules it loaded.
+_SCIPY_PROBE = """
+import json, sys
+from degenlap.cli import main
+rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _scipy_loaded(args):
     src = str(Path(degenlap.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, degenlap.cli; print('scipy.special' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *map(str, args)],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    return set(modules)
+
+
+def test_cli_import_skips_scipy_special(tmp_path):
+    # only solving needs scipy: importing the CLI and the subcommands that
+    # never solve load none of it, scipy.special included
+    assert run_cli(["solve", "--fixture", "axis-degenerate-planar", "--resolution", "9",
+                    "--output-dir", str(tmp_path / "s")]) == 0
+    runs = [
+        [],
+        ["weights", "--weight", "pow:-1", "--balls", "8", "--points", "8", "--radii", "2",
+         "--budget", "64"],
+        ["diagnose", "--solution", tmp_path / "s" / "solution.csv", "--resolution", "9",
+         "--probes", "2", "--budget", "64"],
+        ["distortion", "--samples", "8"],
+    ]
+    for i, args in enumerate(runs):
+        out = ["--output-dir", tmp_path / f"out{i}"] if args else []
+        assert _scipy_loaded([*args, *out]) == set(), args
+
+
+@pytest.mark.parametrize("args, multigrid", [
+    (["--p", "3", "--resolution", "17"], False),
+    # 143^2 free unknowns, and a p = 2 step asks CG for CG_RTOL
+    (["--p", "2", "--resolution", "145", "--init", "zero"], True),
+], ids=["jacobi", "multigrid"])
+def test_solve_loads_sparse_linalg_only_for_multigrid(tmp_path, args, multigrid):
+    loaded = _scipy_loaded(["solve", *args, "--output-dir", tmp_path])
+    report = json.loads((tmp_path / "solve-report.json").read_text())["solve_report"]
+    preconditioners = {pc for level in report["levels"] for pc in level["preconditioner"]}
+    assert preconditioners == {"multigrid" if multigrid else "jacobi"}
+    assert "scipy.sparse" in loaded
+    assert ("scipy.sparse.linalg" in loaded) == multigrid
+    if not multigrid:
+        assert "scipy.linalg" not in loaded
