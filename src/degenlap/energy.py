@@ -23,12 +23,16 @@ CG_RTOL, 0.1), the forcing term of Eisenstat & Walker, "Choosing the forcing
 terms in an inexact Newton method", SIAM J. Sci. Comput. 17 (1996): far from
 the target CG stops early, and it is never asked for more than `CG_RTOL`.
 The Hessian is summed cell by cell into a 3^n-point stencil on the free
-nodes, read out into a CSR pattern built once per discretization.  A step
-whose system has at least `MULTIGRID_MIN_UNKNOWNS` free unknowns and whose
-tolerance is at most `MULTIGRID_MAX_RTOL` is preconditioned by a geometric
-multigrid V-cycle (`_VCycle`; Trottenberg, Oosterlee & Schueller,
-"Multigrid", 2001), any other by Jacobi.  `scipy.sparse` is imported when a
-matrix is built, and `scipy.sparse.linalg` (SuperLU) only when a V-cycle is.
+nodes.  It is kept as that stencil, one row per offset on a padded grid (the
+diagonal format of Saad, "Iterative Methods for Sparse Linear Systems", 2nd
+ed., 2003, sec. 3.4): `_StencilHessian`, whose numpy product has the bits of
+scipy's CSR product.  A system with at least `MULTIGRID_MIN_UNKNOWNS` free
+unknowns is read out into CSR, whose product is the faster one from there
+up.  Such a system whose step asks CG for at most `MULTIGRID_MAX_RTOL` is
+preconditioned by a geometric multigrid V-cycle (`_VCycle`; Trottenberg,
+Oosterlee & Schueller, "Multigrid", 2001), any other system by Jacobi.  So a
+smaller system loads no scipy: `scipy.sparse` is imported for a CSR matrix,
+and `scipy.sparse.linalg` (SuperLU) only when a V-cycle is built.
 Near the minimizer a step's predicted energy drop falls below the rounding
 of the energy itself, where the Armijo test only sees noise; a step whose
 predicted drop is that small is accepted when it lowers the max-norm of the
@@ -313,6 +317,19 @@ CG_RTOL = 1e-10
 # 1.02 to 2.2 times as long as with Jacobi from 65^2 to 257^2 and 21^3 to
 # 33^3, and 0.86 times at 49^3, beyond the CLI's 3-d limit.  A process's
 # first V-cycle also pays the import of `scipy.sparse.linalg` (0.13-0.16 s).
+# The same size decides where the Hessian is read out into CSR and
+# `scipy.sparse` is imported (about 0.2 s and 22 MB per process over numpy
+# alone: 0.36-0.41 s and 48.7 MB against 0.14-0.20 s and 26.8 MB).  Below it
+# CG multiplies by the numpy stencil operator (`_StencilHessian`), 1.6-3.1
+# times slower per product than CSR but without the import.  Whole p = 3
+# solves in fresh processes, CSR against numpy products for every Jacobi
+# system (BENCH_8.json; min of 5 runs, ranges over two sweeps on a noisy
+# host): 65^2 0.48-0.49 against 0.26-0.27 s, 141^2 0.70-0.83 against
+# 0.53-0.70 s, 161^2 0.84-0.91 against 0.71-0.75 s, Heisenberg 27^3
+# 1.19-1.45 against 1.51-1.58 s, 33^3 1.53-2.05 against 1.65-2.07 s, 257^2
+# 1.73-2.34 against 2.06-2.11 s, 48^3 3.47-4.26 against 5.31-5.84 s.  The
+# crossover sits at about 20-30k unknowns in 2-d, and lower in 3-d, where a
+# row has 27 entries, not 9.
 MULTIGRID_MIN_UNKNOWNS = 20000
 MULTIGRID_MAX_RTOL = 1e-8
 # The V-cycle: Chebyshev smoothing of this degree, Lanczos steps of its
@@ -387,9 +404,9 @@ class _Discretization:
     centers and the stencil B turning corner values into the horizontal
     gradient, plus the cell coefficients A when a field is given.  A B is
     built on first use, and so are the parts of the linear solve that depend
-    only on the mask: the CSR pattern of the free-node Hessian, which every
-    `hessian` call fills from a 3^n-point stencil, and the multigrid
-    interpolations (`interpolations`)."""
+    only on the mask: the CSR pattern of the free-node Hessian (`_pattern`),
+    which `_StencilHessian.tocsr` fills, and the multigrid interpolations
+    (`interpolations`)."""
 
     def __init__(self, space: MetricSpace, domain: GridDomain, a_field: MatrixField | None = None):
         if space.kind == "heisenberg1" and domain.n != 3:
@@ -456,14 +473,12 @@ class _Discretization:
 
     @cached_property
     def _pattern(self):
-        """(code, present, indptr, indices).  Corners c and d of a cell differ
-        by an offset in {-1, 0, 1}^n, at position code[c, d] in lexicographic
-        order, in which a node's neighbours increase in flat index.  So the
-        (free, 3^n) table `present` of the free nodes' free cell neighbours,
-        read row by row, is the CSR layout itself."""
+        """(present, indptr, indices).  The (free, 3^n) table `present` of the
+        free nodes' free cell neighbours, offsets in lexicographic order, in
+        which a node's neighbours increase in flat index: read row by row, it
+        is the CSR layout itself."""
         n = len(self.shape)
-        bits = _corner_bits(n)
-        code = np.ravel_multi_index(bits[:, None, :] - bits[:, :, None] + 1, (3,) * n)
+        code = _offset_codes(n)
         idx_dtype = np.int32 if len(self.free) * 3 ** n < 2 ** 31 else np.int64
         rows = self.free_pos[self.corner_idx].astype(idx_dtype)  # -1 off the free nodes
         cols = np.full((len(self.free) + 1, 3 ** n), -1, dtype=idx_dtype)  # last row: non-free c
@@ -472,25 +487,25 @@ class _Discretization:
         present = cols[:-1] >= 0
         indices = cols[:-1][present]
         indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))]).astype(idx_dtype)
-        return code, present, indptr, indices
+        return present, indptr, indices
 
-    def hessian(self, values: np.ndarray, p: float, delta: float, cache=None) -> sp.csr_matrix:
+    def hessian(self, values: np.ndarray, p: float, delta: float, cache=None) -> _StencilHessian:
         """Hessian of the energy in the free node values: cell k adds its
         block h^n p (alpha B^T A B + beta v v^T), alpha = s^((p-2)/2),
         beta = (p-2) s^((p-4)/2), v = B^T A Xu, at corners (c, d) to entry
         code[c, d] of corner c's row of a 3^n-point stencil on the free nodes
-        (`_pattern`).  Chunks of `_HESSIAN_CHUNK` cells, corner c descending
-        in each, make every entry sum its cells in increasing order.  At p = 2
-        the rank-one term vanishes."""
-        import scipy.sparse as sp
+        (`_offset_codes`).  Chunks of `_HESSIAN_CHUNK` cells, corner c
+        descending in each, make every entry sum its cells in increasing
+        order.  At p = 2 the rank-one term vanishes.  Returned as the
+        operator `_StencilHessian`, whose `tocsr` gives the CSR matrix."""
         if cache is None:
             _, _, cache = self.energy_gradient(values, p, delta)
         s, alpha, v = cache
         sa = (self.cell_volume * p) * alpha
         with np.errstate(divide="ignore", invalid="ignore"):
             sb = (self.cell_volume * p) * np.where(s > 0, (p - 2.0) * s ** ((p - 4.0) / 2.0), 0.0)
-        code, present, indptr, indices = self._pattern
-        stencil = np.zeros((present.shape[1], len(self.free) + 1))  # last column: non-free c
+        code = _offset_codes(len(self.shape))
+        stencil = np.zeros((3 ** len(self.shape), len(self.free) + 1))  # last column: non-free c
         for lo in range(0, len(s), _HESSIAN_CHUNK):
             cells = slice(lo, lo + _HESSIAN_CHUNK)
             # corner-major (m, 2^n, cells) layout: every product runs along the cells
@@ -510,8 +525,77 @@ class _Discretization:
                     y += np.multiply(sb[cells] * vt[c], vt, out=tmp)
                 for d in range(len(code)):
                     np.add.at(stencil[code[c, d]], rows[c], y[d])
-        return sp.csr_matrix((stencil[:, :-1].T[present], indices, indptr),
-                             shape=(len(self.free), len(self.free)))
+        return _StencilHessian(self, stencil)
+
+
+def _offset_codes(n: int) -> np.ndarray:
+    """(2^n, 2^n) table: corners c and d of a cell differ by an offset in
+    {-1, 0, 1}^n, at position code[c, d] in lexicographic order."""
+    bits = _corner_bits(n)
+    return np.ravel_multi_index(bits[:, None, :] - bits[:, :, None] + 1, (3,) * n)
+
+
+class _StencilHessian:
+    """The free-node Hessian as its 3^n-point stencil, one row per offset
+    (`_Discretization.hessian`), without scipy.  `tocsr` reads it out into
+    the CSR pattern of `_Discretization._pattern`.
+
+    The first product moves the stencil into a padded node layout (the grid
+    with one more node on every side, so that a neighbour is a fixed shift
+    of the flat index) and drops the free-node layout.  There an entry is 0
+    unless its node and its neighbour are both free.  A product scatters x
+    into the padded nodes, adds the 3^n shifted products from 0.0 in
+    lexicographic offset order, and gathers the free rows: the order in
+    which scipy's CSR product sums each row, so the two agree bit for bit."""
+
+    def __init__(self, disc: _Discretization, stencil: np.ndarray):
+        self.disc = disc
+        self.stencil = stencil  # (3^n, free + 1) until the first product
+        self.padded = None
+
+    def _pad(self):
+        shape = tuple(s + 2 for s in self.disc.shape)
+        n = len(shape)
+        strides = np.array([int(np.prod(shape[a + 1:])) for a in range(n)])
+        free = np.unravel_index(self.disc.free, self.disc.shape)
+        nodes = np.ravel_multi_index(tuple(i + 1 for i in free), shape)
+        span, margin = nodes[-1] + 1 - nodes[0], int(strides.sum())  # margin: the largest shift
+        self.at = nodes - nodes[0]  # the free nodes' columns
+        # where each offset's neighbours start in `x`, the padded nodes with
+        # `margin` more on each side: column j is x[margin + j] (`x_columns`)
+        self.shifts = margin + (np.indices((3,) * n).reshape(n, -1).T - 1) @ strides
+        self.x, self.y, self.tmp = np.zeros(span + 2 * margin), np.empty(span), np.empty(span)
+        self.x_columns = self.x[margin:margin + span]
+        is_free = np.zeros(len(self.x), dtype=bool)
+        is_free[margin + self.at] = True
+        padded = np.zeros((len(self.shifts), span))
+        padded[:, self.at] = self.stencil[:, :-1]
+        for row, shift in zip(padded, self.shifts):
+            np.copyto(row, 0.0, where=~is_free[shift:shift + span])
+        self.padded, self.stencil = padded, None
+
+    def diagonal(self) -> np.ndarray:
+        centre = 3 ** len(self.disc.shape) // 2
+        if self.padded is None:
+            return self.stencil[centre, :-1].copy()
+        return self.padded[centre, self.at]
+
+    def tocsr(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+        present, indptr, indices = self.disc._pattern
+        rows = self.stencil[:, :-1] if self.padded is None else self.padded[:, self.at]
+        n_free = len(self.disc.free)
+        return sp.csr_matrix((rows.T[present], indices, indptr), shape=(n_free, n_free))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if self.padded is None:
+            self._pad()
+        span = len(self.y)
+        self.x_columns[self.at] = x
+        self.y[:] = 0.0
+        for row, shift in zip(self.padded, self.shifts):
+            self.y += np.multiply(row, self.x[shift:shift + span], out=self.tmp)
+        return self.y[self.at]
 
 
 # --- multigrid preconditioner --------------------------------------------------
@@ -751,7 +835,10 @@ def solve_dirichlet(
             hess = disc.hessian(values, p, delta, cache)
             # forcing term: solve only as far as the Newton target needs
             rtol = min(max(0.1 * target / gnorm, CG_RTOL), 0.1)
-            multigrid = len(gfree) >= MULTIGRID_MIN_UNKNOWNS and rtol <= MULTIGRID_MAX_RTOL
+            large = len(gfree) >= MULTIGRID_MIN_UNKNOWNS
+            if large:
+                hess = hess.tocsr()
+            multigrid = large and rtol <= MULTIGRID_MAX_RTOL
             if multigrid:
                 precond = _VCycle(hess, disc.interpolations)
             else:

@@ -10,7 +10,7 @@ from degenlap import energy
 from degenlap._rand import child_rng
 from degenlap.catalog import fixture
 from degenlap.geometry import euclidean, heisenberg1
-from degenlap.grids import GridDomain, GridFunction
+from degenlap.grids import INTERIOR, GridDomain, GridFunction
 from degenlap.weights import axis_power_weight, constant_weight
 from degenlap.energy import (
     InvalidCoefficientsError,
@@ -488,6 +488,26 @@ def _discretization(case):
         return _Discretization(euclidean(2), GridDomain.disc(1.0, (13, 13)), ANISO2)
     if case == "heis3":
         return _Discretization(heisenberg1(), GridDomain.box([(-1, 1)] * 3, (7, 7, 7)), I2)
+    if case == "annulus2":
+        return _Discretization(euclidean(2), GridDomain.annulus(0.3, 1.0, (17, 17)), ANISO2)
+    if case == "box3":
+        return _Discretization(euclidean(3), GridDomain.box([(-1, 1)] * 3, (7, 7, 7)),
+                               MatrixField.identity(3))
+    if case == "disc3":
+        return _Discretization(euclidean(3), GridDomain.disc(1.0, (11, 11, 11)),
+                               MatrixField.identity(3))
+    if case == "annulus3":
+        return _Discretization(euclidean(3), GridDomain.annulus(0.4, 1.0, (11, 11, 11)),
+                               MatrixField.identity(3))
+    if case == "heis-disc3":
+        return _Discretization(heisenberg1(), GridDomain.disc(1.0, (9, 9, 9)), I2)
+    if case == "faces3":
+        # interior nodes on every face of the array, some boundary and
+        # excluded nodes inside it
+        mask = child_rng(18, "faces").choice([0, 2] + [INTERIOR] * 8, size=(7, 6, 5))
+        mask[0, 0, 0] = mask[-1, -1, -1] = INTERIOR
+        return _Discretization(euclidean(3), GridDomain([(0, 6), (0, 5), (0, 4)], (7, 6, 5), mask),
+                               MatrixField.identity(3))
     if case == "box2-65":
         return _Discretization(euclidean(2), GridDomain.box([(-1, 1)] * 2, (65, 65)), ANISO2)
     if case == "disc3-25":
@@ -513,7 +533,7 @@ def test_hessian_matches_differences_and_coo(case, p):
     rng = child_rng(12, "hessian", case, str(p))
     values = rng.normal(size=disc.shape)
     delta = 1e-2
-    hess = disc.hessian(values, p, delta)
+    hess = disc.hessian(values, p, delta).tocsr()
     ref = hessian_coo(disc, values, p, delta)
     scale = abs(ref).max()
     assert hess.shape == ref.shape == (len(disc.free),) * 2
@@ -542,29 +562,55 @@ def test_hessian_summation_order_pinned(monkeypatch, case, p):
     ref = hessian_slot_map(disc, values, p, 1e-2)
     for chunk in (energy._HESSIAN_CHUNK, 5):
         monkeypatch.setattr(energy, "_HESSIAN_CHUNK", chunk)
-        hess = disc.hessian(values, p, 1e-2)
+        hess = disc.hessian(values, p, 1e-2).tocsr()
         assert np.array_equal(hess.indptr, ref.indptr)
         assert np.array_equal(hess.indices, ref.indices)
         assert np.array_equal(hess.data, ref.data)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("case", ["box2", "disc2", "annulus2", "box3", "disc3", "annulus3",
+                                  "heis3", "heis-disc3", "faces3"])
+def test_stencil_product_matches_csr_bitwise(case, p):
+    # the operator's numpy product adds each row's neighbours from 0.0 in
+    # the order of scipy's CSR product, so the two agree bit for bit; so do
+    # the diagonal and the CSR read-out before and after the first product
+    # moves the stencil into its padded layout
+    disc = _discretization(case)
+    rng = child_rng(18, "stencil", case, str(p))
+    hess = disc.hessian(rng.normal(size=disc.shape), p, 1e-2)
+    csr = hess.tocsr()
+    assert np.array_equal(hess.diagonal(), csr.diagonal())
+    for _ in range(2):
+        x = rng.normal(size=len(disc.free))
+        assert np.array_equal(hess @ x, csr @ x)
+    assert np.array_equal(hess.diagonal(), csr.diagonal())
+    assert np.array_equal(hess.tocsr().data, csr.data)
+
+
 @pytest.mark.parametrize("case", ["disc3-33", "heis3-21", "disc2-129"])
 def test_hessian_memory_bounded(case):
-    # the first call builds the CSR pattern and fills it through a stencil:
-    # measured peaks of 2.0-2.9 times the bytes of the returned matrix, and
-    # 1.1 times held afterwards, the matrix and its pattern included
+    # against the bytes of the CSR matrix: the stencil operator peaks at
+    # 1.3-2.1 times while it is filled and holds 0.7 times; after its first
+    # product it holds only the padded layout, 1.2-1.8 times
     disc = _discretization(case)
     values = child_rng(14, "hessian-memory", case).normal(size=disc.shape)
     _, _, cache = disc.energy_gradient(values, 3.0, 1e-2)
+    x = np.ones(len(disc.free))
     tracemalloc.start()
     try:
         hess = disc.hessian(values, 3.0, 1e-2, cache)
         held, peak = tracemalloc.get_traced_memory()
+        y = hess @ x
+        held_after_product = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    nbytes = hess.data.nbytes + hess.indices.nbytes + hess.indptr.nbytes
+    csr = hess.tocsr()
+    nbytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
     assert peak <= 4.0 * nbytes
     assert held <= 1.25 * nbytes
+    assert held_after_product <= 2.0 * nbytes
+    assert np.array_equal(y, csr @ x)
 
 
 @pytest.mark.parametrize("case, shapes", [
@@ -579,7 +625,7 @@ def test_vcycle_symmetric_positive(case, shapes):
         assert [interp.shape for interp, _ in disc.interpolations] == shapes
     assert len(disc.interpolations) >= 2
     rng = child_rng(13, "vcycle", case)
-    hess = disc.hessian(rng.normal(size=disc.shape), 3.0, 1e-2)
+    hess = disc.hessian(rng.normal(size=disc.shape), 3.0, 1e-2).tocsr()
     vcycle = _VCycle(hess, disc.interpolations)
     for _ in range(5):
         x, y = rng.normal(size=(2, len(disc.free)))
@@ -603,7 +649,7 @@ def test_multigrid_cg_iterations_bounded():
             dom, lambda pts: pts[:, 2] / np.maximum(np.linalg.norm(pts, axis=1), 1e-9))
         disc = _Discretization(euclidean(3), dom, fix.matrix)
         _, grad, cache = disc.energy_gradient(psi.values, 2.0, 1e-8)
-        hess = disc.hessian(psi.values, 2.0, 1e-8, cache)
+        hess = disc.hessian(psi.values, 2.0, 1e-8, cache).tocsr()
         count = [0]
         _, info = _cg(hess, -grad[disc.free], rtol=CG_RTOL, atol=0.0,
                       maxiter=10 * len(disc.free), M=_VCycle(hess, disc.interpolations),
@@ -614,13 +660,15 @@ def test_multigrid_cg_iterations_bounded():
     assert max(iterations.values()) <= 2 * min(iterations.values())
 
 
-def _cg_runs(hess, b, precond, rtol, maxiter):
-    """(solution, info, callbacks) of `_cg` and of scipy's cg on one system."""
+def _cg_runs(hess, csr, b, precond, rtol, maxiter):
+    """(solution, info, callbacks) of `_cg` on `hess` and of scipy's cg on
+    the same system as the CSR matrix `csr`."""
     out = []
-    for solve, m in ((_cg, precond),
-                     (spla.cg, spla.LinearOperator(hess.shape, matvec=precond, dtype=float))):
+    for solve, a, m in ((_cg, hess, precond),
+                        (spla.cg, csr, spla.LinearOperator(csr.shape, matvec=precond,
+                                                           dtype=float))):
         count = [0]
-        x, info = solve(hess, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=m,
+        x, info = solve(a, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=m,
                         callback=lambda _xk: count.__setitem__(0, count[0] + 1))
         out.append((x, info, count[0]))
     return out
@@ -642,13 +690,15 @@ def test_cg_matches_scipy_bitwise(case, rtol, maxiter):
     values = rng.normal(size=disc.shape)
     _, grad, cache = disc.energy_gradient(values, 3.0, 1e-2)
     hess = disc.hessian(values, 3.0, 1e-2, cache)
+    csr = hess.tocsr()
     b = np.zeros(len(disc.free)) if case == "zero-rhs" else -grad[disc.free]
     if case == "vcycle":
-        precond = _VCycle(hess, disc.interpolations)
+        hess = csr  # the solver builds a V-cycle only on the CSR matrix
+        precond = _VCycle(csr, disc.interpolations)
     else:
         diag = hess.diagonal()
         precond = lambda x: x / diag
-    ours, scipys = _cg_runs(hess, b, precond, rtol, maxiter or 10 * len(b))
+    ours, scipys = _cg_runs(hess, csr, b, precond, rtol, maxiter or 10 * len(b))
     assert np.array_equal(ours[0], scipys[0])
     assert ours[1:] == scipys[1:]
     assert ours[1] == (maxiter or 0)

@@ -63,12 +63,13 @@ def _scipy_loaded(args):
 
 
 def test_cli_import_skips_scipy_special(tmp_path):
-    # only solving needs scipy: importing the CLI and the subcommands that
-    # never solve load none of it, scipy.special included
+    # only large solves need scipy: importing the CLI, the subcommands that
+    # never solve and a small solve load none of it, scipy.special included
     assert run_cli(["solve", "--fixture", "axis-degenerate-planar", "--resolution", "9",
                     "--output-dir", str(tmp_path / "s")]) == 0
     runs = [
         [],
+        ["solve", "--p", "3", "--resolution", "9"],
         ["weights", "--weight", "pow:-1", "--balls", "8", "--points", "8", "--radii", "2",
          "--budget", "64"],
         ["diagnose", "--solution", tmp_path / "s" / "solution.csv", "--resolution", "9",
@@ -80,17 +81,23 @@ def test_cli_import_skips_scipy_special(tmp_path):
         assert _scipy_loaded([*args, *out]) == set(), args
 
 
-@pytest.mark.parametrize("args, multigrid", [
-    (["--p", "3", "--resolution", "17"], False),
-    # 143^2 free unknowns, and a p = 2 step asks CG for CG_RTOL
-    (["--p", "2", "--resolution", "145", "--init", "zero"], True),
-], ids=["jacobi", "multigrid"])
-def test_solve_loads_sparse_linalg_only_for_multigrid(tmp_path, args, multigrid):
+@pytest.mark.parametrize("args, large, multigrid", [
+    (["--p", "3", "--resolution", "17"], False, False),
+    # 143^2 = 20449 free unknowns, at least MULTIGRID_MIN_UNKNOWNS: CSR
+    # products, and the steps of a p = 3 solve are too loose for multigrid
+    (["--p", "3", "--resolution", "145"], True, False),
+    # a p = 2 step asks CG for CG_RTOL
+    (["--p", "2", "--resolution", "145", "--init", "zero"], True, True),
+], ids=["jacobi", "jacobi-csr", "multigrid"])
+def test_solve_loads_sparse_linalg_only_for_multigrid(tmp_path, args, large, multigrid):
+    # a system below MULTIGRID_MIN_UNKNOWNS is solved without scipy
     loaded = _scipy_loaded(["solve", *args, "--output-dir", tmp_path])
     report = json.loads((tmp_path / "solve-report.json").read_text())["solve_report"]
     preconditioners = {pc for level in report["levels"] for pc in level["preconditioner"]}
     assert preconditioners == {"multigrid" if multigrid else "jacobi"}
-    assert "scipy.sparse" in loaded
+    if not large:
+        assert loaded == set()
+    assert ("scipy.sparse" in loaded) == large
     assert ("scipy.sparse.linalg" in loaded) == multigrid
     if not multigrid:
         assert "scipy.linalg" not in loaded
