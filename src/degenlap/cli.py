@@ -122,8 +122,10 @@ _HELP = {
 }
 
 # n = 3 solves above this node count per axis are refused.  Measured peak
-# RSS of `solve --p 3 --dimension 3`: 117 MB at 33^3, 239 MB at 48^3 and
-# 471 MB at 64^3, on a 2-CPU host with 8 GB of RAM.
+# RSS of `solve --p 3 --dimension 3` (one BLAS thread, 2-CPU host with 8 GB
+# of RAM): 96 MB at 33^3 and 195 MB at 48^3 through the CLI, and 403-416 MB
+# at 64^3 through the library, over builds that differ only in code the
+# solve does not run.
 MAX_RESOLUTION_3D = 48
 
 
@@ -263,7 +265,7 @@ def _build_domain(cfg, dim: int) -> GridDomain:
     _require(res >= 5, "resolution must be >= 5")
     _require(dim != 3 or res <= MAX_RESOLUTION_3D,
              f"3-d resolution {res} is above the limit {MAX_RESOLUTION_3D}: a p = 3 solve "
-             "peaks at 239 MB RSS at 48^3 and 471 MB at 64^3")
+             "peaks at 195 MB RSS at 48^3 and 416 MB at 64^3")
     shape = (res,) * dim
     bounds = _bounds(cfg, dim)
     sides = np.diff(bounds, axis=1)
@@ -389,15 +391,22 @@ def run_solve(cfg) -> int:
         a_field = E.MatrixField.identity(space.m)
     p = float(cfg["p"])
     _require(p > 1, "p must be > 1")
-    _require(float(cfg["tolerance"]) > 0, "tolerance must be > 0")
+    tolerance = _number(cfg["tolerance"])
+    _require(0 < tolerance < math.inf,
+             f"tolerance must be > 0 and finite, got {cfg['tolerance']!r}")
+    delta_final = cfg["delta_final"]
+    if delta_final is not None:
+        delta_final = _number(delta_final)
+        _require(0 < delta_final < math.inf,
+                 f"delta_final must be > 0 and finite, got {cfg['delta_final']!r}")
     _resolve_mask(cfg, fixture)
     domain = _build_domain(cfg, dim)
     psi_fn = _parse_psi(cfg["psi"], dim, fixture)
     psi = GridFunction.from_callable(domain, psi_fn)
     config = E.SolverConfig(
         p=p,
-        delta_final=cfg["delta_final"],
-        tolerance=float(cfg["tolerance"]),
+        delta_final=delta_final,
+        tolerance=tolerance,
         max_iterations=int(cfg["max_iterations"]),
         init=cfg["init"],
     )
@@ -510,8 +519,11 @@ def run_distortion(cfg) -> int:
 def run_catalog(cfg) -> int:
     names = CAT.fixture_names() if cfg["fixture"] in (None, "all") else [cfg["fixture"]]
     _require(set(names) <= set(CAT.fixture_names()), f"unknown fixture {cfg['fixture']!r}")
+    budget_scale = _number(cfg["budget_scale"])
+    _require(0 < budget_scale < math.inf,
+             f"budget_scale must be > 0 and finite, got {cfg['budget_scale']!r}")
     out = _outdir(cfg)
-    reports = [CAT.verify_fixture(name, budget_scale=float(cfg["budget_scale"]),
+    reports = [CAT.verify_fixture(name, budget_scale=budget_scale,
                                   seed=int(cfg["seed"]))
                for name in names]
     write_json(out / "catalog-report.json", {"fixtures": reports})

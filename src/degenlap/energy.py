@@ -23,13 +23,13 @@ CG_RTOL, 0.1), the forcing term of Eisenstat & Walker, "Choosing the forcing
 terms in an inexact Newton method", SIAM J. Sci. Comput. 17 (1996): far from
 the target CG stops early, and it is never asked for more than `CG_RTOL`.
 The Hessian is summed cell by cell into a 3^n-point stencil on the free
-nodes.  It is kept as that stencil, one row per offset on a padded grid (the
-diagonal format of Saad, "Iterative Methods for Sparse Linear Systems", 2nd
-ed., 2003, sec. 3.4): `_StencilHessian`, whose numpy product has the bits of
-scipy's CSR product.  A system with at least `MULTIGRID_MIN_UNKNOWNS` free
-unknowns is read out into CSR, whose product is the faster one from there
-up.  Such a system whose step asks CG for at most `MULTIGRID_MAX_RTOL` is
-preconditioned by a geometric multigrid V-cycle (`_VCycle`; Trottenberg,
+nodes, one row per offset.  A system with at least `MULTIGRID_MIN_UNKNOWNS`
+free unknowns reads it out into CSR, whose product is the faster one from
+there up; a smaller one moves it onto a padded grid (the diagonal format of
+Saad, "Iterative Methods for Sparse Linear Systems", 2nd ed., 2003, sec.
+3.4) as `_StencilHessian`, whose numpy product has the bits of scipy's CSR
+product.  A large system whose step asks CG for at most `MULTIGRID_MAX_RTOL`
+is preconditioned by a geometric multigrid V-cycle (`_VCycle`; Trottenberg,
 Oosterlee & Schueller, "Multigrid", 2001), any other system by Jacobi.  So a
 smaller system loads no scipy: `scipy.sparse` is imported for a CSR matrix,
 and `scipy.sparse.linalg` (SuperLU) only when a V-cycle is built.
@@ -357,10 +357,12 @@ class SolverConfig:
     def __post_init__(self):
         if not self.p > 1:
             raise ValueError("requires p > 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
         if self.delta_final is None:
             self.delta_final = default_delta(self.p)
+        # a delta_final <= 0 or nan would never end the halving of `schedule`
+        for name in ("tolerance", "delta_final"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     def schedule(self) -> list[float]:
         if self.p == 2.0:
@@ -405,8 +407,8 @@ class _Discretization:
     gradient, plus the cell coefficients A when a field is given.  A B is
     built on first use, and so are the parts of the linear solve that depend
     only on the mask: the CSR pattern of the free-node Hessian (`_pattern`),
-    which `_StencilHessian.tocsr` fills, and the multigrid interpolations
-    (`interpolations`)."""
+    which `csr` fills, the padded node layout of `_StencilHessian`
+    (`padding`), and the multigrid interpolations (`interpolations`)."""
 
     def __init__(self, space: MetricSpace, domain: GridDomain, a_field: MatrixField | None = None):
         if space.kind == "heisenberg1" and domain.n != 3:
@@ -489,15 +491,39 @@ class _Discretization:
         indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))]).astype(idx_dtype)
         return present, indptr, indices
 
-    def hessian(self, values: np.ndarray, p: float, delta: float, cache=None) -> _StencilHessian:
+    def csr(self, stencil: np.ndarray) -> sp.csr_matrix:
+        """The Hessian `stencil` (`hessian`) read out into its CSR pattern."""
+        import scipy.sparse as sp
+        present, indptr, indices = self._pattern
+        n_free = len(self.free)
+        return sp.csr_matrix((stencil[:, :-1].T[present], indices, indptr), shape=(n_free, n_free))
+
+    @cached_property
+    def padding(self):
+        """(at, shifts, span, margin) of the padded grid of `_StencilHessian`,
+        one more node on every side, where a neighbour is a fixed shift of the
+        flat index: the free nodes' columns among the `span` padded nodes from
+        the first free one, and where each offset's neighbours start in those
+        nodes with `margin`, the largest shift, more on each side."""
+        shape = tuple(s + 2 for s in self.shape)
+        n = len(shape)
+        strides = np.array([int(np.prod(shape[a + 1:])) for a in range(n)])
+        free = np.unravel_index(self.free, self.shape)
+        nodes = np.ravel_multi_index(tuple(i + 1 for i in free), shape)
+        margin = int(strides.sum())
+        shifts = margin + (np.indices((3,) * n).reshape(n, -1).T - 1) @ strides
+        return nodes - nodes[0], shifts, nodes[-1] + 1 - nodes[0], margin
+
+    def hessian(self, values: np.ndarray, p: float, delta: float, cache=None) -> np.ndarray:
         """Hessian of the energy in the free node values: cell k adds its
         block h^n p (alpha B^T A B + beta v v^T), alpha = s^((p-2)/2),
         beta = (p-2) s^((p-4)/2), v = B^T A Xu, at corners (c, d) to entry
         code[c, d] of corner c's row of a 3^n-point stencil on the free nodes
         (`_offset_codes`).  Chunks of `_HESSIAN_CHUNK` cells, corner c
         descending in each, make every entry sum its cells in increasing
-        order.  At p = 2 the rank-one term vanishes.  Returned as the
-        operator `_StencilHessian`, whose `tocsr` gives the CSR matrix."""
+        order.  At p = 2 the rank-one term vanishes.  Returns the (3^n,
+        free + 1) stencil; its last column takes the non-free corners, and
+        an entry whose neighbour is not free belongs to no matrix entry."""
         if cache is None:
             _, _, cache = self.energy_gradient(values, p, delta)
         s, alpha, v = cache
@@ -525,7 +551,7 @@ class _Discretization:
                     y += np.multiply(sb[cells] * vt[c], vt, out=tmp)
                 for d in range(len(code)):
                     np.add.at(stencil[code[c, d]], rows[c], y[d])
-        return _StencilHessian(self, stencil)
+        return stencil
 
 
 def _offset_codes(n: int) -> np.ndarray:
@@ -536,60 +562,27 @@ def _offset_codes(n: int) -> np.ndarray:
 
 
 class _StencilHessian:
-    """The free-node Hessian as its 3^n-point stencil, one row per offset
-    (`_Discretization.hessian`), without scipy.  `tocsr` reads it out into
-    the CSR pattern of `_Discretization._pattern`.
-
-    The first product moves the stencil into a padded node layout (the grid
-    with one more node on every side, so that a neighbour is a fixed shift
-    of the flat index) and drops the free-node layout.  There an entry is 0
-    unless its node and its neighbour are both free.  A product scatters x
+    """The free-node Hessian as a numpy operator, without scipy: the stencil
+    of `_Discretization.hessian` moved into the padded node layout
+    (`_Discretization.padding`), one row per offset.  A product scatters x
     into the padded nodes, adds the 3^n shifted products from 0.0 in
     lexicographic offset order, and gathers the free rows: the order in
-    which scipy's CSR product sums each row, so the two agree bit for bit."""
+    which scipy's CSR product sums each row, so the two agree bit for bit.
+    A finite entry whose neighbour is not free meets a padded node that is
+    never written and stays 0.0; it adds a signed zero, which leaves a sum
+    begun at +0.0 unchanged."""
 
     def __init__(self, disc: _Discretization, stencil: np.ndarray):
-        self.disc = disc
-        self.stencil = stencil  # (3^n, free + 1) until the first product
-        self.padded = None
-
-    def _pad(self):
-        shape = tuple(s + 2 for s in self.disc.shape)
-        n = len(shape)
-        strides = np.array([int(np.prod(shape[a + 1:])) for a in range(n)])
-        free = np.unravel_index(self.disc.free, self.disc.shape)
-        nodes = np.ravel_multi_index(tuple(i + 1 for i in free), shape)
-        span, margin = nodes[-1] + 1 - nodes[0], int(strides.sum())  # margin: the largest shift
-        self.at = nodes - nodes[0]  # the free nodes' columns
-        # where each offset's neighbours start in `x`, the padded nodes with
-        # `margin` more on each side: column j is x[margin + j] (`x_columns`)
-        self.shifts = margin + (np.indices((3,) * n).reshape(n, -1).T - 1) @ strides
+        self.at, self.shifts, span, margin = disc.padding
+        self.padded = np.zeros((len(self.shifts), span))
+        self.padded[:, self.at] = stencil[:, :-1]
         self.x, self.y, self.tmp = np.zeros(span + 2 * margin), np.empty(span), np.empty(span)
-        self.x_columns = self.x[margin:margin + span]
-        is_free = np.zeros(len(self.x), dtype=bool)
-        is_free[margin + self.at] = True
-        padded = np.zeros((len(self.shifts), span))
-        padded[:, self.at] = self.stencil[:, :-1]
-        for row, shift in zip(padded, self.shifts):
-            np.copyto(row, 0.0, where=~is_free[shift:shift + span])
-        self.padded, self.stencil = padded, None
+        self.x_columns = self.x[margin:margin + span]  # column j is x[margin + j]
 
     def diagonal(self) -> np.ndarray:
-        centre = 3 ** len(self.disc.shape) // 2
-        if self.padded is None:
-            return self.stencil[centre, :-1].copy()
-        return self.padded[centre, self.at]
-
-    def tocsr(self) -> sp.csr_matrix:
-        import scipy.sparse as sp
-        present, indptr, indices = self.disc._pattern
-        rows = self.stencil[:, :-1] if self.padded is None else self.padded[:, self.at]
-        n_free = len(self.disc.free)
-        return sp.csr_matrix((rows.T[present], indices, indptr), shape=(n_free, n_free))
+        return self.padded[len(self.shifts) // 2, self.at]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if self.padded is None:
-            self._pad()
         span = len(self.y)
         self.x_columns[self.at] = x
         self.y[:] = 0.0
@@ -836,8 +829,7 @@ def solve_dirichlet(
             # forcing term: solve only as far as the Newton target needs
             rtol = min(max(0.1 * target / gnorm, CG_RTOL), 0.1)
             large = len(gfree) >= MULTIGRID_MIN_UNKNOWNS
-            if large:
-                hess = hess.tocsr()
+            hess = disc.csr(hess) if large else _StencilHessian(disc, hess)
             multigrid = large and rtol <= MULTIGRID_MAX_RTOL
             if multigrid:
                 precond = _VCycle(hess, disc.interpolations)

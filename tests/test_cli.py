@@ -373,6 +373,18 @@ def test_unread_settings_refused(tmp_path, capsys, sub, key, value):
 @pytest.mark.parametrize("argv, config, message", [
     (["solve", "--p", "1"], None, "p must be > 1"),
     (["solve", "--tolerance", "0"], None, "tolerance must be > 0"),
+    (["solve", "--tolerance", "inf"], None, "tolerance must be > 0 and finite, got inf"),
+    (["solve", "--delta-final", "-1"], None, "delta_final must be > 0 and finite, got -1.0"),
+    (["solve", "--delta-final", "0"], None, "delta_final must be > 0 and finite, got 0.0"),
+    (["solve", "--delta-final", "nan"], None, "delta_final must be > 0 and finite, got nan"),
+    (["catalog", "--fixture", "constant", "--budget-scale", "nan"], None,
+     "budget_scale must be > 0 and finite, got nan"),
+    (["catalog", "--fixture", "constant", "--budget-scale", "inf"], None,
+     "budget_scale must be > 0 and finite, got inf"),
+    (["catalog", "--fixture", "constant", "--budget-scale", "0"], None,
+     "budget_scale must be > 0 and finite, got 0.0"),
+    (["catalog", "--fixture", "constant", "--budget-scale", "-1"], None,
+     "budget_scale must be > 0 and finite, got -1.0"),
     (["weights", "--weight", "pow:-1", "--p", "1"], None, "p must be > 1"),
     (["weights", "--weight", "pow:-1", "--t", "1"], None, "t must be > 1"),
     (["weights", "--weight", "pow:-1", "--q", "2"], None, "q must be > p"),
@@ -411,7 +423,10 @@ def test_unread_settings_refused(tmp_path, capsys, sub, key, value):
     (["solve", "--mask", "disc"], {"mask_params": {"inner": 0.5}}, "keys among ['radius']"),
     (["solve", "--mask", "annulus"], {"mask_params": {"inner": 0.5, "outer": 0.25}},
      "inner must be < outer"),
-], ids=["solve-p", "solve-tolerance", "weights-p", "weights-t", "weights-q",
+], ids=["solve-p", "solve-tolerance", "solve-tolerance-inf", "solve-delta-final-negative",
+        "solve-delta-final-0", "solve-delta-final-nan", "catalog-budget-scale-nan",
+        "catalog-budget-scale-inf", "catalog-budget-scale-0", "catalog-budget-scale-negative",
+        "weights-p", "weights-t", "weights-q",
         "distortion-samples", "diagnose-probes", "diagnose-budget", "diagnose-contraction",
         "catalog-fixture", "solve-psi-number", "solve-psi-affine", "distortion-residual-even",
         "distortion-residual-1", "distortion-residual-negative", "weights-window-short",

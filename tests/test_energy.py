@@ -24,6 +24,7 @@ from degenlap.energy import (
     solve_dirichlet,
     weak_form,
     _Discretization,
+    _StencilHessian,
     _VCycle,
     _cg,
 )
@@ -299,6 +300,18 @@ def test_solver_nonconvergence_reported():
     assert np.all(np.isfinite(u.values[dom.mask > 0]))
 
 
+@pytest.mark.parametrize("setting", [{"delta_final": -1.0}, {"delta_final": 0.0},
+                                     {"delta_final": math.nan}, {"delta_final": math.inf},
+                                     {"tolerance": 0.0}, {"tolerance": -1.0},
+                                     {"tolerance": math.nan}, {"tolerance": math.inf}])
+def test_solver_config_refuses_out_of_range(setting):
+    # a delta_final <= 0 or nan never ends the halving of the delta schedule,
+    # and an infinite tolerance passes the first residual
+    name, = setting
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        SolverConfig(p=3.0, **setting)
+
+
 def test_solver_heisenberg_affine(heis):
     dom = GridDomain.box([(-1, 1)] * 3, (13, 13, 13))
     psi = GridFunction.from_callable(dom, lambda x: 1.5 * x[:, 0] - 0.5 * x[:, 1])
@@ -533,7 +546,7 @@ def test_hessian_matches_differences_and_coo(case, p):
     rng = child_rng(12, "hessian", case, str(p))
     values = rng.normal(size=disc.shape)
     delta = 1e-2
-    hess = disc.hessian(values, p, delta).tocsr()
+    hess = disc.csr(disc.hessian(values, p, delta))
     ref = hessian_coo(disc, values, p, delta)
     scale = abs(ref).max()
     assert hess.shape == ref.shape == (len(disc.free),) * 2
@@ -562,7 +575,7 @@ def test_hessian_summation_order_pinned(monkeypatch, case, p):
     ref = hessian_slot_map(disc, values, p, 1e-2)
     for chunk in (energy._HESSIAN_CHUNK, 5):
         monkeypatch.setattr(energy, "_HESSIAN_CHUNK", chunk)
-        hess = disc.hessian(values, p, 1e-2).tocsr()
+        hess = disc.csr(disc.hessian(values, p, 1e-2))
         assert np.array_equal(hess.indptr, ref.indptr)
         assert np.array_equal(hess.indices, ref.indices)
         assert np.array_equal(hess.data, ref.data)
@@ -573,43 +586,49 @@ def test_hessian_summation_order_pinned(monkeypatch, case, p):
                                   "heis3", "heis-disc3", "faces3"])
 def test_stencil_product_matches_csr_bitwise(case, p):
     # the operator's numpy product adds each row's neighbours from 0.0 in
-    # the order of scipy's CSR product, so the two agree bit for bit; so do
-    # the diagonal and the CSR read-out before and after the first product
-    # moves the stencil into its padded layout
+    # the order of scipy's CSR product, so the two agree bit for bit, also
+    # on inputs with exact zeros and -0.0 (the entries toward non-free
+    # neighbours add signed zeros to every row); so do the diagonals
     disc = _discretization(case)
     rng = child_rng(18, "stencil", case, str(p))
-    hess = disc.hessian(rng.normal(size=disc.shape), p, 1e-2)
-    csr = hess.tocsr()
+    stencil = disc.hessian(rng.normal(size=disc.shape), p, 1e-2)
+    hess, csr = _StencilHessian(disc, stencil), disc.csr(stencil)
     assert np.array_equal(hess.diagonal(), csr.diagonal())
-    for _ in range(2):
-        x = rng.normal(size=len(disc.free))
-        assert np.array_equal(hess @ x, csr @ x)
-    assert np.array_equal(hess.diagonal(), csr.diagonal())
-    assert np.array_equal(hess.tocsr().data, csr.data)
+    signed_zeros = rng.normal(size=len(disc.free))
+    signed_zeros[::3], signed_zeros[1::3] = 0.0, -0.0
+    for x in (*rng.normal(size=(2, len(disc.free))), signed_zeros):
+        y = hess @ x
+        assert np.array_equal(y, csr @ x)
+        assert np.array_equal(np.signbit(y), np.signbit(csr @ x))
+    # the padded layout depends only on the mask: computed once per discretization
+    other = _StencilHessian(disc, stencil)
+    assert other.at is hess.at and other.shifts is hess.shifts
 
 
 @pytest.mark.parametrize("case", ["disc3-33", "heis3-21", "disc2-129"])
 def test_hessian_memory_bounded(case):
-    # against the bytes of the CSR matrix: the stencil operator peaks at
-    # 1.3-2.1 times while it is filled and holds 0.7 times; after its first
-    # product it holds only the padded layout, 1.2-1.8 times
+    # against the bytes of the CSR matrix: the stencil peaks at 1.3-2.1
+    # times while it is filled and holds 0.7 times; the operator, with the
+    # stencil dropped, holds its padded layout, 1.2-1.8 times
     disc = _discretization(case)
     values = child_rng(14, "hessian-memory", case).normal(size=disc.shape)
     _, _, cache = disc.energy_gradient(values, 3.0, 1e-2)
+    csr = disc.csr(disc.hessian(values, 3.0, 1e-2, cache))
     x = np.ones(len(disc.free))
     tracemalloc.start()
     try:
-        hess = disc.hessian(values, 3.0, 1e-2, cache)
+        stencil = disc.hessian(values, 3.0, 1e-2, cache)
         held, peak = tracemalloc.get_traced_memory()
+        hess = _StencilHessian(disc, stencil)
+        del stencil
         y = hess @ x
-        held_after_product = tracemalloc.get_traced_memory()[0]
+        held_operator = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    csr = hess.tocsr()
     nbytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
     assert peak <= 4.0 * nbytes
     assert held <= 1.25 * nbytes
-    assert held_after_product <= 2.0 * nbytes
+    assert held_operator <= 2.0 * nbytes
     assert np.array_equal(y, csr @ x)
 
 
@@ -625,7 +644,7 @@ def test_vcycle_symmetric_positive(case, shapes):
         assert [interp.shape for interp, _ in disc.interpolations] == shapes
     assert len(disc.interpolations) >= 2
     rng = child_rng(13, "vcycle", case)
-    hess = disc.hessian(rng.normal(size=disc.shape), 3.0, 1e-2).tocsr()
+    hess = disc.csr(disc.hessian(rng.normal(size=disc.shape), 3.0, 1e-2))
     vcycle = _VCycle(hess, disc.interpolations)
     for _ in range(5):
         x, y = rng.normal(size=(2, len(disc.free)))
@@ -649,7 +668,7 @@ def test_multigrid_cg_iterations_bounded():
             dom, lambda pts: pts[:, 2] / np.maximum(np.linalg.norm(pts, axis=1), 1e-9))
         disc = _Discretization(euclidean(3), dom, fix.matrix)
         _, grad, cache = disc.energy_gradient(psi.values, 2.0, 1e-8)
-        hess = disc.hessian(psi.values, 2.0, 1e-8, cache).tocsr()
+        hess = disc.csr(disc.hessian(psi.values, 2.0, 1e-8, cache))
         count = [0]
         _, info = _cg(hess, -grad[disc.free], rtol=CG_RTOL, atol=0.0,
                       maxiter=10 * len(disc.free), M=_VCycle(hess, disc.interpolations),
@@ -689,8 +708,8 @@ def test_cg_matches_scipy_bitwise(case, rtol, maxiter):
     rng = child_rng(17, "cg", case)
     values = rng.normal(size=disc.shape)
     _, grad, cache = disc.energy_gradient(values, 3.0, 1e-2)
-    hess = disc.hessian(values, 3.0, 1e-2, cache)
-    csr = hess.tocsr()
+    stencil = disc.hessian(values, 3.0, 1e-2, cache)
+    hess, csr = _StencilHessian(disc, stencil), disc.csr(stencil)
     b = np.zeros(len(disc.free)) if case == "zero-rhs" else -grad[disc.free]
     if case == "vcycle":
         hess = csr  # the solver builds a V-cycle only on the CSR matrix
@@ -707,19 +726,24 @@ def test_cg_matches_scipy_bitwise(case, rtol, maxiter):
 
 def test_solver_frees_previous_hessian(monkeypatch):
     # a V-cycle at every Newton step; when the next step assembles its
-    # Hessian, neither the previous matrix nor the V-cycle holding it is alive
+    # Hessian, neither the previous CSR matrix, which CG multiplies by, nor
+    # the V-cycle holding it is alive
     monkeypatch.setattr(energy, "MULTIGRID_MIN_UNKNOWNS", 0)
     monkeypatch.setattr(energy, "MULTIGRID_MAX_RTOL", 1.0)
-    real = _Discretization.hessian
+    real_hessian, real_csr = _Discretization.hessian, _Discretization.csr
     refs = []
 
-    def tracked(self, *args):
+    def hessian(self, *args):
         assert all(ref() is None for ref in refs)
-        hess = real(self, *args)
-        refs.append(weakref.ref(hess))
-        return hess
+        return real_hessian(self, *args)
 
-    monkeypatch.setattr(_Discretization, "hessian", tracked)
+    def csr(self, stencil):
+        matrix = real_csr(self, stencil)
+        refs.append(weakref.ref(matrix))
+        return matrix
+
+    monkeypatch.setattr(_Discretization, "hessian", hessian)
+    monkeypatch.setattr(_Discretization, "csr", csr)
     dom = GridDomain.box([(-1, 1), (-1, 1)], (25, 25))
     psi = GridFunction.from_callable(dom, lambda x: np.exp(x[:, 0]) * np.cos(x[:, 1]))
     _, rep = solve_dirichlet(I2, 3.0, psi, config=SolverConfig(p=3.0, init="zero"))
