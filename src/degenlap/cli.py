@@ -2,11 +2,14 @@
 
 Configuration comes from defaults, then an optional JSON file (--config),
 then command-line flags (flags win).  Each subcommand accepts only the
-settings it reads, as flags and as config keys (`_SETTINGS`).  A fixture
-(`weights` and `solve` --fixture) fixes the geometry and the dimension; an
-explicit value that contradicts it is refused.  Every run writes the fully
-resolved configuration, with the geometry and dimension that ran, to
-resolved-config.json in the output directory next to its reports.
+settings it reads, as flags and as config keys (`_SETTINGS`).  A config-file
+value is parsed and checked exactly as flag text is: it must have the flag's
+kind (a JSON number, string or true/false) and lie among its choices and
+within its range.  A fixture (`weights` and `solve` --fixture) fixes the
+geometry and the dimension; an explicit value that contradicts it is
+refused.  Every run writes the fully resolved configuration, with the
+geometry and dimension that ran, to resolved-config.json in the output
+directory next to its reports.
 
 Exit codes: 0 success; 2 invalid configuration, which covers unknown flags
 or config keys and out-of-range values, refused before the output directory
@@ -20,6 +23,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,77 +43,88 @@ class ConfigError(ValueError):
     pass
 
 
-# Each subcommand's settings, each declared once: key -> (default, the
-# argparse keywords of its flag --<key with "-" for "_">, or None for a key
-# that only a config file sets).  `_load_config` takes its defaults from
-# here and `build_parser` its flags, and a subcommand accepts no other key.
-_INT = {"type": int}
-_FLOAT = {"type": float}
-_SWITCH = {"action": "store_const", "const": True}
-_FIXTURE = {"choices": CAT.fixture_names()}
+class _Setting(NamedTuple):
+    """A setting's default (a config file may give null only where it is
+    None: unset); its kind: int, float, str, bool (a switch), a tuple of
+    choices, or None for a structured value that only a config file sets and
+    its runner checks; a number's bound "> b" or ">= b" (a float is also
+    finite); and its flag's help."""
+    default: object
+    kind: object = None
+    bound: str | None = None
+    help: str | None = None
+
+
+# Each subcommand's settings, each declared once.  `_load_config` takes its
+# defaults from here and parses every value, flag or config file, by its
+# declaration (`_parse`); `build_parser` makes the flags --<key with "-" for
+# "_">, and a subcommand accepts no other key.
+_FIXTURE = tuple(CAT.fixture_names())
 # each mask's parameters (config key mask_params) and their defaults
 _MASK_PARAMS = {"box": {}, "disc": {"radius": 1.0}, "annulus": {"inner": 0.25, "outer": 1.0}}
-_MASK = {"choices": tuple(_MASK_PARAMS)}
-_RUN = {"seed": (0, _INT), "output_dir": ("degenlap-out", {})}
+_MASK = _Setting(None, tuple(_MASK_PARAMS))
+# the random streams are keyed by a non-negative seed (numpy's SeedSequence)
+_RUN = {"seed": _Setting(0, int, ">= 0"), "output_dir": _Setting("degenlap-out", str)}
 # unset until resolved: a fixture fixes both (`_space_and_dim`)
-_GEOMETRY = {"geometry": (None, {"choices": ("euclidean", "heisenberg1")}),
-             "dimension": (None, _INT)}
+_GEOMETRY = {"geometry": _Setting(None, ("euclidean", "heisenberg1")),
+             "dimension": _Setting(None, int, ">= 1")}
 
 _SETTINGS = {
     "weights": {
         **_RUN, **_GEOMETRY,
-        "fixture": (None, _FIXTURE),
-        "weight": (None, {"help": "pow:a | axis-pow:a | log:s | const:c"}),
-        "p": (2.0, _FLOAT),
-        "t": (2.0, _FLOAT),
-        "q": (None, _FLOAT),
-        "balls": (1024, _INT),
-        "budget": (2048, _INT),
-        "points": (128, _INT),
-        "radii": (10, _INT),
-        "window": (None, None),
-        "bounds": (None, None),
+        "fixture": _Setting(None, _FIXTURE),
+        "weight": _Setting(None, str, help="pow:a | axis-pow:a | log:s | const:c"),
+        "p": _Setting(2.0, float, "> 1"),
+        "t": _Setting(2.0, float, "> 1"),
+        "q": _Setting(None, float),
+        "balls": _Setting(1024, int, ">= 8"),
+        "budget": _Setting(2048, int, ">= 16"),
+        "points": _Setting(128, int, ">= 8"),
+        "radii": _Setting(10, int, ">= 1"),
+        "window": _Setting(None),
+        "bounds": _Setting(None),
     },
     "solve": {
         "output_dir": _RUN["output_dir"], **_GEOMETRY,
-        "fixture": (None, _FIXTURE),
-        "p": (2.0, _FLOAT),
-        "resolution": (65, _INT),
-        "mask": (None, _MASK),
-        "mask_params": ({}, None),
-        "bounds": (None, None),
-        "psi": ("poly:x2-y2", {}),
-        "delta_final": (None, _FLOAT),
-        "tolerance": (1e-10, _FLOAT),
-        "max_iterations": (400, _INT),
-        "init": ("psi", {"choices": ("psi", "zero")}),
-        "pgm": (False, _SWITCH),
+        "fixture": _Setting(None, _FIXTURE),
+        "p": _Setting(2.0, float, "> 1"),
+        "resolution": _Setting(65, int, ">= 5"),
+        "mask": _MASK,
+        "mask_params": _Setting({}),
+        "bounds": _Setting(None),
+        "psi": _Setting("poly:x2-y2", str),
+        "delta_final": _Setting(None, float, "> 0"),
+        "tolerance": _Setting(1e-10, float, "> 0"),
+        "max_iterations": _Setting(400, int, ">= 1"),
+        "init": _Setting("psi", ("psi", "zero")),
+        "pgm": _Setting(False, bool),
     },
     "diagnose": {
         **_RUN,
-        "fixture": ("axis-degenerate-planar", _FIXTURE),
-        "solution": (None, {"help": "solution.csv from a solve run"}),
-        "resolution": (65, _INT),
-        "mask": (None, _MASK),
-        "mask_params": ({}, None),
-        "bounds": (None, None),
-        "probes": (5, _INT),
-        "contraction_constant": (1.0, _FLOAT),
-        "budget": (1024, _INT),
-        "pgm": (False, _SWITCH),
+        "fixture": _Setting("axis-degenerate-planar", _FIXTURE),
+        "solution": _Setting(None, str, help="solution.csv from a solve run"),
+        "resolution": _Setting(65, int, ">= 5"),
+        "mask": _MASK,
+        "mask_params": _Setting({}),
+        "bounds": _Setting(None),
+        "probes": _Setting(5, int, ">= 1"),
+        "contraction_constant": _Setting(1.0, float, ">= 0"),
+        "budget": _Setting(1024, int, ">= 16"),
+        "pgm": _Setting(False, bool),
     },
     "distortion": {
         **_RUN,
-        "epsilon": (0.1, _FLOAT),
-        "samples": (200, _INT),
-        "residual_resolution": (0, _INT),
-        "tubes": ([0.2, 0.15, 0.1], None),
-        "bump_count": (2, None),
+        "epsilon": _Setting(0.1, float, "> 0"),
+        "samples": _Setting(200, int, ">= 1"),
+        # 0 (none) or odd, up to a limit: checked by `run_distortion`
+        "residual_resolution": _Setting(0, int),
+        "tubes": _Setting([0.2, 0.15, 0.1]),
+        "bump_count": _Setting(2),
     },
     "catalog": {
         **_RUN,
-        "fixture": ("all", {}),
-        "budget_scale": (1.0, _FLOAT),
+        "fixture": _Setting("all", ("all", *_FIXTURE)),
+        "budget_scale": _Setting(1.0, float, "> 0"),
     },
 }
 
@@ -121,11 +136,13 @@ _HELP = {
     "catalog": "verify fixture claims",
 }
 
-# n = 3 solves above this node count per axis are refused.  Measured peak
-# RSS of `solve --p 3 --dimension 3` (one BLAS thread, 2-CPU host with 8 GB
-# of RAM): 96 MB at 33^3 and 195 MB at 48^3 through the CLI, and 403-416 MB
-# at 64^3 through the library, over builds that differ only in code the
-# solve does not run.
+# n = 3 solves above this node count per axis are refused, and n > 3 solves
+# whose stencil, res^n 3^n entries, outgrows that of MAX_RESOLUTION_3D^3: 13
+# nodes per axis at n = 4, 6 at n = 5.  Measured peak RSS of `solve --p 3`
+# (one BLAS thread, 2-CPU host with 8 GB of RAM): 96 MB at 33^3 and 195 MB at
+# 48^3 through the CLI, and 403-416 MB at 64^3 through the library, over
+# builds that differ only in code the solve does not run; 96 MB and 3.3-3.6 s
+# at 13^4 and 72 MB at 6^5 through the CLI (one CPU).
 MAX_RESOLUTION_3D = 48
 
 
@@ -134,12 +151,28 @@ def _require(ok: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _number(value) -> float:
-    """value as a float, or nan when it is not a number."""
+def _parse(key: str, value, kind, bound: str | None = None):
+    """value, from a flag or a config file, as `_Setting` declares it: of its
+    kind (a JSON value must have its flag's kind, so no string, bool or
+    fraction passes for an integer), among its choices, within its bound."""
+    if isinstance(kind, tuple):
+        _require(value in kind, f"unknown {key} {value!r}, not one of {', '.join(kind)}")
+        return value
+    what = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}[kind]
+    # a bool is an int to Python, but true/false is no number and 1 no switch
+    _require(isinstance(value, (int, float) if kind is float else kind)
+             and isinstance(value, bool) == (kind is bool), f"{key} must be {what}, got {value!r}")
+    if kind not in (int, float):
+        return value
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        return math.nan
+        value = kind(value)
+    except OverflowError:           # an integer beyond the float range
+        value = math.inf
+    op, b = (bound or ">= -inf").split()
+    rule = " and ".join(filter(None, (bound, "finite" if kind is float else None)))
+    _require((value > float(b) if op == ">" else value >= float(b))
+             and (kind is int or math.isfinite(value)), f"{key} must be {rule}, got {value!r}")
+    return value
 
 
 def _intervals(value, shape: tuple, what: str) -> np.ndarray:
@@ -162,7 +195,7 @@ def _bounds(cfg, dim: int) -> list:
 
 
 def _load_config(path: str | None, subcommand: str, overrides: dict) -> dict:
-    cfg = {key: default for key, (default, _) in _SETTINGS[subcommand].items()}
+    cfg = {key: setting.default for key, setting in _SETTINGS[subcommand].items()}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -179,14 +212,9 @@ def _load_config(path: str | None, subcommand: str, overrides: dict) -> dict:
             _require(key in cfg, f"unknown config key {key!r} for {subcommand}")
             cfg[key] = val
     cfg.update((key, val) for key, val in overrides.items() if val is not None)
-    # the random streams are keyed by a non-negative seed (numpy's SeedSequence)
-    seed = cfg.get("seed", 0)       # solve draws nothing and has no seed
-    try:
-        integral = not isinstance(seed, bool) and int(seed) == seed
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    _require(integral, f"seed must be an integer, got {seed!r}")
-    _require(seed >= 0, f"seed must be >= 0, got {seed}")
+    for key, setting in _SETTINGS[subcommand].items():
+        if setting.kind is not None and (cfg[key] is not None or setting.default is not None):
+            cfg[key] = _parse(key, cfg[key], setting.kind, setting.bound)
     cfg["subcommand"] = subcommand
     return cfg
 
@@ -205,15 +233,12 @@ def _space_and_dim(cfg, fixture) -> tuple:
     geometry = "euclidean" if cfg["geometry"] is None else cfg["geometry"]
     dim = cfg["dimension"]
     if geometry == "euclidean":
-        dim = 2 if dim is None else int(dim)
-        _require(dim >= 1, "dimension must be >= 1")
+        dim = 2 if dim is None else dim
         space = euclidean(dim)
-    elif geometry == "heisenberg1":
-        dim = 3 if dim is None else int(dim)
+    else:
+        dim = 3 if dim is None else dim
         _require(dim == 3, "heisenberg1 geometry is 3-dimensional")
         space = heisenberg1()
-    else:
-        raise ConfigError(f"unknown geometry {geometry!r}")
     cfg["geometry"], cfg["dimension"] = geometry, dim
     return space, dim
 
@@ -235,6 +260,8 @@ def _parse_weight(spec: str, dim: int) -> W.Weight:
 
 
 def _parse_psi(spec: str, dim: int, fixture):
+    _require(dim >= 2 or spec not in ("poly:x2-y2", "exp-cos"),
+             f"psi {spec!r} reads a second coordinate, and the dimension is {dim}")
     if spec == "poly:x2-y2":
         return lambda pts: np.atleast_2d(pts)[:, 0] ** 2 - np.atleast_2d(pts)[:, 1] ** 2
     try:
@@ -261,26 +288,22 @@ def _parse_psi(spec: str, dim: int, fixture):
 
 
 def _build_domain(cfg, dim: int) -> GridDomain:
-    res = int(cfg["resolution"])
-    _require(res >= 5, "resolution must be >= 5")
-    _require(dim != 3 or res <= MAX_RESOLUTION_3D,
-             f"3-d resolution {res} is above the limit {MAX_RESOLUTION_3D}: a p = 3 solve "
-             "peaks at 195 MB RSS at 48^3 and 416 MB at 64^3")
+    res = cfg["resolution"]
+    limit = int((3 * MAX_RESOLUTION_3D) ** (3 / dim) / 3 + 1e-9) if dim >= 3 else res
+    _require(res <= limit, f"{dim}-d resolution {res} is above the limit {limit}, the stencil "
+             "size of 48^3: a p = 3 solve peaks at 195 MB RSS at 48^3 and 416 MB at 64^3")
     shape = (res,) * dim
     bounds = _bounds(cfg, dim)
     sides = np.diff(bounds, axis=1)
     _require(np.allclose(sides, sides[0], rtol=1e-12, atol=0.0),
              f"a grid's bounds must have equal side lengths, got {cfg['bounds']!r}")
     mask, given = cfg["mask"], cfg.get("mask_params") or {}
-    _require(mask in _MASK_PARAMS, f"unknown mask {mask!r}")
     _require(isinstance(given, dict) and set(given) <= set(_MASK_PARAMS[mask]),
              f"mask_params of mask {mask!r} must be an object with keys among "
              f"{sorted(_MASK_PARAMS[mask])}, got {given!r}")
     params = {}
     for key, default in _MASK_PARAMS[mask].items():
-        params[key] = _number(given.get(key, default))
-        _require(0 < params[key] < math.inf,
-                 f"mask_params {key} must be a positive number, got {given.get(key)!r}")
+        params[key] = _parse(f"mask_params {key}", given.get(key, default), float, "> 0")
     if mask == "box":
         return GridDomain.box(bounds, shape)
     if mask == "disc":
@@ -332,23 +355,15 @@ def run_weights(cfg) -> int:
     what = "window must be [r_min, r_max], 0 < r_min < r_max"
     window = tuple(float(r) for r in _intervals(window, (2,), what))
     _require(window[0] > 0, f"{what}, got {cfg['window']!r}")
-    p = float(cfg["p"])
-    t = float(cfg["t"])
-    qq = float(cfg["q"]) if cfg["q"] is not None else t * (p - 1.0) + 1.0
-    seed = int(cfg["seed"])
-    balls, budget = int(cfg["balls"]), int(cfg["budget"])
-    _require(p > 1, "p must be > 1")
-    _require(t > 1, "t must be > 1")
+    p, t, seed, balls, budget = (cfg[key] for key in ("p", "t", "seed", "balls", "budget"))
+    qq = cfg["q"] if cfg["q"] is not None else t * (p - 1.0) + 1.0
     _require(qq > p, "q must be > p")
-    _require(balls >= 8 and int(cfg["points"]) >= 8, "balls and points must be >= 8")
-    _require(int(cfg["radii"]) >= 1, "radii must be >= 1")
-    _require(budget >= 16, "budget must be >= 16")
 
     out = _outdir(cfg)
 
     ap = W.ap_constant(weight, p, space, domain, window, balls, budget, seed)
-    a1 = W.a1_constant(weight, space, domain, window, int(cfg["points"]),
-                       int(cfg["radii"]), budget, seed)
+    a1 = W.a1_constant(weight, space, domain, window, cfg["points"], cfg["radii"],
+                       budget, seed)
     rh = W.rh_constant(weight, t, space, domain, window, balls, budget, seed)
     balance = W.balance_check(weight.pow(1.0 - p), weight, p, qq, space, domain,
                               (window[0], min(window[1], 0.45 * float(np.min(domain.lengths)))),
@@ -389,32 +404,22 @@ def run_solve(cfg) -> int:
         _require(a_field is not None, f"fixture {fixture.name!r} has no coefficient field")
     else:
         a_field = E.MatrixField.identity(space.m)
-    p = float(cfg["p"])
-    _require(p > 1, "p must be > 1")
-    tolerance = _number(cfg["tolerance"])
-    _require(0 < tolerance < math.inf,
-             f"tolerance must be > 0 and finite, got {cfg['tolerance']!r}")
-    delta_final = cfg["delta_final"]
-    if delta_final is not None:
-        delta_final = _number(delta_final)
-        _require(0 < delta_final < math.inf,
-                 f"delta_final must be > 0 and finite, got {cfg['delta_final']!r}")
     _resolve_mask(cfg, fixture)
     domain = _build_domain(cfg, dim)
     psi_fn = _parse_psi(cfg["psi"], dim, fixture)
     psi = GridFunction.from_callable(domain, psi_fn)
     config = E.SolverConfig(
-        p=p,
-        delta_final=delta_final,
-        tolerance=tolerance,
-        max_iterations=int(cfg["max_iterations"]),
+        p=cfg["p"],
+        delta_final=cfg["delta_final"],
+        tolerance=cfg["tolerance"],
+        max_iterations=cfg["max_iterations"],
         init=cfg["init"],
     )
     out = _outdir(cfg)
-    u, report = E.solve_dirichlet(a_field, p, psi, domain, config, space)
+    u, report = E.solve_dirichlet(a_field, cfg["p"], psi, domain, config, space)
     u.to_csv(out / "solution.csv")
     write_json(out / "solve-report.json", {"solve_report": report.to_dict()})
-    if cfg.get("pgm") and dim == 2:
+    if cfg["pgm"] and dim == 2:
         vals = np.where(domain.mask > 0, u.values, np.nan)
         write_pgm(out / "solution.pgm", vals)
     return 0
@@ -429,12 +434,8 @@ def _probe_lattice(domain: GridDomain, count: int) -> np.ndarray:
 
 
 def run_diagnose(cfg) -> int:
-    _require(bool(cfg["fixture"]), "diagnose needs a fixture for the degeneracy weight")
     fixture = CAT.fixture(cfg["fixture"])
     dim = fixture.dim
-    _require(int(cfg["probes"]) >= 1, "probes must be >= 1")
-    _require(float(cfg["contraction_constant"]) >= 0, "contraction constant must be >= 0")
-    _require(int(cfg["budget"]) >= 16, "budget must be >= 16")
     _resolve_mask(cfg, fixture)
     domain = _build_domain(cfg, dim)
     _require(cfg["solution"] is not None, "diagnose needs --solution CSV from a solve run")
@@ -444,14 +445,14 @@ def run_diagnose(cfg) -> int:
         raise ConfigError(f"cannot read solution: {exc}") from exc
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"solution file does not match the grid: {exc}") from exc
-    probes = _probe_lattice(domain, int(cfg["probes"]))
+    probes = _probe_lattice(domain, cfg["probes"])
     if fixture.domain_radius is not None:
         probes = probes[np.linalg.norm(probes, axis=1) < 0.85 * fixture.domain_radius]
     out = _outdir(cfg)
     report = DG.continuity_map(
         u, fixture.weight, fixture.space, fixture.domain, probes,
-        contraction_constant=float(cfg["contraction_constant"]),
-        budget=int(cfg["budget"]), seed=int(cfg["seed"]),
+        contraction_constant=cfg["contraction_constant"], budget=cfg["budget"],
+        seed=cfg["seed"],
     )
     write_json(out / "diagnostics-report.json", {"diagnostics": report.to_dict()})
     header = [f"x{i + 1}" for i in range(dim)] + ["mk", "gamma", "alpha", "no_decay", "class"]
@@ -463,7 +464,7 @@ def run_diagnose(cfg) -> int:
                        rec.alpha if math.isfinite(rec.alpha) else "inf",
                        int(rec.no_decay), rec.continuity_class])
     write_csv(out / "continuity.csv", header, rows)
-    if cfg.get("pgm") and dim == 2:
+    if cfg["pgm"] and dim == 2:
         k = int(round(math.sqrt(len(report.probes))))
         if k * k == len(report.probes):
             gammas = np.array([rec.gamma for rec in report.probes]).reshape(k, k)
@@ -472,24 +473,20 @@ def run_diagnose(cfg) -> int:
 
 
 def run_distortion(cfg) -> int:
-    eps = float(cfg["epsilon"])
-    _require(eps > 0, "epsilon must be positive")
-    n = int(cfg["samples"])
-    _require(n >= 1, "samples must be >= 1")
     # an even count puts a cell center on the map's singular point; 1 leaves no cell
-    res = int(cfg["residual_resolution"])
+    res = cfg["residual_resolution"]
     _require(res == 0 or (res >= 3 and res % 2 == 1),
              f"residual resolution {res} must be 0 (none) or an odd resolution >= 3")
     _require(res <= 2 * MAX_RESOLUTION_3D + 1,
              f"residual resolution {res} is above the limit {2 * MAX_RESOLUTION_3D + 1}")
-    tubes, bump_count = cfg["tubes"], _number(cfg["bump_count"])
-    _require(isinstance(tubes, list) and len(tubes) > 0
-             and all(0 <= _number(t) < math.inf for t in tubes),
+    tubes = cfg["tubes"]
+    _require(isinstance(tubes, list) and len(tubes) > 0,
              f"tubes must be a list of widths >= 0, got {tubes!r}")
-    _require(bump_count.is_integer() and bump_count >= 1,
-             f"bump count must be an integer >= 1, got {cfg['bump_count']!r}")
-    mapping = DT.radial_exp_map(eps, 3)
-    rng = child_rng(int(cfg["seed"]), "cli-distortion")
+    tubes = [_parse("tubes width", t, float, ">= 0") for t in tubes]
+    bump_count = _parse("bump_count", cfg["bump_count"], int, ">= 1")
+    mapping = DT.radial_exp_map(cfg["epsilon"], 3)
+    rng = child_rng(cfg["seed"], "cli-distortion")
+    n = cfg["samples"]
     pts = rng.uniform(-1.0, 1.0, (4 * n, 3))
     r = np.linalg.norm(pts, axis=1)
     pts = pts[(r > 0.05) & (r < 0.95)][:n]
@@ -497,14 +494,13 @@ def run_distortion(cfg) -> int:
     report = DT.sample_distortion_report(mapping, pts)
     if res > 0:
         dom = GridDomain.box([[-0.5, 0.5]] * 3, (res,) * 3)
-        rng2 = child_rng(int(cfg["seed"]), "cli-bumps")
+        rng2 = child_rng(cfg["seed"], "cli-bumps")
         bumps = []
-        for _ in range(int(bump_count)):
+        for _ in range(bump_count):
             center = rng2.uniform(-0.15, 0.15, 3)
             radius = rng2.uniform(0.25, 0.32)
             bumps.append(bump_function(dom, center, radius))
-        table = DT.coordinate_weak_residual(mapping, dom, bumps,
-                                            tube_widths=[float(t) for t in tubes])
+        table = DT.coordinate_weak_residual(mapping, dom, bumps, tube_widths=tubes)
         report.residuals = table.to_dict()
     write_json(out / "distortion-report.json", {"distortion": report.to_dict()})
     header = ["x1", "x2", "x3", "jacobian_det", "op_norm", "adj_norm",
@@ -517,14 +513,9 @@ def run_distortion(cfg) -> int:
 
 
 def run_catalog(cfg) -> int:
-    names = CAT.fixture_names() if cfg["fixture"] in (None, "all") else [cfg["fixture"]]
-    _require(set(names) <= set(CAT.fixture_names()), f"unknown fixture {cfg['fixture']!r}")
-    budget_scale = _number(cfg["budget_scale"])
-    _require(0 < budget_scale < math.inf,
-             f"budget_scale must be > 0 and finite, got {cfg['budget_scale']!r}")
+    names = _FIXTURE if cfg["fixture"] == "all" else [cfg["fixture"]]
     out = _outdir(cfg)
-    reports = [CAT.verify_fixture(name, budget_scale=budget_scale,
-                                  seed=int(cfg["seed"]))
+    reports = [CAT.verify_fixture(name, budget_scale=cfg["budget_scale"], seed=cfg["seed"])
                for name in names]
     write_json(out / "catalog-report.json", {"fixtures": reports})
     return 0
@@ -555,8 +546,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name, settings in _SETTINGS.items():
         s = subs.add_parser(name, help=_HELP[name])
         s.add_argument("--config", default=None, help="JSON config file")
-        for key, (_, flag) in settings.items():
-            if flag is not None:
+        for key, setting in settings.items():
+            kind, flag = setting.kind, {"help": setting.help}
+            if kind is bool:
+                flag.update(action="store_const", const=True)
+            elif isinstance(kind, tuple):   # `_parse` checks the choice, as a file's
+                flag["metavar"] = "{" + ",".join(kind) + "}"
+            elif kind in (int, float):
+                flag["type"] = kind
+            if kind is not None:
                 s.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **flag)
     return ap
 
@@ -580,9 +578,6 @@ def main(argv=None) -> int:
         return _RUNNERS[sub](cfg)
     except ConfigError as exc:
         print(f"degenlap: config error: {exc}", file=sys.stderr)
-        return 2
-    except CAT.FixtureNotFoundError as exc:
-        print(f"degenlap: unknown fixture: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"degenlap: i/o error: {exc}", file=sys.stderr)

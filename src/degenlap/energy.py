@@ -31,8 +31,8 @@ Saad, "Iterative Methods for Sparse Linear Systems", 2nd ed., 2003, sec.
 product.  A large system whose step asks CG for at most `MULTIGRID_MAX_RTOL`
 is preconditioned by a geometric multigrid V-cycle (`_VCycle`; Trottenberg,
 Oosterlee & Schueller, "Multigrid", 2001), any other system by Jacobi.  So a
-smaller system loads no scipy: `scipy.sparse` is imported for a CSR matrix,
-and `scipy.sparse.linalg` (SuperLU) only when a V-cycle is built.
+smaller system loads no scipy, and a larger one only `scipy.sparse`, imported
+for a CSR matrix: the V-cycle solves its coarsest level with a dense inverse.
 Near the minimizer a step's predicted energy drop falls below the rounding
 of the energy itself, where the Armijo test only sees noise; a step whose
 predicted drop is that small is accepted when it lowers the max-norm of the
@@ -305,9 +305,9 @@ CG_RTOL = 1e-10
 # A Newton step preconditions CG with the multigrid V-cycle (`_VCycle`) when
 # its system has at least MULTIGRID_MIN_UNKNOWNS free unknowns and it asks CG
 # for a relative residual of at most MULTIGRID_MAX_RTOL; otherwise with
-# Jacobi.  The V-cycle's set-up (Galerkin products, Lanczos estimates, LU)
-# costs tens to hundreds of Jacobi-CG iterations, which only a tight solve of
-# a large system wins back.  Measured on single Newton systems (one BLAS
+# Jacobi.  The V-cycle's set-up (Galerkin products, Lanczos estimates, the
+# coarsest inverse) costs tens to hundreds of Jacobi-CG iterations, which only
+# a tight solve of a large system wins back.  Measured on single Newton systems (one BLAS
 # thread, 2-CPU host; BENCH_4.json), multigrid time over Jacobi time at
 # relative residual 1e-8 and 1e-10: p = 3 boxes 65^2 0.81, 0.88; 129^2 0.59,
 # 0.55; 257^2 0.32, 0.27; 21^3 1.05, 0.81; 33^3 0.52, 0.51; 49^3 0.73, 0.60;
@@ -315,8 +315,9 @@ CG_RTOL = 1e-10
 # ratios run from 0.59 to 2.59.  The steps of p = 3 continuation solves ask
 # for 1e-3 or looser: whole such solves with multigrid in every step took
 # 1.02 to 2.2 times as long as with Jacobi from 65^2 to 257^2 and 21^3 to
-# 33^3, and 0.86 times at 49^3, beyond the CLI's 3-d limit.  A process's
-# first V-cycle also pays the import of `scipy.sparse.linalg` (0.13-0.16 s).
+# 33^3, and 0.86 times at 49^3, beyond the CLI's 3-d limit.  The V-cycle
+# imports nothing beyond `scipy.sparse`: its coarsest level, at most
+# _COARSEST_MAX unknowns, is solved by a dense inverse.
 # The same size decides where the Hessian is read out into CSR and
 # `scipy.sparse` is imported (about 0.2 s and 22 MB per process over numpy
 # alone: 0.36-0.41 s and 48.7 MB against 0.14-0.20 s and 26.8 MB).  Below it
@@ -333,7 +334,8 @@ CG_RTOL = 1e-10
 MULTIGRID_MIN_UNKNOWNS = 20000
 MULTIGRID_MAX_RTOL = 1e-8
 # The V-cycle: Chebyshev smoothing of this degree, Lanczos steps of its
-# spectral estimate, and the unknowns at or below which a level is solved by LU.
+# spectral estimate, and the unknowns at or below which a level is solved by
+# its dense inverse.
 _CHEBYSHEV_DEGREE = 2
 _LANCZOS_STEPS = 10
 _COARSEST_MAX = 400
@@ -696,22 +698,21 @@ class _VCycle:
     a residual as a CG preconditioner.  Coarse operators are Galerkin,
     P^T A P; every level but the coarsest smooths with `_smooth` before and
     after its coarse correction (the smoother is A-self-adjoint, so the
-    cycle is a symmetric operator), and the coarsest is solved by SuperLU,
-    imported here.  The instance is the preconditioner `_cg` calls."""
+    cycle is a symmetric operator), and the coarsest is solved by its dense
+    inverse.  The instance is the preconditioner `_cg` calls."""
 
     def __init__(self, a: sp.csr_matrix,
                  interpolations: list[tuple[sp.csr_matrix, sp.csr_matrix]]):
-        from scipy.sparse.linalg import splu
         self.levels = []
         for interp, restrict in interpolations:
             dinv = 1.0 / a.diagonal()
             self.levels.append((a, dinv, _chebyshev_coefficients(a, dinv), interp, restrict))
             a = restrict @ (a @ interp)
-        self.coarsest = splu(a.tocsc())
+        self.coarsest = np.linalg.inv(a.toarray())
 
     def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         if level == len(self.levels):
-            return self.coarsest.solve(r)
+            return self.coarsest @ r
         a, dinv, coef, interp, restrict = self.levels[level]
         x = _smooth(a, dinv, coef, r)
         x += interp @ self(restrict @ (r - a @ x), level + 1)

@@ -391,7 +391,7 @@ def test_unread_settings_refused(tmp_path, capsys, sub, key, value):
     (["distortion", "--samples", "-3"], None, "samples must be >= 1"),
     (["diagnose", "--probes", "-2"], None, "probes must be >= 1"),
     (["diagnose", "--budget", "8"], None, "budget must be >= 16"),
-    (["diagnose", "--contraction-constant", "-1"], None, "contraction constant must be >= 0"),
+    (["diagnose", "--contraction-constant", "-1"], None, "contraction_constant must be >= 0"),
     (["catalog", "--fixture", "bogus"], None, "unknown fixture 'bogus'"),
     (["solve", "--psi", "radial-pow:abc"], None, "bad psi spec 'radial-pow:abc'"),
     (["solve", "--psi", "affine:1,2"], None, "affine psi needs 3 coefficients"),
@@ -412,17 +412,43 @@ def test_unread_settings_refused(tmp_path, capsys, sub, key, value):
     (["distortion", "--samples", "8", "--residual-resolution", "5"], {"tubes": "ab"},
      "tubes must be a list of widths >= 0"),
     (["distortion", "--samples", "8", "--residual-resolution", "5"], {"tubes": [0.1, -1]},
-     "tubes must be a list of widths >= 0"),
+     "tubes width must be >= 0"),
     (["distortion", "--samples", "8", "--residual-resolution", "5"], {"bump_count": "x"},
-     "bump count must be an integer >= 1"),
+     "bump_count must be an integer"),
     (["distortion", "--samples", "8", "--residual-resolution", "5"], {"bump_count": 1.5},
-     "bump count must be an integer >= 1"),
+     "bump_count must be an integer"),
     (["solve", "--mask", "disc"], {"mask_params": [1]}, "mask_params of mask 'disc'"),
     (["solve", "--mask", "disc"], {"mask_params": {"radius": "x"}},
-     "mask_params radius must be a positive number"),
+     "mask_params radius must be a number"),
     (["solve", "--mask", "disc"], {"mask_params": {"inner": 0.5}}, "keys among ['radius']"),
     (["solve", "--mask", "annulus"], {"mask_params": {"inner": 0.5, "outer": 0.25}},
      "inner must be < outer"),
+    # a config file's value has its flag's JSON kind, among its choices and in its range
+    (["solve"], {"resolution": 9.7}, "resolution must be an integer, got 9.7"),
+    (["weights", "--weight", "pow:-1"], {"balls": 8.9}, "balls must be an integer, got 8.9"),
+    (["solve"], {"init": "bogus"}, "unknown init 'bogus'"),
+    (["solve"], {"p": "abc"}, "p must be a number, got 'abc'"),
+    (["solve"], {"psi": 5}, "psi must be a string, got 5"),
+    (["solve"], {"pgm": "no"}, "pgm must be true or false, got 'no'"),
+    (["solve"], {"tolerance": "1e-3"}, "tolerance must be a number, got '1e-3'"),
+    (["solve"], {"max_iterations": -3}, "max_iterations must be >= 1, got -3"),
+    (["solve"], {"p": 10 ** 400}, "p must be > 1 and finite, got inf"),
+    (["solve", "--mask", "disc"], {"mask_params": {"radius": "0.5"}},
+     "mask_params radius must be a number"),
+    (["distortion", "--samples", "8", "--residual-resolution", "5"], {"tubes": ["0.1"]},
+     "tubes width must be a number"),
+    (["distortion", "--samples", "8", "--residual-resolution", "5"], {"bump_count": "3"},
+     "bump_count must be an integer"),
+    (["solve", "--max-iterations=-3"], None, "max_iterations must be >= 1, got -3"),
+    # a flag's choice is checked by the same declaration as a file's
+    (["solve", "--init", "bogus"], None, "unknown init 'bogus'"),
+    (["solve", "--p", "inf", "--resolution", "9"], None, "p must be > 1 and finite, got inf"),
+    (["weights", "--weight", "pow:-1", "--t", "inf"], None, "t must be > 1 and finite, got inf"),
+    # the default psi and exp-cos read a second coordinate
+    (["solve", "--dimension", "1"], None, "reads a second coordinate"),
+    (["solve", "--dimension", "1", "--psi", "exp-cos"], None, "reads a second coordinate"),
+    # 14^4 3^4 stencil entries outgrow 48^3 3^3
+    (["solve", "--dimension", "4", "--resolution", "14"], None, "limit 13"),
 ], ids=["solve-p", "solve-tolerance", "solve-tolerance-inf", "solve-delta-final-negative",
         "solve-delta-final-0", "solve-delta-final-nan", "catalog-budget-scale-nan",
         "catalog-budget-scale-inf", "catalog-budget-scale-0", "catalog-budget-scale-negative",
@@ -434,7 +460,12 @@ def test_unread_settings_refused(tmp_path, capsys, sub, key, value):
         "weights-bounds-short", "weights-bounds-text", "solve-bounds-3d", "solve-bounds-uneven",
         "diagnose-bounds-reversed", "distortion-tubes-text", "distortion-tubes-negative",
         "distortion-bumps-text", "distortion-bumps-fraction", "solve-mask-params-list",
-        "solve-mask-radius-text", "solve-mask-params-key", "solve-annulus-reversed"])
+        "solve-mask-radius-text", "solve-mask-params-key", "solve-annulus-reversed",
+        "file-resolution-fraction", "file-balls-fraction", "file-init-bogus", "file-p-text",
+        "file-psi-number", "file-pgm-text", "file-tolerance-text", "file-max-iterations",
+        "file-p-huge", "file-mask-radius-text", "file-tubes-text", "file-bumps-text",
+        "solve-max-iterations", "solve-init-flag", "solve-p-inf", "weights-t-inf",
+        "solve-1d-default-psi", "solve-1d-exp-cos", "solve-4d-resolution"])
 def test_out_of_range_setting_refused(tmp_path, capsys, argv, config, message):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
