@@ -136,13 +136,15 @@ _HELP = {
     "catalog": "verify fixture claims",
 }
 
-# n = 3 solves above this node count per axis are refused, and n > 3 solves
-# whose stencil, res^n 3^n entries, outgrows that of MAX_RESOLUTION_3D^3: 13
-# nodes per axis at n = 4, 6 at n = 5.  Measured peak RSS of `solve --p 3`
-# (one BLAS thread, 2-CPU host with 8 GB of RAM): 96 MB at 33^3 and 195 MB at
-# 48^3 through the CLI, and 403-416 MB at 64^3 through the library, over
-# builds that differ only in code the solve does not run; 96 MB and 3.3-3.6 s
-# at 13^4 and 72 MB at 6^5 through the CLI (one CPU).
+# n = 3 solves above this node count per axis are refused, and so are solves
+# in any dimension whose stencil, res^n 3^n entries, outgrows that of
+# MAX_RESOLUTION_3D^3: 995328 nodes at n = 1, 576 per axis at n = 2, 13 at
+# n = 4, 6 at n = 5.  Measured peak RSS of `solve --p 3` (one BLAS thread,
+# 2-CPU host with 8 GB of RAM): 96 MB at 33^3 and 195 MB at 48^3 through the
+# CLI, and 403-416 MB at 64^3 through the library, over builds that differ
+# only in code the solve does not run; 96 MB and 3.3-3.6 s at 13^4 and 72 MB
+# at 6^5 through the CLI (one CPU); 286 MB and 12-16 s at 576^2, where
+# `solve --p 2 --init zero` (multigrid) peaks at 303-305 MB in 2.5-3.0 s.
 MAX_RESOLUTION_3D = 48
 
 
@@ -245,18 +247,13 @@ def _space_and_dim(cfg, fixture) -> tuple:
 
 def _parse_weight(spec: str, dim: int) -> W.Weight:
     kind, _, arg = spec.partition(":")
+    make = {"pow": lambda a: W.power_weight(a, dim), "axis-pow": W.axis_power_weight,
+            "log": lambda a: W.log_weight(a, dim), "const": lambda a: W.constant_weight(a, dim)}
+    _require(kind in make, f"unknown weight spec {spec!r} (pow:|axis-pow:|log:|const:)")
     try:
-        if kind == "pow":
-            return W.power_weight(float(arg), dim)
-        if kind == "axis-pow":
-            return W.axis_power_weight(float(arg))
-        if kind == "log":
-            return W.log_weight(float(arg), dim)
-        if kind == "const":
-            return W.constant_weight(float(arg), dim)
+        return make[kind](_parse(f"{kind} parameter", float(arg), float))
     except ValueError as exc:
         raise ConfigError(f"bad weight spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown weight spec {spec!r} (pow:|axis-pow:|log:|const:)")
 
 
 def _parse_psi(spec: str, dim: int, fixture):
@@ -266,12 +263,13 @@ def _parse_psi(spec: str, dim: int, fixture):
         return lambda pts: np.atleast_2d(pts)[:, 0] ** 2 - np.atleast_2d(pts)[:, 1] ** 2
     try:
         if spec.startswith("affine:"):
-            coef = [float(c) for c in spec.split(":", 1)[1].split(",")]
+            coef = [_parse("affine coefficient", float(c), float)
+                    for c in spec.split(":", 1)[1].split(",")]
             _require(len(coef) == dim + 1, f"affine psi needs {dim + 1} coefficients")
             a, b = np.array(coef[:-1]), coef[-1]
             return lambda pts: np.atleast_2d(pts) @ a + b
         if spec.startswith("radial-pow:"):
-            s = float(spec.split(":", 1)[1])
+            s = _parse("radial-pow exponent", float(spec.split(":", 1)[1]), float)
             return lambda pts: np.linalg.norm(np.atleast_2d(pts), axis=1) ** s
     except ValueError as exc:
         raise ConfigError(f"bad psi spec {spec!r}: {exc}") from exc
@@ -289,9 +287,10 @@ def _parse_psi(spec: str, dim: int, fixture):
 
 def _build_domain(cfg, dim: int) -> GridDomain:
     res = cfg["resolution"]
-    limit = int((3 * MAX_RESOLUTION_3D) ** (3 / dim) / 3 + 1e-9) if dim >= 3 else res
+    limit = int((3 * MAX_RESOLUTION_3D) ** (3 / dim) / 3 + 1e-9)
     _require(res <= limit, f"{dim}-d resolution {res} is above the limit {limit}, the stencil "
-             "size of 48^3: a p = 3 solve peaks at 195 MB RSS at 48^3 and 416 MB at 64^3")
+             "size of 48^3: a p = 3 solve peaks at 195 MB RSS at 48^3, 286 MB at 576^2 and "
+             "416 MB at 64^3")
     shape = (res,) * dim
     bounds = _bounds(cfg, dim)
     sides = np.diff(bounds, axis=1)
@@ -426,9 +425,9 @@ def run_solve(cfg) -> int:
 
 
 def _probe_lattice(domain: GridDomain, count: int) -> np.ndarray:
-    lo = domain.bounds[:, 0] * 0.8
-    hi = domain.bounds[:, 1] * 0.8
-    axes = [np.linspace(l, h, count) for l, h in zip(lo, hi)]
+    """count^n probes spanning the middle 80 % of the grid's box."""
+    mid, half = domain.bounds.mean(axis=1), 0.8 * np.diff(domain.bounds, axis=1)[:, 0] / 2
+    axes = [np.linspace(m - w, m + w, count) for m, w in zip(mid, half)]
     grid = np.meshgrid(*axes, indexing="ij")
     return np.stack(grid, axis=-1).reshape(-1, domain.n)
 
@@ -438,6 +437,10 @@ def run_diagnose(cfg) -> int:
     dim = fixture.dim
     _resolve_mask(cfg, fixture)
     domain = _build_domain(cfg, dim)
+    lo, hi = fixture.domain.bounds.T
+    _require(np.all((lo <= domain.bounds[:, 0]) & (domain.bounds[:, 1] <= hi)),
+             f"bounds must lie inside the domain {fixture.domain.bounds.tolist()} of fixture "
+             f"{fixture.name!r}, got {domain.bounds.tolist()}")
     _require(cfg["solution"] is not None, "diagnose needs --solution CSV from a solve run")
     try:
         u = GridFunction.from_csv(domain, cfg["solution"])

@@ -102,7 +102,6 @@ class MatrixField:
     fn: Callable[[np.ndarray], np.ndarray]
     m: int
     envelope: tuple[Weight, Weight, float] | None = None
-    shifted_evaluations: int = field(default=0, compare=False)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -110,10 +109,11 @@ class MatrixField:
             out = np.asarray(self.fn(pts), dtype=float)
         return out.reshape(len(pts), self.m, self.m)
 
-    def evaluate_shifted(self, pts: np.ndarray, h: float, interior_point: np.ndarray) -> np.ndarray:
+    def evaluate_shifted(self, pts: np.ndarray, h: float,
+                         interior_point: np.ndarray) -> tuple[np.ndarray, int]:
         """Evaluate, nudging any point that hits a singularity of the
-        coefficients by h/100 toward the domain interior; counts the nudges
-        in `shifted_evaluations`."""
+        coefficients by h/100 toward the domain interior; returns the values
+        and the number of points nudged."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         out = self(pts)
         bad = ~np.all(np.isfinite(out.reshape(len(out), -1)), axis=1)
@@ -123,8 +123,7 @@ class MatrixField:
             shift = np.where(norms > 0, shift / np.maximum(norms, 1e-300), 0.0)
             shift[np.all(shift == 0.0, axis=1)] = np.eye(pts.shape[1])[0]
             out[bad] = self(pts[bad] + (h / 100.0) * shift)
-        self.shifted_evaluations += int(np.count_nonzero(bad))
-        return out
+        return out, int(np.count_nonzero(bad))
 
     @classmethod
     def identity(cls, m: int) -> "MatrixField":
@@ -406,26 +405,37 @@ class SolveReport:
 class _Discretization:
     """Cell data for one (space, domain) pair: corner node indices, cell
     centers and the stencil B turning corner values into the horizontal
-    gradient, plus the cell coefficients A when a field is given.  A B is
-    built on first use, and so are the parts of the linear solve that depend
-    only on the mask: the CSR pattern of the free-node Hessian (`_pattern`),
-    which `csr` fills, the padded node layout of `_StencilHessian`
-    (`padding`), and the multigrid interpolations (`interpolations`)."""
+    gradient, plus the cell coefficients A when a field is given (and how
+    many centres `MatrixField.evaluate_shifted` nudged).  The cells are the
+    grid's hypercubes whose 2^n corners are all live and at least one
+    interior, in C order; corner c sits at offset `_corner_bits(n)[:, c]`
+    from the first, and the centre halfway between corners 0 and 2^n - 1.
+    A B is built on first use, and so are the parts of the linear solve that
+    depend only on the mask: the CSR pattern of the free-node Hessian
+    (`_pattern`), which `csr` fills, the padded node layout of
+    `_StencilHessian` (`padding`), and the multigrid interpolations
+    (`interpolations`)."""
 
     def __init__(self, space: MetricSpace, domain: GridDomain, a_field: MatrixField | None = None):
         if space.kind == "heisenberg1" and domain.n != 3:
             raise ValueError("heisenberg1 requires a 3-d grid")
-        self.cell_volume = domain.h ** domain.n
-        included = domain.included_cells().ravel()
-        self.corner_idx = np.stack(
-            [c[included] for c in domain.corner_index_arrays()], axis=-1
-        )  # (K, 2^n)
-        self.centers = domain.cell_centers().reshape(-1, domain.n)[included]
+        n = domain.n
+        self.cell_volume = domain.h ** n
+        mask_flat = domain.mask.ravel()
+        nodes = np.arange(mask_flat.size).reshape(domain.shape)
+        offsets = np.array(nodes.strides) // nodes.itemsize @ _corner_bits(n)
+        # corner-major (2^n, cells): the inclusion rule reduces along axis 0
+        corners = offsets[:, None] + nodes[(slice(0, -1),) * n].ravel()
+        live = mask_flat[corners]
+        included = np.all(live > 0, axis=0) & np.any(live == INTERIOR, axis=0)
+        self.corner_idx = corners.T[included]  # (K, 2^n), C-contiguous
+        coords = domain.node_coords().reshape(-1, n)
+        self.centers = 0.5 * (coords[self.corner_idx[:, 0]] + coords[self.corner_idx[:, -1]])
         self.b = _stencil_matrix(space, domain, self.centers)
         if a_field is not None:
-            self.a = a_field.evaluate_shifted(self.centers, domain.h, domain.bounds.mean(axis=1))
+            self.a, self.shifted_evaluations = a_field.evaluate_shifted(
+                self.centers, domain.h, domain.bounds.mean(axis=1))
         self.shape = domain.shape
-        mask_flat = domain.mask.ravel()
         self.n_nodes = mask_flat.size
         self.free = np.flatnonzero(mask_flat == INTERIOR)
         self.free_pos = -np.ones(self.n_nodes, dtype=np.int64)
@@ -773,7 +783,6 @@ def solve_dirichlet(
     if config.p != p:
         raise ValueError("config.p must match p")
     space = space or euclidean(domain.n)
-    shifted_before = a_field.shifted_evaluations
     disc = _Discretization(space, domain, a_field)
     asym = np.abs(disc.a - np.swapaxes(disc.a, 1, 2)).max() if len(disc.a) else 0.0
     if asym > 0:
@@ -891,7 +900,7 @@ def solve_dirichlet(
         energy_history=energy_history,
         grad_scale=float(grad_scale or 0.0),
         init=config.init,
-        shifted_evaluations=a_field.shifted_evaluations - shifted_before,
+        shifted_evaluations=disc.shifted_evaluations,
         levels=levels,
     )
     return u, report

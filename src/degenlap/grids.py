@@ -1,13 +1,13 @@
 """Masked uniform grids and scalar grid functions.
 
 Nodes live at box corners with uniform spacing h.  Each node is flagged
-excluded / interior / boundary; quadrature cells are the hypercubes whose
-2^n corner nodes are all non-excluded.  Interior nodes are the solver
-unknowns, boundary nodes carry Dirichlet data.
+excluded / interior / boundary by one rule (`_mask`).  Interior nodes are
+the solver unknowns, boundary nodes carry Dirichlet data.  Which cells are
+integrated over, and their corners and centres, is decided in one place,
+`energy._Discretization`, whose docstring states the rule.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,45 +41,27 @@ class GridDomain:
         self.h = float(spacings[0])
         self.mask = np.asarray(self.mask, dtype=np.int8).reshape(self.shape)
         self._node_coords = None
-        self._cell_cache = None
 
     # --- constructors ---------------------------------------------------
 
     @classmethod
     def box(cls, bounds, shape) -> "GridDomain":
         """Full box: interior everywhere except the outer faces (boundary)."""
-        shape = tuple(int(s) for s in shape)
-        mask = np.full(shape, INTERIOR, dtype=np.int8)
-        for ax in range(len(shape)):
-            sl = [slice(None)] * len(shape)
-            sl[ax] = 0
-            mask[tuple(sl)] = BOUNDARY
-            sl[ax] = -1
-            mask[tuple(sl)] = BOUNDARY
-        return cls(bounds, shape, mask)
+        return cls(bounds, shape, _mask(np.ones(shape, dtype=bool)))
 
     @classmethod
     def disc(cls, radius: float, shape, bounds=None) -> "GridDomain":
         """Disc/ball mask |x| <= radius inside its bounding box."""
-        n = len(shape)
-        if bounds is None:
-            bounds = [(-radius, radius)] * n
-        dom = cls(bounds, shape, np.full(shape, INTERIOR, dtype=np.int8))
-        inside = np.linalg.norm(dom.node_coords(), axis=-1) <= radius
-        dom.mask = _demote_face_nodes(_classify(inside))
-        dom._cell_cache = None
-        return dom
+        return cls.annulus(0.0, radius, shape, bounds)
 
     @classmethod
     def annulus(cls, r_inner: float, r_outer: float, shape, bounds=None) -> "GridDomain":
-        n = len(shape)
+        """Annulus/shell mask r_inner <= |x| <= r_outer inside its bounding box."""
         if bounds is None:
-            bounds = [(-r_outer, r_outer)] * n
-        dom = cls(bounds, shape, np.full(shape, INTERIOR, dtype=np.int8))
+            bounds = [(-r_outer, r_outer)] * len(shape)
+        dom = cls(bounds, shape, np.zeros(shape, dtype=np.int8))
         r = np.linalg.norm(dom.node_coords(), axis=-1)
-        inside = (r >= r_inner) & (r <= r_outer)
-        dom.mask = _demote_face_nodes(_classify(inside))
-        dom._cell_cache = None
+        dom.mask = _mask((r >= r_inner) & (r <= r_outer))
         return dom
 
     # --- geometry ---------------------------------------------------------
@@ -96,44 +78,6 @@ class GridDomain:
             self._node_coords = np.stack(grids, axis=-1)
         return self._node_coords
 
-    def included_cells(self) -> np.ndarray:
-        """Boolean array over cells (shape-1 per axis): all corners live and
-        at least one corner interior."""
-        if self._cell_cache is None:
-            ok = self.mask > 0
-            any_int = self.mask == INTERIOR
-            for ax in range(self.n):
-                lo = [slice(None)] * self.n
-                hi = [slice(None)] * self.n
-                lo[ax] = slice(0, -1)
-                hi[ax] = slice(1, None)
-                ok = ok[tuple(lo)] & ok[tuple(hi)]
-                any_int = any_int[tuple(lo)] | any_int[tuple(hi)]
-            self._cell_cache = ok & any_int
-        return self._cell_cache
-
-    def cell_centers(self) -> np.ndarray:
-        """(cells..., n) coordinates of cell centers."""
-        coords = self.node_coords()
-        out = coords
-        for ax in range(self.n):
-            lo = [slice(None)] * self.n
-            hi = [slice(None)] * self.n
-            lo[ax] = slice(0, -1)
-            hi[ax] = slice(1, None)
-            out = 0.5 * (out[tuple(lo)] + out[tuple(hi)])
-        return out
-
-    def corner_index_arrays(self):
-        """For each of the 2^n cell corners, the flat node index array over cells."""
-        cell_shape = tuple(s - 1 for s in self.shape)
-        base = np.arange(int(np.prod(self.shape))).reshape(self.shape)
-        corners = []
-        for bits in itertools.product((0, 1), repeat=self.n):
-            sl = tuple(slice(b, b + s) for b, s in zip(bits, cell_shape))
-            corners.append(base[sl].ravel())
-        return corners  # list of 2^n arrays, each of length prod(cell_shape)
-
     def node_distances(self, space: MetricSpace, x) -> np.ndarray:
         """Flat array of the metric distance from x to every node, +inf on
         excluded nodes: the live nodes of B(x, r) are those below r."""
@@ -143,37 +87,20 @@ class GridDomain:
         return np.where(self.mask.ravel() > 0, d, np.inf)
 
 
-def _classify(inside: np.ndarray) -> np.ndarray:
-    """Interior = the mask region itself; boundary = a one-cell collar of
-    outside nodes around it (Moore neighborhood), where Dirichlet data is
-    evaluated.  Every cell with an interior corner then has all its corners
-    live, so interior nodes keep full stencils and no staircase gap opens
-    between the quadrature region and the mask region."""
-    n = inside.ndim
-    dilated = inside.copy()
-    for ax in range(n):
-        grown = dilated.copy()
-        for shift in (-1, 1):
-            nb = np.roll(dilated, shift, axis=ax)
-            edge = [slice(None)] * n
-            edge[ax] = 0 if shift == 1 else -1
-            nb[tuple(edge)] = False
-            grown |= nb
-        dilated = grown
-    mask = np.where(inside, INTERIOR, np.where(dilated, BOUNDARY, EXCLUDED))
-    return mask.astype(np.int8)
-
-
-def _demote_face_nodes(mask: np.ndarray) -> np.ndarray:
-    """Interior nodes on the outer box faces lack stencil cells; fix them."""
-    n = mask.ndim
-    for ax in range(n):
-        for idx in (0, -1):
-            sl = [slice(None)] * n
-            sl[ax] = idx
-            face = mask[tuple(sl)]
-            face[face == INTERIOR] = BOUNDARY
-    return mask
+def _mask(inside: np.ndarray) -> np.ndarray:
+    """The node mask of the region `inside`: its nodes off the outer box
+    faces are interior; a one-node collar of outside nodes around it (Moore
+    neighbourhood) and its own nodes on the faces, which lack stencil cells,
+    are boundary, where Dirichlet data is evaluated.  Every cell with an
+    interior corner then has all its corners live, so interior nodes keep
+    full stencils and no staircase gap opens between the quadrature region
+    and the mask region."""
+    core = (slice(1, -1),) * inside.ndim
+    dilated = np.pad(inside, 1)  # a padded border of outside nodes: no roll wraps around
+    for ax in range(inside.ndim):
+        dilated = dilated | np.roll(dilated, 1, axis=ax) | np.roll(dilated, -1, axis=ax)
+    interior = np.pad(inside[core], 1)
+    return np.where(interior, INTERIOR, np.where(dilated[core], BOUNDARY, EXCLUDED)).astype(np.int8)
 
 
 @dataclass

@@ -9,10 +9,13 @@ rule in coordinates adapted to the Heisenberg gauge ball, and scalar
 rejection sampling, one candidate at a time, for uniform draws in unit balls.
 The Hessian references assemble the solver's cell blocks by COO triplets and
 scipy's duplicate summation, or by one bincount over a slot map of sorted
-(row, column) keys, not through the solver's stencil.
+(row, column) keys, not through the solver's stencil.  The grid references
+classify one node and one cell at a time, from their neighbours and corners
+as tuples of indices.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -245,3 +248,39 @@ def hessian_slot_map(disc, values: np.ndarray, p: float, delta: float) -> sp.csr
     data = np.bincount(slot, blocks.ravel()[keep], minlength=len(keys))
     indptr = np.searchsorted(keys // n_free, np.arange(n_free + 1))
     return sp.csr_matrix((data, keys % n_free, indptr), shape=(n_free, n_free))
+
+
+def grid_mask(inside: np.ndarray) -> np.ndarray:
+    """Node mask of the region `inside`, node by node: 1 (interior) for a
+    node of the region off the outer faces of the box, else 2 (boundary)
+    for a node of the region or a node with one among its 3^n - 1 Moore
+    neighbours, else 0 (excluded)."""
+    shape = inside.shape
+    mask = np.zeros(shape, dtype=np.int8)
+    for node in itertools.product(*map(range, shape)):
+        neighbours = [tuple(i + d for i, d in zip(node, step))
+                      for step in itertools.product((-1, 0, 1), repeat=len(shape))]
+        near = any(inside[nb] for nb in neighbours if all(0 <= i < s for i, s in zip(nb, shape)))
+        on_face = any(i in (0, s - 1) for i, s in zip(node, shape))
+        mask[node] = 1 if inside[node] and not on_face else 2 if near else 0
+    return mask
+
+
+def grid_cells(mask: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """(corners, centres) of the quadrature cells, cell by cell in C order:
+    the cells whose 2^n corners are all live (mask > 0) and at least one
+    interior (mask 1).  A cell's corners are the flat node indices of its
+    first node plus each offset in {0, 1}^n, axis 0 varying slowest; its
+    centre is lo + (i + 1/2) h on each axis."""
+    shape = mask.shape
+    h = (bounds[0][1] - bounds[0][0]) / (shape[0] - 1)
+    corners, centres = [], []
+    for cell in itertools.product(*(range(s - 1) for s in shape)):
+        nodes = [tuple(i + o for i, o in zip(cell, offset))
+                 for offset in itertools.product((0, 1), repeat=len(shape))]
+        flags = [mask[node] for node in nodes]
+        if all(f > 0 for f in flags) and any(f == 1 for f in flags):
+            corners.append([int(np.ravel_multi_index(node, shape)) for node in nodes])
+            centres.append([lo + (i + 0.5) * h for i, (lo, _) in zip(cell, bounds)])
+    return (np.array(corners, dtype=np.int64).reshape(-1, 2 ** len(shape)),
+            np.array(centres).reshape(-1, len(shape)))

@@ -77,6 +77,19 @@ def test_solve_and_diagnose_roundtrip(tmp_path, mask):
     assert len(rows) > 1
 
 
+def test_diagnose_probes_inside_off_centre_bounds(tmp_path):
+    # the probe lattice spans the middle 80 % of the grid's box, wherever it lies
+    (tmp_path / "cfg.json").write_text(json.dumps({"bounds": [[0.2, 1.0], [0.2, 1.0]]}))
+    grid = ["--resolution", "33", "--config", str(tmp_path / "cfg.json")]
+    sol, dia = tmp_path / "s", tmp_path / "d"
+    assert run_cli(["solve", "--fixture", "constant", *grid, "--output-dir", str(sol)]) == 0
+    assert run_cli(["diagnose", "--fixture", "constant", *grid, "--probes", "3", "--budget", "64",
+                    "--solution", str(sol / "solution.csv"), "--output-dir", str(dia)]) == 0
+    rows = [line.split(",") for line in (dia / "continuity.csv").read_text().splitlines()[1:]]
+    coords = sorted({float(row[0]) for row in rows})
+    assert coords == pytest.approx([0.28, 0.6, 0.92], abs=1e-12)
+
+
 @pytest.mark.parametrize("mask, resolved", [([], "disc"), (["--mask", "box"], "box"),
                                             (["--mask", "disc"], "disc")],
                          ids=["unset", "box", "disc"])
@@ -370,6 +383,10 @@ def test_unread_settings_refused(tmp_path, capsys, sub, key, value):
     assert not out.exists()
 
 
+# a short weights run, should a bad spec get past the checks
+SMALL_WEIGHTS = ["--balls", "8", "--points", "8", "--radii", "2", "--budget", "64"]
+
+
 @pytest.mark.parametrize("argv, config, message", [
     (["solve", "--p", "1"], None, "p must be > 1"),
     (["solve", "--tolerance", "0"], None, "tolerance must be > 0"),
@@ -449,6 +466,19 @@ def test_unread_settings_refused(tmp_path, capsys, sub, key, value):
     (["solve", "--dimension", "1", "--psi", "exp-cos"], None, "reads a second coordinate"),
     # 14^4 3^4 stencil entries outgrow 48^3 3^3
     (["solve", "--dimension", "4", "--resolution", "14"], None, "limit 13"),
+    # and so do 577^2 3^2
+    (["solve", "--resolution", "577"], None, "limit 576"),
+    # spec parameters are finite
+    (["weights", "--weight", "pow:inf", *SMALL_WEIGHTS], None, "pow parameter must be finite"),
+    (["weights", "--weight", "const:nan", *SMALL_WEIGHTS], None, "const parameter must be finite"),
+    (["weights", "--weight", "log:inf", *SMALL_WEIGHTS], None, "log parameter must be finite"),
+    (["solve", "--psi", "radial-pow:nan", "--resolution", "9"], None,
+     "radial-pow exponent must be finite"),
+    (["solve", "--psi", "affine:1,nan,0", "--resolution", "9"], None,
+     "affine coefficient must be finite"),
+    # diagnose bounds off the fixture's domain
+    (["diagnose", "--fixture", "constant", "--resolution", "33"],
+     {"bounds": [[0.5, 2.5], [0.5, 2.5]]}, "bounds must lie inside the domain"),
 ], ids=["solve-p", "solve-tolerance", "solve-tolerance-inf", "solve-delta-final-negative",
         "solve-delta-final-0", "solve-delta-final-nan", "catalog-budget-scale-nan",
         "catalog-budget-scale-inf", "catalog-budget-scale-0", "catalog-budget-scale-negative",
@@ -465,7 +495,9 @@ def test_unread_settings_refused(tmp_path, capsys, sub, key, value):
         "file-psi-number", "file-pgm-text", "file-tolerance-text", "file-max-iterations",
         "file-p-huge", "file-mask-radius-text", "file-tubes-text", "file-bumps-text",
         "solve-max-iterations", "solve-init-flag", "solve-p-inf", "weights-t-inf",
-        "solve-1d-default-psi", "solve-1d-exp-cos", "solve-4d-resolution"])
+        "solve-1d-default-psi", "solve-1d-exp-cos", "solve-4d-resolution", "solve-2d-resolution",
+        "weights-pow-inf", "weights-const-nan", "weights-log-inf", "solve-radial-pow-nan",
+        "solve-affine-nan", "diagnose-bounds-off-domain"])
 def test_out_of_range_setting_refused(tmp_path, capsys, argv, config, message):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))

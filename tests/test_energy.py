@@ -74,7 +74,9 @@ def test_gradient_masked_cells(e2):
     dom = GridDomain.disc(1.0, (33, 33))
     u = GridFunction.from_callable(dom, lambda x: x[:, 0])
     g = horizontal_gradient(e2, u)
-    assert len(g.values) == int(np.count_nonzero(dom.included_cells()))
+    corners = [dom.mask[i:i + 32, j:j + 32] for i in (0, 1) for j in (0, 1)]
+    included = np.all([c > 0 for c in corners], axis=0) & np.any([c == INTERIOR for c in corners], axis=0)
+    assert len(g.values) == int(np.count_nonzero(included))
 
 
 def test_gradient_heisenberg_frame(heis):
@@ -483,9 +485,9 @@ def test_degenerate_node_shift():
     field = MatrixField("axis", fn, m=2)
     dom = GridDomain.box([(-1, 1), (-1, 1)], (17, 17))
     centers = np.array([[0.0, 0.1], [0.5, 0.5]])
-    out = field.evaluate_shifted(centers, dom.h, np.array([0.3, 0.0]))
+    out, count = field.evaluate_shifted(centers, dom.h, np.array([0.3, 0.0]))
     assert np.all(np.isfinite(out))
-    assert field.shifted_evaluations == 1
+    assert count == 1
 
 
 # --- Hessian assembly and the multigrid preconditioner -------------------------------

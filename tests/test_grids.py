@@ -1,6 +1,10 @@
 import numpy as np
+import pytest
 
+from degenlap.energy import _Discretization
+from degenlap.geometry import euclidean, heisenberg1
 from degenlap.grids import BOUNDARY, GridDomain, GridFunction
+from oracles import grid_cells, grid_mask
 
 
 def per_value_csv(u: GridFunction) -> str:
@@ -24,3 +28,41 @@ def test_to_csv_matches_per_value_format(tmp_path):
         u.to_csv(path)
         assert path.read_bytes() == per_value_csv(u).encode()
         assert GridFunction.from_csv(dom, path).values.tolist() == u.values.tolist()
+
+
+GRID_CASES = [  # (constructor, its radii, bounds, geometry)
+    ("box", (), [(-1.0, 1.0)], "euclidean"),
+    ("disc", (0.7,), [(-0.3, 1.3)], "euclidean"),
+    ("box", (), [(-1.0, 1.0)] * 2, "euclidean"),
+    ("disc", (1.0,), [(-1.0, 1.0)] * 2, "euclidean"),
+    ("disc", (0.9,), [(-0.3, 1.3)] * 2, "euclidean"),
+    ("annulus", (0.25, 1.0), [(-1.0, 1.0)] * 2, "euclidean"),
+    ("annulus", (0.5, 0.9), [(0.2, 1.0)] * 2, "euclidean"),
+    ("box", (), [(0.0, 2.0)] * 3, "euclidean"),
+    ("disc", (1.3,), [(-2.0, 0.5)] * 3, "euclidean"),
+    ("annulus", (0.4, 1.0), [(-1.0, 1.0)] * 3, "euclidean"),
+    ("box", (), [(-1.0, 1.0)] * 3, "heisenberg1"),
+    ("box", (), [(-1.0, 1.0)] * 4, "euclidean"),
+    ("disc", (1.0,), [(-1.0, 1.0)] * 4, "euclidean"),
+    ("annulus", (0.1, 1.5), [(-0.3, 1.3)] * 4, "euclidean"),
+]
+
+
+@pytest.mark.parametrize("kind, radii, bounds, geometry", GRID_CASES,
+                         ids=[f"{c[0]}-{len(c[2])}d-{c[3]}-{i}" for i, c in enumerate(GRID_CASES)])
+def test_grid_matches_oracle(kind, radii, bounds, geometry):
+    """Masks, included cells, their corners and centres against the node by
+    node and cell by cell references."""
+    n = len(bounds)
+    shape = ({1: 17, 2: 13, 3: 9, 4: 6}[n],) * n
+    dom = (GridDomain.box(bounds, shape) if kind == "box"
+           else getattr(GridDomain, kind)(*radii, shape, bounds=bounds))
+    r = np.linalg.norm(dom.node_coords(), axis=-1)
+    r_inner, r_outer = (0.0, *radii)[-2:] if radii else (0.0, np.inf)
+    assert np.array_equal(dom.mask, grid_mask((r >= r_inner) & (r <= r_outer)))
+    corners, centres = grid_cells(dom.mask, bounds)
+    assert len(corners) > 0
+    disc = _Discretization(heisenberg1() if geometry == "heisenberg1" else euclidean(n), dom)
+    assert disc.corner_idx.flags.c_contiguous
+    assert np.array_equal(disc.corner_idx, corners)
+    np.testing.assert_allclose(disc.centers, centres, rtol=0, atol=1e-13)
