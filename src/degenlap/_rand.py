@@ -1,7 +1,7 @@
 """Deterministic, splittable random streams.
 
 Every sampling operation in the package derives its generator from a user
-seed plus a structured key (operation tag, ball index, stage, ...), so that
+seed plus a structured key (operation tag, ball index, ...), so that
 any task can be replayed in isolation.  A stream is a PCG64DXSM generator
 seeded by a SeedSequence whose spawn key is the hashed key.  Streams of
 distinct keys are independent with overwhelming probability; they are not

@@ -61,11 +61,6 @@ class Fixture:
     discontinuity: str | None = None
     claimed: dict = field(default_factory=dict)
 
-    @property
-    def envelope_pair(self) -> tuple[Weight, Weight]:
-        """(k^{1-p}, k): the ellipticity pair for the degeneracy sandwich."""
-        return self.weight.pow(1.0 - self.p), self.weight
-
 
 def _axis_solution(q: float):
     """u(x, y) = sign(x) exp(|x|^{1/q'}) sin(y/q'), 1/q + 1/q' = 1."""
@@ -186,8 +181,9 @@ def verify_fixture(name: str, budget_scale: float = 1.0, seed: int = 0) -> dict:
     def record(check: str, passed, **details):
         checks.append({"check": check, "passed": passed, **details})
 
-    # plateau detection needs healthy budgets: below ~512 balls / 1024 points
-    # per ball the running sup still creeps upward and misreads as unbounded
+    # floors for small budget scales, meant to keep small families from
+    # misreading finite constants as unbounded; unverified: at budget_scale
+    # 0.25 over seeds 0-10, 2 estimates flag with the floors and 3 without
     balls = max(int(512 * budget_scale), 384)
     budget = max(int(2048 * budget_scale), 1024)
     window = (2e-3, 0.5)

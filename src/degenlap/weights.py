@@ -9,11 +9,12 @@ operationalized through two falsifiable signals:
   toward it; when the weight is not locally integrable the panel
   contributions grow geometrically instead of being cut off, and the
   average is flagged as diverging;
-* plateau detection -- the running supremum is tracked across three
-  successive doublings of ball count and sampling budget; if it rises at
-  every stage and not every rise is below 1% of the new value (so it has
-  not plateaued), the estimate is reported as "unbounded-suspected".  A
-  diverging ball average at any stage raises the same flag.
+* plateau detection -- each family is evaluated once at the full budget,
+  and its running supremum is read over the first 1/8, 1/4, 1/2 and all of
+  its balls or points; if it rises at every stage and not every rise is
+  below 1% of the new value (so it has not plateaued), the estimate is
+  reported as "unbounded-suspected".  A diverging ball average raises the
+  same flag.
 
 The estimators sample their balls in blocks of `_BLOCK` balls.  Every ball
 draws from its own random stream, one PCG64DXSM generator keyed by the seed
@@ -668,7 +669,8 @@ def ball_average(
 
 @dataclass(frozen=True)
 class EstimateTrace:
-    """Estimate with its doubling-stage history."""
+    """Estimate with its stages: the running supremum over the first 1/8,
+    1/4, 1/2 and all of a family evaluated at the full budget (`_prefix_sup`)."""
 
     value: float
     stages: tuple[float, ...]
@@ -737,32 +739,18 @@ class WeightReport:
         }
 
 
-def _stage_plan(total: int, floor: int) -> list[int]:
-    return [max(total >> (3 - s), floor) for s in range(4)]
-
-
-def _staged_sup(count: int, budget: int, ratios) -> tuple[EstimateTrace, np.ndarray]:
-    """Supremum of a ratio over a family of `count` items, in four stages.
-
-    Stage s hands its whole block of items to ratios(count_s, s, budget_s)
-    -> (ratios, diverging), the ratios of the first count_s items and
-    whether any of their averages diverged, and records the stage maximum.
-    count_s and budget_s double from stage to stage up to count and budget,
-    with floors of 8 and 64 (`_stage_plan`).  The ratio closures sample and
-    integrate their balls in the single block pass of `_ball_integrals`,
-    blocks of _BLOCK balls with each ball's draws exactly those of a ball
-    sampled on its own.  Returns the trace and the last stage's ratios.
-    """
+def _check_family(count: int) -> None:
     if count < 8:
         raise ValueError(f"the stage plan needs a family of >= 8 balls or points, got {count}")
-    stages = []
-    any_div = False
-    for s, (n, b) in enumerate(zip(_stage_plan(count, floor=8), _stage_plan(budget, floor=64))):
-        vals, div = ratios(n, s, b)
-        vals = np.asarray(vals, dtype=float)
-        any_div = any_div or div
-        stages.append(float(np.max(vals)))
-    return _trace(stages, any_div), vals
+
+
+def _prefix_sup(ratios, any_diverging: bool) -> EstimateTrace:
+    """The trace of the supremum of a family's ratios, each evaluated once at
+    the full budget: stage s is the maximum over the first count >> (3 - s)
+    items (at least one), so the stages show the sup growing with the family."""
+    ratios = np.asarray(ratios, dtype=float)
+    return _trace([np.max(ratios[:max(len(ratios) >> (3 - s), 1)]) for s in range(4)],
+                  any_diverging)
 
 
 def _worst_cases(centers, radii, vals) -> list[dict]:
@@ -786,23 +774,20 @@ def _ball_family(domain: Box, window, count: int, seed: int):
 
 def _ratio_report(weight, exponents, ratio, tag, space, domain, window, centers, radii, budget,
                   seed, **fields) -> WeightReport:
-    """The `tag` estimate: `_staged_sup` of ratio(avg w^e0, avg w^e1), (e0,
-    e1) = `exponents`, over the balls (centers, radii), stage s sampling
-    ball i under (tag, i, s); `fields` fill the rest of the report."""
-
-    def ratios(n, s, budget_s):
-        aw, ae = _ball_averages(weight, exponents, space,
-                                [Ball(centers[i], radii[i]) for i in range(n)], budget_s,
-                                [seed] * n, [(tag, i, s) for i in range(n)], domain)
-        return ([ratio(a.value, e.value) for a, e in zip(aw, ae)],
-                any(a.diverging or e.diverging for a, e in zip(aw, ae)))
-
-    trace, final_vals = _staged_sup(len(centers), budget, ratios)
+    """The `tag` estimate: `_prefix_sup` of ratio(avg w^e0, avg w^e1), (e0,
+    e1) = `exponents`, over the balls (centers, radii), ball i sampled under
+    (tag, i, 3); `fields` fill the rest of the report."""
+    n = len(centers)
+    _check_family(n)
+    # index 3 keys the full-budget stage of when stages re-sampled: reported values keep their bits
+    aw, ae = _ball_averages(weight, exponents, space, [Ball(c, r) for c, r in zip(centers, radii)],
+                            budget, [seed] * n, [(tag, i, 3) for i in range(n)], domain)
+    vals = [ratio(a.value, e.value) for a, e in zip(aw, ae)]
+    trace = _prefix_sup(vals, any(a.diverging or e.diverging for a, e in zip(aw, ae)))
     return WeightReport(
-        weight=weight.name, ball_count=len(centers), budget=budget,
+        weight=weight.name, ball_count=n, budget=budget,
         window=(float(window[0]), float(window[1])), seed=seed,
-        worst_cases=_worst_cases(centers, radii, final_vals), **{f"{tag}_estimate": trace},
-        **fields)
+        worst_cases=_worst_cases(centers, radii, vals), **{f"{tag}_estimate": trace}, **fields)
 
 
 def ap_constant(
@@ -818,7 +803,7 @@ def ap_constant(
     """Estimate [w]_{A_p}: sup over sampled balls of (avg w)(avg w^{1-p'})^{p-1}.
 
     The report also carries the doubling ratio sup w(2B)/w(B) over at most
-    64 evenly spaced balls of the final ball family.
+    64 evenly spaced balls of the family.
     """
     if not p > 1:
         raise ValueError("A_p requires p > 1")
@@ -826,13 +811,12 @@ def ap_constant(
     centers, radii = _ball_family(domain, window, balls, seed)
     report = _ratio_report(weight, (1.0, 1.0 - pprime), lambda w, d: w * d ** (p - 1.0), "ap",
                            space, domain, window, centers, radii, budget, seed, p=p)
-    # doubling ratio on a subsample of the final family: the balls B and 2B
-    # of each subsampled center, one after the other
-    final_budget = _stage_plan(budget, floor=64)[-1]
+    # doubling ratio on a subsample of the family: the balls B and 2B of each
+    # subsampled center, one after the other
     sub = np.linspace(0, balls - 1, num=min(64, balls), dtype=int).tolist()
     pairs = [Ball(centers[i], k * radii[i]) for i in sub for k in (1.0, 2.0)]
     tags = [("dbl", i, j) for i in sub for j in (1, 2)]
-    (masses,) = _ball_integrals(lambda pts: weight(pts)[None], space, pairs, final_budget,
+    (masses,) = _ball_integrals(lambda pts: weight(pts)[None], space, pairs, budget,
                                 [seed] * len(pairs), tags, domain, weight.singularity)
     report.doubling_estimate = max([m2 / m1 for (m1, *_), (m2, *_)
                                     in zip(masses[0::2], masses[1::2]) if m1 > 0], default=0.0)
@@ -929,25 +913,23 @@ def a1_constant(
     seed: int = 0,
 ) -> WeightReport:
     """Estimate [w]_{A_1}: sup over sampled x of Mw(x) / w(x)."""
+    _check_family(points)
     rng = child_rng(seed, "a1-points")
     xs = domain.sample(points, rng)
     lo, hi = window
     radius_set = np.exp(np.linspace(math.log(hi), math.log(lo), radii))
-
-    def ratios(n, s, budget_s):
-        # Only panel-level divergence (non-integrability) counts as global
-        # unboundedness evidence: a probe accidentally on the singular locus
-        # sees growing averages but is a measure-zero event for the esssup.
-        mvs = _maximal_values(weight, space, xs[:n], radius_set, budget_s,
-                              [subseed(seed, ("a1", i, s)) for i in range(n)], domain)
-        return ([mv.value / w for mv, w in zip(mvs, weight(xs[:n]).tolist())],
-                any(mv.shell_diverging for mv in mvs))
-
-    trace, final_vals = _staged_sup(points, budget, ratios)
+    # index 3 as in `_ratio_report`
+    mvs = _maximal_values(weight, space, xs, radius_set, budget,
+                          [subseed(seed, ("a1", i, 3)) for i in range(points)], domain)
+    vals = [mv.value / w for mv, w in zip(mvs, weight(xs).tolist())]
+    # Only panel-level divergence (non-integrability) counts as global
+    # unboundedness evidence: a probe accidentally on the singular locus
+    # sees growing averages but is a measure-zero event for the esssup.
+    trace = _prefix_sup(vals, any(mv.shell_diverging for mv in mvs))
     return WeightReport(
         weight=weight.name, a1_estimate=trace,
         ball_count=points, budget=budget, window=(float(window[0]), float(window[1])),
-        seed=seed, worst_cases=_worst_cases(xs, None, final_vals),
+        seed=seed, worst_cases=_worst_cases(xs, None, vals),
     )
 
 
@@ -983,12 +965,8 @@ def balance_check(
 ) -> BalanceReport:
     """Empirical constant for
         (r1/r2) (v(B1)/v(B2))^{1/q} <= C (w(B1)/w(B2))^{1/p}
-    over sampled nested pairs B1 ⊆ B2 inside the domain.
-
-    Unlike `_staged_sup`, every pair is evaluated once at the full budget
-    and the four stages are the maxima over the prefixes of `_stage_plan`
-    (floor 1); budget growth therefore cannot show in the stages, only the
-    growth of the family."""
+    over sampled nested pairs B1 ⊆ B2 inside the domain; the stages are
+    `_prefix_sup`'s over the pairs."""
     if not (q > p > 1):
         raise ValueError("balance check requires q > p > 1")
     rng = child_rng(seed, "balance")
@@ -1024,8 +1002,7 @@ def balance_check(
     mw, mv = ([m for m, *_ in ints] for ints in (iw, iv))
     ratios = np.array([(r1[i] / r2[i]) * (mv[2 * i] / mv[2 * i + 1]) ** (1.0 / q)
                        / (mw[2 * i] / mw[2 * i + 1]) ** (1.0 / p) for i in range(pairs)])
-    stages = [float(np.max(ratios[:n])) for n in _stage_plan(pairs, floor=1)]
-    trace = _trace(stages, any_div)
+    trace = _prefix_sup(ratios, any_div)
     i_worst = int(np.argmax(ratios))
     worst = {
         "outer_center": list(map(float, centers2[i_worst])),

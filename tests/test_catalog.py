@@ -5,6 +5,7 @@ import pytest
 
 from degenlap._rand import child_rng
 from degenlap.catalog import FixtureNotFoundError, fixture, fixture_names, verify_fixture
+from degenlap.weights import ap_constant, rh_constant
 
 
 def test_fixture_names_and_lookup():
@@ -71,9 +72,17 @@ def test_distortion_fixture_verification():
     assert rep["passed"]
 
 
-def test_envelope_pair():
-    fix = fixture("axis-degenerate-planar")
-    w, v = fix.envelope_pair
-    pts = np.array([[0.5, 0.2], [0.1, -0.3]])
-    assert np.allclose(w(pts), fix.weight(pts) ** (1.0 - fix.p))
-    assert np.allclose(v(pts), fix.weight(pts))
+
+@pytest.mark.parametrize("estimate, seed", [("rh3", 4), ("rh3", 7), ("a2", 6)])
+def test_zhong_log_constants_not_flagged(estimate, seed):
+    """The zhong-log degeneracy k is in A_2 and RH_3, and at the catalog's
+    settings these seeds are not flagged unbounded-suspected.  It pins seeds:
+    which seeds flag moves with every stream, and ROADMAP item 1 replaces the
+    rule itself."""
+    fix = fixture("zhong-log")
+    args = (fix.space, fix.domain, (2e-3, 0.5))
+    if estimate == "rh3":
+        trace = rh_constant(fix.weight, 3.0, *args, balls=512, budget=2048, seed=seed).rh_estimate
+    else:
+        trace = ap_constant(fix.weight, 2.0, *args, balls=512, budget=2048, seed=seed).ap_estimate
+    assert not trace.unbounded_suspected

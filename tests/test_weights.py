@@ -560,33 +560,6 @@ def test_ap_planar_singular_weight_stable(e2):
     assert tr.value >= centered_ap_power_2d(-1.0 / 3.0, 2.0) - 0.05
 
 
-def test_ap_stages_recomputed_by_hand(e2):
-    # Stage s takes the sup over the first balls >> (3 - s) balls of the
-    # family (at least 8), each sampled with budget >> (3 - s) points (at
-    # least 64) under the tag ("ap", i, s).
-    w = power_weight(-1.0 / 3.0, 2)
-    dual = w.pow(-1.0)   # 1 - p' at p = 2
-    balls, budget, seed, window = 64, 256, 3, (1e-3, 1.0)
-    rep = ap_constant(w, 2.0, e2, BOX2, window, balls=balls, budget=budget, seed=seed)
-    rng = child_rng(seed, "family")
-    centers = BOX2.sample(balls, rng)
-    radii = np.exp(rng.uniform(math.log(window[0]), math.log(window[1]), balls))
-    stages = []
-    for s in range(4):
-        ratios = []
-        for i in range(max(balls >> (3 - s), 8)):
-            samples = gather_ball_samples(e2, Ball(centers[i], radii[i]),
-                                          max(budget >> (3 - s), 64), seed, BOX2,
-                                          w.singularity, tag=("ap", i, s))
-            vol = samples.total_volume
-            ratios.append(samples.mass(w)[0] / vol * (samples.mass(dual)[0] / vol))
-        stages.append(max(ratios))
-    assert rep.ap_estimate.stages == tuple(stages)
-    worst = sorted(range(balls), key=lambda i: ratios[i], reverse=True)[:3]
-    assert rep.worst_cases == [
-        {"center": list(centers[i]), "radius": radii[i], "ratio": ratios[i]} for i in worst]
-
-
 # Families for the hand-recomputed stages of every estimator: balls near a
 # point singularity, near a hyperplane, clipped by the domain box, and on
 # heisenberg1.  The estimators sample their balls in blocks; each case is
@@ -602,8 +575,8 @@ STAGE_CASES = {
 STAGE_WINDOW = (1e-3, 1.0)
 
 
-def stage_sizes(total, floor):
-    return [max(total >> (3 - s), floor) for s in range(4)]
+def stage_sizes(total):
+    return [max(total >> (3 - s), 1) for s in range(4)]
 
 
 def one_ball(space, w, domain, center, radius, budget, seed, tag, coverage):
@@ -616,88 +589,81 @@ def one_ball(space, w, domain, center, radius, budget, seed, tag, coverage):
     return samples
 
 
-def hand_ap_stages(space, w, domain, p, balls, budget, seed, coverage):
+def hand_ap_ratios(space, w, domain, p, balls, budget, seed, coverage):
     dual = w.pow(1.0 - p / (p - 1.0))
     rng = child_rng(seed, "family")
     centers = domain.sample(balls, rng)
     radii = np.exp(rng.uniform(math.log(STAGE_WINDOW[0]), math.log(STAGE_WINDOW[1]), balls))
-    stages = []
-    for s, (n, b) in enumerate(zip(stage_sizes(balls, 8), stage_sizes(budget, 64))):
-        ratios = []
-        for i in range(n):
-            samples = one_ball(space, w, domain, centers[i], radii[i], b, seed, ("ap", i, s),
-                               coverage)
-            vol = samples.total_volume
-            ratios.append(samples.mass(w)[0] / vol * (samples.mass(dual)[0] / vol) ** (p - 1.0))
-        stages.append(max(ratios))
+    ratios = []
+    for i in range(balls):
+        samples = one_ball(space, w, domain, centers[i], radii[i], budget, seed, ("ap", i, 3),
+                           coverage)
+        vol = samples.total_volume
+        ratios.append(samples.mass(w)[0] / vol * (samples.mass(dual)[0] / vol) ** (p - 1.0))
     doubling = 0.0
     for i in np.linspace(0, balls - 1, num=min(64, balls), dtype=int).tolist():
-        m1, m2 = (one_ball(space, w, domain, centers[i], k * radii[i], stage_sizes(budget, 64)[-1],
-                           seed, ("dbl", i, j), coverage).mass(w)[0]
+        m1, m2 = (one_ball(space, w, domain, centers[i], k * radii[i], budget, seed,
+                           ("dbl", i, j), coverage).mass(w)[0]
                   for k, j in ((1.0, 1), (2.0, 2)))
         if m1 > 0:
             doubling = max(doubling, m2 / m1)
-    return stages, ratios, centers, radii, doubling
+    return ratios, centers, radii, doubling
 
 
-def hand_rh_stages(space, w, domain, t, balls, budget, seed, coverage):
+def hand_rh_ratios(space, w, domain, t, balls, budget, seed, coverage):
     wt = w.pow(t)
     rng = child_rng(seed, "family")
     centers = domain.sample(balls, rng)
     radii = np.exp(rng.uniform(math.log(STAGE_WINDOW[0]), math.log(STAGE_WINDOW[1]), balls))
-    stages = []
-    for s, (n, b) in enumerate(zip(stage_sizes(balls, 8), stage_sizes(budget, 64))):
-        ratios = []
-        for i in range(n):
-            samples = one_ball(space, w, domain, centers[i], radii[i], b, seed, ("rh", i, s),
-                               coverage)
-            vol = samples.total_volume
-            ratios.append((samples.mass(wt)[0] / vol) ** (1.0 / t) / (samples.mass(w)[0] / vol))
-        stages.append(max(ratios))
-    return stages, ratios, centers, radii
+    ratios = []
+    for i in range(balls):
+        samples = one_ball(space, w, domain, centers[i], radii[i], budget, seed, ("rh", i, 3),
+                           coverage)
+        vol = samples.total_volume
+        ratios.append((samples.mass(wt)[0] / vol) ** (1.0 / t) / (samples.mass(w)[0] / vol))
+    return ratios, centers, radii
 
 
-def hand_a1_stages(space, w, domain, points, radii_count, budget, seed, coverage):
+def hand_a1_ratios(space, w, domain, points, radii_count, budget, seed, coverage):
     xs = domain.sample(points, child_rng(seed, "a1-points"))
     lo, hi = STAGE_WINDOW
     radius_set = np.exp(np.linspace(math.log(hi), math.log(lo), radii_count))  # descending
-    stages = []
-    for s, (n, b) in enumerate(zip(stage_sizes(points, 8), stage_sizes(budget, 64))):
-        ratios = []
-        for i in range(n):
-            point_seed = subseed(seed, ("a1", i, s))
-            averages = []
-            for j, r in enumerate(radius_set):
-                samples = one_ball(space, w, domain, xs[i], float(r), b,
-                                   point_seed, ("max", j), coverage)
-                averages.append(samples.mass(w)[0] / samples.total_volume)
-            ratios.append(max(averages) / float(w(xs[i][None, :])[0]))
-        stages.append(max(ratios))
-    return stages, ratios, xs
+    ratios = []
+    for i in range(points):
+        point_seed = subseed(seed, ("a1", i, 3))
+        averages = []
+        for j, r in enumerate(radius_set):
+            samples = one_ball(space, w, domain, xs[i], float(r), budget,
+                               point_seed, ("max", j), coverage)
+            averages.append(samples.mass(w)[0] / samples.total_volume)
+        ratios.append(max(averages) / float(w(xs[i][None, :])[0]))
+    return ratios, xs
 
 
 @pytest.mark.parametrize("case", list(STAGE_CASES))
 @pytest.mark.parametrize("estimate", ["ap", "rh", "a1"])
 def test_stages_recomputed_by_hand(estimate, case):
+    # Every ball or point is sampled once, at the full budget, under the key
+    # (tag, i, 3); stage s is the sup over the first count >> (3 - s) of them.
+    # The a1 case's budget, 32, pins that a budget below 64 is sampled as given.
     space, w, domain = STAGE_CASES[case]
     coverage = {"near": False, "clipped": False}
     if estimate == "ap":
         rep = ap_constant(w, 2.5, space, domain, STAGE_WINDOW, balls=64, budget=256, seed=3)
-        stages, ratios, centers, radii, doubling = hand_ap_stages(space, w, domain, 2.5, 64, 256,
-                                                                  3, coverage)
+        ratios, centers, radii, doubling = hand_ap_ratios(space, w, domain, 2.5, 64, 256, 3,
+                                                          coverage)
         trace = rep.ap_estimate
         assert rep.doubling_estimate == doubling
     elif estimate == "rh":
         rep = rh_constant(w, 2.0, space, domain, STAGE_WINDOW, balls=64, budget=256, seed=4)
-        stages, ratios, centers, radii = hand_rh_stages(space, w, domain, 2.0, 64, 256, 4,
-                                                        coverage)
+        ratios, centers, radii = hand_rh_ratios(space, w, domain, 2.0, 64, 256, 4, coverage)
         trace = rep.rh_estimate
     else:
-        rep = a1_constant(w, space, domain, STAGE_WINDOW, points=16, radii=4, budget=128, seed=5)
-        stages, ratios, centers = hand_a1_stages(space, w, domain, 16, 4, 128, 5, coverage)
+        rep = a1_constant(w, space, domain, STAGE_WINDOW, points=16, radii=4, budget=32, seed=5)
+        ratios, centers = hand_a1_ratios(space, w, domain, 16, 4, 32, 5, coverage)
         radii = None
         trace = rep.a1_estimate
-    assert trace.stages == tuple(stages)
+    assert trace.stages == tuple(max(ratios[:n]) for n in stage_sizes(len(ratios)))
     worst = sorted(range(len(ratios)), key=lambda i: ratios[i], reverse=True)[:3]
     assert rep.worst_cases == [
         {"center": list(centers[i]), "radius": None if radii is None else radii[i],
@@ -736,7 +702,7 @@ def test_balance_recomputed_by_hand(case):
             masses.append((samples.mass(w)[0], samples.mass(v)[0]))
         (w1, v1), (w2, v2) = masses
         ratios.append((r1[i] / r2[i]) * (v1 / v2) ** (1.0 / q) / (w1 / w2) ** (1.0 / p))
-    assert rep.stages == tuple(max(ratios[:n]) for n in stage_sizes(pairs, 1))
+    assert rep.stages == tuple(max(ratios[:n]) for n in stage_sizes(pairs))
     assert rep.pointwise_violations == viol
     assert rep.worst_pair["ratio"] == max(ratios)
 
