@@ -47,7 +47,6 @@ class FixtureNotFoundError(KeyError):
 @dataclass
 class Fixture:
     name: str
-    dim: int
     p: float
     space: MetricSpace
     weight: Weight                       # the scalar degeneracy k
@@ -101,9 +100,9 @@ def fixture_names() -> list[str]:
 def fixture(name: str, epsilon: float = 0.1, q: float = 3.0) -> Fixture:
     """Catalog lookup; unknown names raise FixtureNotFoundError."""
     if name == "constant":
-        k = constant_weight(1.0, 2)
+        k = constant_weight(1.0)
         return Fixture(
-            name=name, dim=2, p=2.0, space=euclidean(2), weight=k,
+            name=name, p=2.0, space=euclidean(2), weight=k,
             matrix=MatrixField.identity(2),
             domain=Box([[-1.0, 1.0], [-1.0, 1.0]]),
             solution=lambda pts: np.atleast_2d(pts)[:, 0] ** 2 - np.atleast_2d(pts)[:, 1] ** 2,
@@ -113,7 +112,7 @@ def fixture(name: str, epsilon: float = 0.1, q: float = 3.0) -> Fixture:
     if name == "axis-degenerate-planar":
         k = axis_power_weight(-1.0 / q, axis=0)
         return Fixture(
-            name=name, dim=2, p=2.0, q=q, space=euclidean(2), weight=k,
+            name=name, p=2.0, q=q, space=euclidean(2), weight=k,
             matrix=_axis_matrix(k),
             domain=Box([[-1.0, 1.0], [-1.0, 1.0]]),
             domain_radius=1.0,
@@ -130,7 +129,7 @@ def fixture(name: str, epsilon: float = 0.1, q: float = 3.0) -> Fixture:
             f"tau(eps={epsilon:g})*Id", tau, 3, envelope=(kinv, k, 2.0))
         r = math.exp(-1.0)
         return Fixture(
-            name=name, dim=3, p=2.0, epsilon=epsilon, space=euclidean(3), weight=k,
+            name=name, p=2.0, epsilon=epsilon, space=euclidean(3), weight=k,
             matrix=matrix,
             domain=Box([[-r, r], [-r, r], [-r, r]]),
             domain_radius=r,
@@ -148,7 +147,7 @@ def fixture(name: str, epsilon: float = 0.1, q: float = 3.0) -> Fixture:
             singularity=Singularity("point", point=np.zeros(n)),
         )
         return Fixture(
-            name=name, dim=n, p=float(n), epsilon=epsilon, space=euclidean(n),
+            name=name, p=float(n), epsilon=epsilon, space=euclidean(n),
             weight=k_inner, matrix=None,
             domain=Box([[-1.0, 1.0]] * n),
             domain_radius=1.0,
@@ -237,24 +236,23 @@ def verify_fixture(name: str, budget_scale: float = 1.0, seed: int = 0) -> dict:
     if name == "finite-distortion-radial":
         from .distortion import (column_identity_check, distortion_scalars, jacobian)
 
-        eps = fix.epsilon
+        eps, n = fix.epsilon, fix.space.n
         pts = _sample_in_domain(fix, 500, seed)
         sc = distortion_scalars(jacobian(fix.mapping, pts))
         ko = np.linalg.norm(pts, axis=1) ** (-eps) / eps
-        ki = ko ** (fix.dim - 1)
+        ki = ko ** (n - 1)
         worst = float(max(np.max(np.abs(sc.outer - ko) / ko), np.max(np.abs(sc.inner - ki) / ki)))
         record("distortion-formulas", worst < 1e-8, max_rel_err=worst)
         record("identity-residual", column_identity_check(fix.mapping, pts[:100]) < 1e-8)
-        gate_ok = fix.epsilon < 1.0 / (fix.dim - 1.0)
-        record("epsilon-gate", None, valid=gate_ok, epsilon=fix.epsilon,
-               threshold=1.0 / (fix.dim - 1.0))
+        gate_ok = eps < 1.0 / (n - 1.0)
+        record("epsilon-gate", None, valid=gate_ok, epsilon=eps, threshold=1.0 / (n - 1.0))
         if gate_ok:
-            nprime = fix.dim / (fix.dim - 1.0)
+            nprime = n / (n - 1.0)
             apk = ap_constant(fix.weight, nprime, fix.space, fix.domain, window,
                               balls=balls, budget=budget, seed=seed)
             record("inner-distortion-ap-finite", not apk.ap_estimate.unbounded_suspected,
                    estimate=apk.ap_estimate.value)
-            rhk = rh_constant(fix.weight, float(fix.dim), fix.space, fix.domain, window,
+            rhk = rh_constant(fix.weight, float(n), fix.space, fix.domain, window,
                               balls=balls, budget=budget, seed=seed)
             record("inner-distortion-rh-finite", not rhk.rh_estimate.unbounded_suspected,
                    estimate=rhk.rh_estimate.value)
@@ -265,6 +263,12 @@ def verify_fixture(name: str, budget_scale: float = 1.0, seed: int = 0) -> dict:
         "passed": all(c["passed"] for c in hard),
         "checks": checks,
     }
+
+
+def _zhong_odd(pts: np.ndarray) -> np.ndarray:
+    """x_n / |x|, the odd boundary data of the zhong-log solve probe."""
+    pts = np.atleast_2d(pts)
+    return pts[:, -1] / np.maximum(np.linalg.norm(pts, axis=1), 1e-9)
 
 
 def _zhong_solve_probe(fix: Fixture, budget_scale: float, seed: int) -> dict:
@@ -279,8 +283,7 @@ def _zhong_solve_probe(fix: Fixture, budget_scale: float, seed: int) -> dict:
     res = 33 if budget_scale < 1.0 else 49
     r = fix.domain_radius
     dom = GridDomain.disc(r, (res, res, res))
-    psi = GridFunction.from_callable(
-        dom, lambda pts: pts[:, 2] / np.maximum(np.linalg.norm(pts, axis=1), 1e-9))
+    psi = GridFunction.from_callable(dom, _zhong_odd)
     u, rep = solve_dirichlet(fix.matrix, 2.0, psi, config=SolverConfig(p=2.0))
     radii = dyadic_radii(0.9 * r, dom.h, min_factor=3.0)
     fit_origin = holder_exponent(u, fix.space, np.zeros(3), radii)

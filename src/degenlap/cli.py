@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from ._rand import child_rng
 from .geometry import Box, euclidean, heisenberg1
-from .grids import BOUNDARY, GridDomain, GridFunction
+from .grids import BOUNDARY, INTERIOR, GridDomain, GridFunction
 from . import weights as W
 from . import energy as E
 from . import diagnostics as DG
@@ -227,11 +227,11 @@ def _space_and_dim(cfg, fixture) -> tuple:
     (euclidean, dimension 2, or 3 on heisenberg1, when unset).  Both are
     written back into cfg, so that resolved-config.json records what ran."""
     if fixture is not None:
-        for key, val in (("geometry", fixture.space.kind), ("dimension", fixture.dim)):
+        for key, val in (("geometry", fixture.space.kind), ("dimension", fixture.space.n)):
             _require(cfg[key] in (None, val),
                      f"fixture {fixture.name!r} fixes {key} {val!r}, not {cfg[key]!r}")
             cfg[key] = val
-        return fixture.space, fixture.dim
+        return fixture.space, fixture.space.n
     geometry = "euclidean" if cfg["geometry"] is None else cfg["geometry"]
     dim = cfg["dimension"]
     if geometry == "euclidean":
@@ -248,7 +248,7 @@ def _space_and_dim(cfg, fixture) -> tuple:
 def _parse_weight(spec: str, dim: int) -> W.Weight:
     kind, _, arg = spec.partition(":")
     make = {"pow": lambda a: W.power_weight(a, dim), "axis-pow": W.axis_power_weight,
-            "log": lambda a: W.log_weight(a, dim), "const": lambda a: W.constant_weight(a, dim)}
+            "log": lambda a: W.log_weight(a, dim), "const": W.constant_weight}
     _require(kind in make, f"unknown weight spec {spec!r} (pow:|axis-pow:|log:|const:)")
     try:
         return make[kind](_parse(f"{kind} parameter", float(arg), float))
@@ -276,8 +276,7 @@ def _parse_psi(spec: str, dim: int, fixture):
     if spec == "exp-cos":
         return lambda pts: np.exp(np.atleast_2d(pts)[:, 0]) * np.cos(np.atleast_2d(pts)[:, 1])
     if spec == "zhong-odd":
-        return lambda pts: np.atleast_2d(pts)[:, -1] / np.maximum(
-            np.linalg.norm(np.atleast_2d(pts), axis=1), 1e-9)
+        return CAT._zhong_odd
     if spec == "fixture-solution":
         _require(fixture is not None and fixture.solution is not None,
                  "fixture-solution psi requires a fixture with a solution")
@@ -304,11 +303,17 @@ def _build_domain(cfg, dim: int) -> GridDomain:
     for key, default in _MASK_PARAMS[mask].items():
         params[key] = _parse(f"mask_params {key}", given.get(key, default), float, "> 0")
     if mask == "box":
-        return GridDomain.box(bounds, shape)
-    if mask == "disc":
-        return GridDomain.disc(params["radius"], shape, bounds=bounds)
-    _require(params["inner"] < params["outer"], f"mask_params inner must be < outer, got {given!r}")
-    return GridDomain.annulus(params["inner"], params["outer"], shape, bounds=bounds)
+        domain = GridDomain.box(bounds, shape)
+    elif mask == "disc":
+        domain = GridDomain.disc(params["radius"], shape, bounds=bounds)
+    else:
+        _require(params["inner"] < params["outer"],
+                 f"mask_params inner must be < outer, got {given!r}")
+        domain = GridDomain.annulus(params["inner"], params["outer"], shape, bounds=bounds)
+    _require(np.any(domain.mask == INTERIOR),
+             f"mask {mask!r} with mask_params {params} on bounds {domain.bounds.tolist()} leaves "
+             f"no interior node at resolution {res}")
+    return domain
 
 
 def _resolve_mask(cfg, fixture) -> None:
@@ -317,7 +322,7 @@ def _resolve_mask(cfg, fixture) -> None:
     config names another mask.  An unset mask is the box."""
     if fixture is not None and cfg["bounds"] is None and fixture.domain_radius is not None:
         r = fixture.domain_radius
-        cfg["bounds"] = [[-r, r]] * fixture.dim
+        cfg["bounds"] = [[-r, r]] * fixture.space.n
         if cfg["mask"] in (None, "disc"):
             cfg["mask"] = "disc"
             cfg["mask_params"] = {"radius": r}
@@ -434,7 +439,7 @@ def _probe_lattice(domain: GridDomain, count: int) -> np.ndarray:
 
 def run_diagnose(cfg) -> int:
     fixture = CAT.fixture(cfg["fixture"])
-    dim = fixture.dim
+    dim = fixture.space.n
     _resolve_mask(cfg, fixture)
     domain = _build_domain(cfg, dim)
     lo, hi = fixture.domain.bounds.T

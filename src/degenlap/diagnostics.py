@@ -1,9 +1,10 @@
 """Regularity diagnostics for discrete solutions: oscillation decay, Harnack
 quotients, Holder exponents and the predicted continuity set {Mk < infinity}.
 
-The constants that the underlying theory leaves existential (the Harnack
-constant, the Holder data c(x), alpha(x)) are fitted empirically and
-reported, never assumed; the contraction constant is an input.
+The constants that the underlying theory leaves existential are fitted
+empirically, never assumed: `fit_harnack_constant` returns the Harnack
+constant, and the Holder exponent alpha(x) is reported per probe by
+`continuity_map`; the contraction constant is an input.
 """
 from __future__ import annotations
 
@@ -124,12 +125,13 @@ def fit_harnack_constant(
 
 @dataclass(frozen=True)
 class HolderFit:
-    """Least-squares fit osc(x, r) ~ c * (r/r0)^alpha over usable radii."""
+    """alpha is the least-squares slope of log osc(x, r) against log r over
+    the usable radii (inf when no oscillation is left to fit; with one usable
+    radius, 0 if it is the smallest and inf otherwise); `oscillations` holds
+    osc(x, r) at every radius."""
 
     alpha: float
-    c: float
     no_decay: bool
-    radii_used: tuple[float, ...]
     oscillations: tuple[float, ...]
 
 
@@ -142,15 +144,10 @@ def _local_gradient_scale(u: GridFunction, space: MetricSpace, x, r0: float) -> 
     return float(gn.max()) if gn.size else 0.0
 
 
-def holder_exponent(
-    u: GridFunction,
-    space: MetricSpace,
-    x,
-    radii,
-    r0: float | None = None,
-) -> HolderFit:
-    """Fit log osc against log(r/r0); flags no-decay when the fitted exponent
-    falls below 0.05 (oscillation essentially non-vanishing).
+def holder_exponent(u: GridFunction, space: MetricSpace, x, radii) -> HolderFit:
+    """Fit log osc against log(r/r0), r0 the largest radius; flags no-decay
+    when the fitted exponent falls below 0.05 (oscillation essentially
+    non-vanishing).
 
     Radii whose oscillation sits below the discretization floor
     10 h (local gradient scale) are discarded before fitting.  When that
@@ -158,7 +155,7 @@ def holder_exponent(
     gradient scale itself is polluted by a near-singularity), the fit falls
     back to all radii with genuinely nonzero oscillation."""
     radii = sorted(float(r) for r in radii)
-    r0 = float(r0 if r0 is not None else radii[-1])
+    r0 = radii[-1]
     oscs = oscillation(u, space, x, radii)
     h = u.domain.h
     gscale = _local_gradient_scale(u, space, x, r0)
@@ -166,24 +163,20 @@ def holder_exponent(
     tiny = 1e-9 * (1.0 + float(np.abs(u.values).max()))
     if all(o <= tiny for o in oscs):
         # oscillation is numerically zero at every scale: decay certified
-        return HolderFit(alpha=math.inf, c=0.0, no_decay=False,
-                         radii_used=(), oscillations=tuple(oscs))
+        return HolderFit(alpha=math.inf, no_decay=False, oscillations=tuple(oscs))
     usable = [(r, o) for r, o in zip(radii, oscs) if o > floor]
     if len(usable) < 3:
         usable = [(r, o) for r, o in zip(radii, oscs) if o > tiny]
     if len(usable) == 1:
         no_decay = usable[0][0] == radii[0]
-        return HolderFit(alpha=0.0 if no_decay else math.inf, c=usable[0][1],
-                         no_decay=no_decay, radii_used=(usable[0][0],),
+        return HolderFit(alpha=0.0 if no_decay else math.inf, no_decay=no_decay,
                          oscillations=tuple(oscs))
     rs = np.log(np.array([r for r, _ in usable]) / r0)
     os_ = np.log(np.array([o for _, o in usable]))
-    slope, intercept = np.polyfit(rs, os_, 1)
-    alpha = float(slope)
+    alpha = float(np.polyfit(rs, os_, 1)[0])
     flat_ratio = oscs[0] / oscs[-1] if oscs[-1] > tiny else 0.0
     no_decay = alpha < NO_DECAY_ALPHA or flat_ratio >= NO_DECAY_FLAT_RATIO
-    return HolderFit(alpha=alpha, c=float(np.exp(intercept)), no_decay=no_decay,
-                     radii_used=tuple(r for r, _ in usable), oscillations=tuple(oscs))
+    return HolderFit(alpha=alpha, no_decay=no_decay, oscillations=tuple(oscs))
 
 
 @dataclass(frozen=True)
@@ -247,7 +240,7 @@ def continuity_map(
         mk = maximal_function(k, space, x, mk_radii, budget, subseed(seed, ("cmap", i)), domain)
         mk_val = math.inf if mk.diverging else mk.value
         gamma = gamma_factor(contraction_constant, mk_val)
-        fit = holder_exponent(u, space, x, osc_radii, r0=osc_r0)
+        fit = holder_exponent(u, space, x, osc_radii)
         cls = "continuous-predicted" if not mk.diverging else "discontinuous-suspected"
         rec = ProbeRecord(
             point=tuple(float(c) for c in x),

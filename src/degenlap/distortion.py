@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import MetricSpace, euclidean
+from .geometry import euclidean
 from .grids import BOUNDARY, GridDomain, GridFunction
 from .energy import (InvalidTestFunctionError, _Discretization, _sandwich_violations,
                      _weak_form_cells)
@@ -188,14 +188,13 @@ def ellipticity_check(g_inv: np.ndarray, outer, inner, n: int) -> int:
     return _sandwich_violations(np.asarray(g_inv, dtype=float), lo, inner ** (2.0 / n))
 
 
-def column_identity_check(mapping: MappingSpec, pts: np.ndarray,
-                          method: str = "auto") -> float:
+def column_identity_check(mapping: MappingSpec, pts: np.ndarray) -> float:
     """Max relative residual of the pointwise identity
         <A grad f^i, grad f^i>^{(n-2)/2} A grad f^i = [adj Df]_i,  A = G^{-1},
     over the given sample points and coordinates."""
     pts = np.atleast_2d(pts)
     n = mapping.dim
-    dfs = jacobian(mapping, pts, method=method)
+    dfs = jacobian(mapping, pts)
     jac = np.linalg.det(dfs)
     if np.any(jac <= 0):
         raise OrientationReversedError(f"J_f <= 0 at sample {pts[np.argmin(jac)]}")
@@ -232,7 +231,6 @@ def coordinate_weak_residual(
     test_functions: list[GridFunction],
     tube_widths: list[float] | None = None,
     ramp_width: float | None = None,
-    space: MetricSpace | None = None,
 ) -> WeakResidualTable:
     """Quadrature of <[adj Df]_i, grad phi> over the grid for each coordinate
     i and test function, cross-checked against the p = n weak form with
@@ -243,7 +241,6 @@ def coordinate_weak_residual(
     per (i, phi, eta) and Richardson-extrapolated from the two finest eta.
     """
     n = mapping.dim
-    space = space or euclidean(n)
     coords = domain.node_coords().reshape(-1, n)
     if tube_widths is None:
         tube_widths = [0.0]
@@ -257,7 +254,7 @@ def coordinate_weak_residual(
     fvals[ok] = mapping(coords[ok])
 
     # adj Df and G^{-1} at cell centers
-    disc = _Discretization(space, domain)
+    disc = _Discretization(euclidean(n), domain)
     dfc = jacobian(mapping, disc.centers)
     jacs = np.linalg.det(dfc)
     if np.any(jacs <= 0):

@@ -14,14 +14,16 @@ The continuation is inexact.  A delta level only seeds the next one, and the
 regularized gradient moves by O(delta) between levels, so every level but
 the last stops once the max-norm of the free gradient is below
 max(tolerance, delta) times the first residual; the last level uses
-`tolerance`.  Each target has an absolute floor, a small multiple of the
-rounding scale of the gradient evaluation, so a boundary datum that already
-solves the discrete problem is accepted at once.  Each Newton step solves
-its linear system with preconditioned CG (`_cg`, scipy's `cg` operation for
-operation) to the relative tolerance clamp(0.1 * target / |gradient|,
-CG_RTOL, 0.1), the forcing term of Eisenstat & Walker, "Choosing the forcing
-terms in an inexact Newton method", SIAM J. Sci. Comput. 17 (1996): far from
-the target CG stops early, and it is never asked for more than `CG_RTOL`.
+`tolerance`.  Where the gradient misses that relative target, the target is
+raised to an absolute floor, a small multiple of the rounding scale of the
+gradient evaluation, taken at most once per evaluation; so a boundary datum
+that already solves the discrete problem is accepted at once.  Each Newton
+step solves its linear system with preconditioned CG (`_cg`, scipy's `cg`
+operation for operation) to the relative tolerance clamp(0.1 * target /
+|gradient|, CG_RTOL, 0.1), the forcing term of Eisenstat & Walker, "Choosing
+the forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 17
+(1996): far from the target CG stops early, and it is never asked for more
+than `CG_RTOL`.
 The Hessian is summed cell by cell into a 3^n-point stencil on the free
 nodes, one row per offset.  A system with at least `MULTIGRID_MIN_UNKNOWNS`
 free unknowns reads it out into CSR, whose product is the faster one from
@@ -116,7 +118,7 @@ class MatrixField:
         and the number of points nudged."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         out = self(pts)
-        bad = ~np.all(np.isfinite(out.reshape(len(out), -1)), axis=1)
+        bad = ~np.all(np.isfinite(out), axis=(1, 2))
         if np.any(bad):
             shift = interior_point - pts[bad]
             norms = np.linalg.norm(shift, axis=1, keepdims=True)
@@ -166,14 +168,13 @@ class MatrixField:
         a = self(pts)
         lo = np.asarray(w(pts), dtype=float) ** (2.0 / p)
         hi = np.asarray(v(pts), dtype=float) ** (2.0 / p)
-        finite = (np.all(np.isfinite(a.reshape(len(a), -1)), axis=1)
-                  & np.isfinite(lo) & np.isfinite(hi))
+        finite = np.all(np.isfinite(a), axis=(1, 2)) & np.isfinite(lo) & np.isfinite(hi)
         if not finite.all():
             i = int(np.argmin(finite))
             raise InvalidCoefficientsError(
                 f"coefficients or envelope not finite at {pts[i].tolist()} "
                 f"(A = {a[i].tolist()}, envelope {lo[i]}, {hi[i]})")
-        asym = np.abs(a - np.swapaxes(a, 1, 2)).max()
+        asym = np.abs(a - np.swapaxes(a, 1, 2)).max(initial=0.0)
         if asym > 0:
             raise InvalidCoefficientsError(f"matrix field not symmetric (max asym {asym})")
         return _sandwich_violations(a, lo, hi)
@@ -185,8 +186,6 @@ class CellField:
 
     values: np.ndarray     # (K, m)
     centers: np.ndarray    # (K, n)
-    cell_volume: float
-    domain: GridDomain
 
 
 def _corner_bits(n: int) -> np.ndarray:
@@ -213,8 +212,7 @@ def _stencil_matrix(space: MetricSpace, domain: GridDomain, centers: np.ndarray)
 def horizontal_gradient(space: MetricSpace, u: GridFunction) -> CellField:
     """Cell-centered horizontal gradient Xu over the included cells."""
     disc = _Discretization(space, u.domain)
-    return CellField(values=disc.gradients(u.values), centers=disc.centers,
-                     cell_volume=disc.cell_volume, domain=u.domain)
+    return CellField(values=disc.gradients(u.values), centers=disc.centers)
 
 
 def default_delta(p: float) -> float:
@@ -800,15 +798,6 @@ def solve_dirichlet(
     levels: list[dict] = []
     grad_scale = None
     iters = 0
-
-    def target_of(level_tol) -> float:
-        if current[4] is None:  # the rounding floor, once per evaluation
-            current[4] = _ROUNDOFF_FACTOR * disc.gradient_roundoff(values, p, current[3])
-        return max(level_tol * (grad_scale or 1.0), current[4])
-
-    # [delta, energy, gradient, cache, floor] at the current values: a Newton
-    # step starts from the evaluation its predecessor's line search accepted
-    current = None
     for li, delta in enumerate(schedule):
         level_tol = config.tolerance if li == len(schedule) - 1 else max(config.tolerance, delta)
         level = {"delta": delta, "newton_steps": 0, "cg_iterations": 0, "cg_rtol": [],
@@ -819,16 +808,20 @@ def solve_dirichlet(
         def count_cg(_xk, level=level):
             level["cg_iterations"] += 1
 
+        # a Newton step starts from the evaluation its predecessor's line
+        # search accepted; floor is that evaluation's rounding floor, if taken
+        energy, grad, cache = disc.energy_gradient(values, p, delta)
         for _ in range(NEWTON_PER_LEVEL):
-            if current is None or current[0] != delta:
-                current = [delta, *disc.energy_gradient(values, p, delta), None]
-            _, energy, grad, cache, _ = current
             gfree = grad[disc.free]
             gnorm = float(np.max(np.abs(gfree))) if len(gfree) else 0.0
             if grad_scale is None:
                 grad_scale = max(gnorm, 1e-300)
             energy_history.append(energy)
-            target = target_of(level_tol)
+            target = level_tol * grad_scale
+            floor = None
+            if gnorm > target:
+                floor = _ROUNDOFF_FACTOR * disc.gradient_roundoff(values, p, cache)
+                target = max(target, floor)
             if gnorm <= target:
                 level["stop"] = "tolerance"
                 break
@@ -871,8 +864,7 @@ def solve_dirichlet(
                 if e_trial <= energy + 1e-4 * s * slope or (
                         -s * slope <= energy_noise
                         and np.max(np.abs(g_trial[disc.free])) < gnorm):
-                    values = trial
-                    current = [delta, e_trial, g_trial, c_trial, None]
+                    values, energy, grad, cache, floor = trial, e_trial, g_trial, c_trial, None
                     break
                 s *= 0.5
             else:
@@ -881,12 +873,16 @@ def solve_dirichlet(
         if iters >= config.max_iterations:
             break
 
-    if current is None or current[0] != schedule[-1]:
-        current = [schedule[-1], *disc.energy_gradient(values, p, schedule[-1]), None]
-    _, energy, grad, _, _ = current
+    if delta != schedule[-1]:
+        energy, grad, cache = disc.energy_gradient(values, p, schedule[-1])
+        floor = None
     gfree = grad[disc.free]
     final_grad_norm = float(np.max(np.abs(gfree))) if len(gfree) else 0.0
-    converged = final_grad_norm <= 10.0 * target_of(config.tolerance)
+    converged = final_grad_norm <= 10.0 * (config.tolerance * grad_scale)
+    if not converged:
+        if floor is None:
+            floor = _ROUNDOFF_FACTOR * disc.gradient_roundoff(values, p, cache)
+        converged = final_grad_norm <= 10.0 * floor
     energy_history.append(energy)
 
     u = GridFunction(domain, values)
@@ -898,7 +894,7 @@ def solve_dirichlet(
         converged=converged,
         delta_schedule=schedule,
         energy_history=energy_history,
-        grad_scale=float(grad_scale or 0.0),
+        grad_scale=grad_scale,
         init=config.init,
         shifted_evaluations=disc.shifted_evaluations,
         levels=levels,

@@ -175,7 +175,7 @@ def log_weight(power: float, dim: int) -> Weight:
     )
 
 
-def constant_weight(value: float, dim: int) -> Weight:
+def constant_weight(value: float) -> Weight:
     if value <= 0:
         raise ValueError("weight must be positive")
     return Weight(name=f"const{value:g}", fn=lambda pts: np.full(len(np.atleast_2d(pts)), float(value)))
@@ -854,8 +854,6 @@ class MaximalValue:
     value: float
     shell_diverging: bool
     shrink_diverging: bool
-    radii: tuple[float, ...]
-    averages: tuple[float, ...]
 
     @property
     def diverging(self) -> bool:
@@ -896,8 +894,6 @@ def _maximal_values(weight, space, xs, radius_set, budget, seeds, domain) -> lis
             value=float(np.max(values)),
             shell_diverging=any(a.diverging for a in row),
             shrink_diverging=_grows_geometrically(values),
-            radii=tuple(float(r) for r in radii),
-            averages=tuple(float(a) for a in values),
         ))
     return out
 

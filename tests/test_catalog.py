@@ -14,7 +14,7 @@ def test_fixture_names_and_lookup():
     for name in fixture_names():
         fix = fixture(name)
         assert fix.name == name
-        assert fix.dim >= 2
+        assert fix.space.n >= 2
     with pytest.raises(FixtureNotFoundError):
         fixture("no-such-fixture")
 

@@ -362,6 +362,21 @@ def test_fixture_contradiction_refused(tmp_path, capsys, argv, config, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [
+    {"mask": "annulus", "mask_params": {"inner": 0.3, "outer": 0.31}},
+    {"mask": "disc", "mask_params": {"radius": 0.1}, "bounds": [[0.3, 1.3], [0.3, 1.3]]},
+], ids=["thin-annulus", "disc-off-bounds"])
+def test_mask_without_interior_node_refused(tmp_path, capsys, config):
+    # at resolution 9 neither mask keeps a node to solve for
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli(["solve", "--resolution", "9", "--config", str(tmp_path / "cfg.json"),
+                    "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "no interior node at resolution 9" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sub, key, value", [
     ("catalog", "geometry", "heisenberg1"),
     ("catalog", "dimension", "7"),

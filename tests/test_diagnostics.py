@@ -123,7 +123,7 @@ def test_harnack_positive_harmonic(e2):
     ball = Ball([0.0, 0.0], 0.25)
     quot = harnack_quotient(u, e2, ball)
     assert quot >= 1.0
-    one = constant_weight(1.0, 2)
+    one = constant_weight(1.0)
     c = fit_harnack_constant(u, one, one, 2.0, e2, [ball], budget=512, seed=1)
     assert quot <= math.exp(c * 1.0) * (1 + 1e-9)
 
@@ -183,7 +183,7 @@ def test_continuity_map_uniform_weight(e2):
     u, _ = solve_dirichlet(I2, 2.0, psi, config=SolverConfig(p=2.0, init="zero"))
     box = Box([[-1, 1], [-1, 1]])
     probes = np.array([[0.0, 0.0], [0.3, -0.2], [-0.4, 0.4]])
-    rep = continuity_map(u, constant_weight(1.0, 2), e2, box, probes,
+    rep = continuity_map(u, constant_weight(1.0), e2, box, probes,
                          contraction_constant=1.0, budget=512, seed=3)
     assert all(r.continuity_class == "continuous-predicted" for r in rep.probes)
     assert not rep.discrepancies

@@ -358,22 +358,35 @@ def test_solver_levels_record():
     assert rep.levels[-1]["stop"] == "max_iterations"
 
 
-@pytest.mark.parametrize("p, max_iterations", [(3.0, 400), (3.0, 2), (2.0, 400)],
-                         ids=["p3", "p3-capped", "p2"])
-def test_solver_reuses_accepted_evaluation(monkeypatch, p, max_iterations):
+def _exp_cos(x):
+    return np.exp(x[:, 0]) * np.cos(x[:, 1])
+
+
+def _saddle(x):
+    return x[:, 0] ** 2 - x[:, 1] ** 2
+
+
+@pytest.mark.parametrize("p, n, psi_fn, init, max_iterations",
+                         [(3.0, 33, _exp_cos, "zero", 400), (3.0, 33, _exp_cos, "zero", 2),
+                          (2.0, 33, _exp_cos, "zero", 400), (2.0, 24, _saddle, "psi", 400)],
+                         ids=["p3", "p3-capped", "p2", "p2-solved"])
+def test_solver_reuses_accepted_evaluation(monkeypatch, p, n, psi_fn, init, max_iterations):
     # one evaluation opens each level visited, each line-search trial is one,
     # and the accepted trial's starts the next Newton step; the end of the
     # solve evaluates again only when it stopped before the final delta.  The
-    # rounding floor is taken once for each evaluation a target is set for:
-    # one per Newton step, one for a level stopped at its check, and one at
-    # the end unless the last evaluation was checked already
-    calls, floors = [], []
+    # rounding floor is taken only at a check the relative target does not
+    # decide, and never twice for one evaluation: once per Newton step, once
+    # for a level stopped at max_iterations or at a tolerance the floor
+    # decided, and once at the end when the last evaluation went unchecked
+    # and misses 10 * tolerance * grad_scale
+    evals, floors = [], []
     real = _Discretization.energy_gradient
     real_roundoff = _Discretization.gradient_roundoff
 
     def counted(self, values, p_, delta):
-        calls.append(delta)
-        return real(self, values, p_, delta)
+        out = real(self, values, p_, delta)
+        evals.append((delta, float(np.max(np.abs(out[1][self.free]))), out[2]))
+        return out
 
     def counted_roundoff(self, values, p_, cache):
         floors.append(cache)
@@ -381,18 +394,34 @@ def test_solver_reuses_accepted_evaluation(monkeypatch, p, max_iterations):
 
     monkeypatch.setattr(_Discretization, "energy_gradient", counted)
     monkeypatch.setattr(_Discretization, "gradient_roundoff", counted_roundoff)
-    dom = GridDomain.box([(-1, 1), (-1, 1)], (33, 33))
-    psi = GridFunction.from_callable(dom, lambda x: np.exp(x[:, 0]) * np.cos(x[:, 1]))
-    cfg = SolverConfig(p=p, max_iterations=max_iterations, init="zero")
-    _, rep = solve_dirichlet(I2, p, psi, config=cfg)
-    stopped_early = rep.levels[-1]["delta"] != cfg.schedule()[-1]
+    dom = GridDomain.box([(-1, 1), (-1, 1)], (n, n))
+    cfg = SolverConfig(p=p, max_iterations=max_iterations, init=init)
+    schedule = cfg.schedule()
+    _, rep = solve_dirichlet(I2, p, GridFunction.from_callable(dom, psi_fn), config=cfg)
+    stopped_early = rep.levels[-1]["delta"] != schedule[-1]
     assert stopped_early == (max_iterations == 2)
     trials = sum(lv["line_search_trials"] for lv in rep.levels)
-    assert len(calls) == len(rep.levels) + trials + stopped_early
+    assert len(evals) == len(rep.levels) + trials + stopped_early
+
+    def relative(delta):
+        tol = cfg.tolerance if delta == schedule[-1] else max(cfg.tolerance, delta)
+        return tol * rep.grad_scale
+
     assert len({id(cache) for cache in floors}) == len(floors)
-    checked_stops = sum(lv["stop"] in ("tolerance", "max_iterations") for lv in rep.levels)
+    floored = [next(e for e in evals if e[2] is cache) for cache in floors]
+    assert all(gnorm > relative(delta) for delta, gnorm, _ in floored)
+    last_at = {delta: gnorm for delta, gnorm, _ in evals}  # a level's stop checks its last
+    floor_stops = sum(lv["stop"] == "max_iterations"
+                      or (lv["stop"] == "tolerance" and last_at[lv["delta"]] > relative(lv["delta"]))
+                      for lv in rep.levels)
     unchecked_end = stopped_early or rep.levels[-1]["stop"] == "newton_per_level"
-    assert len(floors) == rep.iterations + checked_stops + unchecked_end
+    end_floor = unchecked_end and evals[-1][1] > 10.0 * (cfg.tolerance * rep.grad_scale)
+    assert len(floors) == rep.iterations + floor_stops + end_floor
+    if psi_fn is _saddle:
+        # the boundary datum solves the discrete problem: the floor decides
+        # the only stop, and `converged` reuses it
+        assert rep.iterations == 0 and rep.converged
+        assert floor_stops == 1 and len(floors) == 1
 
 
 def test_solver_p2_one_level_full_cg_rtol():
@@ -449,12 +478,12 @@ def test_envelope_thin_cone_violation():
     # sampled directions miss; the smallest eigenvalue does not
     field = MatrixField.diagonal(
         "thin", [lambda pts: np.full(len(pts), 1.0 - 1e-6), lambda pts: np.full(len(pts), 2.0)],
-        envelope=(constant_weight(1.0, 2), constant_weight(4.0, 2), 2.0))
+        envelope=(constant_weight(1.0), constant_weight(4.0), 2.0))
     pts = np.linspace(-0.9, 0.9, 20).reshape(10, 2)
     assert field.check_envelope(pts) == 10
     inside = MatrixField.diagonal(
         "inside", [lambda pts: np.full(len(pts), 1.0), lambda pts: np.full(len(pts), 4.0)],
-        envelope=(constant_weight(1.0, 2), constant_weight(4.0, 2), 2.0))
+        envelope=(constant_weight(1.0), constant_weight(4.0), 2.0))
     assert inside.check_envelope(pts) == 0
 
 
@@ -488,6 +517,14 @@ def test_degenerate_node_shift():
     out, count = field.evaluate_shifted(centers, dom.h, np.array([0.3, 0.0]))
     assert np.all(np.isfinite(out))
     assert count == 1
+
+
+def test_matrix_field_empty_point_set():
+    # a mask with no interior node leaves no cell centre to evaluate at
+    matrix = fixture("axis-degenerate-planar").matrix
+    out, count = matrix.evaluate_shifted(np.empty((0, 2)), 0.1, np.zeros(2))
+    assert out.shape == (0, 2, 2) and count == 0
+    assert matrix.check_envelope(np.empty((0, 2))) == 0
 
 
 # --- Hessian assembly and the multigrid preconditioner -------------------------------

@@ -45,7 +45,7 @@ BOX2 = Box([[-1.0, 1.0], [-1.0, 1.0]])
 # --- ball averages -------------------------------------------------------------
 
 def test_ball_average_constant_exact(e1):
-    w = constant_weight(5.0, 1)
+    w = constant_weight(5.0)
     for budget in (16, 64, 4096):
         a = ball_average(w, e1, Ball([0.2], 0.5), budget=budget, seed=1)
         assert a.value == 5.0
@@ -97,12 +97,12 @@ def test_ball_average_singular_sample_error(e1):
 
 def test_ball_average_budget_validation(e1):
     with pytest.raises(ValueError):
-        ball_average(constant_weight(1.0, 1), e1, Ball([0.0], 1.0), budget=8, seed=0)
+        ball_average(constant_weight(1.0), e1, Ball([0.0], 1.0), budget=8, seed=0)
 
 
 @pytest.mark.parametrize("weight", [
     power_weight(-1.0 / 3.0, 3), power_weight(0.5, 3), axis_power_weight(-0.5),
-    axis_power_weight(0.25), log_weight(1.1, 3), log_weight(1.0, 3), constant_weight(2.0, 3),
+    axis_power_weight(0.25), log_weight(1.1, 3), log_weight(1.0, 3), constant_weight(2.0),
 ], ids=lambda w: w.name)
 def test_pow_is_the_power_of_the_values(weight):
     # The estimators evaluate a weight once per sample and take w.pow(e) as
@@ -474,6 +474,53 @@ def test_far_ball_spread_and_stderr(case):
     assert np.count_nonzero(np.abs(values - exact) <= 3.0 * stderrs) >= 38
 
 
+
+# Beyond three dimensions no design or jittered grid is used: a far ball's
+# rays and a near ball's rays about a point have Gaussian directions, and a
+# near ball has int(budget / (5 _PANELS)) of them, its far copy as many.
+@pytest.mark.parametrize("a", [-1.5, -0.5, 1.0])
+def test_near_ball_average_4d(a):
+    # B(0, r) about the singular point of |x|^a in R^4: every ray from the
+    # centre sees the same radial integrand s^(a + 3), so the seeds agree and
+    # the average is 4 / (4 + a) r^a up to the panel rule's error (exact for
+    # the polynomial a = 1; below 1e-7 relative otherwise)
+    e4, w, ball = euclidean(4), power_weight(a, 4), Ball(np.zeros(4), 0.3)
+    near = gather_ball_samples(e4, ball, 2048, 0, None, w.singularity)
+    assert near.units.tolist() == [int(2048 / (5 * _PANELS))]
+    assert near.first.tolist() == [0, _PANELS]
+    values = np.array([ball_average(w, e4, ball, 2048, seed).value for seed in range(4)])
+    assert values == pytest.approx(values[0], rel=1e-14)
+    assert values[0] == pytest.approx(4.0 / (4.0 + a) * 0.3 ** a, rel=1e-14 if a == 1.0 else 1e-6)
+
+
+
+def test_near_ball_directions_4d():
+    # x1^2 / |x|^2 averages 1/4 over the sphere, so 4 x1^2 |x|^-2.5 has the
+    # average of |x|^-0.5 over B(0, r), but now the rays' directions count:
+    # as for far balls, every seed within 4 of its standard errors, and the
+    # mean within 3 standard errors of the mean
+    sing = Singularity("point", point=np.zeros(4))
+    w = Weight("4 x1^2 |x|^-2.5",
+               lambda pts: 4.0 * pts[:, 0] ** 2 * np.linalg.norm(pts, axis=-1) ** -2.5, sing)
+    exact = 4.0 / 3.5 * 0.3 ** -0.5
+    avgs = [ball_average(w, euclidean(4), Ball(np.zeros(4), 0.3), 2048, seed)
+            for seed in range(20)]
+    assert all(abs(a.value - exact) <= 4.0 * a.stderr for a in avgs)
+    values = np.array([a.value for a in avgs])
+    assert abs(values.mean() - exact) <= 3.0 * values.std(ddof=1) / math.sqrt(len(values))
+
+def test_far_ball_average_4d():
+    # the average of x1^2 + 1 over B(c, r) in R^4 is c1^2 + r^2 / 6 + 1
+    e4, ball = euclidean(4), Ball([0.3, -0.2, 0.1, 0.5], 0.4)
+    w = Weight("x1^2+1", lambda pts: pts[:, 0] ** 2 + 1.0)
+    far = gather_ball_samples(e4, ball, 2048, 0)
+    assert far.units.tolist() == [int(2048 / (5 * _PANELS))] and far.first.tolist() == [0, 1]
+    exact = 0.3 ** 2 + 0.4 ** 2 / 6.0 + 1.0
+    avgs = [ball_average(w, e4, ball, 2048, seed) for seed in range(20)]
+    assert all(abs(a.value - exact) <= 3.0 * a.stderr for a in avgs)
+    values = np.array([a.value for a in avgs])
+    assert abs(values.mean() - exact) <= 3.0 * values.std(ddof=1) / math.sqrt(len(values))
+
 def test_rh2_worst_ball_spread(e2):
     # The catalog's worst RH_2 disc for |x1|^{-1/3}: over 200 seeds the
     # largest ratio is within 1% of the median, and the median within 0.5%
@@ -536,7 +583,7 @@ def test_heisenberg_near_ball_nodes_and_volume(heis, sing, center):
 # --- A_p -------------------------------------------------------------------------
 
 def test_ap_constant_weight_exactly_one(e1):
-    rep = ap_constant(constant_weight(1.0, 1), 2.0, e1, BOX1, (1e-3, 1.0),
+    rep = ap_constant(constant_weight(1.0), 2.0, e1, BOX1, (1e-3, 1.0),
                       balls=128, budget=128, seed=5)
     assert rep.ap_estimate.value == 1.0
     assert not rep.ap_estimate.unbounded_suspected
@@ -709,7 +756,7 @@ def test_balance_recomputed_by_hand(case):
 
 @pytest.mark.parametrize("estimate", ["ap", "a1", "rh"])
 def test_family_below_stage_floor_rejected(e1, estimate):
-    w, win = constant_weight(1.0, 1), (1e-3, 1.0)
+    w, win = constant_weight(1.0), (1e-3, 1.0)
     with pytest.raises(ValueError, match=">= 8"):
         if estimate == "ap":
             ap_constant(w, 2.0, e1, BOX1, win, balls=4, budget=64)
@@ -721,13 +768,13 @@ def test_family_below_stage_floor_rejected(e1, estimate):
 
 def test_ap_requires_p_above_one(e1):
     with pytest.raises(ValueError):
-        ap_constant(constant_weight(1.0, 1), 1.0, e1, BOX1, (1e-3, 1.0))
+        ap_constant(constant_weight(1.0), 1.0, e1, BOX1, (1e-3, 1.0))
 
 
 # --- A_1 --------------------------------------------------------------------------
 
 def test_a1_constant_weight(e2):
-    rep = a1_constant(constant_weight(3.0, 2), e2, BOX2, (1e-2, 1.0),
+    rep = a1_constant(constant_weight(3.0), e2, BOX2, (1e-2, 1.0),
                       points=32, radii=6, budget=256, seed=8)
     assert rep.a1_estimate.value == pytest.approx(1.0, abs=1e-12)
     assert not rep.a1_estimate.unbounded_suspected
@@ -754,7 +801,7 @@ def test_a1_flags_nonintegrable(e2):
 # --- RH_t ------------------------------------------------------------------------
 
 def test_rh_constant_weight(e1):
-    rep = rh_constant(constant_weight(2.0, 1), 3.0, e1, BOX1, (1e-3, 1.0),
+    rep = rh_constant(constant_weight(2.0), 3.0, e1, BOX1, (1e-3, 1.0),
                       balls=128, budget=128, seed=11)
     assert rep.rh_estimate.value == 1.0
 
@@ -776,7 +823,7 @@ def test_rh_log_weight_finite(e3):
 # --- maximal function --------------------------------------------------------------
 
 def test_maximal_constant(e2):
-    mv = maximal_function(constant_weight(1.0, 2), e2, [0.1, 0.2],
+    mv = maximal_function(constant_weight(1.0), e2, [0.1, 0.2],
                           [0.5, 0.25, 0.125], budget=256, seed=14)
     assert mv.value == 1.0
     assert not mv.diverging
@@ -816,7 +863,7 @@ def test_maximal_radial_power_law(e3):
 # --- balance / tau / mu_p ----------------------------------------------
 
 def test_balance_trivial_pair(e2):
-    one = constant_weight(1.0, 2)
+    one = constant_weight(1.0)
     rep = balance_check(one, one, 2.0, 3.0, e2, BOX2, (1e-3, 0.4),
                         pairs=256, budget=256, seed=19)
     # LHS/RHS = (r1/r2)^(1 + Q/q - Q/p) with exponent 2/3 > 0, so C <= 1
@@ -835,13 +882,13 @@ def test_balance_admissible_pair(e2):
 
 
 def test_balance_degenerate_pair_flagged(e2):
-    rep = balance_check(constant_weight(1.0, 2), power_weight(-3.0, 2), 2.0, 3.0,
+    rep = balance_check(constant_weight(1.0), power_weight(-3.0, 2), 2.0, 3.0,
                         e2, BOX2, (2e-3, 0.4), pairs=128, budget=1024, seed=21)
     assert rep.unbounded_suspected
 
 
 def test_balance_precondition_violation(e2):
-    rep = balance_check(constant_weight(2.0, 2), constant_weight(1.0, 2), 2.0, 3.0,
+    rep = balance_check(constant_weight(2.0), constant_weight(1.0), 2.0, 3.0,
                         e2, BOX2, (1e-3, 0.4), pairs=32, budget=256, seed=22)
     assert rep.pointwise_violations > 0
 
@@ -859,14 +906,14 @@ def test_tau_exponent_values():
 
 
 def test_mu_p_trivial(e2):
-    w = constant_weight(2.0, 2)
+    w = constant_weight(2.0)
     assert mu_p(w, w, 2.0, e2, Ball([0.0, 0.0], 0.5), budget=256, seed=23) == 1.0
 
 
 def test_mu_p_constant_pair(e2):
     c = 3.0
-    w = constant_weight(c ** (1.0 - 2.0), 2)  # c^{1-p}
-    v = constant_weight(c, 2)
+    w = constant_weight(c ** (1.0 - 2.0))  # c^{1-p}
+    v = constant_weight(c)
     got = mu_p(w, v, 2.0, e2, Ball([0.0, 0.0], 0.5), budget=256, seed=24)
     assert got == pytest.approx(c, rel=1e-12)
 
