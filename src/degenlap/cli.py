@@ -140,11 +140,12 @@ _HELP = {
 # in any dimension whose stencil, res^n 3^n entries, outgrows that of
 # MAX_RESOLUTION_3D^3: 995328 nodes at n = 1, 576 per axis at n = 2, 13 at
 # n = 4, 6 at n = 5.  Measured peak RSS of `solve --p 3` (one BLAS thread,
-# 2-CPU host with 8 GB of RAM): 96 MB at 33^3 and 195 MB at 48^3 through the
-# CLI, and 403-416 MB at 64^3 through the library, over builds that differ
-# only in code the solve does not run; 96 MB and 3.3-3.6 s at 13^4 and 72 MB
-# at 6^5 through the CLI (one CPU); 286 MB and 12-16 s at 576^2, where
-# `solve --p 2 --init zero` (multigrid) peaks at 303-305 MB in 2.5-3.0 s.
+# 2-CPU host with 8 GB of RAM): 89-91 MB at 33^3, 126-127 MB at 41^3 and
+# 172-174 MB at 48^3 through the CLI, about 1 300 bytes per free unknown
+# (BENCH_12.json), and 365-369 MB at 64^3 through the library; 87 MB and
+# 3.0-3.6 s at 13^4 and 65 MB at 6^5 through the CLI; 256 MB and 13-21 s at
+# 576^2, where `solve --p 2 --init zero` (multigrid) peaks at 274-286 MB in
+# 3.4-4.2 s (two sweeps on a noisy host).
 MAX_RESOLUTION_3D = 48
 
 
@@ -288,8 +289,8 @@ def _build_domain(cfg, dim: int) -> GridDomain:
     res = cfg["resolution"]
     limit = int((3 * MAX_RESOLUTION_3D) ** (3 / dim) / 3 + 1e-9)
     _require(res <= limit, f"{dim}-d resolution {res} is above the limit {limit}, the stencil "
-             "size of 48^3: a p = 3 solve peaks at 195 MB RSS at 48^3, 286 MB at 576^2 and "
-             "416 MB at 64^3")
+             "size of 48^3: a p = 3 solve peaks at 174 MB RSS at 48^3, 256 MB at 576^2 and "
+             "369 MB at 64^3")
     shape = (res,) * dim
     bounds = _bounds(cfg, dim)
     sides = np.diff(bounds, axis=1)
@@ -411,7 +412,14 @@ def run_solve(cfg) -> int:
     _resolve_mask(cfg, fixture)
     domain = _build_domain(cfg, dim)
     psi_fn = _parse_psi(cfg["psi"], dim, fixture)
-    psi = GridFunction.from_callable(domain, psi_fn)
+    coords = domain.node_coords().reshape(-1, dim)
+    with np.errstate(all="ignore"):  # a non-finite value is refused below, not warned about
+        values = np.asarray(psi_fn(coords), dtype=float).reshape(-1)
+    bad = np.flatnonzero(~np.isfinite(values) & (domain.mask.ravel() > 0))
+    if len(bad):
+        raise ConfigError(f"psi {cfg['psi']!r} is not finite on the live nodes: "
+                          f"{values[bad[0]]} at {coords[bad[0]].tolist()}")
+    psi = GridFunction.from_callable(domain, lambda _pts: values)
     config = E.SolverConfig(
         p=cfg["p"],
         delta_final=cfg["delta_final"],

@@ -317,9 +317,10 @@ CG_RTOL = 1e-10
 # _COARSEST_MAX unknowns, is solved by a dense inverse.
 # The same size decides where the Hessian is read out into CSR and
 # `scipy.sparse` is imported (about 0.2 s and 22 MB per process over numpy
-# alone: 0.36-0.41 s and 48.7 MB against 0.14-0.20 s and 26.8 MB).  Below it
-# CG multiplies by the numpy stencil operator (`_StencilHessian`), 1.6-3.1
-# times slower per product than CSR but without the import.  Whole p = 3
+# alone: 0.29-0.37 s and 48.6-48.8 MB against 0.11-0.15 s and 26.7-26.9 MB,
+# five fresh processes each).  Below it CG multiplies by the numpy stencil
+# operator (`_StencilHessian`), 1.6-3.1 times slower per product than CSR
+# but without the import.  Whole p = 3
 # solves in fresh processes, CSR against numpy products for every Jacobi
 # system (BENCH_8.json; min of 5 runs, ranges over two sweeps on a noisy
 # host): 65^2 0.48-0.49 against 0.26-0.27 s, 141^2 0.70-0.83 against
@@ -336,6 +337,7 @@ MULTIGRID_MAX_RTOL = 1e-8
 _CHEBYSHEV_DEGREE = 2
 _LANCZOS_STEPS = 10
 _COARSEST_MAX = 400
+_GALERKIN_BLOCKS = 4  # blocks of coarse columns in which `_galerkin` forms A P
 _HESSIAN_CHUNK = 4096  # cells per pass of `_Discretization.hessian`, sized for cache
 
 
@@ -401,18 +403,20 @@ class SolveReport:
 
 
 class _Discretization:
-    """Cell data for one (space, domain) pair: corner node indices, cell
-    centers and the stencil B turning corner values into the horizontal
-    gradient, plus the cell coefficients A when a field is given (and how
-    many centres `MatrixField.evaluate_shifted` nudged).  The cells are the
-    grid's hypercubes whose 2^n corners are all live and at least one
-    interior, in C order; corner c sits at offset `_corner_bits(n)[:, c]`
-    from the first, and the centre halfway between corners 0 and 2^n - 1.
-    A B is built on first use, and so are the parts of the linear solve that
-    depend only on the mask: the CSR pattern of the free-node Hessian
-    (`_pattern`), which `csr` fills, the padded node layout of
-    `_StencilHessian` (`padding`), and the multigrid interpolations
-    (`interpolations`)."""
+    """Cell data for one (space, domain) pair: corner node indices (int32
+    while the node count fits), cell centers and the stencil B turning
+    corner values into the horizontal gradient (on Euclidean space one
+    table broadcast over the cells), plus the cell coefficients A when a
+    field is given (and how many centres `MatrixField.evaluate_shifted`
+    nudged).  The cells are the grid's hypercubes whose 2^n corners are all
+    live and at least one interior, in C order; corner c sits at offset
+    `_corner_bits(n)[:, c]` from the first, and the centre halfway between
+    corners 0 and 2^n - 1.  No product A B is kept: `energy_gradient` forms
+    A (B u), and `hessian` the A B of one chunk of cells at a time.  The
+    parts of the linear solve that depend only on the mask are built on
+    first use: the CSR pattern of the free-node Hessian (`_pattern`), which
+    `csr` fills, the padded node layout of `_StencilHessian` (`padding`),
+    and the multigrid interpolations (`interpolations`)."""
 
     def __init__(self, space: MetricSpace, domain: GridDomain, a_field: MatrixField | None = None):
         if space.kind == "heisenberg1" and domain.n != 3:
@@ -420,8 +424,9 @@ class _Discretization:
         n = domain.n
         self.cell_volume = domain.h ** n
         mask_flat = domain.mask.ravel()
-        nodes = np.arange(mask_flat.size).reshape(domain.shape)
-        offsets = np.array(nodes.strides) // nodes.itemsize @ _corner_bits(n)
+        idx_dtype = np.int32 if mask_flat.size < 2 ** 31 else np.int64
+        nodes = np.arange(mask_flat.size, dtype=idx_dtype).reshape(domain.shape)
+        offsets = (np.array(nodes.strides) // nodes.itemsize @ _corner_bits(n)).astype(idx_dtype)
         # corner-major (2^n, cells): the inclusion rule reduces along axis 0
         corners = offsets[:, None] + nodes[(slice(0, -1),) * n].ravel()
         live = mask_flat[corners]
@@ -439,10 +444,6 @@ class _Discretization:
         self.free_pos = -np.ones(self.n_nodes, dtype=np.int64)
         self.free_pos[self.free] = np.arange(len(self.free))
 
-    @cached_property
-    def ab(self) -> np.ndarray:
-        return np.einsum("kij,kjc->kic", self.a, self.b)  # A B
-
     def gradients(self, values: np.ndarray) -> np.ndarray:
         corners = values.ravel()[self.corner_idx]  # (K, 2^n)
         return np.einsum("kmc,kc->km", self.b, corners)
@@ -450,7 +451,7 @@ class _Discretization:
     def energy_gradient(self, values: np.ndarray, p: float, delta: float):
         corners = values.ravel()[self.corner_idx]
         g = np.einsum("kmc,kc->km", self.b, corners)
-        ag = np.einsum("kic,kc->ki", self.ab, corners)  # A Xu per cell
+        ag = np.einsum("kij,kj->ki", self.a, g)  # A Xu per cell
         quad = np.einsum("km,km->k", g, ag)
         s = delta * delta + quad
         energy = self.cell_volume * float(np.sum(s ** (p / 2.0)))
@@ -466,12 +467,14 @@ class _Discretization:
         """Rounding scale of the free components of `energy_gradient`: machine
         epsilon times the largest, over free nodes, of the node's cell
         contributions summed in absolute value, term by term down to the
-        corner values.  No residual below a small multiple of it can be
-        certified in floating point."""
+        corner values in the order of evaluation, |B|^T |A| (|B| |u|).  No
+        residual below a small multiple of it can be certified in floating
+        point."""
         corners = np.abs(values.ravel()[self.corner_idx])
         # on Euclidean space B is one (m, 2^n) table broadcast over the cells
         abs_b = np.abs(self.b[:1] if self.b.strides[0] == 0 else self.b)
-        mag = np.einsum("kmc,km->kc", abs_b, np.einsum("kic,kc->ki", np.abs(self.ab), corners))
+        mag = np.einsum("kmc,km->kc", abs_b, np.einsum(
+            "kij,kj->ki", np.abs(self.a), np.einsum("kmc,kc->km", abs_b, corners)))
         node = np.bincount(self.corner_idx.ravel(),
                            ((self.cell_volume * p) * cache[1][:, None] * mag).ravel(),
                            minlength=self.n_nodes)
@@ -479,8 +482,8 @@ class _Discretization:
         return float(np.finfo(float).eps * free.max()) if len(free) else 0.0
 
     @cached_property
-    def interpolations(self) -> list[tuple[sp.csr_matrix, sp.csr_matrix]]:
-        """The V-cycle's interpolations and restrictions (`_interpolations`)."""
+    def interpolations(self) -> list[sp.csr_matrix]:
+        """The V-cycle's interpolations (`_interpolations`)."""
         return _interpolations(self.shape, self.free)
 
     @cached_property
@@ -542,20 +545,38 @@ class _Discretization:
             sb = (self.cell_volume * p) * np.where(s > 0, (p - 2.0) * s ** ((p - 4.0) / 2.0), 0.0)
         code = _offset_codes(len(self.shape))
         stencil = np.zeros((3 ** len(self.shape), len(self.free) + 1))  # last column: non-free c
+        # on Euclidean space B is one (m, 2^n) table of entries +-t: a product
+        # b_ic (A B)_id is +-(t (A B)_id) exactly, so the sum over i below adds
+        # or subtracts t A B, with the bits of the products
+        table = self.b[0] if self.b.strides[0] == 0 else None
+        if table is not None:
+            t, positive = float(abs(table[0, 0])), (table > 0).tolist()
         for lo in range(0, len(s), _HESSIAN_CHUNK):
             cells = slice(lo, lo + _HESSIAN_CHUNK)
             # corner-major (m, 2^n, cells) layout: every product runs along the cells
-            ab = np.ascontiguousarray(self.ab[cells].transpose(1, 2, 0))
             b = self.b[cells].transpose(1, 2, 0)
             if b.strides[2]:  # on Euclidean space B is a faster broadcast view
                 b = np.ascontiguousarray(b)
+            a = np.ascontiguousarray(self.a[cells].transpose(1, 2, 0))
             vt = np.ascontiguousarray(v[cells].T)
+            ab, y, tmp = np.empty(b.shape[:1] + vt.shape), np.empty(vt.shape), np.empty(vt.shape)
+            for i in range(len(ab)):  # A B, summed over j in increasing order
+                np.multiply(a[i, 0], b[0], out=ab[i])
+                for j in range(1, len(ab)):
+                    ab[i] += np.multiply(a[i, j], b[j], out=tmp)
+            if table is not None:
+                ab *= t
             rows = self.free_pos[self.corner_idx[cells]].T
-            y, tmp = np.empty(vt.shape), np.empty(vt.shape)
             for c in range(len(code) - 1, -1, -1):
-                np.multiply(b[0, c], ab[0], out=y)  # scale alpha B^T A B, then + scale beta v v^T
-                for i in range(1, len(ab)):
-                    y += np.multiply(b[i, c], ab[i], out=tmp)
+                # scale alpha B^T A B, then + scale beta v v^T
+                if table is None:
+                    np.multiply(b[0, c], ab[0], out=y)
+                    for i in range(1, len(ab)):
+                        y += np.multiply(b[i, c], ab[i], out=tmp)
+                else:
+                    np.multiply(ab[0], 1.0 if positive[0][c] else -1.0, out=y)
+                    for i in range(1, len(ab)):
+                        (np.add if positive[i][c] else np.subtract)(y, ab[i], out=y)
                 y *= sa[cells]
                 if p != 2.0:
                     y += np.multiply(sb[cells] * vt[c], vt, out=tmp)
@@ -616,9 +637,9 @@ def _axis_interpolation(n: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n // 2 + 1))
 
 
-def _interpolations(shape: tuple[int, ...], free: np.ndarray) -> list[tuple[sp.csr_matrix, sp.csr_matrix]]:
-    """Interpolation operators P of the V-cycle with their transposes,
-    the restrictions, finest first.
+def _interpolations(shape: tuple[int, ...], free: np.ndarray) -> list[sp.csr_matrix]:
+    """Interpolation operators P of the V-cycle, finest first; the
+    restrictions are their transposes.
 
     Each is the tensor product of `_axis_interpolation`s (trilinear in 3-d)
     restricted to the unknowns: rows to the free nodes, columns to the
@@ -632,7 +653,7 @@ def _interpolations(shape: tuple[int, ...], free: np.ndarray) -> list[tuple[sp.c
     n = len(shape)
     free_mask = np.zeros(int(np.prod(shape)), dtype=bool)
     free_mask[free] = True
-    ops: list[tuple[sp.csr_matrix, sp.csr_matrix]] = []
+    ops: list[sp.csr_matrix] = []
     unknowns = len(free)
     while unknowns > _COARSEST_MAX:
         coarse_shape = tuple(s // 2 + 1 for s in shape)
@@ -649,7 +670,7 @@ def _interpolations(shape: tuple[int, ...], free: np.ndarray) -> list[tuple[sp.c
         else:
             parity = np.indices(shape).sum(axis=0).ravel()[free_mask] % 2
             interp = sp.hstack([interp, sp.diags(1.0 - 2.0 * parity) @ interp])
-        ops.append((interp.tocsr(), interp.T.tocsr()))
+        ops.append(interp.tocsr())
         shape, free_mask = coarse_shape, coarse_free
         unknowns = 2 * np.count_nonzero(free_mask)
     return ops
@@ -701,21 +722,38 @@ def _smooth(a: sp.csr_matrix, dinv: np.ndarray, coef: np.ndarray, r: np.ndarray)
     return y
 
 
+def _galerkin(a: sp.csr_matrix, interp: sp.csr_matrix) -> sp.csr_matrix:
+    """The coarse operator P^T A P with sorted indices, formed as P^T (A P_J)
+    over `_GALERKIN_BLOCKS` blocks J of coarse columns, so that no product
+    A P is held whole.  Each entry sums the same terms in the same order as
+    the whole product: l increasing in (A P)_kj = sum A_kl P_lj when A's
+    indices are sorted, and k increasing in sum P_ki (A P)_kj."""
+    import scipy.sparse as sp
+    width = -(-interp.shape[1] // _GALERKIN_BLOCKS)
+    blocks = [interp.T @ (a @ interp[:, lo:lo + width])
+              for lo in range(0, interp.shape[1], width)]
+    coarse = sp.hstack(blocks, format="csc")
+    del blocks  # not held while the CSC matrix is read out into CSR
+    return coarse.tocsr()
+
+
 class _VCycle:
     """Symmetric multigrid V-cycle for the free-node Hessian `a`, applied to
     a residual as a CG preconditioner.  Coarse operators are Galerkin,
-    P^T A P; every level but the coarsest smooths with `_smooth` before and
-    after its coarse correction (the smoother is A-self-adjoint, so the
-    cycle is a symmetric operator), and the coarsest is solved by its dense
-    inverse.  The instance is the preconditioner `_cg` calls."""
+    P^T A P (`_galerkin`); every level but the coarsest smooths with
+    `_smooth` before and after its coarse correction (the smoother is
+    A-self-adjoint, so the cycle is a symmetric operator), and the coarsest
+    is solved by its dense inverse.  Each level holds its operator, the
+    inverse of its diagonal, its smoother's coefficients, P and the
+    restriction P^T, a transposed view sharing P's arrays.  The instance is
+    the preconditioner `_cg` calls."""
 
-    def __init__(self, a: sp.csr_matrix,
-                 interpolations: list[tuple[sp.csr_matrix, sp.csr_matrix]]):
+    def __init__(self, a: sp.csr_matrix, interpolations: list[sp.csr_matrix]):
         self.levels = []
-        for interp, restrict in interpolations:
+        for interp in interpolations:
             dinv = 1.0 / a.diagonal()
-            self.levels.append((a, dinv, _chebyshev_coefficients(a, dinv), interp, restrict))
-            a = restrict @ (a @ interp)
+            self.levels.append((a, dinv, _chebyshev_coefficients(a, dinv), interp, interp.T))
+            a = _galerkin(a, interp)
         self.coarsest = np.linalg.inv(a.toarray())
 
     def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:

@@ -209,7 +209,8 @@ def hessian_coo(disc, values: np.ndarray, p: float, delta: float) -> sp.csr_matr
     _, _, (s, _, v) = disc.energy_gradient(values, p, delta)
     alpha = s ** ((p - 2.0) / 2.0)
     beta = (p - 2.0) * s ** ((p - 4.0) / 2.0)
-    btab = np.einsum("kmc,kmd->kcd", disc.b, disc.ab)  # B^T A B
+    ab = np.einsum("kij,kjc->kic", disc.a, disc.b)
+    btab = np.einsum("kmc,kmd->kcd", disc.b, ab)  # B^T A B
     blocks = (disc.cell_volume * p) * (
         alpha[:, None, None] * btab + beta[:, None, None] * v[:, :, None] * v[:, None, :])
     rows, cols, keep = _block_entries(disc)
@@ -240,7 +241,8 @@ def hessian_slot_map(disc, values: np.ndarray, p: float, delta: float) -> sp.csr
         alpha = np.where(s > 0, s ** ((p - 2.0) / 2.0), 0.0)
         beta = np.where(s > 0, (p - 2.0) * s ** ((p - 4.0) / 2.0), 0.0)
     scale = disc.cell_volume * p
-    blocks = (scale * alpha)[:, None, None] * np.einsum("kmc,kmd->kcd", disc.b, disc.ab)
+    ab = np.einsum("kij,kjc->kic", disc.a, disc.b)  # A B, summed over j in increasing order
+    blocks = (scale * alpha)[:, None, None] * np.einsum("kmc,kmd->kcd", disc.b, ab)
     blocks += ((scale * beta)[:, None] * v)[:, :, None] * v[:, None, :]
     rows, cols, keep = _block_entries(disc)
     n_free = len(disc.free)

@@ -377,6 +377,23 @@ def test_mask_without_interior_node_refused(tmp_path, capsys, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config", [
+    # |x|^-5 is infinite at the origin, a node of the odd grid
+    (["--psi", "radial-pow:-5"], None),
+    # x^2 - y^2 overflows on these bounds
+    ([], {"bounds": [[0, 1e300], [0, 1e300]]}),
+], ids=["radial-pow-origin", "huge-bounds"])
+def test_nonfinite_boundary_data_refused(tmp_path, capsys, argv, config):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    assert run_cli(["solve", "--resolution", "9", *argv, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "is not finite on the live nodes" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sub, key, value", [
     ("catalog", "geometry", "heisenberg1"),
     ("catalog", "dimension", "7"),

@@ -551,6 +551,10 @@ def _discretization(case):
     if case == "annulus3":
         return _Discretization(euclidean(3), GridDomain.annulus(0.4, 1.0, (11, 11, 11)),
                                MatrixField.identity(3))
+    if case == "full3":
+        # a full symmetric coefficient, I + x x^T / 3
+        full = MatrixField("full", lambda pts: np.eye(3) + pts[:, :, None] * pts[:, None, :] / 3, 3)
+        return _Discretization(euclidean(3), GridDomain.disc(1.0, (11, 11, 11)), full)
     if case == "heis-disc3":
         return _Discretization(heisenberg1(), GridDomain.disc(1.0, (9, 9, 9)), I2)
     if case == "faces3":
@@ -570,6 +574,10 @@ def _discretization(case):
     if case == "disc3-33":
         return _Discretization(euclidean(3), GridDomain.disc(1.0, (33, 33, 33)),
                                MatrixField.identity(3))
+    if case == "zhong3-41":
+        fix = fixture("zhong-log")
+        return _Discretization(euclidean(3), GridDomain.disc(fix.domain_radius, (41, 41, 41)),
+                               fix.matrix)
     if case == "disc2-129":
         return _Discretization(euclidean(2), GridDomain.disc(1.0, (129, 129)), ANISO2)
     raise ValueError(case)
@@ -604,7 +612,7 @@ def test_hessian_matches_differences_and_coo(case, p):
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-@pytest.mark.parametrize("case", ["box2", "disc2", "heis3"])
+@pytest.mark.parametrize("case", ["box2", "disc2", "heis3", "full3"])
 def test_hessian_summation_order_pinned(monkeypatch, case, p):
     # every CSR entry sums its cells in increasing order, as the slot-map
     # bincount does, so the matrix matches it bit for bit, also when the
@@ -671,6 +679,35 @@ def test_hessian_memory_bounded(case):
     assert np.array_equal(y, csr @ x)
 
 
+def test_vcycle_setup_memory_bounded():
+    # a 41^3 disc with the zhong-log coefficient, 33 395 free unknowns, so the
+    # solver preconditions with multigrid.  Against the bytes of the CSR
+    # matrix, the V-cycle's set-up peaks at 1.05 times, as it forms A P a
+    # block of coarse columns at a time (the whole A P alone is about as
+    # large as the matrix), and holds 0.56 times, its coarse operators
+    disc = _discretization("zhong3-41")
+    assert len(disc.free) >= energy.MULTIGRID_MIN_UNKNOWNS
+    values = child_rng(19, "vcycle-memory").normal(size=disc.shape)
+    hess = disc.csr(disc.hessian(values, 2.0, 1e-8))
+    interpolations = disc.interpolations
+    tracemalloc.start()
+    try:
+        vcycle = _VCycle(hess, interpolations)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = hess.data.nbytes + hess.indices.nbytes + hess.indptr.nbytes
+    assert peak <= 1.25 * nbytes
+    assert held <= 0.75 * nbytes
+    assert len(vcycle.levels) == len(interpolations)
+    # A B is formed where it is used: the only (K, m, 2^n) array the
+    # discretization keeps is B, one (m, 2^n) table broadcast over the cells
+    cells, corners = disc.corner_idx.shape
+    kept = [name for name, value in vars(disc).items()
+            if isinstance(value, np.ndarray) and value.shape == (cells, 3, corners)]
+    assert kept == ["b"] and disc.b.strides[0] == 0
+
+
 @pytest.mark.parametrize("case, shapes", [
     ("box2-65", [(3969, 1922), (1922, 450), (450, 98)]),
     ("disc3-25", None),
@@ -680,7 +717,7 @@ def test_hessian_memory_bounded(case):
 def test_vcycle_symmetric_positive(case, shapes):
     disc = _discretization(case)
     if shapes is not None:
-        assert [interp.shape for interp, _ in disc.interpolations] == shapes
+        assert [interp.shape for interp in disc.interpolations] == shapes
     assert len(disc.interpolations) >= 2
     rng = child_rng(13, "vcycle", case)
     hess = disc.csr(disc.hessian(rng.normal(size=disc.shape), 3.0, 1e-2))
