@@ -364,15 +364,16 @@ def run_weights(cfg) -> int:
     qq = cfg["q"] if cfg["q"] is not None else t * (p - 1.0) + 1.0
     _require(qq > p, "q must be > p")
 
-    out = _outdir(cfg)
-
-    ap = W.ap_constant(weight, p, space, domain, window, balls, budget, seed)
-    a1 = W.a1_constant(weight, space, domain, window, cfg["points"], cfg["radii"],
-                       budget, seed)
-    rh = W.rh_constant(weight, t, space, domain, window, balls, budget, seed)
-    balance = W.balance_check(weight.pow(1.0 - p), weight, p, qq, space, domain,
-                              (window[0], min(window[1], 0.45 * float(np.min(domain.lengths)))),
-                              pairs=max(balls // 4, 64), budget=budget, seed=seed)
+    try:  # a weight that overflows on the samples is a setting out of range
+        ap = W.ap_constant(weight, p, space, domain, window, balls, budget, seed)
+        a1 = W.a1_constant(weight, space, domain, window, cfg["points"], cfg["radii"],
+                           budget, seed)
+        rh = W.rh_constant(weight, t, space, domain, window, balls, budget, seed)
+        balance = W.balance_check(weight.pow(1.0 - p), weight, p, qq, space, domain,
+                                  (window[0], min(window[1], 0.45 * float(np.min(domain.lengths)))),
+                                  pairs=max(balls // 4, 64), budget=budget, seed=seed)
+    except W.SingularSampleError as exc:
+        raise ConfigError(f"weight {weight.name!r}, p {p}, t {t}: {exc}") from exc
     try:
         tau = W.tau_exponent(p, space.n, space.Q)
     except W.OutOfRegimeError:
@@ -388,6 +389,7 @@ def run_weights(cfg) -> int:
             "q_used": qq,
         }
     }
+    out = _outdir(cfg)
     write_json(out / "weights-report.json", payload)
     rows = []
     for kind, rep in (("ap", ap), ("a1", a1), ("rh", rh)):
@@ -419,6 +421,13 @@ def run_solve(cfg) -> int:
     if len(bad):
         raise ConfigError(f"psi {cfg['psi']!r} is not finite on the live nodes: "
                           f"{values[bad[0]]} at {coords[bad[0]].tolist()}")
+    # h^n weighs every cell of the quadrature; checked after the boundary
+    # data, whose overflow on huge bounds is the more telling refusal
+    with np.errstate(over="ignore", under="ignore"):
+        volume = np.float64(domain.h) ** dim
+    _require(0 < volume < np.inf, f"the cell volume h^{dim} = {volume} of bounds "
+             f"{domain.bounds.tolist()} at resolution {cfg['resolution']} is not a positive "
+             "finite number")
     psi = GridFunction.from_callable(domain, lambda _pts: values)
     config = E.SolverConfig(
         p=cfg["p"],
@@ -506,8 +515,6 @@ def run_distortion(cfg) -> int:
     pts = rng.uniform(-1.0, 1.0, (4 * n, 3))
     r = np.linalg.norm(pts, axis=1)
     pts = pts[(r > 0.05) & (r < 0.95)][:n]
-    out = _outdir(cfg)
-    report = DT.sample_distortion_report(mapping, pts)
     if res > 0:
         dom = GridDomain.box([[-0.5, 0.5]] * 3, (res,) * 3)
         rng2 = child_rng(cfg["seed"], "cli-bumps")
@@ -516,8 +523,16 @@ def run_distortion(cfg) -> int:
             center = rng2.uniform(-0.15, 0.15, 3)
             radius = rng2.uniform(0.25, 0.32)
             bumps.append(bump_function(dom, center, radius))
-        table = DT.coordinate_weak_residual(mapping, dom, bumps, tube_widths=tubes)
-        report.residuals = table.to_dict()
+    # an epsilon whose Jacobians round to J_f <= 0, and a tube of width 0
+    # around the singular point, are settings out of range
+    try:
+        report = DT.sample_distortion_report(mapping, pts)
+        if res > 0:
+            table = DT.coordinate_weak_residual(mapping, dom, bumps, tube_widths=tubes)
+            report.residuals = table.to_dict()
+    except (DT.OrientationReversedError, E.InvalidTestFunctionError) as exc:
+        raise ConfigError(f"epsilon {cfg['epsilon']!r}, tubes {tubes}: {exc}") from exc
+    out = _outdir(cfg)
     write_json(out / "distortion-report.json", {"distortion": report.to_dict()})
     header = ["x1", "x2", "x3", "jacobian_det", "op_norm", "adj_norm",
               "outer", "inner", "g_eig_min", "g_eig_max"]

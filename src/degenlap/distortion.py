@@ -19,8 +19,7 @@ import numpy as np
 
 from .geometry import euclidean
 from .grids import BOUNDARY, GridDomain, GridFunction
-from .energy import (InvalidTestFunctionError, _Discretization, _sandwich_violations,
-                     _weak_form_cells)
+from .energy import InvalidTestFunctionError, MatrixField, _Discretization, _sandwich_violations
 
 __all__ = [
     "MappingSpec",
@@ -234,7 +233,9 @@ def coordinate_weak_residual(
 ) -> WeakResidualTable:
     """Quadrature of <[adj Df]_i, grad phi> over the grid for each coordinate
     i and test function, cross-checked against the p = n weak form with
-    coefficients G^{-1} on the sampled coordinate functions.
+    coefficients G^{-1} on the sampled coordinate functions: the solver's
+    energy gradient (`_Discretization.energy_gradient`, delta = 0) of each
+    coordinate dotted with phi, divided by n.
 
     Test functions are cut off outside an exclusion tube of width eta around
     the mapping's singular point (smoothstep ramp); residuals are tabulated
@@ -253,16 +254,22 @@ def coordinate_weak_residual(
     fvals = np.zeros((len(coords), n))
     fvals[ok] = mapping(coords[ok])
 
-    # adj Df and G^{-1} at cell centers
-    disc = _Discretization(euclidean(n), domain)
-    dfc = jacobian(mapping, disc.centers)
-    jacs = np.linalg.det(dfc)
-    if np.any(jacs <= 0):
-        raise OrientationReversedError("J_f <= 0 at a quadrature cell")
-    adjc = adjugate(dfc)
-    ginv_c = np.linalg.inv(distortion_tensor(dfc, jacs))
-    grad_f = [disc.gradients(fvals[:, i]) for i in range(n)]
-    quad_f = [np.einsum("kij,ki,kj->k", ginv_c, g, g) for g in grad_f]
+    def g_inv(pts):
+        dfs = jacobian(mapping, pts)
+        jacs = np.linalg.det(dfs)
+        if np.any(jacs <= 0):
+            raise OrientationReversedError("J_f <= 0 at a quadrature cell")
+        return np.linalg.inv(distortion_tensor(dfs, jacs))
+
+    # G^{-1} and adj Df at cell centers; the p = n energy gradient and
+    # <G^{-1} grad f^i, grad f^i> (its s at delta = 0) of each coordinate
+    disc = _Discretization(euclidean(n), domain, MatrixField("G^-1", g_inv, n))
+    adjc = adjugate(jacobian(mapping, disc.centers))
+    grad_f, quad_f = [], []
+    for i in range(n):
+        _, grad, (s, _, _) = disc.energy_gradient(fvals[:, i], float(n), 0.0)
+        grad_f.append(grad[disc.free])
+        quad_f.append(s)
 
     sing = mapping.singular_point if mapping.singular_point is not None else np.zeros(n)
     dist_nodes = np.linalg.norm(coords - sing, axis=1)
@@ -287,8 +294,7 @@ def coordinate_weak_residual(
             gphi = disc.gradients(phi_eta)
             for i in range(n):
                 r_adj = cell_volume * float(np.einsum("ki,ki->", adjc[:, :, i], gphi))
-                # the p = n weak form with coefficients G^{-1}
-                r_weak = _weak_form_cells(grad_f[i], gphi, ginv_c, float(n), 0.0, cell_volume)
+                r_weak = float(np.dot(grad_f[i], phi_eta.ravel()[disc.free])) / n
                 scale = cell_volume * float(
                     np.sum(np.abs(quad_f[i]) ** ((n - 1) / 2.0) * np.linalg.norm(gphi, axis=1)))
                 rows.append({

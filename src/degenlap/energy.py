@@ -226,21 +226,10 @@ def p_energy(
     delta: float = 0.0,
     space: MetricSpace | None = None,
 ) -> float:
-    """Sum over cells of h^n (delta^2 + <A Xu, Xu>)^(p/2)."""
+    """Sum over cells of h^n (delta^2 + <A Xu, Xu>)^(p/2): the energy of the
+    solver's `_Discretization.energy_gradient`."""
     disc = _Discretization(space or euclidean(u.domain.n), u.domain, a_field)
-    g = disc.gradients(u.values)
-    q = np.einsum("kij,ki,kj->k", disc.a, g, g)
-    return float(disc.cell_volume * np.sum((delta * delta + q) ** (p / 2.0)))
-
-
-def _weak_form_cells(gu: np.ndarray, gphi: np.ndarray, a: np.ndarray, p: float,
-                     delta: float, cell_volume: float) -> float:
-    q = np.einsum("kij,ki,kj->k", a, gu, gu)
-    s = delta * delta + q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(s > 0.0, s ** ((p - 2.0) / 2.0), 0.0)
-    cross = np.einsum("kij,ki,kj->k", a, gu, gphi)
-    return float(cell_volume * np.sum(factor * cross))
+    return disc.energy_gradient(u.values, p, delta)[0]
 
 
 def weak_form(
@@ -252,16 +241,16 @@ def weak_form(
     space: MetricSpace | None = None,
 ) -> float:
     """Regularized weak form: integral of
-    (delta^2 + <A Xu, Xu>)^{(p-2)/2} <A Xu, Xphi>.
-
-    Equals (1/p) times the directional derivative of `p_energy` at u in the
-    direction phi.  phi must vanish on boundary nodes.
+    (delta^2 + <A Xu, Xu>)^{(p-2)/2} <A Xu, Xphi>, read as the solver's
+    energy gradient (`_Discretization.energy_gradient`) at u dotted with phi,
+    divided by p: (1/p) times the directional derivative of `p_energy` at u
+    in the direction phi.  phi must vanish on boundary nodes.
     """
     if np.any(phi.values[phi.domain.mask == BOUNDARY] != 0.0):
         raise InvalidTestFunctionError("test function must vanish on boundary nodes")
     disc = _Discretization(space or euclidean(u.domain.n), u.domain, a_field)
-    return _weak_form_cells(disc.gradients(u.values), disc.gradients(phi.values), disc.a,
-                            p, delta, disc.cell_volume)
+    grad = disc.energy_gradient(u.values, p, delta)[1]
+    return float(np.dot(grad[disc.free], phi.values.ravel()[disc.free])) / p
 
 
 def monotonicity_gap(
@@ -272,16 +261,15 @@ def monotonicity_gap(
     delta: float = 0.0,
     space: MetricSpace | None = None,
 ) -> float:
-    """a0^p(u1, u1-u2) - a0^p(u2, u1-u2); nonnegative by monotonicity of the
-    regularized operator (no boundary restriction on u1 - u2 is needed, the
-    pointwise vector inequality holds cell by cell)."""
+    """a0^p(u1, u1-u2) - a0^p(u2, u1-u2), read from the solver's energy
+    gradient as (grad E(u1) - grad E(u2)) . (u1 - u2) / p; nonnegative by
+    monotonicity of the regularized operator (no boundary restriction on
+    u1 - u2 is needed, the pointwise vector inequality holds cell by cell)."""
     disc = _Discretization(space or euclidean(u1.domain.n), u1.domain, a_field)
-    g1 = disc.gradients(u1.values)
-    g2 = disc.gradients(u2.values)
-    diff = g1 - g2
-    t1 = _weak_form_cells(g1, diff, disc.a, p, delta, disc.cell_volume)
-    t2 = _weak_form_cells(g2, diff, disc.a, p, delta, disc.cell_volume)
-    return t1 - t2
+    g1 = disc.energy_gradient(u1.values, p, delta)[1]
+    g2 = disc.energy_gradient(u2.values, p, delta)[1]
+    live = u1.domain.mask.ravel() > 0
+    return float(np.dot((g1 - g2)[live], (u1.values - u2.values).ravel()[live])) / p
 
 
 # --- Dirichlet solver ---------------------------------------------------------
@@ -449,8 +437,7 @@ class _Discretization:
         return np.einsum("kmc,kc->km", self.b, corners)
 
     def energy_gradient(self, values: np.ndarray, p: float, delta: float):
-        corners = values.ravel()[self.corner_idx]
-        g = np.einsum("kmc,kc->km", self.b, corners)
+        g = self.gradients(values)
         ag = np.einsum("kij,kj->ki", self.a, g)  # A Xu per cell
         quad = np.einsum("km,km->k", g, ag)
         s = delta * delta + quad

@@ -511,6 +511,18 @@ SMALL_WEIGHTS = ["--balls", "8", "--points", "8", "--radii", "2", "--budget", "6
     # diagnose bounds off the fixture's domain
     (["diagnose", "--fixture", "constant", "--resolution", "33"],
      {"bounds": [[0.5, 2.5], [0.5, 2.5]]}, "bounds must lie inside the domain"),
+    # a weight, or its power t, that overflows on the samples
+    (["weights", "--weight", "pow:1e6", *SMALL_WEIGHTS], None, "weight evaluated to inf"),
+    (["weights", "--weight", "pow:-1", "--t", "1e300", *SMALL_WEIGHTS], None,
+     "weight evaluated to inf"),
+    # an epsilon whose Jacobians round to J_f < 0
+    (["distortion", "--epsilon", "1e6"], None, "epsilon 1000000.0, tubes [0.2, 0.15, 0.1]: J_f"),
+    (["distortion", "--epsilon", "1e-300"], None, "epsilon 1e-300, tubes [0.2, 0.15, 0.1]: J_f"),
+    # a test function whose support holds the singular point
+    (["distortion"], {"tubes": [0], "residual_resolution": 9}, "use a tube"),
+    # a cell volume h^n beyond the float range
+    (["solve", "--psi", "affine:0,0,1", "--resolution", "9"],
+     {"bounds": [[0, 1e300], [0, 1e300]]}, "cell volume h^2 = inf"),
 ], ids=["solve-p", "solve-tolerance", "solve-tolerance-inf", "solve-delta-final-negative",
         "solve-delta-final-0", "solve-delta-final-nan", "catalog-budget-scale-nan",
         "catalog-budget-scale-inf", "catalog-budget-scale-0", "catalog-budget-scale-negative",
@@ -529,7 +541,9 @@ SMALL_WEIGHTS = ["--balls", "8", "--points", "8", "--radii", "2", "--budget", "6
         "solve-max-iterations", "solve-init-flag", "solve-p-inf", "weights-t-inf",
         "solve-1d-default-psi", "solve-1d-exp-cos", "solve-4d-resolution", "solve-2d-resolution",
         "weights-pow-inf", "weights-const-nan", "weights-log-inf", "solve-radial-pow-nan",
-        "solve-affine-nan", "diagnose-bounds-off-domain"])
+        "solve-affine-nan", "diagnose-bounds-off-domain", "weights-pow-huge",
+        "weights-t-huge", "distortion-epsilon-huge", "distortion-epsilon-tiny",
+        "distortion-tube-0", "solve-cell-volume-huge"])
 def test_out_of_range_setting_refused(tmp_path, capsys, argv, config, message):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))

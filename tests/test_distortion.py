@@ -281,6 +281,14 @@ def test_weak_residual_even_resolution_singular_cell():
         coordinate_weak_residual(f, dom, [phi], tube_widths=[0.1])
 
 
+def test_weak_residual_orientation_reversed():
+    # a reflection has J_f = -2 at every cell
+    dom = GridDomain.box([(-1, 1)] * 2, (17, 17))
+    phi = bump_function(dom, [0.0, 0.0], 0.6)
+    with pytest.raises(OrientationReversedError):
+        coordinate_weak_residual(linear_map([[-2.0, 0.0], [0.0, 1.0]]), dom, [phi])
+
+
 def test_weak_residual_radial_map_extrapolation_light():
     f = radial_exp_map(0.1, 3)
     dom = GridDomain.box([(-0.5, 0.5)] * 3, (49, 49, 49))

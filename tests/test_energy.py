@@ -202,6 +202,27 @@ def test_gradient_consistency_fd():
             assert abs(wf - fd / p) / max(abs(wf), 1e-30) < 1e-5
 
 
+# a full symmetric coefficient, I + x x^T
+FULL2 = MatrixField("full", lambda pts: np.eye(2) + pts[:, :, None] * pts[:, None, :], 2)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_weak_form_is_solver_gradient(p):
+    # against the nodal basis function e_i of a free node, the weak form is
+    # the solver's gradient component over p, bit for bit
+    dom = GridDomain.disc(1.0, (17, 17))
+    u = GridFunction(dom, child_rng(5, "wfgrad", str(p)).normal(size=dom.shape))
+    disc = _Discretization(euclidean(2), dom, FULL2)
+    grad = disc.energy_gradient(u.values, p, 0.0)[1]
+    weak = []
+    for i in disc.free:
+        e = np.zeros(dom.shape)
+        e.ravel()[i] = 1.0
+        weak.append(weak_form(u, GridFunction(dom, e), FULL2, p, 0.0))
+    assert len(weak) == 193
+    assert np.array_equal(weak, grad[disc.free] / p)
+
+
 # --- monotonicity --------------------------------------------------------------------
 
 def test_monotonicity_gap_zero_for_equal():
