@@ -124,6 +124,7 @@ _SETTINGS = {
     "catalog": {
         **_RUN,
         "fixture": _Setting("all", ("all", *_FIXTURE)),
+        # at most 8: checked by `run_catalog`
         "budget_scale": _Setting(1.0, float, "> 0"),
     },
 }
@@ -140,12 +141,11 @@ _HELP = {
 # in any dimension whose stencil, res^n 3^n entries, outgrows that of
 # MAX_RESOLUTION_3D^3: 995328 nodes at n = 1, 576 per axis at n = 2, 13 at
 # n = 4, 6 at n = 5.  Measured peak RSS of `solve --p 3` (one BLAS thread,
-# 2-CPU host with 8 GB of RAM): 89-91 MB at 33^3, 126-127 MB at 41^3 and
-# 172-174 MB at 48^3 through the CLI, about 1 300 bytes per free unknown
-# (BENCH_12.json), and 365-369 MB at 64^3 through the library; 87 MB and
-# 3.0-3.6 s at 13^4 and 65 MB at 6^5 through the CLI; 256 MB and 13-21 s at
-# 576^2, where `solve --p 2 --init zero` (multigrid) peaks at 274-286 MB in
-# 3.4-4.2 s (two sweeps on a noisy host).
+# 2-CPU host with 8 GB of RAM; BENCH_13.json): 80.4-80.7 MB at 33^3, 113 MB
+# at 41^3 and 152 MB at 48^3 through the CLI, about 1 110 bytes per free
+# unknown, and 294 MB at 64^3 through the library; 81 MB and 2.7-2.9 s at
+# 13^4 and 65 MB at 6^5 through the CLI; 203 MB and 11.6-11.7 s at 576^2,
+# where `solve --p 2 --init zero` (multigrid) peaks at 249 MB in 2.4-2.5 s.
 MAX_RESOLUTION_3D = 48
 
 
@@ -289,8 +289,8 @@ def _build_domain(cfg, dim: int) -> GridDomain:
     res = cfg["resolution"]
     limit = int((3 * MAX_RESOLUTION_3D) ** (3 / dim) / 3 + 1e-9)
     _require(res <= limit, f"{dim}-d resolution {res} is above the limit {limit}, the stencil "
-             "size of 48^3: a p = 3 solve peaks at 174 MB RSS at 48^3, 256 MB at 576^2 and "
-             "369 MB at 64^3")
+             "size of 48^3: a p = 3 solve peaks at 152 MB RSS at 48^3, 203 MB at 576^2 and "
+             "294 MB at 64^3")
     shape = (res,) * dim
     bounds = _bounds(cfg, dim)
     sides = np.diff(bounds, axis=1)
@@ -436,8 +436,11 @@ def run_solve(cfg) -> int:
         max_iterations=cfg["max_iterations"],
         init=cfg["init"],
     )
+    try:  # an energy that leaves the float range at the boundary data is a p out of range
+        u, report = E.solve_dirichlet(a_field, cfg["p"], psi, domain, config, space)
+    except ValueError as exc:
+        raise ConfigError(f"p {cfg['p']!r}, psi {cfg['psi']!r}: {exc}") from exc
     out = _outdir(cfg)
-    u, report = E.solve_dirichlet(a_field, cfg["p"], psi, domain, config, space)
     u.to_csv(out / "solution.csv")
     write_json(out / "solve-report.json", {"solve_report": report.to_dict()})
     if cfg["pgm"] and dim == 2:
@@ -544,6 +547,17 @@ def run_distortion(cfg) -> int:
 
 
 def run_catalog(cfg) -> int:
+    # The estimators draw balls x budget samples, both in proportion to the
+    # scale, so their cost grows with its square.  Measured wall time and
+    # peak RSS (one BLAS thread, 2-CPU host): the constant fixture 0.37 s and
+    # 49 MB at scale 4, 0.90 s and 60 MB at 8, 2.8 s and 82 MB at 16, 12 s
+    # and 121 MB at 32, 45 s and 218 MB at 64; all four fixtures 2.1 s and
+    # 112 MB at 1, 3.3 s and 115 MB at 2, 9.0 s and 120 MB at 4, 33 s and
+    # 158 MB at 8.
+    scale = cfg["budget_scale"]
+    _require(scale <= 8, f"budget_scale {scale!r} is above the limit 8: the estimators' cost "
+             "grows with the square of the scale, and all four fixtures take 33 s and peak at "
+             "158 MB RSS at 8 (9.0 s and 120 MB at 4)")
     names = _FIXTURE if cfg["fixture"] == "all" else [cfg["fixture"]]
     out = _outdir(cfg)
     reports = [CAT.verify_fixture(name, budget_scale=cfg["budget_scale"], seed=cfg["seed"])

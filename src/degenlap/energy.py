@@ -391,20 +391,23 @@ class SolveReport:
 
 
 class _Discretization:
-    """Cell data for one (space, domain) pair: corner node indices (int32
-    while the node count fits), cell centers and the stencil B turning
+    """Cell data for one (space, domain) pair: corner node indices, the
+    free (interior) nodes and each node's position among them (-1 off
+    them), all int32 while the node count fits, and the stencil B turning
     corner values into the horizontal gradient (on Euclidean space one
     table broadcast over the cells), plus the cell coefficients A when a
     field is given (and how many centres `MatrixField.evaluate_shifted`
     nudged).  The cells are the grid's hypercubes whose 2^n corners are all
     live and at least one interior, in C order; corner c sits at offset
     `_corner_bits(n)[:, c]` from the first, and the centre halfway between
-    corners 0 and 2^n - 1.  No product A B is kept: `energy_gradient` forms
-    A (B u), and `hessian` the A B of one chunk of cells at a time.  The
-    parts of the linear solve that depend only on the mask are built on
-    first use: the CSR pattern of the free-node Hessian (`_pattern`), which
-    `csr` fills, the padded node layout of `_StencilHessian` (`padding`),
-    and the multigrid interpolations (`interpolations`)."""
+    corners 0 and 2^n - 1.  The centres are not held: B and A read them
+    once, and `centers` computes them again, with the same bits, for the
+    read-outs.  No product A B is kept: `energy_gradient` forms A (B u), and
+    `hessian` the A B of one chunk of cells at a time.  The parts of the
+    linear solve that depend only on the mask are built on first use: the
+    CSR pattern of the free-node Hessian (`_pattern`), which `csr` fills,
+    the padded node layout of `_StencilHessian` (`padding`), and the
+    multigrid interpolations (`interpolations`)."""
 
     def __init__(self, space: MetricSpace, domain: GridDomain, a_field: MatrixField | None = None):
         if space.kind == "heisenberg1" and domain.n != 3:
@@ -420,30 +423,42 @@ class _Discretization:
         live = mask_flat[corners]
         included = np.all(live > 0, axis=0) & np.any(live == INTERIOR, axis=0)
         self.corner_idx = corners.T[included]  # (K, 2^n), C-contiguous
-        coords = domain.node_coords().reshape(-1, n)
-        self.centers = 0.5 * (coords[self.corner_idx[:, 0]] + coords[self.corner_idx[:, -1]])
-        self.b = _stencil_matrix(space, domain, self.centers)
+        self.domain = domain
+        centers = self.centers
+        self.b = _stencil_matrix(space, domain, centers)
         if a_field is not None:
             self.a, self.shifted_evaluations = a_field.evaluate_shifted(
-                self.centers, domain.h, domain.bounds.mean(axis=1))
+                centers, domain.h, domain.bounds.mean(axis=1))
         self.shape = domain.shape
         self.n_nodes = mask_flat.size
-        self.free = np.flatnonzero(mask_flat == INTERIOR)
-        self.free_pos = -np.ones(self.n_nodes, dtype=np.int64)
-        self.free_pos[self.free] = np.arange(len(self.free))
+        self.free = np.flatnonzero(mask_flat == INTERIOR).astype(idx_dtype)
+        self.free_pos = np.full(self.n_nodes, -1, dtype=idx_dtype)
+        self.free_pos[self.free] = np.arange(len(self.free), dtype=idx_dtype)
+
+    @property
+    def centers(self) -> np.ndarray:
+        """(K, n) cell centres, halfway between corners 0 and 2^n - 1,
+        computed on each call: only the set-up and the read-outs need them."""
+        coords = self.domain.node_coords().reshape(-1, self.domain.n)
+        return 0.5 * (coords[self.corner_idx[:, 0]] + coords[self.corner_idx[:, -1]])
 
     def gradients(self, values: np.ndarray) -> np.ndarray:
         corners = values.ravel()[self.corner_idx]  # (K, 2^n)
         return np.einsum("kmc,kc->km", self.b, corners)
 
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def energy_gradient(self, values: np.ndarray, p: float, delta: float):
+        """Energy, gradient in every node value and the evaluation cache (s,
+        alpha, v) that `hessian` and `gradient_roundoff` read.  A value that
+        leaves the float range comes out inf or nan, without a warning:
+        `solve_dirichlet` refuses such an initial iterate, and its line
+        search rejects such a trial."""
         g = self.gradients(values)
         ag = np.einsum("kij,kj->ki", self.a, g)  # A Xu per cell
         quad = np.einsum("km,km->k", g, ag)
         s = delta * delta + quad
         energy = self.cell_volume * float(np.sum(s ** (p / 2.0)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w1 = np.where(s > 0, s ** ((p - 2.0) / 2.0), 0.0)
+        w1 = np.where(s > 0, s ** ((p - 2.0) / 2.0), 0.0)
         v = np.einsum("kmc,km->kc", self.b, ag)  # B^T A g per cell
         cell_grad = (self.cell_volume * p) * w1[:, None] * v
         grad = np.zeros(self.n_nodes)
@@ -478,24 +493,26 @@ class _Discretization:
         """(present, indptr, indices).  The (free, 3^n) table `present` of the
         free nodes' free cell neighbours, offsets in lexicographic order, in
         which a node's neighbours increase in flat index: read row by row, it
-        is the CSR layout itself."""
+        is the CSR layout itself.  It is kept packed (`np.packbits`, an
+        eighth of its bool size) and unpacked by each read-out."""
         n = len(self.shape)
         code = _offset_codes(n)
         idx_dtype = np.int32 if len(self.free) * 3 ** n < 2 ** 31 else np.int64
-        rows = self.free_pos[self.corner_idx].astype(idx_dtype)  # -1 off the free nodes
+        rows = self.free_pos[self.corner_idx].astype(idx_dtype, copy=False)  # -1 off the free nodes
         cols = np.full((len(self.free) + 1, 3 ** n), -1, dtype=idx_dtype)  # last row: non-free c
         for c in range(2 ** n):
             cols[rows[:, c, None], code[c]] = rows
         present = cols[:-1] >= 0
         indices = cols[:-1][present]
         indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))]).astype(idx_dtype)
-        return present, indptr, indices
+        return np.packbits(present), indptr, indices
 
     def csr(self, stencil: np.ndarray) -> sp.csr_matrix:
         """The Hessian `stencil` (`hessian`) read out into its CSR pattern."""
         import scipy.sparse as sp
-        present, indptr, indices = self._pattern
+        packed, indptr, indices = self._pattern
         n_free = len(self.free)
+        present = np.unpackbits(packed, count=n_free * len(stencil)).view(bool).reshape(n_free, -1)
         return sp.csr_matrix((stencil[:, :-1].T[present], indices, indptr), shape=(n_free, n_free))
 
     @cached_property
@@ -553,7 +570,8 @@ class _Discretization:
                     ab[i] += np.multiply(a[i, j], b[j], out=tmp)
             if table is not None:
                 ab *= t
-            rows = self.free_pos[self.corner_idx[cells]].T
+            # as intp, which np.add.at would otherwise convert to at each call
+            rows = self.free_pos[self.corner_idx[cells]].T.astype(np.intp)
             for c in range(len(code) - 1, -1, -1):
                 # scale alpha B^T A B, then + scale beta v v^T
                 if table is None:
@@ -818,6 +836,12 @@ def solve_dirichlet(
     elif config.init != "psi":
         raise ValueError(f"unknown init mode {config.init!r}")
 
+    def evaluate(vals, delta):
+        """Energy, free gradient and evaluation cache: only the free part of
+        the gradient is read, so only it is held."""
+        e, g, c = disc.energy_gradient(vals, p, delta)
+        return e, g[disc.free], c
+
     schedule = config.schedule()
     energy_history: list[float] = []
     levels: list[dict] = []
@@ -835,16 +859,19 @@ def solve_dirichlet(
 
         # a Newton step starts from the evaluation its predecessor's line
         # search accepted; floor is that evaluation's rounding floor, if taken
-        energy, grad, cache = disc.energy_gradient(values, p, delta)
+        energy, gfree, cache = evaluate(values, delta)
+        if li == 0 and not (np.isfinite(energy) and np.isfinite(gfree).all()):
+            raise ValueError(f"the regularized energy or its gradient at the initial iterate is "
+                             f"not finite at p = {p}, delta = {delta} (energy {energy}): "
+                             f"(delta^2 + <A Xu, Xu>)^(p/2) leaves the float range")
         for _ in range(NEWTON_PER_LEVEL):
-            gfree = grad[disc.free]
             gnorm = float(np.max(np.abs(gfree))) if len(gfree) else 0.0
             if grad_scale is None:
                 grad_scale = max(gnorm, 1e-300)
             energy_history.append(energy)
             target = level_tol * grad_scale
             floor = None
-            if gnorm > target:
+            if not gnorm <= target:  # a nan gradient too: every Newton step takes one
                 floor = _ROUNDOFF_FACTOR * disc.gradient_roundoff(values, p, cache)
                 target = max(target, floor)
             if gnorm <= target:
@@ -854,6 +881,9 @@ def solve_dirichlet(
                 level["stop"] = "max_iterations"
                 break
             hess = disc.hessian(values, p, delta, cache)
+            # not held through CG: an accepted trial brings its own, and a
+            # failed line search leaves this step's floor
+            cache = c_trial = None
             # forcing term: solve only as far as the Newton target needs
             rtol = min(max(0.1 * target / gnorm, CG_RTOL), 0.1)
             large = len(gfree) >= MULTIGRID_MIN_UNKNOWNS
@@ -882,14 +912,14 @@ def solve_dirichlet(
             for _ls in range(42):
                 trial = values.copy()
                 trial.ravel()[disc.free] += s * step
-                e_trial, g_trial, c_trial = disc.energy_gradient(trial, p, delta)
+                e_trial, g_trial, c_trial = evaluate(trial, delta)
                 level["line_search_trials"] += 1
                 # a drop below the energy's rounding cannot be seen by the
                 # Armijo test; there a smaller gradient accepts the step
                 if e_trial <= energy + 1e-4 * s * slope or (
                         -s * slope <= energy_noise
-                        and np.max(np.abs(g_trial[disc.free])) < gnorm):
-                    values, energy, grad, cache, floor = trial, e_trial, g_trial, c_trial, None
+                        and np.max(np.abs(g_trial)) < gnorm):
+                    values, energy, gfree, cache, floor = trial, e_trial, g_trial, c_trial, None
                     break
                 s *= 0.5
             else:
@@ -899,9 +929,8 @@ def solve_dirichlet(
             break
 
     if delta != schedule[-1]:
-        energy, grad, cache = disc.energy_gradient(values, p, schedule[-1])
+        energy, gfree, cache = evaluate(values, schedule[-1])
         floor = None
-    gfree = grad[disc.free]
     final_grad_norm = float(np.max(np.abs(gfree))) if len(gfree) else 0.0
     converged = final_grad_norm <= 10.0 * (config.tolerance * grad_scale)
     if not converged:

@@ -523,6 +523,10 @@ SMALL_WEIGHTS = ["--balls", "8", "--points", "8", "--radii", "2", "--budget", "6
     # a cell volume h^n beyond the float range
     (["solve", "--psi", "affine:0,0,1", "--resolution", "9"],
      {"bounds": [[0, 1e300], [0, 1e300]]}, "cell volume h^2 = inf"),
+    # (delta^2 + |Xu|^2)^(p/2) overflows at the boundary data
+    (["solve", "--p", "1e6", "--resolution", "9"], None,
+     "p 1000000.0, psi 'poly:x2-y2': the regularized energy or its gradient at the initial "
+     "iterate is not finite at p = 1000000.0"),
 ], ids=["solve-p", "solve-tolerance", "solve-tolerance-inf", "solve-delta-final-negative",
         "solve-delta-final-0", "solve-delta-final-nan", "catalog-budget-scale-nan",
         "catalog-budget-scale-inf", "catalog-budget-scale-0", "catalog-budget-scale-negative",
@@ -543,7 +547,7 @@ SMALL_WEIGHTS = ["--balls", "8", "--points", "8", "--radii", "2", "--budget", "6
         "weights-pow-inf", "weights-const-nan", "weights-log-inf", "solve-radial-pow-nan",
         "solve-affine-nan", "diagnose-bounds-off-domain", "weights-pow-huge",
         "weights-t-huge", "distortion-epsilon-huge", "distortion-epsilon-tiny",
-        "distortion-tube-0", "solve-cell-volume-huge"])
+        "distortion-tube-0", "solve-cell-volume-huge", "solve-p-huge"])
 def test_out_of_range_setting_refused(tmp_path, capsys, argv, config, message):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -553,3 +557,18 @@ def test_out_of_range_setting_refused(tmp_path, capsys, argv, config, message):
     err = capsys.readouterr().err
     assert "config error:" in err and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scale, refused", [("8", False), ("8.5", True), ("1e6", True)])
+def test_catalog_budget_scale_limit(tmp_path, capsys, monkeypatch, scale, refused):
+    # the estimators' cost grows with the square of the scale: one above the
+    # measured limit is refused before any fixture runs or output exists
+    ran = []
+    monkeypatch.setattr(cli.CAT, "verify_fixture", lambda name, **kw: ran.append(kw) or {})
+    out = tmp_path / "out"
+    argv = ["catalog", "--fixture", "constant", "--budget-scale", scale, "--output-dir", str(out)]
+    assert run_cli(argv) == (2 if refused else 0)
+    err = capsys.readouterr().err
+    assert ("config error: budget_scale" in err and "is above the limit 8" in err) == refused
+    assert out.exists() != refused
+    assert ran == ([] if refused else [{"budget_scale": 8.0, "seed": 0}])

@@ -846,3 +846,41 @@ def test_solver_frees_previous_hessian(monkeypatch):
     _, rep = solve_dirichlet(I2, 3.0, psi, config=SolverConfig(p=3.0, init="zero"))
     assert {pc for lv in rep.levels for pc in lv["preconditioner"]} == {"multigrid"}
     assert len(refs) == rep.iterations >= 3
+
+
+def test_newton_step_holds_only_what_cg_reads(monkeypatch):
+    # a V-cycle at every Newton step; at each CG solve no array of an
+    # evaluation cache (s, alpha, v) is alive, the discretization holds no
+    # (K, n) cell centres, and its CSR pattern no (free, 3^n) bool table
+    monkeypatch.setattr(energy, "MULTIGRID_MIN_UNKNOWNS", 0)
+    monkeypatch.setattr(energy, "MULTIGRID_MAX_RTOL", 1.0)
+    real_evaluation, real_cg = _Discretization.energy_gradient, energy.spla.cg
+    caches, discs, solves = [], [], []
+
+    def energy_gradient(self, *args):
+        out = real_evaluation(self, *args)
+        caches.extend(weakref.ref(arr) for arr in out[2])
+        discs.append(self)
+        return out
+
+    def cg(a, b, **kwargs):
+        assert all(ref() is None for ref in caches)
+        disc = discs[-1]
+        n = len(disc.shape)
+        held = [x for value in vars(disc).values()
+                for x in (value if isinstance(value, tuple) else (value,))
+                if isinstance(x, np.ndarray)]
+        assert not [x for x in held if x.shape == (len(disc.corner_idx), n)]
+        assert not [x for x in held
+                    if x.dtype == bool and x.shape == (len(disc.free), 3 ** n)]
+        assert "_pattern" in vars(disc)
+        solves.append(len(caches))
+        return real_cg(a, b, **kwargs)
+
+    monkeypatch.setattr(_Discretization, "energy_gradient", energy_gradient)
+    monkeypatch.setattr(energy.spla, "cg", cg)
+    dom = GridDomain.box([(-1, 1), (-1, 1)], (25, 25))
+    psi = GridFunction.from_callable(dom, lambda x: np.exp(x[:, 0]) * np.cos(x[:, 1]))
+    _, rep = solve_dirichlet(I2, 3.0, psi, config=SolverConfig(p=3.0, init="zero"))
+    assert {pc for lv in rep.levels for pc in lv["preconditioner"]} == {"multigrid"}
+    assert len(solves) == rep.iterations >= 3
