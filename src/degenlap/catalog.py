@@ -9,15 +9,22 @@ Available fixtures:
   discontinuous exactly on the axis {x1 = 0}.
 * "zhong-log"               -- 3-d log-degenerate coefficient field with
   k = |log|x||^{1+eps}; the associated equation admits a solution
-  discontinuous at the origin, not available in closed form.
+  discontinuous at the origin, not available in closed form.  Its 3-d
+  solve probe runs in a forked worker process (`_ProbeWorker`), beside the
+  estimator checks, and records exactly what an in-process run records.
 * "finite-distortion-radial" -- f(x) = (x/|x|) exp(|x|^eps) with closed-form
   inner/outer distortion.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -171,9 +178,18 @@ def _sample_in_domain(fix: Fixture, count: int, seed: int) -> np.ndarray:
     return pts[:count]
 
 
-def verify_fixture(name: str, budget_scale: float = 1.0, seed: int = 0) -> dict:
+def verify_fixture(name: str, budget_scale: float = 1.0, seed: int = 0, *,
+                   probe: _ProbeWorker | None = None) -> dict:
     """Run the cross-module checks backing the fixture's claims and aggregate
-    pass/fail with evidence.  Informational probes carry passed = None."""
+    pass/fail with evidence.  Informational probes carry passed = None.
+
+    zhong-log's solve probe runs in a forked worker process, and its record
+    is identical to that of an in-process run.  `probe` is that worker when
+    the caller started it earlier, so that it runs beside other checks (as
+    `_verify_fixtures` does); otherwise this call starts and joins its own."""
+    if name == "zhong-log" and probe is None:
+        with _ProbeWorker(budget_scale, seed) as probe:
+            return verify_fixture(name, budget_scale, seed, probe=probe)
     fix = fixture(name)
     checks: list[dict] = []
 
@@ -230,8 +246,7 @@ def verify_fixture(name: str, budget_scale: float = 1.0, seed: int = 0) -> dict:
                          balls=balls, budget=budget, seed=seed)
         record("rh3-finite", not rh.rh_estimate.unbounded_suspected,
                estimate=rh.rh_estimate.value, stages=list(rh.rh_estimate.stages))
-        probe = _zhong_solve_probe(fix, budget_scale, seed)
-        record("solve-probe-origin-oscillation", None, **probe)
+        record("solve-probe-origin-oscillation", None, **probe.result())
 
     if name == "finite-distortion-radial":
         from .distortion import (column_identity_check, distortion_scalars, jacobian)
@@ -263,6 +278,101 @@ def verify_fixture(name: str, budget_scale: float = 1.0, seed: int = 0) -> dict:
         "passed": all(c["passed"] for c in hard),
         "checks": checks,
     }
+
+
+def _verify_fixtures(names: Sequence[str], budget_scale: float, seed: int) -> list[dict]:
+    """`verify_fixture` of each name, in the order given.  zhong-log's probe
+    worker starts before the first fixture and zhong-log's own checks run
+    last, so the probe overlaps every other check; none of them depends on
+    the order in which they run."""
+    worker = _ProbeWorker(budget_scale, seed) if "zhong-log" in names else contextlib.nullcontext()
+    with worker as probe:
+        reports = {name: verify_fixture(name, budget_scale, seed, probe=probe)
+                   for name in sorted(names, key=lambda n: n == "zhong-log")}
+    return [reports[name] for name in names]
+
+
+class _ProbeWorker:
+    """zhong-log's solve probe, computed in a forked worker process while the
+    caller goes on; `result` joins it.  The worker writes the pickled probe
+    dict, or the pickled exception it raised, to a pipe, and always leaves
+    by os._exit.  Where os.fork is missing or raises OSError, `result`
+    computes the probe in process instead.  Leaving the `with` block kills a
+    worker not yet joined (the caller raised) and reaps it, so no process
+    outlives the block."""
+
+    def __init__(self, budget_scale: float, seed: int):
+        self.args = (budget_scale, seed)
+        self.pid = self.pipe = None
+        if not hasattr(os, "fork"):
+            return
+        sys.stdout.flush()  # else the worker would inherit, and write, the buffered text
+        sys.stderr.flush()
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            return
+        if pid == 0:
+            os.close(read)
+            _probe_worker_main(write, budget_scale, seed)
+        self.pid = pid
+        os.close(write)
+        self.pipe = os.fdopen(read, "rb")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self.pipe is not None:
+            self.pipe.close()
+
+    def result(self) -> dict:
+        """The probe dict; the worker's exception is raised here, and a worker
+        that exits non-zero or dies by a signal raises RuntimeError."""
+        if self.pid is None:
+            return _zhong_solve_probe(fixture("zhong-log"), *self.args)
+        data = self.pipe.read()
+        pid = self.pid
+        _, status = os.waitpid(pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code < 0:
+            raise RuntimeError(f"the zhong-log solve probe's worker (pid {pid}) was killed "
+                               f"by signal {-code} ({signal.Signals(-code).name})")
+        if code != 0:
+            raise RuntimeError(f"the zhong-log solve probe's worker (pid {pid}) exited "
+                               f"with status {code}")
+        outcome = pickle.loads(data)  # written by this program's own worker
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+
+def _probe_worker_main(fd: int, budget_scale: float, seed: int):
+    """The forked worker's whole life: compute the probe, write its pickled
+    dict or exception to the pipe `fd`, and leave by os._exit (status 1 when
+    the outcome could not be written), running no exit handler of the
+    parent's."""
+    status = 1
+    try:
+        with os.fdopen(fd, "wb") as pipe:
+            try:
+                outcome = _zhong_solve_probe(fixture("zhong-log"), budget_scale, seed)
+            except BaseException as exc:  # raised again in the parent by `result`
+                outcome = exc
+            pickle.dump(outcome, pipe)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _zhong_odd(pts: np.ndarray) -> np.ndarray:

@@ -40,7 +40,6 @@ class GridDomain:
             raise ValueError(f"grid spacing must be uniform across axes, got {spacings}")
         self.h = float(spacings[0])
         self.mask = np.asarray(self.mask, dtype=np.int8).reshape(self.shape)
-        self._node_coords = None
 
     # --- constructors ---------------------------------------------------
 
@@ -71,12 +70,11 @@ class GridDomain:
         return self.bounds.shape[0]
 
     def node_coords(self) -> np.ndarray:
-        """(shape..., n) array of node coordinates."""
-        if self._node_coords is None:
-            axes = [np.linspace(lo, hi, s) for (lo, hi), s in zip(self.bounds, self.shape)]
-            grids = np.meshgrid(*axes, indexing="ij")
-            self._node_coords = np.stack(grids, axis=-1)
-        return self._node_coords
+        """(shape..., n) array of node coordinates, computed on each call (the
+        same bits every time): the domain holds no array the size of the
+        grid times n, which would stay alive through a solve."""
+        axes = [np.linspace(lo, hi, s) for (lo, hi), s in zip(self.bounds, self.shape)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
     def node_distances(self, space: MetricSpace, x) -> np.ndarray:
         """Flat array of the metric distance from x to every node, +inf on

@@ -1,8 +1,12 @@
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
+from degenlap import catalog
 from degenlap._rand import child_rng
 from degenlap.catalog import FixtureNotFoundError, fixture, fixture_names, verify_fixture
 from degenlap.weights import ap_constant, rh_constant
@@ -86,3 +90,102 @@ def test_zhong_log_constants_not_flagged(estimate, seed):
     else:
         trace = ap_constant(fix.weight, 2.0, *args, balls=512, budget=2048, seed=seed).ap_estimate
     assert not trace.unbounded_suspected
+
+
+# The zhong-log solve probe runs in a forked worker (catalog._ProbeWorker).
+# These cases use the cheap 33^3 probe (budget_scale < 1) at one seed.
+PROBE_ARGS = (0.25, 3)
+
+
+@pytest.fixture
+def reaped():
+    """After the case, this process has no child left, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Turns a hang into a failure: SIGALRM after 60 s raises TimeoutError."""
+    def expire(signum, frame):
+        raise TimeoutError("the probe's worker was not joined within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="module")
+def probe_in_process():
+    return catalog._zhong_solve_probe(fixture("zhong-log"), *PROBE_ARGS)
+
+
+def zhong_probe_record(report):
+    (check,) = [c for c in report["checks"] if c["check"] == "solve-probe-origin-oscillation"]
+    return {key: value for key, value in check.items() if key not in ("check", "passed")}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_zhong_probe_worker_matches_in_process(monkeypatch, reaped, probe_in_process):
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    report = verify_fixture("zhong-log", *PROBE_ARGS)
+    assert len(forks) == 1 and forks[0] > 0
+    assert [c["check"] for c in report["checks"]] == [
+        "ellipticity-envelope", "a2-finite", "rh3-finite", "solve-probe-origin-oscillation"]
+    # bit for bit: repr round-trips every float exactly
+    assert repr(zhong_probe_record(report)) == repr(probe_in_process)
+
+
+def test_zhong_probe_fork_error_falls_back_in_process(monkeypatch, reaped, probe_in_process):
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    report = verify_fixture("zhong-log", *PROBE_ARGS)
+    assert repr(zhong_probe_record(report)) == repr(probe_in_process)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_zhong_probe_worker_exception_reaches_parent(monkeypatch, reaped, deadline):
+    def failing(*args):
+        raise ValueError(f"probe failed in pid {os.getpid()}")
+
+    monkeypatch.setattr(catalog, "_zhong_solve_probe", failing)
+    with catalog._ProbeWorker(*PROBE_ARGS) as probe:
+        with pytest.raises(ValueError, match="probe failed in pid") as info:
+            probe.result()
+    assert str(info.value) != f"probe failed in pid {os.getpid()}"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_zhong_probe_worker_killed_raises_promptly(monkeypatch, reaped, deadline):
+    monkeypatch.setattr(catalog, "_zhong_solve_probe",
+                        lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"killed by signal 9 \(SIGKILL\)"):
+        verify_fixture("zhong-log", *PROBE_ARGS)
+    assert time.monotonic() - start < 30
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_zhong_probe_worker_killed_when_parent_raises(monkeypatch, reaped, deadline):
+    monkeypatch.setattr(catalog, "_zhong_solve_probe", lambda *args: time.sleep(600))
+    start = time.monotonic()
+    with pytest.raises(KeyError):
+        with catalog._ProbeWorker(*PROBE_ARGS) as probe:
+            assert probe.pid > 0
+            raise KeyError("a check of another fixture failed")
+    assert time.monotonic() - start < 30

@@ -564,7 +564,7 @@ def test_catalog_budget_scale_limit(tmp_path, capsys, monkeypatch, scale, refuse
     # the estimators' cost grows with the square of the scale: one above the
     # measured limit is refused before any fixture runs or output exists
     ran = []
-    monkeypatch.setattr(cli.CAT, "verify_fixture", lambda name, **kw: ran.append(kw) or {})
+    monkeypatch.setattr(cli.CAT, "_verify_fixtures", lambda name, **kw: ran.append(kw) or {})
     out = tmp_path / "out"
     argv = ["catalog", "--fixture", "constant", "--budget-scale", scale, "--output-dir", str(out)]
     assert run_cli(argv) == (2 if refused else 0)
@@ -572,3 +572,21 @@ def test_catalog_budget_scale_limit(tmp_path, capsys, monkeypatch, scale, refuse
     assert ("config error: budget_scale" in err and "is above the limit 8" in err) == refused
     assert out.exists() != refused
     assert ran == ([] if refused else [{"budget_scale": 8.0, "seed": 0}])
+
+
+@pytest.mark.parametrize("fixture, target", [("constant", "ap_constant"),
+                                             ("zhong-log", "_zhong_solve_probe")],
+                         ids=["check", "probe-worker"])
+def test_catalog_failed_check_leaves_no_output(tmp_path, monkeypatch, fixture, target):
+    # every fixture runs, and the probe's worker is joined, before the output
+    # directory is made: a check that raises, in this process or in the
+    # worker, leaves no directory behind, not one with only the config
+    def raising(*args, **kwargs):
+        raise ZeroDivisionError("a check failed")
+
+    monkeypatch.setattr(cli.CAT, target, raising)
+    out = tmp_path / "out"
+    with pytest.raises(ZeroDivisionError, match="a check failed"):
+        run_cli(["catalog", "--fixture", fixture, "--budget-scale", "0.25",
+                 "--output-dir", str(out)])
+    assert not out.exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from degenlap.energy import _Discretization
+from degenlap.energy import MatrixField, SolverConfig, _Discretization, solve_dirichlet
 from degenlap.geometry import euclidean, heisenberg1
 from degenlap.grids import BOUNDARY, GridDomain, GridFunction
 from oracles import grid_cells, grid_mask
@@ -66,3 +66,15 @@ def test_grid_matches_oracle(kind, radii, bounds, geometry):
     assert disc.corner_idx.flags.c_contiguous
     assert np.array_equal(disc.corner_idx, corners)
     np.testing.assert_allclose(disc.centers, centres, rtol=0, atol=1e-13)
+
+
+def test_solved_domain_holds_no_coordinate_array():
+    # the (nodes, n) coordinates are computed on each call, the same bits
+    # every time, so none stays alive on the domain through a solve
+    dom = GridDomain.disc(1.0, (9, 9, 9))
+    psi = GridFunction.from_callable(dom, lambda pts: pts[:, 0] * pts[:, 2])
+    u, rep = solve_dirichlet(MatrixField.identity(3), 2.0, psi, config=SolverConfig(p=2.0))
+    assert rep.converged and u.domain is dom
+    assert {key for key, value in vars(dom).items() if isinstance(value, np.ndarray)} == {
+        "bounds", "mask"}
+    assert dom.node_coords().tobytes() == dom.node_coords().tobytes()
