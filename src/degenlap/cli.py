@@ -553,15 +553,15 @@ def run_catalog(cfg) -> int:
     # 49 MB at scale 4, 0.90 s and 60 MB at 8, 2.8 s and 82 MB at 16, 12 s
     # and 121 MB at 32, 45 s and 218 MB at 64.  All four fixtures, with the
     # peaks of this process and of the zhong-log probe's forked worker and
-    # their sum (which counts the pages they share twice): 1.2 s, 52 + 104 =
-    # 156 MB at 1; 2.2 s, 67 + 104 = 172 MB at 2; 6.9 s, 101 + 104 = 205 MB
-    # at 4; 27 s, 158 + 104 = 262 MB at 8.  The probe's cost does not grow
+    # their sum (which counts the pages they share twice): 0.8-1.3 s, 52 + 95
+    # = 147 MB at 1; 1.4-1.6 s, 67 + 95 = 162 MB at 2; 5.1 s, 101 + 95 = 196
+    # MB at 4; 20 s, 158 + 94 = 252 MB at 8.  The probe's cost does not grow
     # with the scale above 1.
     scale = cfg["budget_scale"]
     _require(scale <= 8, f"budget_scale {scale!r} is above the limit 8: the estimators' cost "
-             "grows with the square of the scale, and all four fixtures take 27 s at 8, with "
-             "peaks of 158 MB RSS in this process and 104 MB in the zhong-log probe's worker "
-             "(6.9 s, 101 MB and 104 MB at 4)")
+             "grows with the square of the scale, and all four fixtures take 20 s at 8, with "
+             "peaks of 158 MB RSS in this process and 94 MB in the zhong-log probe's worker "
+             "(5.1 s, 101 MB and 95 MB at 4)")
     names = _FIXTURE if cfg["fixture"] == "all" else [cfg["fixture"]]
     reports = CAT._verify_fixtures(names, budget_scale=scale, seed=cfg["seed"])
     out = _outdir(cfg)

@@ -32,9 +32,12 @@ Saad, "Iterative Methods for Sparse Linear Systems", 2nd ed., 2003, sec.
 3.4) as `_StencilHessian`, whose numpy product has the bits of scipy's CSR
 product.  A large system whose step asks CG for at most `MULTIGRID_MAX_RTOL`
 is preconditioned by a geometric multigrid V-cycle (`_VCycle`; Trottenberg,
-Oosterlee & Schueller, "Multigrid", 2001), any other system by Jacobi.  So a
-smaller system loads no scipy, and a larger one only `scipy.sparse`, imported
-for a CSR matrix: the V-cycle solves its coarsest level with a dense inverse.
+Oosterlee & Schueller, "Multigrid", 2001), any other system by Jacobi.  The
+V-cycle's finest coarse space is trilinear interpolation P beside its
+checkerboard copy S P, held with P's entries once, and every coarse operator
+is held as three blocks, its off-diagonal block once.  So a smaller system
+loads no scipy, and a larger one only `scipy.sparse`, imported for a CSR
+matrix: the V-cycle solves its coarsest level with a dense inverse.
 Near the minimizer a step's predicted energy drop falls below the rounding
 of the energy itself, where the Armijo test only sees noise; a step whose
 predicted drop is that small is accepted when it lowers the max-norm of the
@@ -325,7 +328,7 @@ MULTIGRID_MAX_RTOL = 1e-8
 _CHEBYSHEV_DEGREE = 2
 _LANCZOS_STEPS = 10
 _COARSEST_MAX = 400
-_GALERKIN_BLOCKS = 4  # blocks of coarse columns in which `_galerkin` forms A P
+_GALERKIN_BLOCKS = 4  # blocks of coarse rows in which a Galerkin product forms R A
 _HESSIAN_CHUNK = 4096  # cells per pass of `_Discretization.hessian`, sized for cache
 
 
@@ -643,17 +646,21 @@ def _axis_interpolation(n: int) -> sp.csr_matrix:
 
 
 def _interpolations(shape: tuple[int, ...], free: np.ndarray) -> list[sp.csr_matrix]:
-    """Interpolation operators P of the V-cycle, finest first; the
+    """Interpolation operators of the V-cycle, finest first; the
     restrictions are their transposes.
 
-    Each is the tensor product of `_axis_interpolation`s (trilinear in 3-d)
-    restricted to the unknowns: rows to the free nodes, columns to the
-    coarse nodes that sit on a free node.  The finest one has a second
-    column block, diag((-1)^(i+j+k)) P: the cell gradient, an average of
-    edge differences, annihilates that checkerboard, so its smooth
-    multiples are near-kernel modes that smooth interpolation cannot
-    reach.  Coarser levels interpolate both blocks alike.  Coarsening stops
-    at `_COARSEST_MAX` unknowns, or when no coarse node is left."""
+    Each level's P is the tensor product of `_axis_interpolation`s
+    (trilinear in 3-d) restricted to the unknowns: rows to the free nodes,
+    columns to the coarse nodes that sit on a free node.  The finest coarse
+    space is [P, S P], S = diag(s), s = (-1)^(i+j+k) the checkerboard: the
+    cell gradient, an average of edge differences, annihilates it, so its
+    smooth multiples are near-kernel modes that smooth interpolation cannot
+    reach.  That space is held as the one matrix [P^+, P^-] of P's entries,
+    the rows of P at the nodes where s = +1 in the first column block and
+    those where s = -1 in the second: [P, S P] = [P^+ + P^-, P^+ - P^-].
+    Every coarser level interpolates both halves of its unknowns with its P
+    alike.  Coarsening stops at `_COARSEST_MAX` unknowns, or when no coarse
+    node is left."""
     import scipy.sparse as sp
     n = len(shape)
     free_mask = np.zeros(int(np.prod(shape)), dtype=bool)
@@ -669,13 +676,13 @@ def _interpolations(shape: tuple[int, ...], free: np.ndarray) -> list[sp.csr_mat
         if not coarse_free.any():
             break
         interp = reduce(sp.kron, [_axis_interpolation(s) for s in shape]).tocsr()
-        interp = interp[free_mask][:, coarse_free]
-        if ops:
-            interp = sp.block_diag([interp, interp])
-        else:
-            parity = np.indices(shape).sum(axis=0).ravel()[free_mask] % 2
-            interp = sp.hstack([interp, sp.diags(1.0 - 2.0 * parity) @ interp])
-        ops.append(interp.tocsr())
+        interp = interp[free_mask][:, coarse_free].tocsr()
+        if not ops:  # [P^+, P^-]: the rows where s = -1 move to the second column block
+            odd = np.indices(shape).sum(axis=0).ravel()[free_mask] % 2 == 1
+            interp.indices[np.repeat(odd, np.diff(interp.indptr))] += interp.shape[1]
+            interp = sp.csr_matrix((interp.data, interp.indices, interp.indptr),
+                                   shape=(interp.shape[0], 2 * interp.shape[1]))
+        ops.append(interp)
         shape, free_mask = coarse_shape, coarse_free
         unknowns = 2 * np.count_nonzero(free_mask)
     return ops
@@ -728,37 +735,102 @@ def _smooth(a: sp.csr_matrix, dinv: np.ndarray, coef: np.ndarray, r: np.ndarray)
 
 
 def _galerkin(a: sp.csr_matrix, interp: sp.csr_matrix) -> sp.csr_matrix:
-    """The coarse operator P^T A P with sorted indices, formed as P^T (A P_J)
-    over `_GALERKIN_BLOCKS` blocks J of coarse columns, so that no product
-    A P is held whole.  Each entry sums the same terms in the same order as
-    the whole product: l increasing in (A P)_kj = sum A_kl P_lj when A's
-    indices are sorted, and k increasing in sum P_ki (A P)_kj."""
+    """P^T A P, formed as (R_I A) P over `_GALERKIN_BLOCKS` blocks I of
+    coarse rows, R_I = (P^T)_I, so that no product R A, nor R itself, is
+    held whole; the row blocks are stacked once.  A CSR product forms each
+    row on its own, so a block's rows have the bits of the whole product's."""
     import scipy.sparse as sp
     width = -(-interp.shape[1] // _GALERKIN_BLOCKS)
-    blocks = [interp.T @ (a @ interp[:, lo:lo + width])
-              for lo in range(0, interp.shape[1], width)]
-    coarse = sp.hstack(blocks, format="csc")
-    del blocks  # not held while the CSC matrix is read out into CSR
-    return coarse.tocsr()
+    return sp.vstack([(interp[:, lo:lo + width].T.tocsr() @ a) @ interp
+                      for lo in range(0, interp.shape[1], width)], format="csr")
+
+
+def _checkerboard_galerkin(a: sp.csr_matrix, split: sp.csr_matrix) -> list[sp.csr_matrix]:
+    """The blocks [P^T A P, P^T A (S P), (S P)^T A (S P)] of the finest
+    coarse operator, on [P, S P] held as `split` = [P^+, P^-]
+    (`_interpolations`), so P = P^+ + P^- and S P = P^+ - P^-.  Formed as
+    in `_galerkin`, over blocks of coarse rows (`_checkerboard_rows`), with
+    about the work of the one product P^T A P."""
+    import scipy.sparse as sp
+    half = split.shape[1] // 2
+    width = -(-half // _GALERKIN_BLOCKS)
+    rows = list(zip(*(_checkerboard_rows(a, split, lo, min(lo + width, half))
+                      for lo in range(0, half, width))))
+    # each block's rows are freed once stacked
+    return [sp.vstack(rows.pop(0), format="csr") for _ in range(3)]
+
+
+def _checkerboard_rows(a: sp.csr_matrix, split: sp.csr_matrix, lo: int,
+                       hi: int) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """Rows lo:hi of the three blocks of `_checkerboard_galerkin`.  With
+    T^+- = ((P^+-)^T)_{lo:hi} A and G^+- = T^+- [P^+, P^-], they are the
+    column halves of G^+ + G^- added, of G^+ + G^- subtracted, and of
+    G^+ - G^- subtracted."""
+    half = split.shape[1] // 2
+    g_plus, g_minus = ((split[:, at + lo:at + hi].T.tocsr() @ a) @ split for at in (0, half))
+    g, d = g_plus + g_minus, g_plus - g_minus
+    del g_plus, g_minus  # not held while the halves are formed
+    g_1, g_2 = g[:, :half], g[:, half:]
+    # a sum's arrays are sized for both terms: copied out at its length
+    return (g_1 + g_2).copy(), (g_1 - g_2).copy(), (d[:, :half] - d[:, half:]).copy()
+
+
+class _BlockOperator:
+    """The symmetric coarse operator [[A_ss, A_sc], [A_sc^T, A_cc]] on the
+    two halves of its unknowns, the smooth and the checkerboard coarse
+    functions (`_interpolations`): three CSR blocks, A_sc^T a transposed
+    view sharing A_sc's arrays.  It offers what the V-cycle reads of a
+    matrix: `@` a vector, `diagonal` and `toarray`."""
+
+    def __init__(self, ss: sp.csr_matrix, sc: sp.csr_matrix, cc: sp.csr_matrix):
+        self.blocks = (ss, sc, cc)
+        self.cs = sc.T
+
+    def diagonal(self) -> np.ndarray:
+        ss, _, cc = self.blocks
+        return np.concatenate([ss.diagonal(), cc.diagonal()])
+
+    def toarray(self) -> np.ndarray:
+        ss, sc, cc = self.blocks
+        return np.block([[ss.toarray(), sc.toarray()], [self.cs.toarray(), cc.toarray()]])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        ss, sc, cc = self.blocks
+        half = ss.shape[0]
+        y = np.empty(2 * half)
+        y[:half] = ss @ x[:half]
+        y[:half] += sc @ x[half:]
+        y[half:] = self.cs @ x[:half]
+        y[half:] += cc @ x[half:]
+        return y
 
 
 class _VCycle:
     """Symmetric multigrid V-cycle for the free-node Hessian `a`, applied to
-    a residual as a CG preconditioner.  Coarse operators are Galerkin,
-    P^T A P (`_galerkin`); every level but the coarsest smooths with
-    `_smooth` before and after its coarse correction (the smoother is
-    A-self-adjoint, so the cycle is a symmetric operator), and the coarsest
-    is solved by its dense inverse.  Each level holds its operator, the
-    inverse of its diagonal, its smoother's coefficients, P and the
-    restriction P^T, a transposed view sharing P's arrays.  The instance is
-    the preconditioner `_cg` calls."""
+    a residual as a CG preconditioner, on the coarse spaces of
+    `_interpolations`.  The finest level prolongs a coarse correction
+    (e_1, e_2) as P e_1 + S P e_2 and restricts a residual r to
+    (P^T r, P^T S r), each with one product by [P^+, P^-] or its transpose;
+    every coarser level applies its P to both halves alike.  Every coarse
+    operator is Galerkin (`_checkerboard_galerkin`, then `_galerkin` block
+    by block), held as a `_BlockOperator`.  Every level but the coarsest
+    smooths with `_smooth` before and after its coarse correction (the
+    smoother is A-self-adjoint, so the cycle is a symmetric operator), and
+    the coarsest is solved by its dense inverse.  Each level holds its
+    operator, the inverse of its diagonal, its smoother's coefficients, its
+    interpolation and the restriction, a transposed view sharing the
+    interpolation's arrays.  The instance is the preconditioner `_cg`
+    calls."""
 
     def __init__(self, a: sp.csr_matrix, interpolations: list[sp.csr_matrix]):
         self.levels = []
         for interp in interpolations:
             dinv = 1.0 / a.diagonal()
             self.levels.append((a, dinv, _chebyshev_coefficients(a, dinv), interp, interp.T))
-            a = _galerkin(a, interp)
+            if isinstance(a, _BlockOperator):
+                a = _BlockOperator(*(_galerkin(block, interp) for block in a.blocks))
+            else:
+                a = _BlockOperator(*_checkerboard_galerkin(a, interp))
         self.coarsest = np.linalg.inv(a.toarray())
 
     def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
@@ -766,7 +838,19 @@ class _VCycle:
             return self.coarsest @ r
         a, dinv, coef, interp, restrict = self.levels[level]
         x = _smooth(a, dinv, coef, r)
-        x += interp @ self(restrict @ (r - a @ x), level + 1)
+        residual = r - a @ x
+        if level == 0:
+            # [P^+, P^-]^T r = (u^+, u^-) gives [P, S P]^T r = (u^+ + u^-, u^+ - u^-),
+            # and [P, S P] (e_1, e_2) = [P^+, P^-] (e_1 + e_2, e_1 - e_2)
+            u = restrict @ residual
+            half = len(u) // 2
+            e = self(np.concatenate([u[:half] + u[half:], u[:half] - u[half:]]), 1)
+            x += interp @ np.concatenate([e[:half] + e[half:], e[:half] - e[half:]])
+        else:
+            half = len(r) // 2
+            e = self(np.concatenate([restrict @ residual[:half], restrict @ residual[half:]]),
+                     level + 1)
+            x += np.concatenate([interp @ e[:len(e) // 2], interp @ e[len(e) // 2:]])
         x += _smooth(a, dinv, coef, r - a @ x)
         return x
 
