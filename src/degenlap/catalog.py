@@ -188,7 +188,7 @@ def verify_fixture(name: str, budget_scale: float = 1.0, seed: int = 0, *,
     the caller started it earlier, so that it runs beside other checks (as
     `_verify_fixtures` does); otherwise this call starts and joins its own."""
     if name == "zhong-log" and probe is None:
-        with _ProbeWorker(budget_scale, seed) as probe:
+        with _ProbeWorker(budget_scale) as probe:
             return verify_fixture(name, budget_scale, seed, probe=probe)
     fix = fixture(name)
     checks: list[dict] = []
@@ -285,7 +285,7 @@ def _verify_fixtures(names: Sequence[str], budget_scale: float, seed: int) -> li
     worker starts before the first fixture and zhong-log's own checks run
     last, so the probe overlaps every other check; none of them depends on
     the order in which they run."""
-    worker = _ProbeWorker(budget_scale, seed) if "zhong-log" in names else contextlib.nullcontext()
+    worker = _ProbeWorker(budget_scale) if "zhong-log" in names else contextlib.nullcontext()
     with worker as probe:
         reports = {name: verify_fixture(name, budget_scale, seed, probe=probe)
                    for name in sorted(names, key=lambda n: n == "zhong-log")}
@@ -301,8 +301,8 @@ class _ProbeWorker:
     worker not yet joined (the caller raised) and reaps it, so no process
     outlives the block."""
 
-    def __init__(self, budget_scale: float, seed: int):
-        self.args = (budget_scale, seed)
+    def __init__(self, budget_scale: float):
+        self.budget_scale = budget_scale
         self.pid = self.pipe = None
         if not hasattr(os, "fork"):
             return
@@ -317,7 +317,7 @@ class _ProbeWorker:
             return
         if pid == 0:
             os.close(read)
-            _probe_worker_main(write, budget_scale, seed)
+            _probe_worker_main(write, budget_scale)
         self.pid = pid
         os.close(write)
         self.pipe = os.fdopen(read, "rb")
@@ -337,7 +337,7 @@ class _ProbeWorker:
         """The probe dict; the worker's exception is raised here, and a worker
         that exits non-zero or dies by a signal raises RuntimeError."""
         if self.pid is None:
-            return _zhong_solve_probe(fixture("zhong-log"), *self.args)
+            return _zhong_solve_probe(fixture("zhong-log"), self.budget_scale)
         data = self.pipe.read()
         pid = self.pid
         _, status = os.waitpid(pid, 0)
@@ -355,7 +355,7 @@ class _ProbeWorker:
         return outcome
 
 
-def _probe_worker_main(fd: int, budget_scale: float, seed: int):
+def _probe_worker_main(fd: int, budget_scale: float):
     """The forked worker's whole life: compute the probe, write its pickled
     dict or exception to the pipe `fd`, and leave by os._exit (status 1 when
     the outcome could not be written), running no exit handler of the
@@ -364,7 +364,7 @@ def _probe_worker_main(fd: int, budget_scale: float, seed: int):
     try:
         with os.fdopen(fd, "wb") as pipe:
             try:
-                outcome = _zhong_solve_probe(fixture("zhong-log"), budget_scale, seed)
+                outcome = _zhong_solve_probe(fixture("zhong-log"), budget_scale)
             except BaseException as exc:  # raised again in the parent by `result`
                 outcome = exc
             pickle.dump(outcome, pipe)
@@ -381,14 +381,14 @@ def _zhong_odd(pts: np.ndarray) -> np.ndarray:
     return pts[:, -1] / np.maximum(np.linalg.norm(pts, axis=1), 1e-9)
 
 
-def _zhong_solve_probe(fix: Fixture, budget_scale: float, seed: int) -> dict:
+def _zhong_solve_probe(fix: Fixture, budget_scale: float) -> dict:
     """Solve the log-degenerate equation with odd boundary data and report
     the oscillation profile at the origin.  At feasible resolutions the
     degeneracy is only logarithmic, so this is recorded as evidence, not
     asserted."""
     from .grids import GridDomain, GridFunction
     from .energy import SolverConfig, solve_dirichlet
-    from .diagnostics import dyadic_radii, holder_exponent
+    from .diagnostics import _holder_fits, dyadic_radii
 
     res = 33 if budget_scale < 1.0 else 49
     r = fix.domain_radius
@@ -396,9 +396,7 @@ def _zhong_solve_probe(fix: Fixture, budget_scale: float, seed: int) -> dict:
     psi = GridFunction.from_callable(dom, _zhong_odd)
     u, rep = solve_dirichlet(fix.matrix, 2.0, psi, config=SolverConfig(p=2.0))
     radii = dyadic_radii(0.9 * r, dom.h, min_factor=3.0)
-    fit_origin = holder_exponent(u, fix.space, np.zeros(3), radii)
-    off = np.array([0.0, 0.0, 0.55 * r])
-    fit_off = holder_exponent(u, fix.space, off, radii)
+    fit_origin, fit_off = _holder_fits(u, fix.space, [np.zeros(3), [0.0, 0.0, 0.55 * r]], radii)
     return {
         "resolution": res,
         "converged": rep.converged,

@@ -47,8 +47,9 @@ class _Setting(NamedTuple):
     """A setting's default (a config file may give null only where it is
     None: unset); its kind: int, float, str, bool (a switch), a tuple of
     choices, or None for a structured value that only a config file sets and
-    its runner checks; a number's bound "> b" or ">= b" (a float is also
-    finite); and its flag's help."""
+    its runner checks; a number's bound: "> b" or ">= b" (a float is also
+    finite), an upper limit "<= b", or both, as "> b, <= c"; and its flag's
+    help."""
     default: object
     kind: object = None
     bound: str | None = None
@@ -116,16 +117,27 @@ _SETTINGS = {
         **_RUN,
         "epsilon": _Setting(0.1, float, "> 0"),
         "samples": _Setting(200, int, ">= 1"),
-        # 0 (none) or odd, up to a limit: checked by `run_distortion`
-        "residual_resolution": _Setting(0, int),
+        # 0 (none) or odd, checked by `run_distortion`.  Measured wall time
+        # and peak RSS (one BLAS thread, 2-CPU host): 0.25 s and 59 MB at 33,
+        # 1.0-1.1 s and 200 MB at 65, 3.8-4.6 s and 538 MB at 97
+        "residual_resolution": _Setting(0, int, "<= 97"),
         "tubes": _Setting([0.2, 0.15, 0.1]),
         "bump_count": _Setting(2),
     },
     "catalog": {
         **_RUN,
         "fixture": _Setting("all", ("all", *_FIXTURE)),
-        # at most 8: checked by `run_catalog`
-        "budget_scale": _Setting(1.0, float, "> 0"),
+        # The estimators draw balls x budget samples, both in proportion to
+        # the scale, so their cost grows with its square.  Measured wall time
+        # and peak RSS (one BLAS thread, 2-CPU host): the constant fixture
+        # 0.37 s and 49 MB at scale 4, 0.90 s and 60 MB at 8, 2.8 s and 82 MB
+        # at 16, 12 s and 121 MB at 32, 45 s and 218 MB at 64.  All four
+        # fixtures, with the peaks of the process and of the zhong-log probe's
+        # forked worker and their sum (which counts the pages they share
+        # twice): 0.8-1.3 s, 52 + 95 = 147 MB at 1; 1.4-1.6 s, 67 + 95 = 162
+        # MB at 2; 5.1 s, 101 + 95 = 196 MB at 4; 20 s, 158 + 94 = 252 MB at
+        # 8.  The probe's cost does not grow with the scale above 1.
+        "budget_scale": _Setting(1.0, float, "> 0, <= 8"),
     },
 }
 
@@ -171,10 +183,14 @@ def _parse(key: str, value, kind, bound: str | None = None):
         value = kind(value)
     except OverflowError:           # an integer beyond the float range
         value = math.inf
-    op, b = (bound or ">= -inf").split()
-    rule = " and ".join(filter(None, (bound, "finite" if kind is float else None)))
+    lower, _, limit = (bound or "").partition("<=")
+    lower = lower.rstrip(", ")
+    op, b = (lower or ">= -inf").split()
+    rule = " and ".join(filter(None, (lower, "finite" if kind is float else None)))
     _require((value > float(b) if op == ">" else value >= float(b))
              and (kind is int or math.isfinite(value)), f"{key} must be {rule}, got {value!r}")
+    _require(not limit or value <= float(limit),
+             f"{key} {value!r} is above the limit {limit.strip()}")
     return value
 
 
@@ -476,12 +492,12 @@ def run_diagnose(cfg) -> int:
     probes = _probe_lattice(domain, cfg["probes"])
     if fixture.domain_radius is not None:
         probes = probes[np.linalg.norm(probes, axis=1) < 0.85 * fixture.domain_radius]
-    out = _outdir(cfg)
     report = DG.continuity_map(
         u, fixture.weight, fixture.space, fixture.domain, probes,
         contraction_constant=cfg["contraction_constant"], budget=cfg["budget"],
         seed=cfg["seed"],
     )
+    out = _outdir(cfg)
     write_json(out / "diagnostics-report.json", {"diagnostics": report.to_dict()})
     header = [f"x{i + 1}" for i in range(dim)] + ["mk", "gamma", "alpha", "no_decay", "class"]
     rows = []
@@ -505,8 +521,6 @@ def run_distortion(cfg) -> int:
     res = cfg["residual_resolution"]
     _require(res == 0 or (res >= 3 and res % 2 == 1),
              f"residual resolution {res} must be 0 (none) or an odd resolution >= 3")
-    _require(res <= 2 * MAX_RESOLUTION_3D + 1,
-             f"residual resolution {res} is above the limit {2 * MAX_RESOLUTION_3D + 1}")
     tubes = cfg["tubes"]
     _require(isinstance(tubes, list) and len(tubes) > 0,
              f"tubes must be a list of widths >= 0, got {tubes!r}")
@@ -547,23 +561,8 @@ def run_distortion(cfg) -> int:
 
 
 def run_catalog(cfg) -> int:
-    # The estimators draw balls x budget samples, both in proportion to the
-    # scale, so their cost grows with its square.  Measured wall time and
-    # peak RSS (one BLAS thread, 2-CPU host): the constant fixture 0.37 s and
-    # 49 MB at scale 4, 0.90 s and 60 MB at 8, 2.8 s and 82 MB at 16, 12 s
-    # and 121 MB at 32, 45 s and 218 MB at 64.  All four fixtures, with the
-    # peaks of this process and of the zhong-log probe's forked worker and
-    # their sum (which counts the pages they share twice): 0.8-1.3 s, 52 + 95
-    # = 147 MB at 1; 1.4-1.6 s, 67 + 95 = 162 MB at 2; 5.1 s, 101 + 95 = 196
-    # MB at 4; 20 s, 158 + 94 = 252 MB at 8.  The probe's cost does not grow
-    # with the scale above 1.
-    scale = cfg["budget_scale"]
-    _require(scale <= 8, f"budget_scale {scale!r} is above the limit 8: the estimators' cost "
-             "grows with the square of the scale, and all four fixtures take 20 s at 8, with "
-             "peaks of 158 MB RSS in this process and 94 MB in the zhong-log probe's worker "
-             "(5.1 s, 101 MB and 95 MB at 4)")
     names = _FIXTURE if cfg["fixture"] == "all" else [cfg["fixture"]]
-    reports = CAT._verify_fixtures(names, budget_scale=scale, seed=cfg["seed"])
+    reports = CAT._verify_fixtures(names, budget_scale=cfg["budget_scale"], seed=cfg["seed"])
     out = _outdir(cfg)
     write_json(out / "catalog-report.json", {"fixtures": reports})
     return 0

@@ -135,12 +135,13 @@ class HolderFit:
     oscillations: tuple[float, ...]
 
 
-def _local_gradient_scale(u: GridFunction, space: MetricSpace, x, r0: float) -> float:
-    g = horizontal_gradient(space, u)
-    d = np.asarray(metric_distance(space, g.centers, np.broadcast_to(
-        np.asarray(x, dtype=float), g.centers.shape)))
+def _local_gradient_scale(centers: np.ndarray, norms: np.ndarray, space: MetricSpace, x,
+                          r0: float) -> float:
+    """max |Xu| (`norms`) over the cells centred within r0 of x, else all."""
+    d = np.asarray(metric_distance(space, centers, np.broadcast_to(
+        np.asarray(x, dtype=float), centers.shape)))
     near = d < r0
-    gn = np.linalg.norm(g.values[near if near.any() else slice(None)], axis=1)
+    gn = norms[near if near.any() else slice(None)]
     return float(gn.max()) if gn.size else 0.0
 
 
@@ -153,30 +154,40 @@ def holder_exponent(u: GridFunction, space: MetricSpace, x, radii) -> HolderFit:
     10 h (local gradient scale) are discarded before fitting.  When that
     floor swallows every radius but the oscillations are far from zero (the
     gradient scale itself is polluted by a near-singularity), the fit falls
-    back to all radii with genuinely nonzero oscillation."""
+    back to all radii with genuinely nonzero oscillation.  The one-point case
+    of `_holder_fits`, which fits many points from one gradient field."""
+    return _holder_fits(u, space, [x], radii)[0]
+
+
+def _holder_fits(u: GridFunction, space: MetricSpace, xs, radii) -> list[HolderFit]:
+    """`holder_exponent` at each point of xs, every floor read from one
+    horizontal gradient field of u and its norms."""
     radii = sorted(float(r) for r in radii)
     r0 = radii[-1]
-    oscs = oscillation(u, space, x, radii)
-    h = u.domain.h
-    gscale = _local_gradient_scale(u, space, x, r0)
-    floor = 10.0 * h * gscale
+    g = horizontal_gradient(space, u)
+    norms = np.linalg.norm(g.values, axis=1)
     tiny = 1e-9 * (1.0 + float(np.abs(u.values).max()))
-    if all(o <= tiny for o in oscs):
-        # oscillation is numerically zero at every scale: decay certified
-        return HolderFit(alpha=math.inf, no_decay=False, oscillations=tuple(oscs))
-    usable = [(r, o) for r, o in zip(radii, oscs) if o > floor]
-    if len(usable) < 3:
-        usable = [(r, o) for r, o in zip(radii, oscs) if o > tiny]
-    if len(usable) == 1:
-        no_decay = usable[0][0] == radii[0]
-        return HolderFit(alpha=0.0 if no_decay else math.inf, no_decay=no_decay,
-                         oscillations=tuple(oscs))
-    rs = np.log(np.array([r for r, _ in usable]) / r0)
-    os_ = np.log(np.array([o for _, o in usable]))
-    alpha = float(np.polyfit(rs, os_, 1)[0])
-    flat_ratio = oscs[0] / oscs[-1] if oscs[-1] > tiny else 0.0
-    no_decay = alpha < NO_DECAY_ALPHA or flat_ratio >= NO_DECAY_FLAT_RATIO
-    return HolderFit(alpha=alpha, no_decay=no_decay, oscillations=tuple(oscs))
+    fits = []
+    for x in xs:
+        oscs = oscillation(u, space, x, radii)
+        floor = 10.0 * u.domain.h * _local_gradient_scale(g.centers, norms, space, x, r0)
+        usable = [(r, o) for r, o in zip(radii, oscs) if o > floor]
+        if len(usable) < 3:
+            usable = [(r, o) for r, o in zip(radii, oscs) if o > tiny]
+        if all(o <= tiny for o in oscs):
+            # oscillation is numerically zero at every scale: decay certified
+            alpha, no_decay = math.inf, False
+        elif len(usable) == 1:
+            no_decay = usable[0][0] == radii[0]
+            alpha = 0.0 if no_decay else math.inf
+        else:
+            rs = np.log(np.array([r for r, _ in usable]) / r0)
+            os_ = np.log(np.array([o for _, o in usable]))
+            alpha = float(np.polyfit(rs, os_, 1)[0])
+            flat_ratio = oscs[0] / oscs[-1] if oscs[-1] > tiny else 0.0
+            no_decay = alpha < NO_DECAY_ALPHA or flat_ratio >= NO_DECAY_FLAT_RATIO
+        fits.append(HolderFit(alpha=alpha, no_decay=no_decay, oscillations=tuple(oscs)))
+    return fits
 
 
 @dataclass(frozen=True)
@@ -236,11 +247,11 @@ def continuity_map(
     osc_radii = dyadic_radii(osc_r0, h)
     records = []
     discrepancies = []
-    for i, x in enumerate(probes):
+    fits = _holder_fits(u, space, probes, osc_radii)
+    for i, (x, fit) in enumerate(zip(probes, fits)):
         mk = maximal_function(k, space, x, mk_radii, budget, subseed(seed, ("cmap", i)), domain)
         mk_val = math.inf if mk.diverging else mk.value
         gamma = gamma_factor(contraction_constant, mk_val)
-        fit = holder_exponent(u, space, x, osc_radii)
         cls = "continuous-predicted" if not mk.diverging else "discontinuous-suspected"
         rec = ProbeRecord(
             point=tuple(float(c) for c in x),

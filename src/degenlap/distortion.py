@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import euclidean
 from .grids import BOUNDARY, GridDomain, GridFunction
-from .energy import InvalidTestFunctionError, MatrixField, _Discretization, _sandwich_violations
+from .energy import InvalidTestFunctionError, _Discretization, _sandwich_violations
 
 __all__ = [
     "MappingSpec",
@@ -235,7 +235,9 @@ def coordinate_weak_residual(
     i and test function, cross-checked against the p = n weak form with
     coefficients G^{-1} on the sampled coordinate functions: the solver's
     energy gradient (`_Discretization.energy_gradient`, delta = 0) of each
-    coordinate dotted with phi, divided by n.
+    coordinate dotted with phi, divided by n.  Df is evaluated once, at the
+    cell centres; G^{-1} and adj Df both come from that one stack, and J_f
+    <= 0 at any centre raises OrientationReversedError.
 
     Test functions are cut off outside an exclusion tube of width eta around
     the mapping's singular point (smoothstep ramp); residuals are tabulated
@@ -254,17 +256,17 @@ def coordinate_weak_residual(
     fvals = np.zeros((len(coords), n))
     fvals[ok] = mapping(coords[ok])
 
-    def g_inv(pts):
-        dfs = jacobian(mapping, pts)
-        jacs = np.linalg.det(dfs)
-        if np.any(jacs <= 0):
-            raise OrientationReversedError("J_f <= 0 at a quadrature cell")
-        return np.linalg.inv(distortion_tensor(dfs, jacs))
-
-    # G^{-1} and adj Df at cell centers; the p = n energy gradient and
-    # <G^{-1} grad f^i, grad f^i> (its s at delta = 0) of each coordinate
-    disc = _Discretization(euclidean(n), domain, MatrixField("G^-1", g_inv, n))
-    adjc = adjugate(jacobian(mapping, disc.centers))
+    # G^{-1}, the p = n coefficients, and adj Df at the cell centres; then the
+    # p = n energy gradient and <G^{-1} grad f^i, grad f^i> (its s at
+    # delta = 0) of each coordinate
+    disc = _Discretization(euclidean(n), domain)
+    dfs = jacobian(mapping, disc.centers)
+    jacs = np.linalg.det(dfs)
+    if np.any(jacs <= 0):
+        raise OrientationReversedError("J_f <= 0 at a quadrature cell")
+    disc.a = np.linalg.inv(distortion_tensor(dfs, jacs))
+    adjc = adjugate(dfs)
+    del dfs, jacs
     grad_f, quad_f = [], []
     for i in range(n):
         _, grad, (s, _, _) = disc.energy_gradient(fvals[:, i], float(n), 0.0)
@@ -292,11 +294,12 @@ def coordinate_weak_residual(
                         "test function support touches the singular point; use a tube")
                 phi_eta = phi.values
             gphi = disc.gradients(phi_eta)
+            gphi_norm = np.linalg.norm(gphi, axis=1)
             for i in range(n):
                 r_adj = cell_volume * float(np.einsum("ki,ki->", adjc[:, :, i], gphi))
                 r_weak = float(np.dot(grad_f[i], phi_eta.ravel()[disc.free])) / n
                 scale = cell_volume * float(
-                    np.sum(np.abs(quad_f[i]) ** ((n - 1) / 2.0) * np.linalg.norm(gphi, axis=1)))
+                    np.sum(np.abs(quad_f[i]) ** ((n - 1) / 2.0) * gphi_norm))
                 rows.append({
                     "coordinate": i,
                     "phi": pidx,

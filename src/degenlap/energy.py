@@ -400,8 +400,9 @@ class _Discretization:
     corner values into the horizontal gradient (on Euclidean space one
     table broadcast over the cells), plus the cell coefficients A when a
     field is given (and how many centres `MatrixField.evaluate_shifted`
-    nudged).  The cells are the grid's hypercubes whose 2^n corners are all
-    live and at least one interior, in C order; corner c sits at offset
+    nudged; `coordinate_weak_residual` sets A itself).  The cells are the
+    grid's hypercubes whose 2^n corners are all live and at least one
+    interior, in C order; corner c sits at offset
     `_corner_bits(n)[:, c]` from the first, and the centre halfway between
     corners 0 and 2^n - 1.  The centres are not held: B and A read them
     once, and `centers` computes them again, with the same bits, for the
@@ -541,9 +542,11 @@ class _Discretization:
         code[c, d] of corner c's row of a 3^n-point stencil on the free nodes
         (`_offset_codes`).  Chunks of `_HESSIAN_CHUNK` cells, corner c
         descending in each, make every entry sum its cells in increasing
-        order.  At p = 2 the rank-one term vanishes.  Returns the (3^n,
-        free + 1) stencil; its last column takes the non-free corners, and
-        an entry whose neighbour is not free belongs to no matrix entry."""
+        order.  At p = 2 the rank-one term vanishes.  One loop serves both
+        spaces; on Euclidean space B stays a broadcast view of its one
+        table.  Returns the (3^n, free + 1) stencil; its last column takes
+        the non-free corners, and an entry whose neighbour is not free
+        belongs to no matrix entry."""
         if cache is None:
             _, _, cache = self.energy_gradient(values, p, delta)
         s, alpha, v = cache
@@ -552,12 +555,6 @@ class _Discretization:
             sb = (self.cell_volume * p) * np.where(s > 0, (p - 2.0) * s ** ((p - 4.0) / 2.0), 0.0)
         code = _offset_codes(len(self.shape))
         stencil = np.zeros((3 ** len(self.shape), len(self.free) + 1))  # last column: non-free c
-        # on Euclidean space B is one (m, 2^n) table of entries +-t: a product
-        # b_ic (A B)_id is +-(t (A B)_id) exactly, so the sum over i below adds
-        # or subtracts t A B, with the bits of the products
-        table = self.b[0] if self.b.strides[0] == 0 else None
-        if table is not None:
-            t, positive = float(abs(table[0, 0])), (table > 0).tolist()
         for lo in range(0, len(s), _HESSIAN_CHUNK):
             cells = slice(lo, lo + _HESSIAN_CHUNK)
             # corner-major (m, 2^n, cells) layout: every product runs along the cells
@@ -571,20 +568,13 @@ class _Discretization:
                 np.multiply(a[i, 0], b[0], out=ab[i])
                 for j in range(1, len(ab)):
                     ab[i] += np.multiply(a[i, j], b[j], out=tmp)
-            if table is not None:
-                ab *= t
             # as intp, which np.add.at would otherwise convert to at each call
             rows = self.free_pos[self.corner_idx[cells]].T.astype(np.intp)
             for c in range(len(code) - 1, -1, -1):
                 # scale alpha B^T A B, then + scale beta v v^T
-                if table is None:
-                    np.multiply(b[0, c], ab[0], out=y)
-                    for i in range(1, len(ab)):
-                        y += np.multiply(b[i, c], ab[i], out=tmp)
-                else:
-                    np.multiply(ab[0], 1.0 if positive[0][c] else -1.0, out=y)
-                    for i in range(1, len(ab)):
-                        (np.add if positive[i][c] else np.subtract)(y, ab[i], out=y)
+                np.multiply(b[0, c], ab[0], out=y)
+                for i in range(1, len(ab)):
+                    y += np.multiply(b[i, c], ab[i], out=tmp)
                 y *= sa[cells]
                 if p != 2.0:
                     y += np.multiply(sb[cells] * vt[c], vt, out=tmp)

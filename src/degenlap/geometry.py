@@ -103,10 +103,6 @@ class Box:
     def diameter(self) -> float:
         return float(np.linalg.norm(self.lengths))
 
-    @property
-    def center(self) -> np.ndarray:
-        return self.bounds.mean(axis=1)
-
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Membership of points (..., n), with one entry per point."""
         pts = np.atleast_2d(pts)

@@ -121,10 +121,6 @@ class GridFunction:
         vals = np.where(domain.mask > 0, vals, 0.0)
         return cls(domain, vals)
 
-    @classmethod
-    def zeros(cls, domain: GridDomain) -> "GridFunction":
-        return cls(domain, np.zeros(domain.shape))
-
     def copy(self) -> "GridFunction":
         return GridFunction(self.domain, self.values.copy())
 

@@ -1,6 +1,10 @@
 """Deterministic report serialization: JSON, CSV (17 significant digits) and
 binary 8-bit PGM heatmaps.  No timestamps or environment-dependent fields are
-ever written, so identical (config, seed) runs produce byte-identical files.
+ever written, so identical (config, seed) runs on one host with one BLAS
+thread count produce byte-identical files.  Across hosts or thread counts the
+BLAS reduction order can move last digits: the catalog's zhong-log solve
+probe (its alpha values and oscillations) differs in its last 3-4 digits
+between one BLAS thread and the default.
 """
 from __future__ import annotations
 

@@ -122,7 +122,7 @@ def deadline():
 
 @pytest.fixture(scope="module")
 def probe_in_process():
-    return catalog._zhong_solve_probe(fixture("zhong-log"), *PROBE_ARGS)
+    return catalog._zhong_solve_probe(fixture("zhong-log"), PROBE_ARGS[0])
 
 
 def zhong_probe_record(report):
@@ -164,7 +164,7 @@ def test_zhong_probe_worker_exception_reaches_parent(monkeypatch, reaped, deadli
         raise ValueError(f"probe failed in pid {os.getpid()}")
 
     monkeypatch.setattr(catalog, "_zhong_solve_probe", failing)
-    with catalog._ProbeWorker(*PROBE_ARGS) as probe:
+    with catalog._ProbeWorker(PROBE_ARGS[0]) as probe:
         with pytest.raises(ValueError, match="probe failed in pid") as info:
             probe.result()
     assert str(info.value) != f"probe failed in pid {os.getpid()}"
@@ -185,7 +185,20 @@ def test_zhong_probe_worker_killed_when_parent_raises(monkeypatch, reaped, deadl
     monkeypatch.setattr(catalog, "_zhong_solve_probe", lambda *args: time.sleep(600))
     start = time.monotonic()
     with pytest.raises(KeyError):
-        with catalog._ProbeWorker(*PROBE_ARGS) as probe:
+        with catalog._ProbeWorker(PROBE_ARGS[0]) as probe:
             assert probe.pid > 0
             raise KeyError("a check of another fixture failed")
     assert time.monotonic() - start < 30
+
+
+def test_zhong_probe_builds_one_gradient_field(monkeypatch, probe_in_process):
+    # the origin's and the off-origin point's Holder fits share one field
+    from degenlap import diagnostics
+
+    fields = []
+    real = diagnostics.horizontal_gradient
+    monkeypatch.setattr(diagnostics, "horizontal_gradient",
+                        lambda *args: fields.append(args) or real(*args))
+    probe = catalog._zhong_solve_probe(fixture("zhong-log"), PROBE_ARGS[0])
+    assert probe["resolution"] == 33 and len(fields) == 1
+    assert repr(probe) == repr(probe_in_process)

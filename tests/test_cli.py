@@ -590,3 +590,55 @@ def test_catalog_failed_check_leaves_no_output(tmp_path, monkeypatch, fixture, t
         run_cli(["catalog", "--fixture", fixture, "--budget-scale", "0.25",
                  "--output-dir", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, bound, limit, above, message", [
+    (int, "<= 97", 97, 99, "residual_resolution 99 is above the limit 97"),
+    (float, "> 0, <= 8", 8.0, 8.5, "budget_scale 8.5 is above the limit 8"),
+], ids=["int", "float"])
+def test_parse_upper_limit(kind, bound, limit, above, message):
+    # the limit itself is admitted; a value above it is refused, and the
+    # lower bound keeps its own message
+    key = message.split()[0]
+    assert cli._parse(key, limit, kind, bound) == limit
+    with pytest.raises(cli.ConfigError) as info:
+        cli._parse(key, above, kind, bound)
+    assert str(info.value) == message
+    sub = "distortion" if kind is int else "catalog"
+    assert cli._SETTINGS[sub][key].bound == bound
+    if kind is float:
+        with pytest.raises(cli.ConfigError, match=r"must be > 0 and finite, got -1\.0"):
+            cli._parse(key, -1.0, kind, bound)
+
+
+def test_diagnose_failed_continuity_map_leaves_no_output(tmp_path, monkeypatch):
+    # the continuity map runs before the output directory is made
+    sol = tmp_path / "s"
+    assert run_cli(["solve", "--fixture", "constant", "--resolution", "17",
+                    "--output-dir", str(sol)]) == 0
+
+    def raising(*args, **kwargs):
+        raise ZeroDivisionError("the continuity map failed")
+
+    monkeypatch.setattr(cli.DG, "continuity_map", raising)
+    out = tmp_path / "out"
+    with pytest.raises(ZeroDivisionError, match="the continuity map failed"):
+        run_cli(["diagnose", "--fixture", "constant", "--resolution", "17", "--probes", "3",
+                 "--budget", "64", "--solution", str(sol / "solution.csv"),
+                 "--output-dir", str(out)])
+    assert not out.exists()
+
+
+def test_diagnose_builds_one_discretization(tmp_path, monkeypatch):
+    # every probe's Holder fit reads one gradient field of the solution
+    sol = tmp_path / "s"
+    assert run_cli(["solve", "--fixture", "constant", "--resolution", "17",
+                    "--output-dir", str(sol)]) == 0
+    built = []
+    real = cli.E._Discretization.__init__
+    monkeypatch.setattr(cli.E._Discretization, "__init__",
+                        lambda self, *args: built.append(args) or real(self, *args))
+    assert run_cli(["diagnose", "--fixture", "constant", "--resolution", "17", "--probes", "3",
+                    "--budget", "64", "--solution", str(sol / "solution.csv"),
+                    "--output-dir", str(tmp_path / "d")]) == 0
+    assert len(built) == 1

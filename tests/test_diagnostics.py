@@ -222,3 +222,36 @@ def test_continuity_map_radial_map_origin(e3):
     assert origin.mk_diverging and origin.gamma == 1.0 and origin.no_decay
     assert all(not r.mk_diverging for r in others)
     assert all(r.alpha > 0.05 for r in others)
+
+
+def test_continuity_map_one_gradient_field_same_records(e2, monkeypatch):
+    # every probe's Holder fit reads one gradient field, and each record is
+    # what maximal_function and holder_exponent give for that probe alone
+    from degenlap import diagnostics
+    from degenlap._rand import subseed
+    from degenlap.weights import maximal_function
+
+    fix = fixture("axis-degenerate-planar")
+    dom = GridDomain.disc(1.0, (65, 65))
+    u = GridFunction.from_callable(dom, fix.solution)
+    probes = np.array([[0.0, 0.45], [0.0, -0.3], [0.4, 0.2], [-0.5, -0.4], [0.1, 0.0]])
+    fields = []
+    real = diagnostics.horizontal_gradient
+    monkeypatch.setattr(diagnostics, "horizontal_gradient",
+                        lambda *args: fields.append(args) or real(*args))
+    rep = continuity_map(u, fix.weight, e2, fix.domain, probes,
+                         contraction_constant=1.0, budget=256, seed=4)
+    assert len(fields) == 1
+    lengths = fix.domain.lengths
+    mk_radii = [0.25 * float(np.min(lengths)) * 2.0 ** (-j) for j in range(8)]
+    osc_radii = dyadic_radii(max(0.125 * float(np.min(lengths)), 8.0 * dom.h), dom.h)
+    for i, (x, rec) in enumerate(zip(probes, rep.probes)):
+        mk = maximal_function(fix.weight, e2, x, mk_radii, 256, subseed(4, ("cmap", i)),
+                              fix.domain)
+        fit = holder_exponent(u, e2, x, osc_radii)
+        mk_val = math.inf if mk.diverging else mk.value
+        alone = (tuple(float(c) for c in x), mk_val, mk.diverging,
+                 gamma_factor(1.0, mk_val), fit.alpha, fit.no_decay,
+                 "discontinuous-suspected" if mk.diverging else "continuous-predicted")
+        assert repr(alone) == repr((rec.point, rec.mk_value, rec.mk_diverging, rec.gamma,
+                                    rec.alpha, rec.no_decay, rec.continuity_class))

@@ -289,6 +289,22 @@ def test_weak_residual_orientation_reversed():
         coordinate_weak_residual(linear_map([[-2.0, 0.0], [0.0, 1.0]]), dom, [phi])
 
 
+def test_weak_residual_evaluates_jacobian_once(monkeypatch):
+    # G^{-1} and adj Df come from one Jacobian evaluation at the cell centres,
+    # whatever the number of test functions, tubes and coordinates
+    from degenlap import distortion
+
+    calls = []
+    real = distortion.jacobian
+    monkeypatch.setattr(distortion, "jacobian",
+                        lambda *args, **kw: calls.append(len(args[1])) or real(*args, **kw))
+    dom = GridDomain.box([(-0.5, 0.5)] * 3, (17, 17, 17))
+    bumps = [bump_function(dom, [0.0, 0.0, 0.0], 0.4), bump_function(dom, [0.1, 0.0, 0.0], 0.3)]
+    tbl = coordinate_weak_residual(radial_exp_map(0.1, 3), dom, bumps, tube_widths=[0.2, 0.1])
+    assert calls == [16 ** 3]
+    assert len(tbl.rows) == 2 * 2 * 3
+
+
 def test_weak_residual_radial_map_extrapolation_light():
     f = radial_exp_map(0.1, 3)
     dom = GridDomain.box([(-0.5, 0.5)] * 3, (49, 49, 49))
