@@ -19,11 +19,12 @@ are reported inside the JSON output with exit code 0.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -31,12 +32,22 @@ from . import __version__
 from ._rand import child_rng
 from .geometry import Box, euclidean, heisenberg1
 from .grids import BOUNDARY, INTERIOR, GridDomain, GridFunction
-from . import weights as W
 from . import energy as E
-from . import diagnostics as DG
-from . import distortion as DT
-from . import catalog as CAT
 from .io import write_csv, write_json, write_pgm
+
+if TYPE_CHECKING:
+    from .weights import Weight
+
+
+def __getattr__(name: str):
+    """`cli.W`, `cli.DG`, `cli.DT` and `cli.CAT`: the estimators, the
+    diagnostics, the distortion maps and the fixtures, imported on first use
+    (PEP 562).  The runners and parsers import them where they use them, so
+    that a solve without a fixture loads none of them."""
+    module = {"W": "weights", "DG": "diagnostics", "DT": "distortion", "CAT": "catalog"}.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return importlib.import_module(f"{__package__}.{module}")
 
 
 class ConfigError(ValueError):
@@ -60,7 +71,9 @@ class _Setting(NamedTuple):
 # defaults from here and parses every value, flag or config file, by its
 # declaration (`_parse`); `build_parser` makes the flags --<key with "-" for
 # "_">, and a subcommand accepts no other key.
-_FIXTURE = tuple(CAT.fixture_names())
+# `catalog.fixture_names()`, which a test ties to this tuple: reading it from
+# the catalog would load the estimators with every command
+_FIXTURE = ("constant", "axis-degenerate-planar", "zhong-log", "finite-distortion-radial")
 # each mask's parameters (config key mask_params) and their defaults
 _MASK_PARAMS = {"box": {}, "disc": {"radius": 1.0}, "annulus": {"inner": 0.25, "outer": 1.0}}
 _MASK = _Setting(None, tuple(_MASK_PARAMS))
@@ -262,7 +275,8 @@ def _space_and_dim(cfg, fixture) -> tuple:
     return space, dim
 
 
-def _parse_weight(spec: str, dim: int) -> W.Weight:
+def _parse_weight(spec: str, dim: int) -> Weight:
+    from . import weights as W
     kind, _, arg = spec.partition(":")
     make = {"pow": lambda a: W.power_weight(a, dim), "axis-pow": W.axis_power_weight,
             "log": lambda a: W.log_weight(a, dim), "const": W.constant_weight}
@@ -293,7 +307,8 @@ def _parse_psi(spec: str, dim: int, fixture):
     if spec == "exp-cos":
         return lambda pts: np.exp(np.atleast_2d(pts)[:, 0]) * np.cos(np.atleast_2d(pts)[:, 1])
     if spec == "zhong-odd":
-        return CAT._zhong_odd
+        from .catalog import _zhong_odd
+        return _zhong_odd
     if spec == "fixture-solution":
         _require(fixture is not None and fixture.solution is not None,
                  "fixture-solution psi requires a fixture with a solution")
@@ -358,8 +373,18 @@ def _outdir(cfg) -> Path:
 
 # --- subcommand bodies --------------------------------------------------------
 
+def _fixture(name: str | None):
+    """The catalog's fixture `name`, or None when unset: the catalog, and
+    with it the estimators, is loaded only for a fixture."""
+    if name is None:
+        return None
+    from .catalog import fixture
+    return fixture(name)
+
+
 def run_weights(cfg) -> int:
-    fixture = CAT.fixture(cfg["fixture"]) if cfg["fixture"] else None
+    from . import weights as W
+    fixture = _fixture(cfg["fixture"])
     space, dim = _space_and_dim(cfg, fixture)
     if fixture is not None:
         _require(cfg["weight"] is None and cfg["bounds"] is None,
@@ -420,7 +445,7 @@ def run_weights(cfg) -> int:
 
 
 def run_solve(cfg) -> int:
-    fixture = CAT.fixture(cfg["fixture"]) if cfg["fixture"] else None
+    fixture = _fixture(cfg["fixture"])
     space, dim = _space_and_dim(cfg, fixture)
     if fixture is not None:
         a_field = fixture.matrix
@@ -474,7 +499,8 @@ def _probe_lattice(domain: GridDomain, count: int) -> np.ndarray:
 
 
 def run_diagnose(cfg) -> int:
-    fixture = CAT.fixture(cfg["fixture"])
+    from . import diagnostics as DG
+    fixture = _fixture(cfg["fixture"])
     dim = fixture.space.n
     _resolve_mask(cfg, fixture)
     domain = _build_domain(cfg, dim)
@@ -517,6 +543,7 @@ def run_diagnose(cfg) -> int:
 
 
 def run_distortion(cfg) -> int:
+    from . import distortion as DT
     # an even count puts a cell center on the map's singular point; 1 leaves no cell
     res = cfg["residual_resolution"]
     _require(res == 0 or (res >= 3 and res % 2 == 1),
@@ -561,6 +588,7 @@ def run_distortion(cfg) -> int:
 
 
 def run_catalog(cfg) -> int:
+    from . import catalog as CAT
     names = _FIXTURE if cfg["fixture"] == "all" else [cfg["fixture"]]
     reports = CAT._verify_fixtures(names, budget_scale=cfg["budget_scale"], seed=cfg["seed"])
     out = _outdir(cfg)

@@ -27,17 +27,19 @@ than `CG_RTOL`.
 The Hessian is summed cell by cell into a 3^n-point stencil on the free
 nodes, one row per offset.  A system with at least `MULTIGRID_MIN_UNKNOWNS`
 free unknowns reads it out into CSR, whose product is the faster one from
-there up; a smaller one moves it onto a padded grid (the diagonal format of
-Saad, "Iterative Methods for Sparse Linear Systems", 2nd ed., 2003, sec.
-3.4) as `_StencilHessian`, whose numpy product has the bits of scipy's CSR
-product.  A large system whose step asks CG for at most `MULTIGRID_MAX_RTOL`
-is preconditioned by a geometric multigrid V-cycle (`_VCycle`; Trottenberg,
+there up; a smaller one lays it out on the grid's flat node index (the
+diagonal format of Saad, "Iterative Methods for Sparse Linear Systems", 2nd
+ed., 2003, sec. 3.4) as `_StencilHessian`, whose numpy product has the bits
+of scipy's CSR product.  A large system whose step asks CG for at most
+`MULTIGRID_MAX_RTOL` is preconditioned by a geometric multigrid V-cycle (`_VCycle`; Trottenberg,
 Oosterlee & Schueller, "Multigrid", 2001), any other system by Jacobi.  The
 V-cycle's finest coarse space is trilinear interpolation P beside its
 checkerboard copy S P, held with P's entries once, and every coarse operator
 is held as three blocks, its off-diagonal block once.  So a smaller system
 loads no scipy, and a larger one only `scipy.sparse`, imported for a CSR
-matrix: the V-cycle solves its coarsest level with a dense inverse.
+matrix: the V-cycle solves its coarsest level with a dense inverse.  Beyond
+numpy, this module loads only `geometry` and `grids`, so a solve loads none
+of the estimators (`weights`).
 Near the minimizer a step's predicted energy drop falls below the rounding
 of the energy itself, where the Armijo test only sees noise; a step whose
 predicted drop is that small is accepted when it lowers the max-norm of the
@@ -47,17 +49,18 @@ from __future__ import annotations
 
 import types
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .geometry import MetricSpace, euclidean
 from .grids import BOUNDARY, INTERIOR, GridDomain, GridFunction
-from .weights import Weight
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
+
+    from .weights import Weight
 
 __all__ = [
     "MatrixField",
@@ -410,7 +413,7 @@ class _Discretization:
     `hessian` the A B of one chunk of cells at a time.  The parts of the
     linear solve that depend only on the mask are built on first use: the
     CSR pattern of the free-node Hessian (`_pattern`), which `csr` fills,
-    the padded node layout of `_StencilHessian` (`padding`), and the
+    the node layout of `_StencilHessian` (`layout`), and the
     multigrid interpolations (`interpolations`)."""
 
     def __init__(self, space: MetricSpace, domain: GridDomain, a_field: MatrixField | None = None):
@@ -520,20 +523,22 @@ class _Discretization:
         return sp.csr_matrix((stencil[:, :-1].T[present], indices, indptr), shape=(n_free, n_free))
 
     @cached_property
-    def padding(self):
-        """(at, shifts, span, margin) of the padded grid of `_StencilHessian`,
-        one more node on every side, where a neighbour is a fixed shift of the
-        flat index: the free nodes' columns among the `span` padded nodes from
-        the first free one, and where each offset's neighbours start in those
-        nodes with `margin`, the largest shift, more on each side."""
-        shape = tuple(s + 2 for s in self.shape)
-        n = len(shape)
-        strides = np.array([int(np.prod(shape[a + 1:])) for a in range(n)])
-        free = np.unravel_index(self.free, self.shape)
-        nodes = np.ravel_multi_index(tuple(i + 1 for i in free), shape)
+    def layout(self):
+        """(at, shifts, span, margin) of the node layout of `_StencilHessian`:
+        the grid's own flat node index, where a neighbour is a fixed shift.
+        `at` holds the free nodes' columns among the `span` nodes from the
+        first free one, and `shifts` where each offset's neighbours start in
+        those nodes with `margin`, the largest shift, more on each side.  A
+        free node on a face of the array (only a hand-made mask has one)
+        finds a node of another row at an offset that leaves the array; no
+        cell joins the two, so its entry there is 0.0."""
+        n = len(self.shape)
+        strides = np.array([int(np.prod(self.shape[a + 1:])) for a in range(n)])
         margin = int(strides.sum())
         shifts = margin + (np.indices((3,) * n).reshape(n, -1).T - 1) @ strides
-        return nodes - nodes[0], shifts, nodes[-1] + 1 - nodes[0], margin
+        # as intp, which fancy indexing would otherwise convert to at each product
+        at = (self.free - self.free[0]).astype(np.intp)
+        return at, shifts, int(at[-1]) + 1, margin
 
     def hessian(self, values: np.ndarray, p: float, delta: float, cache=None) -> np.ndarray:
         """Hessian of the energy in the free node values: cell k adds its
@@ -592,60 +597,55 @@ def _offset_codes(n: int) -> np.ndarray:
 
 class _StencilHessian:
     """The free-node Hessian as a numpy operator, without scipy: the stencil
-    of `_Discretization.hessian` moved into the padded node layout
-    (`_Discretization.padding`), one row per offset.  A product scatters x
-    into the padded nodes, adds the 3^n shifted products from 0.0 in
+    of `_Discretization.hessian` moved onto the grid's flat node index
+    (`_Discretization.layout`), one row per offset.  A product scatters x
+    into the nodes, adds the 3^n shifted products from 0.0 in
     lexicographic offset order, and gathers the free rows: the order in
     which scipy's CSR product sums each row, so the two agree bit for bit.
-    A finite entry whose neighbour is not free meets a padded node that is
-    never written and stays 0.0; it adds a signed zero, which leaves a sum
-    begun at +0.0 unchanged."""
+    A finite entry whose neighbour is not free meets a node that is never
+    written and stays 0.0, and an entry toward no neighbour is 0.0; either
+    adds a signed zero, which leaves a sum begun at +0.0 unchanged."""
 
     def __init__(self, disc: _Discretization, stencil: np.ndarray):
-        self.at, self.shifts, span, margin = disc.padding
-        self.padded = np.zeros((len(self.shifts), span))
-        self.padded[:, self.at] = stencil[:, :-1]
+        self.at, self.shifts, span, margin = disc.layout
+        self.bands = np.zeros((len(self.shifts), span))
+        self.bands[:, self.at] = stencil[:, :-1]
         self.x, self.y, self.tmp = np.zeros(span + 2 * margin), np.empty(span), np.empty(span)
         self.x_columns = self.x[margin:margin + span]  # column j is x[margin + j]
+        # each band beside the view of x its columns read: x[shift + j] for column j
+        self.terms = [(band, self.x[shift:shift + span])
+                      for band, shift in zip(self.bands, self.shifts)]
 
     def diagonal(self) -> np.ndarray:
-        return self.padded[len(self.shifts) // 2, self.at]
+        return self.bands[len(self.shifts) // 2, self.at]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        span = len(self.y)
+        y, tmp = self.y, self.tmp
         self.x_columns[self.at] = x
-        self.y[:] = 0.0
-        for row, shift in zip(self.padded, self.shifts):
-            self.y += np.multiply(row, self.x[shift:shift + span], out=self.tmp)
-        return self.y[self.at]
+        y.fill(0.0)
+        for band, window in self.terms:
+            y += np.multiply(band, window, out=tmp)
+        return y[self.at]
 
 
 # --- multigrid preconditioner --------------------------------------------------
-
-def _axis_interpolation(n: int) -> sp.csr_matrix:
-    """Linear interpolation onto the n nodes of an axis from its n // 2 + 1
-    coarse nodes, which sit on fine nodes 0, 2, 4, ... (the last one past
-    the end of the axis when n is even)."""
-    import scipy.sparse as sp
-    i = np.arange(n)
-    odd = i[1::2]
-    rows = np.concatenate([i, odd])
-    cols = np.concatenate([i // 2, odd // 2 + 1])
-    vals = np.concatenate([np.where(i % 2, 0.5, 1.0), np.full(len(odd), 0.5)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n // 2 + 1))
-
 
 def _interpolations(shape: tuple[int, ...], free: np.ndarray) -> list[sp.csr_matrix]:
     """Interpolation operators of the V-cycle, finest first; the
     restrictions are their transposes.
 
-    Each level's P is the tensor product of `_axis_interpolation`s
-    (trilinear in 3-d) restricted to the unknowns: rows to the free nodes,
-    columns to the coarse nodes that sit on a free node.  The finest coarse
-    space is [P, S P], S = diag(s), s = (-1)^(i+j+k) the checkerboard: the
-    cell gradient, an average of edge differences, annihilates it, so its
-    smooth multiples are near-kernel modes that smooth interpolation cannot
-    reach.  That space is held as the one matrix [P^+, P^-] of P's entries,
+    Each level's P is linear interpolation along every axis (trilinear in
+    3-d) from the coarse nodes, which sit on fine nodes 0, 2, 4, ... of each
+    axis (the last one past the end of an even axis).  It is built on the
+    unknowns alone: rows at the free nodes, columns at the coarse nodes that
+    sit on a free node.  Along an axis, node i reads coarse node i // 2 when
+    i is even, and i // 2 and i // 2 + 1 when it is odd; so a row holds the
+    corners c of the coarse cell at its lowest coarse neighbour whose bits
+    (`_corner_bits`) lie among its odd axes, in increasing column order, each
+    with weight 2^-(odd axes).  The finest coarse space is [P, S P],
+    S = diag(s), s = (-1)^(i+j+k) the checkerboard: the cell gradient, an
+    average of edge differences, annihilates it, so its smooth multiples
+    are near-kernel modes that smooth interpolation cannot reach.  That space is held as the one matrix [P^+, P^-] of P's entries,
     the rows of P at the nodes where s = +1 in the first column block and
     those where s = -1 in the second: [P, S P] = [P^+ + P^-, P^+ - P^-].
     Every coarser level interpolates both halves of its unknowns with its P
@@ -653,10 +653,13 @@ def _interpolations(shape: tuple[int, ...], free: np.ndarray) -> list[sp.csr_mat
     node is left."""
     import scipy.sparse as sp
     n = len(shape)
+    corners = 2 ** n
+    among = (np.arange(corners) & ~np.arange(corners)[:, None]) == 0  # [odd bits, c]
     free_mask = np.zeros(int(np.prod(shape)), dtype=bool)
     free_mask[free] = True
+    nodes = np.asarray(free)
     ops: list[sp.csr_matrix] = []
-    unknowns = len(free)
+    unknowns = len(nodes)
     while unknowns > _COARSEST_MAX:
         coarse_shape = tuple(s // 2 + 1 for s in shape)
         pos = 2 * np.indices(coarse_shape).reshape(n, -1)
@@ -665,16 +668,33 @@ def _interpolations(shape: tuple[int, ...], free: np.ndarray) -> list[sp.csr_mat
         coarse_free[on_grid] = free_mask[np.ravel_multi_index(pos[:, on_grid], shape)]
         if not coarse_free.any():
             break
-        interp = reduce(sp.kron, [_axis_interpolation(s) for s in shape]).tocsr()
-        interp = interp[free_mask][:, coarse_free].tocsr()
+        strides = np.array([int(np.prod(coarse_shape[a + 1:])) for a in range(n)], nodes.dtype)
+        # per row: its lowest coarse neighbour, its odd axes as bits and their count
+        lower, odd_bits, odd_count = (np.zeros_like(nodes) for _ in range(3))
+        rest = nodes
+        for a in range(n - 1, -1, -1):
+            rest, i = np.divmod(rest, shape[a])
+            lower += (i >> 1) * strides[a]
+            odd_bits |= (i & 1) << (n - 1 - a)
+            odd_count += i & 1
+        # entry e is corner e % 2^n of row e // 2^n, rows in order
+        entries = np.flatnonzero(among[odd_bits]).astype(nodes.dtype)
+        offsets = (strides @ _corner_bits(n)).astype(nodes.dtype)
+        cols = lower[entries >> n] + offsets[entries & (corners - 1)]
+        kept = coarse_free[cols]
+        rows = entries[kept] >> n
+        indices = (np.cumsum(coarse_free, dtype=nodes.dtype) - 1)[cols[kept]]
+        entry_odd_count = odd_count[rows]
+        width = np.count_nonzero(coarse_free)
         if not ops:  # [P^+, P^-]: the rows where s = -1 move to the second column block
-            odd = np.indices(shape).sum(axis=0).ravel()[free_mask] % 2 == 1
-            interp.indices[np.repeat(odd, np.diff(interp.indptr))] += interp.shape[1]
-            interp = sp.csr_matrix((interp.data, interp.indices, interp.indptr),
-                                   shape=(interp.shape[0], 2 * interp.shape[1]))
-        ops.append(interp)
+            indices += width * (entry_odd_count & 1)
+            width *= 2
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(nodes)))])
+        ops.append(sp.csr_matrix(((0.5 ** np.arange(n + 1))[entry_odd_count], indices, indptr),
+                                 shape=(len(nodes), width)))
         shape, free_mask = coarse_shape, coarse_free
-        unknowns = 2 * np.count_nonzero(free_mask)
+        nodes = np.flatnonzero(coarse_free).astype(nodes.dtype)
+        unknowns = 2 * len(nodes)
     return ops
 
 

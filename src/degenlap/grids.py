@@ -8,6 +8,7 @@ integrated over, and their corners and centres, is decided in one place,
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -142,12 +143,21 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, domain: GridDomain, path) -> "GridFunction":
-        data = np.genfromtxt(path, delimiter=",", names=True)
+        """Read the rows `to_csv` writes, by the column names on its header
+        line; every value round-trips bit for bit."""
         n = domain.n
-        try:
-            coords = np.stack([data[f"x{i + 1}"] for i in range(n)], axis=-1)
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"solution file does not have x1..x{n} columns") from exc
+        with open(path, encoding="utf-8") as fh:
+            names = fh.readline().strip().split(",")
+        wanted = [f"x{i + 1}" for i in range(n)] + ["value"]
+        if not set(wanted[:n]) <= set(names):
+            raise ValueError(f"solution file does not have x1..x{n} columns")
+        if "value" not in names:
+            raise ValueError("solution file does not have a value column")
+        columns = [names.index(name) for name in wanted]
+        with warnings.catch_warnings():  # a file without rows is refused by its row count
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=columns, ndmin=2)
+        coords = data[:, :n]
         live_count = int(np.count_nonzero(domain.mask > 0))
         if len(coords) != live_count:
             raise ValueError(
@@ -161,5 +171,5 @@ class GridFunction:
             if np.abs(pos - ii).max() > 1e-6 or ii.min() < 0 or ii.max() >= domain.shape[ax]:
                 raise ValueError("solution coordinates do not lie on the grid")
             idx.append(ii)
-        vals[tuple(idx)] = data["value"]
+        vals[tuple(idx)] = data[:, n]
         return cls(domain, vals)

@@ -642,3 +642,18 @@ def test_diagnose_builds_one_discretization(tmp_path, monkeypatch):
                     "--budget", "64", "--solution", str(sol / "solution.csv"),
                     "--output-dir", str(tmp_path / "d")]) == 0
     assert len(built) == 1
+
+
+def test_fixture_names_are_the_catalogs():
+    # the CLI holds the names, so that parsing a command loads no fixture
+    from degenlap import catalog
+    assert cli._FIXTURE == tuple(catalog.fixture_names())
+
+
+def test_modules_on_first_use_resolve():
+    # callers that patch or wrap them read them as attributes of the CLI
+    import degenlap.catalog, degenlap.diagnostics, degenlap.distortion, degenlap.weights
+    assert (cli.W, cli.DG, cli.DT, cli.CAT) == (degenlap.weights, degenlap.diagnostics,
+                                                degenlap.distortion, degenlap.catalog)
+    with pytest.raises(AttributeError, match="no attribute 'XX'"):
+        cli.XX

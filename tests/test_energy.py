@@ -670,16 +670,18 @@ def test_stencil_product_matches_csr_bitwise(case, p):
         y = hess @ x
         assert np.array_equal(y, csr @ x)
         assert np.array_equal(np.signbit(y), np.signbit(csr @ x))
-    # the padded layout depends only on the mask: computed once per discretization
+    # the node layout depends only on the mask: computed once per
+    # discretization, its columns as intp, which indexing takes unconverted
     other = _StencilHessian(disc, stencil)
     assert other.at is hess.at and other.shifts is hess.shifts
+    assert hess.at.dtype == np.intp
 
 
 @pytest.mark.parametrize("case", ["disc3-33", "heis3-21", "disc2-129"])
 def test_hessian_memory_bounded(case):
-    # against the bytes of the CSR matrix: the stencil peaks at 1.3-2.1
+    # against the bytes of the CSR matrix: the stencil peaks at 1.4-2.4
     # times while it is filled and holds 0.7 times; the operator, with the
-    # stencil dropped, holds its padded layout, 1.2-1.8 times
+    # stencil dropped, holds its bands on the grid's node index, 1.0-1.6 times
     disc = _discretization(case)
     values = child_rng(14, "hessian-memory", case).normal(size=disc.shape)
     _, _, cache = disc.energy_gradient(values, 3.0, 1e-2)
@@ -732,6 +734,36 @@ def test_vcycle_setup_memory_bounded():
     assert kept == ["b"] and disc.b.strides[0] == 0
 
 
+def _axis_interpolation(n):
+    """Linear interpolation onto the n nodes of an axis from its n // 2 + 1
+    coarse nodes, which sit on fine nodes 0, 2, 4, ... (the last one past
+    the end of the axis when n is even)."""
+    i = np.arange(n)
+    odd = i[1::2]
+    rows = np.concatenate([i, odd])
+    cols = np.concatenate([i // 2, odd // 2 + 1])
+    vals = np.concatenate([np.where(i % 2, 0.5, 1.0), np.full(len(odd), 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n // 2 + 1))
+
+
+def _coarse_free(shape, free):
+    """The coarse nodes, on fine nodes 0, 2, 4, ... of each axis, that sit on
+    a free node."""
+    coarse = 2 * np.indices(tuple(n // 2 + 1 for n in shape)).reshape(len(shape), -1)
+    on_grid = np.all(coarse < np.array(shape)[:, None], axis=0)
+    coarse_free = np.zeros(coarse.shape[1], dtype=bool)
+    coarse_free[on_grid] = free[np.ravel_multi_index(coarse[:, on_grid], shape)]
+    return coarse_free
+
+
+def _kronecker_interpolation(shape, free):
+    """P formed over the whole box, the tensor product of the axes'
+    interpolations, then restricted to the free rows and the coarse columns
+    on free nodes."""
+    interp = reduce(sp.kron, [_axis_interpolation(n) for n in shape]).tocsr()
+    return interp[free][:, _coarse_free(shape, free)].tocsr()
+
+
 def _stacked_coarse_space(disc):
     """The finest coarse space [P, S P] stacked as one matrix, P trilinear
     from the free nodes to the coarse nodes on free nodes and S = diag(s),
@@ -739,13 +771,34 @@ def _stacked_coarse_space(disc):
     shape = disc.shape
     free = np.zeros(int(np.prod(shape)), dtype=bool)
     free[disc.free] = True
-    coarse = 2 * np.indices(tuple(n // 2 + 1 for n in shape)).reshape(len(shape), -1)
-    on_grid = np.all(coarse < np.array(shape)[:, None], axis=0)
-    coarse_free = np.zeros(coarse.shape[1], dtype=bool)
-    coarse_free[on_grid] = free[np.ravel_multi_index(coarse[:, on_grid], shape)]
-    p = reduce(sp.kron, [energy._axis_interpolation(n) for n in shape]).tocsr()[free][:, coarse_free]
+    p = _kronecker_interpolation(shape, free)
     signs = 1.0 - 2.0 * (np.indices(shape).sum(axis=0).ravel()[free] % 2)
     return sp.hstack([p, sp.diags(signs) @ p]).tocsr(), signs
+
+
+@pytest.mark.parametrize("case", ["zhong3-41", "box2-65", "heis3-21"])
+def test_interpolations_match_kronecker_product(case):
+    # each level's P, built on the free rows alone, equals entry for entry
+    # (data, indices, indptr and their types) the tensor product formed over
+    # the whole box and restricted; the finest as [P^+, P^-]
+    disc = _discretization(case)
+    shape = disc.shape
+    free = np.zeros(int(np.prod(shape)), dtype=bool)
+    free[disc.free] = True
+    signs = np.indices(shape).sum(axis=0).ravel()[free] % 2
+    interps = disc.interpolations
+    assert len(interps) >= 2
+    for level, ours in enumerate(interps):
+        reference = _kronecker_interpolation(shape, free)
+        if level == 0:
+            reference.indices[np.repeat(signs == 1, np.diff(reference.indptr))] += reference.shape[1]
+            reference = sp.csr_matrix((reference.data, reference.indices, reference.indptr),
+                                      shape=(reference.shape[0], 2 * reference.shape[1]))
+        assert ours.shape == reference.shape
+        for part in ("data", "indices", "indptr"):
+            assert getattr(ours, part).dtype == getattr(reference, part).dtype
+            assert np.array_equal(getattr(ours, part), getattr(reference, part))
+        shape, free = tuple(n // 2 + 1 for n in shape), _coarse_free(shape, free)
 
 
 @pytest.mark.parametrize("case", ["zhong3-41", "box2-65", "heis3-21"])

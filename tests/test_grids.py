@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from degenlap._rand import child_rng
 from degenlap.energy import MatrixField, SolverConfig, _Discretization, solve_dirichlet
 from degenlap.geometry import euclidean, heisenberg1
 from degenlap.grids import BOUNDARY, GridDomain, GridFunction
@@ -28,6 +29,42 @@ def test_to_csv_matches_per_value_format(tmp_path):
         u.to_csv(path)
         assert path.read_bytes() == per_value_csv(u).encode()
         assert GridFunction.from_csv(dom, path).values.tolist() == u.values.tolist()
+
+
+@pytest.mark.parametrize("dom", [GridDomain.disc(1.0, (33, 33)),
+                                 GridDomain.box([(-1.0, 1.0)] * 3, (21, 21, 21))],
+                         ids=["disc-2d", "heisenberg-box-3d"])
+def test_csv_round_trip_bit_exact(tmp_path, dom):
+    # every value, signed zeros and subnormals among them, and every
+    # coordinate read back with the bits written
+    rng = child_rng(31, "csv", str(dom.shape))
+    values = rng.normal(size=dom.shape) * 10.0 ** rng.integers(-300, 300, size=dom.shape)
+    values.ravel()[:3] = -0.0, 5e-324, np.nextafter(1.0, 2.0)
+    u = GridFunction(dom, np.where(dom.mask > 0, values, 0.0))
+    path = tmp_path / "u.csv"
+    u.to_csv(path)
+    assert GridFunction.from_csv(dom, path).values.tobytes() == u.values.tobytes()
+
+
+@pytest.mark.parametrize("header, rows, message", [
+    ("a,b,value,boundary", None, "does not have x1..x2 columns"),
+    ("x1,x2,u,boundary", None, "does not have a value column"),
+    ("x1,x2,value,boundary", slice(1, None), "has 24 rows, grid has 25 live nodes"),
+    ("x1,x2,value,boundary", "shifted", "do not lie on the grid"),
+    ("x1,x2,value,boundary", slice(0, 0), "has 0 rows"),
+], ids=["no-x-columns", "no-value-column", "row-count", "off-grid", "header-only"])
+def test_csv_refused(tmp_path, header, rows, message):
+    dom = GridDomain.disc(1.0, (5, 5))
+    path = tmp_path / "u.csv"
+    GridFunction.from_callable(dom, lambda pts: pts[:, 0]).to_csv(path)
+    lines = path.read_text().splitlines()[1:]
+    if rows == "shifted":
+        lines[0] = "0.1," + lines[0].split(",", 1)[1]
+    elif rows is not None:
+        lines = lines[rows]
+    path.write_text("\n".join([header, *lines]) + "\n")
+    with pytest.raises(ValueError, match=message):
+        GridFunction.from_csv(dom, path)
 
 
 GRID_CASES = [  # (constructor, its radii, bounds, geometry)

@@ -40,21 +40,26 @@ def test_removed_names_gone(name):
         assert not hasattr(module, gone)
 
 
-# Runs the CLI with the given arguments (none: only imports it) in a fresh
-# interpreter and prints its exit code and the scipy modules it loaded.
-_SCIPY_PROBE = """
+# The modules the CLI loads on first use only (`cli.__getattr__`), and a
+# fresh interpreter that runs the CLI with the given arguments (none: only
+# imports it) and prints its exit code and which of them, and which scipy
+# modules, it loaded.
+ON_FIRST_USE = ("degenlap.weights", "degenlap.diagnostics", "degenlap.distortion",
+                "degenlap.catalog")
+_LOAD_PROBE = f"""
 import json, sys
 from degenlap.cli import main
 rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([rc, sorted(m for m in sys.modules
+                             if m.split(".")[0] == "scipy" or m in {ON_FIRST_USE!r})]))
 """
 
 
-def _scipy_loaded(args):
+def _loaded(args):
     src = str(Path(degenlap.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *map(str, args)],
+    proc = subprocess.run([sys.executable, "-c", _LOAD_PROBE, *map(str, args)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     rc, modules = json.loads(proc.stdout.splitlines()[-1])
@@ -64,21 +69,29 @@ def _scipy_loaded(args):
 
 def test_cli_import_skips_scipy_special(tmp_path):
     # only large solves need scipy: importing the CLI, the subcommands that
-    # never solve and a small solve load none of it, scipy.special included
+    # never solve and a small solve load none of it, scipy.special included.
+    # A run loads the estimators, the diagnostics, the distortion maps and the
+    # fixtures only when it reads them, so a solve without a fixture none.
     assert run_cli(["solve", "--fixture", "axis-degenerate-planar", "--resolution", "9",
                     "--output-dir", str(tmp_path / "s")]) == 0
+    fixtures = {"degenlap.catalog", "degenlap.weights", "degenlap.distortion"}
     runs = [
-        [],
-        ["solve", "--p", "3", "--resolution", "9"],
-        ["weights", "--weight", "pow:-1", "--balls", "8", "--points", "8", "--radii", "2",
-         "--budget", "64"],
-        ["diagnose", "--solution", tmp_path / "s" / "solution.csv", "--resolution", "9",
-         "--probes", "2", "--budget", "64"],
-        ["distortion", "--samples", "8"],
+        ([], set()),
+        (["solve", "--p", "3", "--resolution", "9"], set()),
+        (["solve", "--geometry", "heisenberg1", "--dimension", "3", "--resolution", "9",
+          "--psi", "exp-cos"], set()),
+        (["solve", "--fixture", "axis-degenerate-planar", "--resolution", "9"], fixtures),
+        (["solve", "--psi", "zhong-odd", "--resolution", "9"], fixtures),
+        (["weights", "--weight", "pow:-1", "--balls", "8", "--points", "8", "--radii", "2",
+          "--budget", "64"], {"degenlap.weights"}),
+        (["diagnose", "--solution", tmp_path / "s" / "solution.csv", "--resolution", "9",
+          "--probes", "2", "--budget", "64"], fixtures | {"degenlap.diagnostics"}),
+        (["distortion", "--samples", "8"], {"degenlap.distortion"}),
+        (["catalog", "--fixture", "constant", "--budget-scale", "0.25"], fixtures),
     ]
-    for i, args in enumerate(runs):
+    for i, (args, modules) in enumerate(runs):
         out = ["--output-dir", tmp_path / f"out{i}"] if args else []
-        assert _scipy_loaded([*args, *out]) == set(), args
+        assert _loaded([*args, *out]) == modules, args
 
 
 @pytest.mark.parametrize("args, large, multigrid", [
@@ -93,7 +106,7 @@ def test_solve_loads_sparse_linalg_only_for_multigrid(tmp_path, args, large, mul
     # a system below MULTIGRID_MIN_UNKNOWNS is solved without scipy, and no
     # solve loads scipy's linear algebra: the V-cycle's coarsest level is a
     # dense inverse
-    loaded = _scipy_loaded(["solve", *args, "--output-dir", tmp_path])
+    loaded = _loaded(["solve", *args, "--output-dir", tmp_path])
     report = json.loads((tmp_path / "solve-report.json").read_text())["solve_report"]
     preconditioners = {pc for level in report["levels"] for pc in level["preconditioner"]}
     assert preconditioners == {"multigrid" if multigrid else "jacobi"}
