@@ -7,9 +7,11 @@ value is parsed and checked exactly as flag text is: it must have the flag's
 kind (a JSON number, string or true/false) and lie among its choices and
 within its range.  A fixture (`weights` and `solve` --fixture) fixes the
 geometry and the dimension; an explicit value that contradicts it is
-refused.  Every run writes the fully resolved configuration, with the
-geometry and dimension that ran, to resolved-config.json in the output
-directory next to its reports.
+refused.  `diagnose` reads its grid (box, spacing, mask) from the solution
+file, whose rows list every live node, and refuses a solution whose
+dimension is not its fixture's.  Every run writes the fully resolved
+configuration, with the geometry and dimension that ran, to
+resolved-config.json in the output directory next to its reports.
 
 Exit codes: 0 success; 2 invalid configuration, which covers unknown flags
 or config keys and out-of-range values, refused before the output directory
@@ -19,7 +21,6 @@ are reported inside the JSON output with exit code 0.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import math
 import sys
@@ -37,17 +38,6 @@ from .io import write_csv, write_json, write_pgm
 
 if TYPE_CHECKING:
     from .weights import Weight
-
-
-def __getattr__(name: str):
-    """`cli.W`, `cli.DG`, `cli.DT` and `cli.CAT`: the estimators, the
-    diagnostics, the distortion maps and the fixtures, imported on first use
-    (PEP 562).  The runners and parsers import them where they use them, so
-    that a solve without a fixture loads none of them."""
-    module = {"W": "weights", "DG": "diagnostics", "DT": "distortion", "CAT": "catalog"}.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return importlib.import_module(f"{__package__}.{module}")
 
 
 class ConfigError(ValueError):
@@ -76,7 +66,6 @@ class _Setting(NamedTuple):
 _FIXTURE = ("constant", "axis-degenerate-planar", "zhong-log", "finite-distortion-radial")
 # each mask's parameters (config key mask_params) and their defaults
 _MASK_PARAMS = {"box": {}, "disc": {"radius": 1.0}, "annulus": {"inner": 0.25, "outer": 1.0}}
-_MASK = _Setting(None, tuple(_MASK_PARAMS))
 # the random streams are keyed by a non-negative seed (numpy's SeedSequence)
 _RUN = {"seed": _Setting(0, int, ">= 0"), "output_dir": _Setting("degenlap-out", str)}
 # unset until resolved: a fixture fixes both (`_space_and_dim`)
@@ -103,7 +92,7 @@ _SETTINGS = {
         "fixture": _Setting(None, _FIXTURE),
         "p": _Setting(2.0, float, "> 1"),
         "resolution": _Setting(65, int, ">= 5"),
-        "mask": _MASK,
+        "mask": _Setting(None, tuple(_MASK_PARAMS)),
         "mask_params": _Setting({}),
         "bounds": _Setting(None),
         "psi": _Setting("poly:x2-y2", str),
@@ -116,11 +105,7 @@ _SETTINGS = {
     "diagnose": {
         **_RUN,
         "fixture": _Setting("axis-degenerate-planar", _FIXTURE),
-        "solution": _Setting(None, str, help="solution.csv from a solve run"),
-        "resolution": _Setting(65, int, ">= 5"),
-        "mask": _MASK,
-        "mask_params": _Setting({}),
-        "bounds": _Setting(None),
+        "solution": _Setting(None, str, help="solution.csv from a solve run, which gives the grid"),
         "probes": _Setting(5, int, ">= 1"),
         "contraction_constant": _Setting(1.0, float, ">= 0"),
         "budget": _Setting(1024, int, ">= 16"),
@@ -165,7 +150,8 @@ _HELP = {
 # n = 3 solves above this node count per axis are refused, and so are solves
 # in any dimension whose stencil, res^n 3^n entries, outgrows that of
 # MAX_RESOLUTION_3D^3: 995328 nodes at n = 1, 576 per axis at n = 2, 13 at
-# n = 4, 6 at n = 5.  Measured peak RSS of `solve --p 3` (one BLAS thread,
+# n = 4, 6 at n = 5.  `diagnose` refuses a solution whose grid has more
+# nodes along an axis than a solve may.  Measured peak RSS of `solve --p 3` (one BLAS thread,
 # 2-CPU host with 8 GB of RAM; BENCH_13.json): 80.4-80.7 MB at 33^3, 113 MB
 # at 41^3 and 152 MB at 48^3 through the CLI, about 1 110 bytes per free
 # unknown, and 294 MB at 64^3 through the library; 81 MB and 2.7-2.9 s at
@@ -316,12 +302,16 @@ def _parse_psi(spec: str, dim: int, fixture):
     raise ConfigError(f"unknown psi spec {spec!r}")
 
 
-def _build_domain(cfg, dim: int) -> GridDomain:
-    res = cfg["resolution"]
+def _check_resolution(res: int, dim: int) -> None:
     limit = int((3 * MAX_RESOLUTION_3D) ** (3 / dim) / 3 + 1e-9)
     _require(res <= limit, f"{dim}-d resolution {res} is above the limit {limit}, the stencil "
              "size of 48^3: a p = 3 solve peaks at 152 MB RSS at 48^3, 203 MB at 576^2 and "
              "294 MB at 64^3")
+
+
+def _build_domain(cfg, dim: int) -> GridDomain:
+    res = cfg["resolution"]
+    _check_resolution(res, dim)
     shape = (res,) * dim
     bounds = _bounds(cfg, dim)
     sides = np.diff(bounds, axis=1)
@@ -351,13 +341,13 @@ def _build_domain(cfg, dim: int) -> GridDomain:
 def _resolve_mask(cfg, fixture) -> None:
     """A fixture with a domain radius works on [-r, r]^n unless the config
     gives explicit bounds, masked by the disc of that radius unless the
-    config names another mask.  An unset mask is the box."""
+    config names another mask or mask_params.  An unset mask is the box."""
     if fixture is not None and cfg["bounds"] is None and fixture.domain_radius is not None:
         r = fixture.domain_radius
         cfg["bounds"] = [[-r, r]] * fixture.space.n
         if cfg["mask"] in (None, "disc"):
             cfg["mask"] = "disc"
-            cfg["mask_params"] = {"radius": r}
+            cfg["mask_params"] = cfg["mask_params"] or {"radius": r}
     if cfg["mask"] is None:
         cfg["mask"] = "box"
 
@@ -478,7 +468,7 @@ def run_solve(cfg) -> int:
         init=cfg["init"],
     )
     try:  # an energy that leaves the float range at the boundary data is a p out of range
-        u, report = E.solve_dirichlet(a_field, cfg["p"], psi, domain, config, space)
+        u, report = E.solve_dirichlet(a_field, cfg["p"], psi, config, space)
     except ValueError as exc:
         raise ConfigError(f"p {cfg['p']!r}, psi {cfg['psi']!r}: {exc}") from exc
     out = _outdir(cfg)
@@ -500,21 +490,23 @@ def _probe_lattice(domain: GridDomain, count: int) -> np.ndarray:
 
 def run_diagnose(cfg) -> int:
     from . import diagnostics as DG
+    _require(cfg["solution"] is not None, "diagnose needs --solution CSV from a solve run")
     fixture = _fixture(cfg["fixture"])
     dim = fixture.space.n
-    _resolve_mask(cfg, fixture)
-    domain = _build_domain(cfg, dim)
-    lo, hi = fixture.domain.bounds.T
-    _require(np.all((lo <= domain.bounds[:, 0]) & (domain.bounds[:, 1] <= hi)),
-             f"bounds must lie inside the domain {fixture.domain.bounds.tolist()} of fixture "
-             f"{fixture.name!r}, got {domain.bounds.tolist()}")
-    _require(cfg["solution"] is not None, "diagnose needs --solution CSV from a solve run")
     try:
-        u = GridFunction.from_csv(domain, cfg["solution"])
+        u = GridFunction.from_csv(cfg["solution"])
     except OSError as exc:
         raise ConfigError(f"cannot read solution: {exc}") from exc
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"solution file does not match the grid: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"solution file is not a grid function: {exc}") from exc
+    domain = u.domain
+    _require(domain.n == dim, f"the solution is {domain.n}-dimensional, fixture "
+             f"{fixture.name!r} {dim}-dimensional")
+    _check_resolution(max(domain.shape), dim)   # every grid a solve writes passes
+    lo, hi = fixture.domain.bounds.T
+    _require(np.all((lo <= domain.bounds[:, 0]) & (domain.bounds[:, 1] <= hi)),
+             f"the solution's grid must lie inside the domain {fixture.domain.bounds.tolist()} "
+             f"of fixture {fixture.name!r}, got the box {domain.bounds.tolist()}")
     probes = _probe_lattice(domain, cfg["probes"])
     if fixture.domain_radius is not None:
         probes = probes[np.linalg.norm(probes, axis=1) < 0.85 * fixture.domain_radius]

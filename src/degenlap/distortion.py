@@ -229,7 +229,6 @@ def coordinate_weak_residual(
     domain: GridDomain,
     test_functions: list[GridFunction],
     tube_widths: list[float] | None = None,
-    ramp_width: float | None = None,
 ) -> WeakResidualTable:
     """Quadrature of <[adj Df]_i, grad phi> over the grid for each coordinate
     i and test function, cross-checked against the p = n weak form with
@@ -248,8 +247,7 @@ def coordinate_weak_residual(
     if tube_widths is None:
         tube_widths = [0.0]
     tube_widths = sorted(float(t) for t in tube_widths)
-    if ramp_width is None:
-        ramp_width = max(tube_widths[0], 8 * domain.h)
+    ramp_width = max(tube_widths[0], 8 * domain.h)
 
     # coordinate functions sampled on the grid (0 at the singular node if any)
     ok = mapping._regular(coords)

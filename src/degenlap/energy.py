@@ -900,12 +900,11 @@ def solve_dirichlet(
     a_field: MatrixField,
     p: float,
     psi: GridFunction,
-    domain: GridDomain | None = None,
     config: SolverConfig | None = None,
     space: MetricSpace | None = None,
 ) -> tuple[GridFunction, SolveReport]:
     """Minimize the regularized p-energy over grid functions equal to psi on
-    the boundary nodes.
+    the boundary nodes of psi's grid.
 
     Damped Newton on the strictly convex regularized functional, with an
     Armijo line search guaranteeing energy descent down to the energy's
@@ -913,7 +912,7 @@ def solve_dirichlet(
     the module docstring).  Returns the minimizer and a report whose
     weak-residual sup is max_i |a0^p(u, e_i)| over the interior nodal basis.
     """
-    domain = domain or psi.domain
+    domain = psi.domain
     config = config or SolverConfig(p=p)
     if config.p != p:
         raise ValueError("config.p must match p")

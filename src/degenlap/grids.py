@@ -142,34 +142,42 @@ class GridFunction:
                 fh.writelines(row_fmt % tuple(row) for row in rows.tolist())
 
     @classmethod
-    def from_csv(cls, domain: GridDomain, path) -> "GridFunction":
+    def from_csv(cls, path) -> "GridFunction":
         """Read the rows `to_csv` writes, by the column names on its header
-        line; every value round-trips bit for bit."""
-        n = domain.n
+        line, with the grid they lie on: the box the rows span, at their
+        common spacing, each listed node boundary or interior by its row's
+        flag and every other node excluded.  Every value round-trips bit for
+        bit, and so does the grid wherever the live nodes reach every face of
+        the box they were written from."""
         with open(path, encoding="utf-8") as fh:
             names = fh.readline().strip().split(",")
-        wanted = [f"x{i + 1}" for i in range(n)] + ["value"]
-        if not set(wanted[:n]) <= set(names):
-            raise ValueError(f"solution file does not have x1..x{n} columns")
-        if "value" not in names:
-            raise ValueError("solution file does not have a value column")
-        columns = [names.index(name) for name in wanted]
+        n = sum(name[:1] == "x" and name[1:].isdigit() for name in names)
+        wanted = [f"x{i + 1}" for i in range(n)] + ["value", "boundary"]
+        missing = [name for name in wanted if name not in names]
+        if n == 0 or missing:
+            raise ValueError(f"solution file does not have the columns {missing or ['x1']}")
         with warnings.catch_warnings():  # a file without rows is refused by its row count
             warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=columns, ndmin=2)
-        coords = data[:, :n]
-        live_count = int(np.count_nonzero(domain.mask > 0))
-        if len(coords) != live_count:
-            raise ValueError(
-                f"solution file has {len(coords)} rows, grid has {live_count} live nodes")
-        vals = np.zeros(domain.shape)
-        idx = []
-        for ax in range(n):
-            lo = domain.bounds[ax, 0]
-            pos = (coords[:, ax] - lo) / domain.h
-            ii = np.rint(pos).astype(int)
-            if np.abs(pos - ii).max() > 1e-6 or ii.min() < 0 or ii.max() >= domain.shape[ax]:
-                raise ValueError("solution coordinates do not lie on the grid")
-            idx.append(ii)
-        vals[tuple(idx)] = data[:, n]
-        return cls(domain, vals)
+            data = np.loadtxt(path, delimiter=",", skiprows=1,
+                              usecols=[names.index(name) for name in wanted], ndmin=2)
+        if len(data) < 2:
+            raise ValueError(f"solution file has {len(data)} rows, fewer than two")
+        coords, flags = data[:, :n], data[:, n + 1]
+        lo, hi = coords.min(axis=0), coords.max(axis=0)
+        if not (np.isfinite(coords).all() and (hi > lo).all() and np.isin(flags, (0, 1)).all()):
+            raise ValueError("solution rows do not span every axis with finite coordinates "
+                             "and 0/1 boundary flags")
+        # the spacing: each axis's smallest gap between coordinates, one for all axes
+        gaps = np.array([np.diff(np.unique(c)).min() for c in coords.T])
+        pos = (coords - lo) / gaps.min()
+        idx = np.rint(pos).astype(int)
+        if not (gaps.max() <= (1 + 1e-6) * gaps.min() and (np.abs(pos - idx) <= 1e-6).all()):
+            raise ValueError("solution coordinates do not lie on one uniform grid")
+        shape = tuple(idx.max(axis=0) + 1)
+        flat = np.ravel_multi_index(tuple(idx.T), shape)
+        if len(np.unique(flat)) < len(flat):
+            raise ValueError("solution file lists a node twice")
+        mask, vals = np.zeros(shape, dtype=np.int8), np.zeros(shape)
+        mask.ravel()[flat] = np.where(flags == 1, BOUNDARY, INTERIOR)
+        vals.ravel()[flat] = data[:, n]
+        return cls(GridDomain(np.column_stack([lo, hi]), shape, mask), vals)

@@ -508,7 +508,8 @@ def _ray_block(space, centers, radii, seeds, tags, budget, domain, singularity):
                                  where=edges[:, -1] > 0), 1.0)
     lo, hi = np.maximum(edges[:, 1:], s1[:, None]), np.maximum(edges[:, :-1], s1[:, None])
     s = 0.5 * (hi + lo)[..., None] + 0.5 * (hi - lo)[..., None] * _NODES
-    keep = np.broadcast_to((hi > lo)[..., None], s.shape)
+    # a ray's node at s = 0, a far ball's ray origin, carries s^m = 0 when m > 0
+    keep = (hi > lo)[..., None] & ((s > 0) | lines | (m == 0))
     nodes = origins[:, None, :, None, :] + s[..., None] * dirs[:, None, :, None, :]
     sigma = sigma / share if far else sigma         # a far unit's rays share its measure
     jac = (sigma[:, None, None, None] * 0.5 * (hi - lo)[..., None] * s ** (0 if lines else m))

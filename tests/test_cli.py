@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import degenlap
-from degenlap import cli
+from degenlap import catalog, cli, diagnostics
 from degenlap.cli import main
 
 
@@ -61,15 +61,14 @@ def test_weights_config_file_with_override(tmp_path):
 def test_solve_and_diagnose_roundtrip(tmp_path, mask):
     sol = tmp_path / "s"
     rc = run_cli(["solve", "--fixture", "axis-degenerate-planar",
-                  "--psi", "fixture-solution", "--resolution", "65",
+                  "--psi", "fixture-solution", "--resolution", "65", *mask,
                   "--output-dir", str(sol)])
     assert rc == 0
     rep = read_json(sol / "solve-report.json")["solve_report"]
     assert rep["converged"] is True
     dia = tmp_path / "d"
     rc = run_cli(["diagnose", "--fixture", "axis-degenerate-planar",
-                  "--solution", str(sol / "solution.csv"), "--resolution", "65",
-                  *mask, "--probes", "3", "--budget", "256",
+                  "--solution", str(sol / "solution.csv"), "--probes", "3", "--budget", "256",
                   "--output-dir", str(dia)])
     assert rc == 0
     rows = (dia / "continuity.csv").read_text().splitlines()
@@ -83,11 +82,42 @@ def test_diagnose_probes_inside_off_centre_bounds(tmp_path):
     grid = ["--resolution", "33", "--config", str(tmp_path / "cfg.json")]
     sol, dia = tmp_path / "s", tmp_path / "d"
     assert run_cli(["solve", "--fixture", "constant", *grid, "--output-dir", str(sol)]) == 0
-    assert run_cli(["diagnose", "--fixture", "constant", *grid, "--probes", "3", "--budget", "64",
+    assert run_cli(["diagnose", "--fixture", "constant", "--probes", "3", "--budget", "64",
                     "--solution", str(sol / "solution.csv"), "--output-dir", str(dia)]) == 0
     rows = [line.split(",") for line in (dia / "continuity.csv").read_text().splitlines()[1:]]
     coords = sorted({float(row[0]) for row in rows})
     assert coords == pytest.approx([0.28, 0.6, 0.92], abs=1e-12)
+
+
+def test_diagnose_disc_inside_box(tmp_path):
+    # the grid is the solution's: a disc of radius 0.5 solved in [-1, 1]^2 is
+    # probed across the box its live nodes span, [-0.5625, 0.5625]^2 at 33
+    # nodes, not across [-1, 1]^2, where the outer probes' balls hold no node
+    (tmp_path / "cfg.json").write_text(json.dumps({"mask_params": {"radius": 0.5}}))
+    sol, dia = tmp_path / "s", tmp_path / "d"
+    assert run_cli(["solve", "--mask", "disc", "--resolution", "33",
+                    "--config", str(tmp_path / "cfg.json"), "--output-dir", str(sol)]) == 0
+    assert run_cli(["diagnose", "--fixture", "constant", "--probes", "3", "--budget", "64",
+                    "--solution", str(sol / "solution.csv"), "--output-dir", str(dia)]) == 0
+    rows = [line.split(",") for line in (dia / "continuity.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 9
+    assert sorted({float(row[0]) for row in rows}) == pytest.approx([-0.45, 0.0, 0.45],
+                                                                    abs=1e-12)
+
+
+def test_solve_fixture_keeps_explicit_mask_params(tmp_path):
+    # the fixture's radius fills mask_params only when they are unset
+    (tmp_path / "cfg.json").write_text(json.dumps({"mask_params": {"radius": 0.5}}))
+    sol = tmp_path / "s"
+    assert run_cli(["solve", "--fixture", "axis-degenerate-planar", "--mask", "disc",
+                    "--resolution", "17", "--config", str(tmp_path / "cfg.json"),
+                    "--output-dir", str(sol)]) == 0
+    assert read_json(sol / "resolved-config.json")["config"]["mask_params"] == {"radius": 0.5}
+    rows = (sol / "solution.csv").read_text().splitlines()[1:]
+    # the disc of radius 0.5 and its collar, one spacing 0.125 wide
+    assert max(abs(float(x)) for row in rows for x in row.split(",")[:2]) == 0.625
+    assert run_cli(["diagnose", "--solution", str(sol / "solution.csv"), "--probes", "3",
+                    "--budget", "64", "--output-dir", str(tmp_path / "d")]) == 0
 
 
 @pytest.mark.parametrize("mask, resolved", [([], "disc"), (["--mask", "box"], "box"),
@@ -217,16 +247,18 @@ def test_weights_radii_and_budget_validated(tmp_path, capsys, sizes, message):
     assert message in capsys.readouterr().err
 
 
-def test_exit_code_grid_mismatch(tmp_path):
+def test_exit_code_grid_mismatch(tmp_path, capsys):
     sol = tmp_path / "s"
     assert run_cli(["solve", "--psi", "poly:x2-y2", "--resolution", "17",
                     "--output-dir", str(sol)]) == 0
-    # diagnosing at a different resolution must fail with exit 2
-    rc = run_cli(["diagnose", "--fixture", "axis-degenerate-planar",
-                  "--solution", str(sol / "solution.csv"), "--resolution", "33",
-                  "--mask", "disc", "--probes", "3",
+    # diagnosing a 2-d solution with a 3-d fixture must fail with exit 2
+    rc = run_cli(["diagnose", "--fixture", "zhong-log",
+                  "--solution", str(sol / "solution.csv"), "--probes", "3",
                   "--output-dir", str(tmp_path / "d")])
     assert rc == 2
+    assert "the solution is 2-dimensional, fixture 'zhong-log' 3-dimensional" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "d").exists()
 
 
 def test_console_script_installed():
@@ -275,8 +307,8 @@ DECLARED = {
                 "t", "q", "balls", "budget", "points", "radii", "window", "bounds"},
     "solve": {"output_dir", "geometry", "dimension", "fixture", "p", "resolution", "mask", "mask_params", "bounds", "psi", "delta_final", "tolerance",
               "max_iterations", "init", "pgm"},
-    "diagnose": {"seed", "output_dir", "fixture", "solution", "resolution", "mask",
-                 "mask_params", "bounds", "probes", "contraction_constant", "budget", "pgm"},
+    "diagnose": {"seed", "output_dir", "fixture", "solution", "probes",
+                 "contraction_constant", "budget", "pgm"},
     "distortion": {"seed", "output_dir", "epsilon", "samples", "residual_resolution",
                    "tubes", "bump_count"},
     "catalog": {"seed", "output_dir", "fixture", "budget_scale"},
@@ -285,7 +317,7 @@ DECLARED = {
 
 def test_declared_settings():
     assert {sub: set(keys) for sub, keys in cli._SETTINGS.items()} == DECLARED
-    assert sum(len(keys) for keys in DECLARED.values()) == 53
+    assert sum(len(keys) for keys in DECLARED.values()) == 49
 
 
 @pytest.mark.parametrize("sub", list(DECLARED))
@@ -295,8 +327,8 @@ def test_resolved_config_has_declared_keys(tmp_path, sub):
         "weights": ["--weight", "pow:0.5", "--balls", "64", "--budget", "128",
                     "--points", "16", "--radii", "5"],
         "solve": ["--resolution", "9", "--output-dir", str(sol)],
-        "diagnose": ["--solution", str(sol / "solution.csv"), "--resolution", "9",
-                     "--probes", "2", "--budget", "64"],
+        "diagnose": ["--solution", str(sol / "solution.csv"), "--probes", "2",
+                     "--budget", "64"],
         "distortion": ["--samples", "8"],
         "catalog": ["--fixture", "constant"],
     }
@@ -402,6 +434,11 @@ def test_nonfinite_boundary_data_refused(tmp_path, capsys, argv, config):
     ("diagnose", "dimension", "2"),
     ("diagnose", "geometry", "euclidean"),
     ("solve", "seed", "0"),
+    # a solution file gives diagnose its grid
+    ("diagnose", "resolution", "17"),
+    ("diagnose", "mask", "disc"),
+    ("diagnose", "mask_params", "{}"),
+    ("diagnose", "bounds", "[[1,-1],[1,-1]]"),
 ])
 def test_unread_settings_refused(tmp_path, capsys, sub, key, value):
     out = tmp_path / "out"
@@ -413,6 +450,20 @@ def test_unread_settings_refused(tmp_path, capsys, sub, key, value):
                     "--output-dir", str(out)]) == 2
     assert f"unknown config key {key!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def solved(tmp_path, *argv, bounds) -> str:
+    """The solution.csv of a solve on `bounds` with the flags argv."""
+    (tmp_path / "solve.json").write_text(json.dumps({"bounds": bounds}))
+    out = tmp_path / "solved"
+    assert run_cli(["solve", *argv, "--config", str(tmp_path / "solve.json"),
+                    "--output-dir", str(out)]) == 0
+    return str(out / "solution.csv")
+
+
+def written(tmp_path, text: str) -> str:
+    (tmp_path / "written.csv").write_text(text)
+    return str(tmp_path / "written.csv")
 
 
 # a short weights run, should a bad spec get past the checks
@@ -457,7 +508,6 @@ SMALL_WEIGHTS = ["--balls", "8", "--points", "8", "--radii", "2", "--budget", "6
     (["weights", "--weight", "pow:-1"], {"bounds": "ab"}, "bounds must be 2 [lo, hi] pairs"),
     (["solve"], {"bounds": [[0, 1], [0, 1], [0, 1]]}, "bounds must be 2 [lo, hi] pairs"),
     (["solve"], {"bounds": [[-1, 1], [0, 1]]}, "equal side lengths"),
-    (["diagnose"], {"bounds": [[1, -1], [1, -1]]}, "lo < hi, got"),
     (["distortion", "--samples", "8", "--residual-resolution", "5"], {"tubes": "ab"},
      "tubes must be a list of widths >= 0"),
     (["distortion", "--samples", "8", "--residual-resolution", "5"], {"tubes": [0.1, -1]},
@@ -508,9 +558,15 @@ SMALL_WEIGHTS = ["--balls", "8", "--points", "8", "--radii", "2", "--budget", "6
      "radial-pow exponent must be finite"),
     (["solve", "--psi", "affine:1,nan,0", "--resolution", "9"], None,
      "affine coefficient must be finite"),
-    # diagnose bounds off the fixture's domain
-    (["diagnose", "--fixture", "constant", "--resolution", "33"],
-     {"bounds": [[0.5, 2.5], [0.5, 2.5]]}, "bounds must lie inside the domain"),
+    # a solution whose box leaves the fixture's domain
+    (["diagnose", "--fixture", "constant", "--solution", lambda tmp: solved(
+        tmp, "--resolution", "17", bounds=[[0.5, 2.5], [0.5, 2.5]])], None,
+     "the solution's grid must lie inside the domain [[-1.0, 1.0], [-1.0, 1.0]] of fixture "
+     "'constant', got the box [[0.5, 2.5], [0.5, 2.5]]"),
+    # a solution whose four rows span a grid beyond a solve's, 577^2 nodes
+    (["diagnose", "--fixture", "constant", "--solution", lambda tmp: written(
+        tmp, "x1,x2,value,boundary\n-1,-1,0,1\n%r,-1,0,1\n-1,%r,0,1\n1,1,0,1\n"
+        % ((-1 + 2 / 576,) * 2))], None, "2-d resolution 577 is above the limit 576"),
     # a weight, or its power t, that overflows on the samples
     (["weights", "--weight", "pow:1e6", *SMALL_WEIGHTS], None, "weight evaluated to inf"),
     (["weights", "--weight", "pow:-1", "--t", "1e300", *SMALL_WEIGHTS], None,
@@ -536,7 +592,7 @@ SMALL_WEIGHTS = ["--balls", "8", "--points", "8", "--radii", "2", "--budget", "6
         "distortion-residual-1", "distortion-residual-negative", "weights-window-short",
         "weights-window-text", "weights-window-null", "weights-bounds-reversed",
         "weights-bounds-short", "weights-bounds-text", "solve-bounds-3d", "solve-bounds-uneven",
-        "diagnose-bounds-reversed", "distortion-tubes-text", "distortion-tubes-negative",
+        "distortion-tubes-text", "distortion-tubes-negative",
         "distortion-bumps-text", "distortion-bumps-fraction", "solve-mask-params-list",
         "solve-mask-radius-text", "solve-mask-params-key", "solve-annulus-reversed",
         "file-resolution-fraction", "file-balls-fraction", "file-init-bogus", "file-p-text",
@@ -545,10 +601,12 @@ SMALL_WEIGHTS = ["--balls", "8", "--points", "8", "--radii", "2", "--budget", "6
         "solve-max-iterations", "solve-init-flag", "solve-p-inf", "weights-t-inf",
         "solve-1d-default-psi", "solve-1d-exp-cos", "solve-4d-resolution", "solve-2d-resolution",
         "weights-pow-inf", "weights-const-nan", "weights-log-inf", "solve-radial-pow-nan",
-        "solve-affine-nan", "diagnose-bounds-off-domain", "weights-pow-huge",
+        "solve-affine-nan", "diagnose-bounds-off-domain", "diagnose-grid-above-limit",
+        "weights-pow-huge",
         "weights-t-huge", "distortion-epsilon-huge", "distortion-epsilon-tiny",
         "distortion-tube-0", "solve-cell-volume-huge", "solve-p-huge"])
 def test_out_of_range_setting_refused(tmp_path, capsys, argv, config, message):
+    argv = [arg(tmp_path) if callable(arg) else arg for arg in argv]
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = [*argv, "--config", str(tmp_path / "cfg.json")]
@@ -564,7 +622,7 @@ def test_catalog_budget_scale_limit(tmp_path, capsys, monkeypatch, scale, refuse
     # the estimators' cost grows with the square of the scale: one above the
     # measured limit is refused before any fixture runs or output exists
     ran = []
-    monkeypatch.setattr(cli.CAT, "_verify_fixtures", lambda name, **kw: ran.append(kw) or {})
+    monkeypatch.setattr(catalog, "_verify_fixtures", lambda name, **kw: ran.append(kw) or {})
     out = tmp_path / "out"
     argv = ["catalog", "--fixture", "constant", "--budget-scale", scale, "--output-dir", str(out)]
     assert run_cli(argv) == (2 if refused else 0)
@@ -584,7 +642,7 @@ def test_catalog_failed_check_leaves_no_output(tmp_path, monkeypatch, fixture, t
     def raising(*args, **kwargs):
         raise ZeroDivisionError("a check failed")
 
-    monkeypatch.setattr(cli.CAT, target, raising)
+    monkeypatch.setattr(catalog, target, raising)
     out = tmp_path / "out"
     with pytest.raises(ZeroDivisionError, match="a check failed"):
         run_cli(["catalog", "--fixture", fixture, "--budget-scale", "0.25",
@@ -620,12 +678,11 @@ def test_diagnose_failed_continuity_map_leaves_no_output(tmp_path, monkeypatch):
     def raising(*args, **kwargs):
         raise ZeroDivisionError("the continuity map failed")
 
-    monkeypatch.setattr(cli.DG, "continuity_map", raising)
+    monkeypatch.setattr(diagnostics, "continuity_map", raising)
     out = tmp_path / "out"
     with pytest.raises(ZeroDivisionError, match="the continuity map failed"):
-        run_cli(["diagnose", "--fixture", "constant", "--resolution", "17", "--probes", "3",
-                 "--budget", "64", "--solution", str(sol / "solution.csv"),
-                 "--output-dir", str(out)])
+        run_cli(["diagnose", "--fixture", "constant", "--probes", "3", "--budget", "64",
+                 "--solution", str(sol / "solution.csv"), "--output-dir", str(out)])
     assert not out.exists()
 
 
@@ -638,22 +695,12 @@ def test_diagnose_builds_one_discretization(tmp_path, monkeypatch):
     real = cli.E._Discretization.__init__
     monkeypatch.setattr(cli.E._Discretization, "__init__",
                         lambda self, *args: built.append(args) or real(self, *args))
-    assert run_cli(["diagnose", "--fixture", "constant", "--resolution", "17", "--probes", "3",
-                    "--budget", "64", "--solution", str(sol / "solution.csv"),
-                    "--output-dir", str(tmp_path / "d")]) == 0
+    assert run_cli(["diagnose", "--fixture", "constant", "--probes", "3", "--budget", "64",
+                    "--solution", str(sol / "solution.csv"), "--output-dir", str(tmp_path / "d")]) == 0
     assert len(built) == 1
 
 
 def test_fixture_names_are_the_catalogs():
     # the CLI holds the names, so that parsing a command loads no fixture
-    from degenlap import catalog
     assert cli._FIXTURE == tuple(catalog.fixture_names())
 
-
-def test_modules_on_first_use_resolve():
-    # callers that patch or wrap them read them as attributes of the CLI
-    import degenlap.catalog, degenlap.diagnostics, degenlap.distortion, degenlap.weights
-    assert (cli.W, cli.DG, cli.DT, cli.CAT) == (degenlap.weights, degenlap.diagnostics,
-                                                degenlap.distortion, degenlap.catalog)
-    with pytest.raises(AttributeError, match="no attribute 'XX'"):
-        cli.XX

@@ -309,8 +309,7 @@ def test_weak_residual_radial_map_extrapolation_light():
     f = radial_exp_map(0.1, 3)
     dom = GridDomain.box([(-0.5, 0.5)] * 3, (49, 49, 49))
     phi = bump_function(dom, [0.02, -0.01, 0.03], 0.42)
-    tbl = coordinate_weak_residual(f, dom, [phi], tube_widths=[0.12, 0.08, 0.04],
-                                   ramp_width=0.1)
+    tbl = coordinate_weak_residual(f, dom, [phi], tube_widths=[0.12, 0.08, 0.04])
     assert len(tbl.extrapolated) == 3
     for e in tbl.extrapolated:
         assert abs(e["extrapolated"]) <= 1e-3 * e["scale"]

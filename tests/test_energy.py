@@ -320,7 +320,7 @@ def test_solver_nonconvergence_reported():
     dom = GridDomain.annulus(0.25, 1.0, (33, 33))
     psi = GridFunction.from_callable(dom, lambda x: np.linalg.norm(x, axis=1) ** 0.5)
     cfg = SolverConfig(p=3.0, max_iterations=1, init="zero")
-    u, rep = solve_dirichlet(I2, 3.0, psi, dom, cfg)
+    u, rep = solve_dirichlet(I2, 3.0, psi, cfg)
     assert not rep.converged
     assert np.all(np.isfinite(u.values[dom.mask > 0]))
 

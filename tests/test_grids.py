@@ -20,6 +20,12 @@ def per_value_csv(u: GridFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
+def assert_same_grid(got: GridDomain, want: GridDomain):
+    assert got.bounds.tobytes() == want.bounds.tobytes()
+    assert got.shape == want.shape and got.h == want.h
+    assert np.array_equal(got.mask, want.mask)
+
+
 def test_to_csv_matches_per_value_format(tmp_path):
     specials = [1 / 3, -0.0, 1e-300, 1e17, -2.5e-7, 123456789.123, 5e-324, -1.0]
     for dom in (GridDomain.disc(1.0, (9, 9)), GridDomain.box([(-1 / 3, 2 / 3)] * 3, (4, 4, 4))):
@@ -28,7 +34,9 @@ def test_to_csv_matches_per_value_format(tmp_path):
         path = tmp_path / "u.csv"
         u.to_csv(path)
         assert path.read_bytes() == per_value_csv(u).encode()
-        assert GridFunction.from_csv(dom, path).values.tolist() == u.values.tolist()
+        back = GridFunction.from_csv(path)
+        assert back.values.tolist() == u.values.tolist()
+        assert_same_grid(back.domain, dom)
 
 
 @pytest.mark.parametrize("dom", [GridDomain.disc(1.0, (33, 33)),
@@ -43,28 +51,39 @@ def test_csv_round_trip_bit_exact(tmp_path, dom):
     u = GridFunction(dom, np.where(dom.mask > 0, values, 0.0))
     path = tmp_path / "u.csv"
     u.to_csv(path)
-    assert GridFunction.from_csv(dom, path).values.tobytes() == u.values.tobytes()
+    back = GridFunction.from_csv(path)
+    assert back.values.tobytes() == u.values.tobytes()
+    assert_same_grid(back.domain, dom)
 
 
 @pytest.mark.parametrize("header, rows, message", [
-    ("a,b,value,boundary", None, "does not have x1..x2 columns"),
-    ("x1,x2,u,boundary", None, "does not have a value column"),
-    ("x1,x2,value,boundary", slice(1, None), "has 24 rows, grid has 25 live nodes"),
-    ("x1,x2,value,boundary", "shifted", "do not lie on the grid"),
-    ("x1,x2,value,boundary", slice(0, 0), "has 0 rows"),
-], ids=["no-x-columns", "no-value-column", "row-count", "off-grid", "header-only"])
+    ("a,b,value,boundary", None, r"does not have the columns \['x1'\]"),
+    ("x1,x2,u,boundary", None, r"does not have the columns \['value'\]"),
+    ("x1,x2,value,flag", None, r"does not have the columns \['boundary'\]"),
+    ("x1,x2,value,boundary", "twice", "lists a node twice"),
+    ("x1,x2,value,boundary", "shifted", "do not lie on one uniform grid"),
+    ("x1,x2,value,boundary", "stretched", "do not lie on one uniform grid"),
+    ("x1,x2,value,boundary", slice(0, 0), "has 0 rows, fewer than two"),
+    ("x1,x2,value,boundary", slice(0, 1), "has 1 rows, fewer than two"),
+], ids=["no-x-columns", "no-value-column", "no-boundary-column", "node-listed-twice",
+        "off-grid", "off-one-grid", "header-only", "one-row"])
 def test_csv_refused(tmp_path, header, rows, message):
     dom = GridDomain.disc(1.0, (5, 5))
     path = tmp_path / "u.csv"
     GridFunction.from_callable(dom, lambda pts: pts[:, 0]).to_csv(path)
     lines = path.read_text().splitlines()[1:]
-    if rows == "shifted":
+    if rows == "twice":
+        lines = [*lines, lines[3]]
+    elif rows == "shifted":
         lines[0] = "0.1," + lines[0].split(",", 1)[1]
+    elif rows == "stretched":     # each axis on a uniform grid, but not on one
+        lines = [f"{1.5 * float(x1)},{rest}" for x1, rest in
+                 (line.split(",", 1) for line in lines)]
     elif rows is not None:
         lines = lines[rows]
     path.write_text("\n".join([header, *lines]) + "\n")
     with pytest.raises(ValueError, match=message):
-        GridFunction.from_csv(dom, path)
+        GridFunction.from_csv(path)
 
 
 GRID_CASES = [  # (constructor, its radii, bounds, geometry)
@@ -103,6 +122,31 @@ def test_grid_matches_oracle(kind, radii, bounds, geometry):
     assert disc.corner_idx.flags.c_contiguous
     assert np.array_equal(disc.corner_idx, corners)
     np.testing.assert_allclose(disc.centers, centres, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind, radii, bounds, geometry", GRID_CASES,
+                         ids=[f"{c[0]}-{len(c[2])}d-{c[3]}-{i}" for i, c in enumerate(GRID_CASES)])
+def test_csv_carries_its_grid(tmp_path, kind, radii, bounds, geometry):
+    """The grid read back from a solution file: the same bounds, shape and
+    mask whenever the live nodes reach every face of the box, and otherwise
+    the box they span, with the same live node coordinates and values."""
+    n = len(bounds)
+    shape = ({1: 17, 2: 13, 3: 9, 4: 6}[n],) * n
+    dom = (GridDomain.box(bounds, shape) if kind == "box"
+           else getattr(GridDomain, kind)(*radii, shape, bounds=bounds))
+    rng = child_rng(32, "csv-grid", str(n))
+    u = GridFunction(dom, np.where(dom.mask > 0, rng.normal(size=shape), 0.0))
+    u.to_csv(tmp_path / "u.csv")
+    back = GridFunction.from_csv(tmp_path / "u.csv")
+    live = dom.mask > 0
+    faces = all(np.take(live, [0, -1], axis=ax).any(axis=tuple(a for a in range(n) if a != ax))
+                .all() for ax in range(n))
+    if faces:
+        assert_same_grid(back.domain, dom)
+    got = back.domain.mask > 0
+    assert np.array_equal(back.domain.mask[got], dom.mask[live])
+    assert back.domain.node_coords()[got].tobytes() == dom.node_coords()[live].tobytes()
+    assert back.values[got].tobytes() == u.values[live].tobytes()
 
 
 def test_solved_domain_holds_no_coordinate_array():

@@ -40,7 +40,7 @@ def test_removed_names_gone(name):
         assert not hasattr(module, gone)
 
 
-# The modules the CLI loads on first use only (`cli.__getattr__`), and a
+# The modules the CLI loads on first use only (its runners import them), and a
 # fresh interpreter that runs the CLI with the given arguments (none: only
 # imports it) and prints its exit code and which of them, and which scipy
 # modules, it loaded.
@@ -84,8 +84,8 @@ def test_cli_import_skips_scipy_special(tmp_path):
         (["solve", "--psi", "zhong-odd", "--resolution", "9"], fixtures),
         (["weights", "--weight", "pow:-1", "--balls", "8", "--points", "8", "--radii", "2",
           "--budget", "64"], {"degenlap.weights"}),
-        (["diagnose", "--solution", tmp_path / "s" / "solution.csv", "--resolution", "9",
-          "--probes", "2", "--budget", "64"], fixtures | {"degenlap.diagnostics"}),
+        (["diagnose", "--solution", tmp_path / "s" / "solution.csv", "--probes", "2",
+          "--budget", "64"], fixtures | {"degenlap.diagnostics"}),
         (["distortion", "--samples", "8"], {"degenlap.distortion"}),
         (["catalog", "--fixture", "constant", "--budget-scale", "0.25"], fixtures),
     ]

@@ -454,6 +454,18 @@ def test_far_ball_average_matches_oracle(case):
                     <= 3.0 * vols.std(ddof=1) / math.sqrt(len(vols)))
 
 
+@pytest.mark.parametrize("case", list(FAR_CASES))
+def test_far_block_keeps_no_zero_weight_node(case):
+    # a ray's node at s = 0, where it starts, carries s^(n-1) = 0 for n >= 2
+    # and is dropped; in 1-d, where s^0 = 1, the two rays' starts are kept
+    space, w, ball, domain, _ = FAR_CASES[case]
+    balls = [ball, Ball(ball.center, 0.5 * ball.radius)]
+    samples = gather_ball_samples(space, balls, 2048, [0, 1], domain, None, ["avg", "avg"])
+    assert np.all((samples.weights[0] != 0.0) | (samples.weights[1] != 0.0))
+    at_centre = np.all(samples.kept == ball.center, axis=1)
+    assert np.count_nonzero(at_centre) == (4 if space.n == 1 else 0)
+
+
 # Relative spread over seeds 0-39 at budget 2048 of the Monte Carlo rule that
 # far balls used before rays: `budget` uniform draws in the ball.
 FAR_MC_SPREAD = {"pow-r3-2r": 5.98e-3, "pow-r3-steep": 1.66e-2, "axis-r2-clipped": 2.72e-3,
